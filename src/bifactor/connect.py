@@ -553,18 +553,7 @@ def hamilton_s13(graph: BipartiteGraph) -> Factor:
     quotient is a cycle, and the explicit Hamilton cycle is woven from it.
     StructureUnrecognizedError (carrying the stuck report) otherwise.
     """
-    if not graph.is_connected():
-        raise HypothesisViolatedError("connected", "host graph is disconnected")
-    if not graph.is_balanced():
-        raise HypothesisViolatedError(
-            "balance", f"classes have sizes {graph.n_x} and {graph.n_y}"
-        )
-    if graph.min_degree() < 4:
-        raise HypothesisViolatedError(
-            "min_degree", f"minimum degree {graph.min_degree()} < 4"
-        )
-    if not is_skl_free(graph, 1, 3):
-        raise HypothesisViolatedError("skl_free", "graph contains an induced (1,3) star pair")
+    _hypotheses(graph, 1, 3, 4)
     got = find_f_factor(graph, DegreeDemand.uniform(graph, 2))
     if isinstance(got, ViolatorCertificate):
         raise TheoremContradictionError(

@@ -8,6 +8,14 @@ runs between the two leaf sets.  A detected copy therefore consists of an
 edge (u, v), k neighbors of u avoiding v, and l neighbors of v avoiding u,
 with no edges between the leaf sets: k + l + 2 vertices carrying exactly
 k + l + 1 edges.
+
+The detector builds one neighbour bitmask per vertex (a Python int, one
+pass over the edges) and keeps the l-side candidates of each edge as a
+bitmask.  Adding a k-side leaf is one ``cand & ~mask[leaf]`` and a
+popcount, so a search step costs O(n / 64) word operations.  At an edge
+whose k-center has degree d the search makes at most
+C(d, 1) + ... + C(d, k) steps, and only d when every single leaf already
+leaves fewer than l candidates, as on dense hosts.
 """
 
 from __future__ import annotations
@@ -46,38 +54,56 @@ def serialize_star_witness(w: StarWitness) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _neighbor_masks(graph: BipartiteGraph) -> tuple[list[int], list[int]]:
+    """Per X vertex the bitmask of its Y neighbours, and vice versa."""
+    mask_x = [0] * graph.n_x
+    mask_y = [0] * graph.n_y
+    for x, y in graph.edge_list:
+        mask_x[x] |= 1 << y
+        mask_y[y] |= 1 << x
+    return mask_x, mask_y
+
+
 def _star_at_edge(
-    graph: BipartiteGraph, x: int, y: int, k: int, l: int, u_on_x: bool
+    graph: BipartiteGraph,
+    masks: tuple[list[int], list[int]],
+    x: int,
+    y: int,
+    k: int,
+    l: int,
+    u_on_x: bool,
 ) -> StarWitness | None:
     """Lexicographically first witness anchored at edge (x, y), if any.
 
     ``u_on_x`` chooses which endpoint carries the k leaves.  Leaf subsets
     for the k-center are enumerated in lexicographic order; a partial
     subset is abandoned as soon as fewer than l candidates for the other
-    center remain non-adjacent to it.
+    center remain non-adjacent to it.  Candidates are a bitmask over the
+    other center's side, and the l picked leaves are its l lowest bits.
     """
+    mask_x, mask_y = masks
     if u_on_x:
-        u_nbrs = [b for b in graph.neighbors_x(x) if b != y]
-        v_nbrs = [a for a in graph.neighbors_y(y) if a != x]
-        adjacent = lambda a, b: graph.has_edge(a, b)  # a: X leaf of v, b: Y leaf of u
+        leaves = graph.neighbors_x(x)
+        leaf_mask = mask_y
+        cand = mask_y[y] & ~(1 << x)
     else:
-        u_nbrs = [a for a in graph.neighbors_y(y) if a != x]
-        v_nbrs = [b for b in graph.neighbors_x(x) if b != y]
-        adjacent = lambda b, a: graph.has_edge(a, b)
-    if len(u_nbrs) < k or len(v_nbrs) < l:
+        leaves = graph.neighbors_y(y)
+        leaf_mask = mask_x
+        cand = mask_x[x] & ~(1 << y)
+    # The other center is among ``leaves`` but is never chosen: every
+    # candidate is its neighbour, so choosing it leaves none.
+    if len(leaves) <= k or cand.bit_count() < l:
         return None
 
     chosen: list[int] = []
 
-    def extend(start: int, candidates: list[int]) -> list[int] | None:
-        if len(candidates) < l:
-            return None
+    def extend(start: int, cand: int) -> int | None:
         if len(chosen) == k:
-            return candidates[:l]
-        for pos in range(start, len(u_nbrs)):
-            leaf = u_nbrs[pos]
-            remaining = [c for c in candidates if not adjacent(c, leaf)]
-            if len(remaining) < l:
+            return cand
+        for pos in range(start, len(leaves)):
+            leaf = leaves[pos]
+            remaining = cand & ~leaf_mask[leaf]
+            if remaining.bit_count() < l:
                 continue
             chosen.append(leaf)
             got = extend(pos + 1, remaining)
@@ -86,9 +112,14 @@ def _star_at_edge(
             chosen.pop()
         return None
 
-    picked = extend(0, v_nbrs)
-    if picked is None:
+    rest = extend(0, cand)
+    if rest is None:
         return None
+    picked = []
+    for _ in range(l):
+        low = rest & -rest
+        picked.append(low.bit_length() - 1)
+        rest ^= low
     if u_on_x:
         return StarWitness(
             k,
@@ -117,12 +148,13 @@ def find_induced_star(graph: BipartiteGraph, k: int, l: int) -> StarWitness | No
     """
     if k < 1 or l < 1:
         raise ValueError("both leaf counts must be at least 1")
+    masks = _neighbor_masks(graph)
     for x, y in graph.edge_list:
-        w = _star_at_edge(graph, x, y, k, l, u_on_x=True)
+        w = _star_at_edge(graph, masks, x, y, k, l, u_on_x=True)
         if w is not None:
             return w
         if k != l:
-            w = _star_at_edge(graph, x, y, k, l, u_on_x=False)
+            w = _star_at_edge(graph, masks, x, y, k, l, u_on_x=False)
             if w is not None:
                 return w
     return None

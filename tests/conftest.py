@@ -2,8 +2,9 @@
 
 Everything here recomputes from first principles and shares no code with
 the implementations under test: witnesses are validated by counting
-induced edges, star-pair freeness by scanning vertex subsets for the tree
-profile, and violators by evaluating both sides of the inequality
+induced edges, the detector's choice of witness by enumerating leaf
+subsets in order, star-pair freeness by scanning vertex subsets for the
+tree profile, and violators by evaluating both sides of the inequality
 directly.
 """
 
@@ -97,6 +98,37 @@ def contains_star_pair(graph: BipartiteGraph, k: int, l: int) -> bool:
         if merged == size - 1:
             return True
     return False
+
+
+def first_star_witness(graph: BipartiteGraph, k: int, l: int) -> StarWitness | None:
+    """The witness the detector promises, found by plain enumeration.
+
+    Edges in (x, y) order, X endpoint as the k-center first; the k-leaf set
+    is the first ``combinations`` subset of that center's other neighbours
+    leaving at least l of the other center's other neighbours non-adjacent
+    to all of it, and the l-leaf set is the l lowest of those.
+    """
+    for x, y in sorted(
+        (x, y) for x in range(graph.n_x) for y in range(graph.n_y) if graph.has_edge(x, y)
+    ):
+        nbrs_of_x = [b for b in range(graph.n_y) if b != y and graph.has_edge(x, b)]
+        nbrs_of_y = [a for a in range(graph.n_x) if a != x and graph.has_edge(a, y)]
+        for u_side, u, v_side, v, leaves, cands, adjacent in (
+            ("X", x, "Y", y, nbrs_of_x, nbrs_of_y, lambda c, b: graph.has_edge(c, b)),
+            ("Y", y, "X", x, nbrs_of_y, nbrs_of_x, lambda c, a: graph.has_edge(a, c)),
+        ):
+            for subset in combinations(leaves, k):
+                free = [c for c in cands if not any(adjacent(c, leaf) for leaf in subset)]
+                if len(free) >= l:
+                    return StarWitness(
+                        k,
+                        l,
+                        VertexRef(u_side, u),
+                        VertexRef(v_side, v),
+                        tuple(VertexRef(v_side, b) for b in subset),
+                        tuple(VertexRef(u_side, a) for a in free[:l]),
+                    )
+    return None
 
 
 def violation_sides(

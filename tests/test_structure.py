@@ -27,6 +27,7 @@ from conftest import (
     assert_star_witness_valid,
     bipartite_graphs,
     contains_star_pair,
+    first_star_witness,
 )
 
 
@@ -91,6 +92,13 @@ class TestDetection:
         assert (w is not None) == contains_star_pair(g, 2, 2)
         if w is not None:
             assert_star_witness_valid(g, w)
+
+    @pytest.mark.parametrize("k, l", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+    @given(g=bipartite_graphs(max_side=5))
+    @settings(max_examples=60, deadline=None)
+    def test_returns_first_witness_in_order(self, k, l, g):
+        """Edge order, X-center orientation first, first leaf sets."""
+        assert find_induced_star(g, k, l) == first_star_witness(g, k, l)
 
 
 class TestClassify:
