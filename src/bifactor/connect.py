@@ -4,9 +4,24 @@ A *link* is a host-graph edge joining two components of a factor.  The
 primary move removes one factor edge at each end of a link and re-adds the
 link plus one fresh cross edge; the secondary move swaps the factor
 neighbors of two same-side vertices in different components.  Both moves
-preserve every degree.  A move is accepted only when a from-scratch
-component recount strictly decreases, so progress is measured, never
-assumed (removed edges can be bridges when the degree is odd).
+preserve every degree.  A move is accepted only when a component recount
+strictly decreases, so progress is measured, never assumed (removed edges
+can be bridges when the degree is odd).  An exchange only touches the two
+components at its link, so the recount is one traversal of their union.
+
+The connecting loop tries primary moves only, because every secondary
+move is also a primary candidate.  Swapping X vertices i1 and i2 (factor
+neighbors w1 and w2) drops i1-w1 and i2-w2 and adds i1-w2 and i2-w1.  The
+added edge i1-w2 joins two components, so it is a link; w1 is a factor
+neighbor of i1 and i2 one of w2; so the primary candidate on link i1-w2
+with fresh edge i2-w1 removes and adds the same four edges.  The Y side
+is symmetric.  Equal edge sets give equal recounts, so the primary scan
+finds a move whenever some secondary move would help.
+
+The loop keeps one working copy of the factor (sorted adjacency, edge
+set, component labels and sizes), updates it in place after each move and
+builds a ``Factor`` once, at the end; its component count must equal the
+tracked one.
 
 A factor none of whose candidate moves helps is *stuck*.  Stuck states are
 audited, not asserted away: the report carries every link, whether the
@@ -19,6 +34,7 @@ stated hypotheses and the report flags the contradiction.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import (
@@ -31,7 +47,7 @@ from .errors import (
     TheoremContradictionError,
 )
 from .factors import DegreeDemand, ViolatorCertificate, find_f_factor
-from .graph import BipartiteGraph, Edge, Factor, VertexRef, _component_count
+from .graph import BipartiteGraph, Edge, Factor, VertexRef, _component_labels
 from .structure import is_skl_free
 
 
@@ -101,12 +117,117 @@ def apply_swap(factor: Factor, move: SwapMove) -> Factor:
     return Factor(factor.host, edges)
 
 
-def _count_after(factor: Factor, removed: tuple[Edge, Edge], added: tuple[Edge, Edge]) -> int:
-    host = factor.host
-    edges = set(factor.edge_set)
-    edges.difference_update(removed)
-    edges.update(added)
-    return _component_count(host.n_x, host.n_y, edges)
+def _primary(x: int, u2: int, v2: int, y: int) -> SwapMove:
+    return SwapMove("primary", ((x, u2), (v2, y)), ((x, y), (v2, u2)))
+
+
+class _Exchanger:
+    """Mutable working copy of a factor for the connecting loop.
+
+    Holds sorted factor adjacency lists, the factor edge set, component
+    labels and component sizes; accepted exchanges update them in place.
+    Label ids are internal: merging keeps the X endpoint's id.
+    """
+
+    def __init__(self, graph: BipartiteGraph, factor: Factor):
+        self.graph = graph
+        self.adj_x = [list(factor.neighbors_x(x)) for x in range(graph.n_x)]
+        self.adj_y = [list(factor.neighbors_y(y)) for y in range(graph.n_y)]
+        self.edges = set(factor.edge_set)
+        self.comp_x = list(factor.comp_x)
+        self.comp_y = list(factor.comp_y)
+        self.size = [0] * factor.n_components
+        for c in self.comp_x + self.comp_y:
+            self.size[c] += 1
+        self.count = factor.n_components
+
+    def joined(self, x: int, u2: int, v2: int, y: int):
+        """Recount after dropping x-u2 and v2-y and adding x-y and v2-u2.
+
+        The exchange touches only the components of x and y, so one
+        traversal from x over the exchanged edges counts them: the two
+        merge exactly when it reaches both whole.  Returns the reached
+        (X, Y) vertex sets when they do, else None.
+        """
+        adj_x, adj_y = self.adj_x, self.adj_y
+        seen_x, seen_y = {x}, set()
+        xs, ys = [x], []
+        while xs:
+            for i in xs:
+                nbrs = adj_x[i]
+                if i == x:
+                    nbrs = [y] + [w for w in nbrs if w != u2]
+                elif i == v2:
+                    nbrs = [u2] + [w for w in nbrs if w != y]
+                for j in nbrs:
+                    if j not in seen_y:
+                        seen_y.add(j)
+                        ys.append(j)
+            xs = []
+            for j in ys:
+                nbrs = adj_y[j]
+                if j == y:
+                    nbrs = [x] + [w for w in nbrs if w != v2]
+                elif j == u2:
+                    nbrs = [v2] + [w for w in nbrs if w != x]
+                for i in nbrs:
+                    if i not in seen_x:
+                        seen_x.add(i)
+                        xs.append(i)
+            ys = []
+        need = self.size[self.comp_x[x]] + self.size[self.comp_y[y]]
+        return (seen_x, seen_y) if len(seen_x) + len(seen_y) == need else None
+
+    def first_exchange(self, x: int, y: int):
+        """First improving primary exchange on link (x, y): (u2, v2, reached).
+
+        Candidates scan N_F(x) and N_F(y) in index order; the fresh edge
+        v2-u2 must exist in the host and be absent from the factor.
+        """
+        host, edges = self.graph.edge_set, self.edges
+        for u2 in self.adj_x[x]:
+            for v2 in self.adj_y[y]:
+                fresh = (v2, u2)
+                if fresh not in host or fresh in edges:
+                    continue
+                reached = self.joined(x, u2, v2, y)
+                if reached is not None:
+                    return u2, v2, reached
+        return None
+
+    def step(self) -> SwapMove | None:
+        """Apply the first improving exchange over all links, in (x, y) order."""
+        comp_x, comp_y = self.comp_x, self.comp_y
+        for x, y in self.graph.edge_list:
+            if comp_x[x] == comp_y[y]:
+                continue
+            found = self.first_exchange(x, y)
+            if found is not None:
+                u2, v2, reached = found
+                self._apply(x, u2, v2, y, reached)
+                return _primary(x, u2, v2, y)
+        return None
+
+    def _apply(self, x: int, u2: int, v2: int, y: int, reached) -> None:
+        adj_x, adj_y = self.adj_x, self.adj_y
+        for adj, a, old, new in (
+            (adj_x, x, u2, y),
+            (adj_x, v2, y, u2),
+            (adj_y, y, v2, x),
+            (adj_y, u2, x, v2),
+        ):
+            adj[a].remove(old)
+            insort(adj[a], new)
+        self.edges.difference_update(((x, u2), (v2, y)))
+        self.edges.update(((x, y), (v2, u2)))
+        cu, cv = self.comp_x[x], self.comp_y[y]
+        for i in reached[0]:
+            self.comp_x[i] = cu
+        for j in reached[1]:
+            self.comp_y[j] = cu
+        self.size[cu] += self.size[cv]
+        self.size[cv] = 0
+        self.count -= 1
 
 
 def try_primary_swap(graph: BipartiteGraph, factor: Factor, link: Link) -> SwapMove | None:
@@ -116,18 +237,8 @@ def try_primary_swap(graph: BipartiteGraph, factor: Factor, link: Link) -> SwapM
     the fresh edge must exist in the host and be absent from the factor.
     """
     x, y = link.u.index, link.v.index
-    base = factor.n_components
-    for u2 in factor.neighbors_x(x):  # Y side
-        for v2 in factor.neighbors_y(y):  # X side
-            if not graph.has_edge(v2, u2):
-                continue
-            if (v2, u2) in factor.edge_set:
-                continue
-            removed = ((x, u2), (v2, y))
-            added = ((x, y), (v2, u2))
-            if _count_after(factor, removed, added) < base:
-                return SwapMove("primary", removed, added)
-    return None
+    found = _Exchanger(graph, factor).first_exchange(x, y)
+    return None if found is None else _primary(x, found[0], found[1], y)
 
 
 def try_secondary_swap(
@@ -142,7 +253,7 @@ def try_secondary_swap(
         raise ValueError("secondary swap needs two vertices on the same side")
     if factor.component_of(v1) == factor.component_of(v2):
         raise ValueError("secondary swap needs vertices in distinct components")
-    base = factor.n_components
+    state = _Exchanger(graph, factor)
     on_x = v1.side == "X"
     i1, i2 = v1.index, v2.index
     nbrs1 = factor.neighbors_x(i1) if on_x else factor.neighbors_y(i1)
@@ -159,32 +270,10 @@ def try_secondary_swap(
                 continue
             if cross1 in factor.edge_set or cross2 in factor.edge_set:
                 continue
-            added = (cross1, cross2)
-            if _count_after(factor, removed, added) < base:
-                return SwapMove("secondary", removed, added)
-    return None
-
-
-def _find_primary_move(graph: BipartiteGraph, factor: Factor) -> SwapMove | None:
-    for link in find_links(graph, factor):
-        move = try_primary_swap(graph, factor, link)
-        if move is not None:
-            return move
-    return None
-
-
-def _find_secondary_move(graph: BipartiteGraph, factor: Factor) -> SwapMove | None:
-    for side, size in (("X", graph.n_x), ("Y", graph.n_y)):
-        comp = factor.comp_x if side == "X" else factor.comp_y
-        for i in range(size):
-            for j in range(i + 1, size):
-                if comp[i] == comp[j]:
-                    continue
-                move = try_secondary_swap(
-                    graph, factor, VertexRef(side, i), VertexRef(side, j)
-                )
-                if move is not None:
-                    return move
+            # the same exchange as the primary candidate on link cross1
+            (x, y), (v, u) = cross1, cross2
+            if state.joined(x, u, v, y) is not None:
+                return SwapMove("secondary", removed, (cross1, cross2))
     return None
 
 
@@ -311,11 +400,12 @@ def _build_stuck_report(
 def stuck_audit(graph: BipartiteGraph, factor: Factor, k: int, l: int) -> StuckReport:
     """Full report for a factor on which no move helps.
 
-    NotStuckError when a primary or secondary move still exists.
+    NotStuckError when an improving move still exists (a secondary move
+    is always a primary candidate too, see the module docstring).
     """
     if factor.n_components <= 1:
         raise NotStuckError("factor is connected")
-    if _find_primary_move(graph, factor) or _find_secondary_move(graph, factor):
+    if _Exchanger(graph, factor).step() is not None:
         raise NotStuckError("an improving move still exists")
     return _build_stuck_report(graph, factor, k, l)
 
@@ -358,10 +448,9 @@ def connect_factor(
 ) -> Factor | StuckReport:
     """Drive a regular factor to one component, or report the stuck state.
 
-    Primary moves over all links are tried first, then secondary moves over
-    all same-side cross-component pairs; the first strictly improving move
-    is applied and the scan restarts.  ``l`` only feeds the stuck report's
-    degree bounds.  ``trace`` (when a list) collects (move, count)
+    Links are scanned in (x, y) order; the first strictly improving primary
+    move is applied and the scan restarts.  ``l`` only feeds the stuck
+    report's degree bounds.  ``trace`` (when a list) collects (move, count)
     pairs as moves are accepted.
     """
     if not graph.is_connected():
@@ -369,17 +458,20 @@ def connect_factor(
     k = factor.regularity()
     if k is None:
         raise NotRegularError("connectivity search expects a regular factor")
-    current = factor
-    while current.n_components > 1:
-        move = _find_primary_move(graph, current) or _find_secondary_move(graph, current)
+    state = _Exchanger(graph, factor)
+    while state.count > 1:
+        move = state.step()
         if move is None:
-            return _build_stuck_report(graph, current, k, l)
-        before = current.n_components
-        current = apply_swap(current, move)
-        if current.n_components >= before:
-            raise AssertionError("accepted move failed to reduce the component count")
+            break
         if trace is not None:
-            trace.append((move, current.n_components))
+            trace.append((move, state.count))
+    current = Factor(graph, state.edges)
+    if current.n_components != state.count:
+        raise AssertionError(
+            f"tracked {state.count} components, factor has {current.n_components}"
+        )
+    if current.n_components > 1:
+        return _build_stuck_report(graph, current, k, l)
     return current
 
 
@@ -406,8 +498,14 @@ def check_factor(
         raise AssertionError(f"X degrees {dx} != {k}")
     if not all(d == k for d in dy):
         raise AssertionError(f"Y degrees {dy} != {k}")
-    if connected and _component_count(graph.n_x, graph.n_y, factor.edge_list) != 1:
-        raise AssertionError("factor is not connected")
+    if connected:
+        adj_x: list[list[int]] = [[] for _ in range(graph.n_x)]
+        adj_y: list[list[int]] = [[] for _ in range(graph.n_y)]
+        for x, y in factor.edge_list:
+            adj_x[x].append(y)
+            adj_y[y].append(x)
+        if _component_labels(adj_x, adj_y)[2] != 1:
+            raise AssertionError("factor is not connected")
 
 
 def cycle_order(factor: Factor) -> tuple[VertexRef, ...]:

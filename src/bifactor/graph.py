@@ -17,7 +17,7 @@ are exact on canonical files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -147,61 +147,41 @@ class BipartiteGraph:
         """
         if self.n_vertices == 0:
             return True
-        return _component_count(self.n_x, self.n_y, self.edge_list) == 1
-
-
-def _component_count(n_x: int, n_y: int, edges: Iterable[Edge]) -> int:
-    """Connected components over all n_x + n_y vertices; isolated count."""
-    parent = list(range(n_x + n_y))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comps = n_x + n_y
-    for x, y in edges:
-        ra, rb = find(x), find(n_x + y)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps
+        return _component_labels(self._adj_x, self._adj_y)[2] == 1
 
 
 def _component_labels(
-    n_x: int, n_y: int, edges: Iterable[Edge]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Deterministic component ids: 0, 1, ... in order of first root X0..Xn, Y0..Yn."""
-    adj_x: list[list[int]] = [[] for _ in range(n_x)]
-    adj_y: list[list[int]] = [[] for _ in range(n_y)]
-    for x, y in edges:
-        adj_x[x].append(y)
-        adj_y[y].append(x)
-    comp_x = [-1] * n_x
-    comp_y = [-1] * n_y
+    adj_x: Sequence[Sequence[int]], adj_y: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Component ids by traversal over an adjacency, and their count.
+
+    Ids are 0, 1, ... in order of first vertex X0..X(n-1), Y0..Y(n-1);
+    isolated vertices are components of their own.
+    """
+    comp_x = [-1] * len(adj_x)
+    comp_y = [-1] * len(adj_y)
     next_id = 0
-    # vertex order: X side first, then Y side
-    for side, idx in [(0, i) for i in range(n_x)] + [(1, j) for j in range(n_y)]:
-        comp = comp_x if side == 0 else comp_y
-        if comp[idx] != -1:
-            continue
-        stack = [(side, idx)]
-        comp[idx] = next_id
-        while stack:
-            s, i = stack.pop()
-            if s == 0:
-                for j in adj_x[i]:
-                    if comp_y[j] == -1:
-                        comp_y[j] = next_id
-                        stack.append((1, j))
-            else:
-                for j in adj_y[i]:
-                    if comp_x[j] == -1:
-                        comp_x[j] = next_id
-                        stack.append((0, j))
-        next_id += 1
-    return tuple(comp_x), tuple(comp_y)
+    for roots, own in ((range(len(adj_x)), comp_x), (range(len(adj_y)), comp_y)):
+        for r in roots:
+            if own[r] != -1:
+                continue
+            own[r] = next_id
+            xs, ys = ([r], []) if own is comp_x else ([], [r])
+            while xs or ys:
+                for i in xs:
+                    for j in adj_x[i]:
+                        if comp_y[j] == -1:
+                            comp_y[j] = next_id
+                            ys.append(j)
+                xs = []
+                for j in ys:
+                    for i in adj_y[j]:
+                        if comp_x[i] == -1:
+                            comp_x[i] = next_id
+                            xs.append(i)
+                ys = []
+            next_id += 1
+    return tuple(comp_x), tuple(comp_y), next_id
 
 
 class Factor:
@@ -242,8 +222,7 @@ class Factor:
         self.edge_set: frozenset[Edge] = frozenset(es)
         self._adj_x = tuple(tuple(sorted(a)) for a in adj_x)
         self._adj_y = tuple(tuple(sorted(a)) for a in adj_y)
-        self.comp_x, self.comp_y = _component_labels(host.n_x, host.n_y, self.edge_list)
-        self.n_components = (max(self.comp_x + self.comp_y) + 1) if (self.comp_x or self.comp_y) else 0
+        self.comp_x, self.comp_y, self.n_components = _component_labels(adj_x, adj_y)
 
     def degrees(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (

@@ -72,7 +72,7 @@ def run_thm3(trials: int = 10, seed: int = 0) -> list[TrialResult]:
 
     Fixed part: doubled cycles (the stuck-state weave must fire or the
     search must connect outright).  Seeded part: dense minus-matching
-    instances, pattern-freeness confirmed by the detector.
+    instances, pattern-freeness checked by ``hamilton_s13`` itself.
     """
     results = []
     for m in range(3, 11):
@@ -92,9 +92,6 @@ def run_thm3(trials: int = 10, seed: int = 0) -> list[TrialResult]:
         n = lo + t % (hi - lo + 1)
         name = f"thm3[seeded n={n}]"
         graph = generate(GenSpec("k-minus-matching", n=n, seed=seed + t))
-        if not is_skl_free(graph, 1, 3):
-            results.append(TrialResult(name, False, "instance contains the (1,3) pattern"))
-            continue
         try:
             cycle = hamilton_s13(graph)
             check_factor(graph, cycle, 2, connected=True)

@@ -4,8 +4,10 @@ Everything here recomputes from first principles and shares no code with
 the implementations under test: witnesses are validated by counting
 induced edges, the detector's choice of witness by enumerating leaf
 subsets in order, star-pair freeness by scanning vertex subsets for the
-tree profile, and violators by evaluating both sides of the inequality
-directly.
+tree profile, violators by evaluating both sides of the inequality
+directly, and the connecting loop's moves by the loop as first written,
+which rebuilds the factor after every move and recounts every candidate
+from scratch with union-find.
 """
 
 from __future__ import annotations
@@ -15,7 +17,17 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
-from bifactor import BipartiteGraph, Factor, StarWitness, VertexRef
+from bifactor import (
+    BipartiteGraph,
+    Factor,
+    StarWitness,
+    StuckReport,
+    SwapMove,
+    VertexRef,
+    apply_swap,
+    find_links,
+)
+from bifactor.connect import _build_stuck_report
 
 
 # -- graph strategies ----------------------------------------------------------
@@ -39,7 +51,151 @@ def connected_bipartite_graphs(draw, max_side: int = 4):
     return graph
 
 
+def block_host(choose) -> tuple[BipartiteGraph, Factor]:
+    """A connected host and a k-factor of it made of small k-regular blocks.
+
+    k is 1-3; each block has k to k+2 vertices a side, its edges the first
+    k cyclic shifts of a matching, and block vertices are scattered over
+    the index range.  The host adds one edge between consecutive
+    components of the blocks and a few random extra edges.
+    ``choose(lo, hi)`` makes every random choice (bounds inclusive), so
+    hypothesis draws and seeded ``random.Random.randint`` sweeps share it.
+    """
+    k = choose(1, 3)
+    sizes = [choose(k, k + 2) for _ in range(choose(2, 4))]
+    n = sum(sizes)
+    perm_x, perm_y = list(range(n)), list(range(n))
+    for perm in (perm_x, perm_y):
+        for i in range(n - 1, 0, -1):
+            j = choose(0, i)
+            perm[i], perm[j] = perm[j], perm[i]
+    factor_edges = []
+    start = 0
+    for s in sizes:
+        for t in range(k):
+            factor_edges += [(perm_x[start + i], perm_y[start + (i + t) % s]) for i in range(s)]
+        start += s
+    edges = set(factor_edges)
+    for _ in range(choose(0, 2 * n * k)):
+        edges.add((choose(0, n - 1), choose(0, n - 1)))
+    comps = components(n, n, edges)
+    for (xs, _), (_, ys) in zip(comps, comps[1:]):
+        edges.add((xs[choose(0, len(xs) - 1)], ys[choose(0, len(ys) - 1)]))
+    graph = BipartiteGraph(n, n, edges)
+    return graph, Factor(graph, factor_edges)
+
+
+@st.composite
+def block_hosts(draw):
+    return block_host(lambda lo, hi: draw(st.integers(lo, hi)))
+
+
 # -- independent checks --------------------------------------------------------
+
+
+def _union_find(n_x: int, n_y: int, edges) -> list[int]:
+    parent = list(range(n_x + n_y))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for x, y in edges:
+        ra, rb = find(x), find(n_x + y)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(a) for a in range(n_x + n_y)]
+
+
+def component_count(n_x: int, n_y: int, edges) -> int:
+    """Components over all n_x + n_y vertices; isolated vertices count."""
+    return len(set(_union_find(n_x, n_y, edges)))
+
+
+def components(n_x: int, n_y: int, edges) -> list[tuple[list[int], list[int]]]:
+    """(X indices, Y indices) of every component, in order of first vertex."""
+    roots = _union_find(n_x, n_y, edges)
+    out: dict[int, tuple[list[int], list[int]]] = {}
+    for a, r in enumerate(roots):
+        xs, ys = out.setdefault(r, ([], []))
+        (xs if a < n_x else ys).append(a if a < n_x else a - n_x)
+    return list(out.values())
+
+
+def _count_after(graph: BipartiteGraph, factor: Factor, removed, added) -> int:
+    edges = set(factor.edge_set)
+    edges.difference_update(removed)
+    edges.update(added)
+    return component_count(graph.n_x, graph.n_y, edges)
+
+
+def _reference_primary(graph: BipartiteGraph, factor: Factor) -> SwapMove | None:
+    base = factor.n_components
+    for link in find_links(graph, factor):
+        x, y = link.u.index, link.v.index
+        for u2 in factor.neighbors_x(x):
+            for v2 in factor.neighbors_y(y):
+                if not graph.has_edge(v2, u2) or (v2, u2) in factor.edge_set:
+                    continue
+                removed = ((x, u2), (v2, y))
+                added = ((x, y), (v2, u2))
+                if _count_after(graph, factor, removed, added) < base:
+                    return SwapMove("primary", removed, added)
+    return None
+
+
+def _reference_secondary(graph: BipartiteGraph, factor: Factor) -> SwapMove | None:
+    base = factor.n_components
+    for on_x, size in ((True, graph.n_x), (False, graph.n_y)):
+        comp = factor.comp_x if on_x else factor.comp_y
+        nbrs = factor.neighbors_x if on_x else factor.neighbors_y
+        for i1 in range(size):
+            for i2 in range(i1 + 1, size):
+                if comp[i1] == comp[i2]:
+                    continue
+                for w1 in nbrs(i1):
+                    for w2 in nbrs(i2):
+                        if on_x:
+                            cross1, cross2 = (i1, w2), (i2, w1)
+                            removed = ((i1, w1), (i2, w2))
+                        else:
+                            cross1, cross2 = (w2, i1), (w1, i2)
+                            removed = ((w1, i1), (w2, i2))
+                        if not (graph.has_edge(*cross1) and graph.has_edge(*cross2)):
+                            continue
+                        if cross1 in factor.edge_set or cross2 in factor.edge_set:
+                            continue
+                        added = (cross1, cross2)
+                        if _count_after(graph, factor, removed, added) < base:
+                            return SwapMove("secondary", removed, added)
+    return None
+
+
+def reference_connect(
+    graph: BipartiteGraph, factor: Factor, l: int | None = None
+) -> tuple[Factor | StuckReport, list]:
+    """The connecting loop as first written: (result, trace).
+
+    After every move all links are re-created from a rebuilt factor;
+    primary moves over all links come first, then secondary moves over all
+    same-side pairs in distinct components, each candidate recounted from
+    scratch over a copy of the edge set.
+    """
+    k = factor.regularity()
+    trace = []
+    current = factor
+    while current.n_components > 1:
+        move = _reference_primary(graph, current) or _reference_secondary(graph, current)
+        if move is None:
+            return _build_stuck_report(graph, current, k, l), trace
+        current = apply_swap(current, move)
+        if component_count(graph.n_x, graph.n_y, current.edge_list) != current.n_components:
+            raise AssertionError("factor labels disagree with the recount")
+        trace.append((move, current.n_components))
+    return current, trace
+
 
 
 def induced_edges(graph: BipartiteGraph, verts: list[VertexRef]) -> list[tuple[int, int]]:

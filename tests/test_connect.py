@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifactor import (
     BipartiteGraph,
+    DegreeDemand,
     Factor,
+    GenSpec,
     StuckReport,
+    SwapMove,
     VertexRef,
     apply_swap,
     check_factor,
@@ -18,7 +27,9 @@ from bifactor import (
     cycle_graph,
     cycle_order,
     double_graph,
+    find_f_factor,
     find_links,
+    generate,
     hamilton_s13,
     path_graph,
     serialize_stuck_report,
@@ -37,7 +48,7 @@ from bifactor.errors import (
     ParamOrderError,
 )
 
-from conftest import assert_regular_spanning
+from conftest import assert_regular_spanning, block_host, block_hosts, reference_connect
 
 SQUARE_A = [(0, 0), (0, 1), (1, 0), (1, 1)]
 SQUARE_B = [(2, 2), (2, 3), (3, 2), (3, 3)]
@@ -236,6 +247,89 @@ class TestConnectLoop:
         g, _ = two_squares_in_k44
         with pytest.raises(NotRegularError):
             connect_factor(g, Factor(g, [(0, 0)]))
+
+
+def _same_as_reference(graph: BipartiteGraph, factor: Factor, l: int | None) -> str:
+    trace: list = []
+    got = connect_factor(graph, factor, l=l, trace=trace)
+    want, want_trace = reference_connect(graph, factor, l=l)
+    assert trace == want_trace
+    if isinstance(want, StuckReport):
+        assert isinstance(got, StuckReport)
+        assert serialize_stuck_report(got) == serialize_stuck_report(want)
+        return "stuck"
+    assert got == want
+    return "connected"
+
+
+class TestMoveTrace:
+    """The connecting loop makes exactly the moves of the loop as first
+    written, which also tried secondary moves and recounted from scratch."""
+
+    @given(block_hosts(), st.sampled_from([None, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_loop(self, host, l):
+        _same_as_reference(*host, l=l)
+
+    def test_seeded_corpus_reaches_both_outcomes(self):
+        outcomes = Counter()
+        for seed in range(300):
+            graph, factor = block_host(random.Random(seed).randint)
+            outcome = _same_as_reference(graph, factor, l=3)
+            outcomes[outcome, factor.regularity()] += 1
+        # a 1-factor never merges; every other (outcome, k) must occur
+        assert set(outcomes) == {("stuck", 1), ("stuck", 2), ("stuck", 3), ("connected", 2), ("connected", 3)}
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_suite_hosts(self, seed):
+        """The cor4, cor5 and thm3 hosts of the verify suites, each started
+        from the flow's k-factor as the pipelines do."""
+        specs = [(GenSpec("k-minus-matching", n=13 + t % 8, seed=seed + t), 2) for t in range(25)]
+        specs += [(GenSpec("k-minus-matching", n=19 + t % 6, seed=seed + t), 3) for t in range(10)]
+        specs += [(GenSpec("k-minus-matching", n=5 + t % 8, seed=seed + t), 2) for t in range(10)]
+        hosts = [(generate(spec), k) for spec, k in specs]
+        hosts += [(double_graph(cycle_graph(m)), 2) for m in range(3, 11)]
+        for graph, k in hosts:
+            start = find_f_factor(graph, DegreeDemand.uniform(graph, k))
+            _same_as_reference(graph, start, l=3)
+
+
+def _secondary_moves_subsumed(graph: BipartiteGraph, factor: Factor) -> int:
+    """Check that every improving secondary move is an improving primary
+    candidate on the link it adds first; return how many were checked."""
+    links = {(link.u.index, link.v.index): link for link in find_links(graph, factor)}
+    checked = 0
+    for side, size in (("X", graph.n_x), ("Y", graph.n_y)):
+        for i1, i2 in combinations(range(size), 2):
+            v1, v2 = VertexRef(side, i1), VertexRef(side, i2)
+            if factor.component_of(v1) == factor.component_of(v2):
+                continue
+            move = try_secondary_swap(graph, factor, v1, v2)
+            if move is None:
+                continue
+            (x, y), (b, a) = move.added
+            assert (x, y) in links
+            assert a in factor.neighbors_x(x) and b in factor.neighbors_y(y)
+            primary = SwapMove("primary", ((x, a), (b, y)), ((x, y), (b, a)))
+            assert set(primary.removed) == set(move.removed)
+            assert apply_swap(factor, primary).n_components < factor.n_components
+            assert try_primary_swap(graph, factor, links[x, y]) is not None
+            checked += 1
+    return checked
+
+
+class TestSecondarySubsumed:
+    @given(block_hosts())
+    @settings(max_examples=100, deadline=None)
+    def test_secondary_move_is_a_primary_candidate(self, host):
+        _secondary_moves_subsumed(*host)
+
+    def test_seeded_corpus_has_secondary_moves(self):
+        checked = sum(
+            _secondary_moves_subsumed(*block_host(random.Random(seed).randint))
+            for seed in range(100)
+        )
+        assert checked > 0
 
 
 class TestCycleOrder:
