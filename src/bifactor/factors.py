@@ -154,7 +154,7 @@ def shrink_violator(
 
 
 class _FlowNet:
-    """Dinic max-flow with deterministic arc order."""
+    """Dinic max-flow with deterministic arc order and no recursion."""
 
     def __init__(self, n: int):
         self.n = n
@@ -172,54 +172,54 @@ class _FlowNet:
         self.head[v].append(idx + 1)
         return idx
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int) -> tuple[int, list[int]]:
+        """The maximum flow value and the BFS levels of the final residual
+        network; a node has level -1 exactly when s cannot reach it.
+
+        Each phase walks one arc path from s with current-arc pointers
+        ``it``: an inadmissible arc, or one ending in a dead end, advances
+        its pointer; a path that reaches t keeps its pointers and carries
+        its bottleneck capacity.
+        """
+        head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
             level = [-1] * self.n
             level[s] = 0
             queue = [s]
             for u in queue:
-                for idx in self.head[u]:
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] == -1:
+                for idx in head[u]:
+                    v = to[idx]
+                    if cap[idx] > 0 and level[v] == -1:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] == -1:
-                return flow
+                return flow, level
             it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
+            nodes = [s]  # the path's nodes; path[i] is the arc out of nodes[i]
+            path: list[int] = []
+            while nodes:
+                u = nodes[-1]
                 if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    idx = self.head[u][it[u]]
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[idx]))
-                        if got:
-                            self.cap[idx] -= got
-                            self.cap[idx ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def reachable(self, s: int) -> list[bool]:
-        seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
-        for u in queue:
-            for idx in self.head[u]:
-                v = self.to[idx]
-                if self.cap[idx] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
+                    pushed = min(cap[idx] for idx in path)
+                    for idx in path:
+                        cap[idx] -= pushed
+                        cap[idx ^ 1] += pushed
+                    flow += pushed
+                    del nodes[1:], path[:]
+                    continue
+                arcs, i, want = head[u], it[u], level[u] + 1
+                while i < len(arcs) and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == want):
+                    i += 1
+                it[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    nodes.append(to[arcs[i]])
+                else:
+                    nodes.pop()
+                    if path:
+                        path.pop()
+                        it[nodes[-1]] += 1
 
 
 def find_f_factor(
@@ -248,13 +248,12 @@ def find_f_factor(
             edge_arcs.append(((x, y), net.add(1 + x, 1 + n_x + y, 1)))
     for y in range(n_y):
         net.add(1 + n_x + y, sink, demand.f_y[y])
-    flow = net.max_flow(source, sink)
+    flow, level = net.max_flow(source, sink)
     if flow == total:
         chosen = [e for e, idx in edge_arcs if net.cap[idx] == 0]
         return Factor(graph, chosen)
     # Shortfall: X-vertices still reachable from the source form a violator.
-    seen = net.reachable(source)
-    a = tuple(x for x in range(n_x) if seen[1 + x])
+    a = tuple(x for x in range(n_x) if level[1 + x] != -1)
     cert = make_certificate(graph, demand, a)
     return shrink_violator(graph, demand, cert)
 
@@ -262,34 +261,12 @@ def find_f_factor(
 # -- regular decomposition -----------------------------------------------------
 
 
-def _extract_perfect_matching(
-    n_x: int, n_y: int, adj: list[list[int]]
-) -> list[Edge] | None:
-    """One perfect matching via augmenting paths, lowest X index first."""
-    match_x = [-1] * n_x
-    match_y = [-1] * n_y
-
-    def augment(x: int, visited: list[bool]) -> bool:
-        for y in adj[x]:
-            if not visited[y]:
-                visited[y] = True
-                if match_y[y] == -1 or augment(match_y[y], visited):
-                    match_x[x] = y
-                    match_y[y] = x
-                    return True
-        return False
-
-    for x in range(n_x):
-        if not augment(x, [False] * n_y):
-            return None
-    return [(x, match_x[x]) for x in range(n_x)]
-
-
 def regular_decompose(factor: Factor, s: int) -> Factor:
     """An s-regular spanning subgraph of a t-regular factor, 0 <= s <= t.
 
     The factor splits into t edge-disjoint perfect matchings; the union of
-    the first s of them is returned.
+    the first s of them is returned, each the flow's 1-factor of the edges
+    the earlier ones left.
     """
     t = factor.regularity()
     if t is None:
@@ -299,15 +276,15 @@ def regular_decompose(factor: Factor, s: int) -> Factor:
     host = factor.host
     if t > 0 and host.n_x != host.n_y:
         raise NotRegularError("a positive-degree regular factor needs balanced classes")
-    adj = [list(factor.neighbors_x(x)) for x in range(host.n_x)]
+    rest = set(factor.edge_list)
     chosen: list[Edge] = []
     for _ in range(s):
-        matching = _extract_perfect_matching(host.n_x, host.n_y, adj)
-        if matching is None:
+        sub = BipartiteGraph(host.n_x, host.n_y, rest)
+        matching = find_f_factor(sub, DegreeDemand.uniform(sub, 1))
+        if isinstance(matching, ViolatorCertificate):
             raise NotRegularError("matching extraction failed; factor degrees inconsistent")
-        chosen.extend(matching)
-        for x, y in matching:
-            adj[x].remove(y)
+        chosen.extend(matching.edge_list)
+        rest.difference_update(matching.edge_list)
     return Factor(host, chosen)
 
 

@@ -5,9 +5,10 @@ the implementations under test: witnesses are validated by counting
 induced edges, the detector's choice of witness by enumerating leaf
 subsets in order, star-pair freeness by scanning vertex subsets for the
 tree profile, violators by evaluating both sides of the inequality
-directly, and the connecting loop's moves by the loop as first written,
+directly, the connecting loop's moves by the loop as first written,
 which rebuilds the factor after every move and recounts every candidate
-from scratch with union-find.
+from scratch with union-find, and the flow solver's factor and violator
+by the flow network as first written, with a recursive augmenting search.
 """
 
 from __future__ import annotations
@@ -19,13 +20,17 @@ from hypothesis import strategies as st
 
 from bifactor import (
     BipartiteGraph,
+    DegreeDemand,
     Factor,
     StarWitness,
     StuckReport,
     SwapMove,
     VertexRef,
+    ViolatorCertificate,
     apply_swap,
     find_links,
+    make_certificate,
+    shrink_violator,
 )
 from bifactor.connect import _build_stuck_report
 
@@ -88,6 +93,35 @@ def block_host(choose) -> tuple[BipartiteGraph, Factor]:
 @st.composite
 def block_hosts(draw):
     return block_host(lambda lo, hi: draw(st.integers(lo, hi)))
+
+
+def balanced_demand(graph: BipartiteGraph, choose) -> DegreeDemand:
+    """Degrees of a random edge subset, then up to three unit transfers
+    between two vertices of one side: always balanced, rarely uniform,
+    and infeasible about as often as not.  ``choose`` as in block_host.
+    """
+    f_x, f_y = [0] * graph.n_x, [0] * graph.n_y
+    for x, y in graph.edge_list:
+        if choose(0, 1):
+            f_x[x] += 1
+            f_y[y] += 1
+    for _ in range(choose(0, 3)):
+        f = f_x if choose(0, 1) else f_y
+        a, b = choose(0, len(f) - 1), choose(0, len(f) - 1)
+        if f[a] > 0:
+            f[a] -= 1
+            f[b] += 1
+    return DegreeDemand(tuple(f_x), tuple(f_y))
+
+
+def chain_host(n: int) -> BipartiteGraph:
+    """Path host whose only perfect matching is X_i-Y_(i+1), X_(n-1)-Y_0.
+
+    The lowest-index-first search matches X_i-Y_i first, so the last X
+    vertex needs an augmenting path through the whole chain.
+    """
+    edges = [(i, i) for i in range(n - 1)] + [(i, i + 1) for i in range(n - 1)]
+    return BipartiteGraph(n, n, edges + [(n - 1, 0)])
 
 
 # -- independent checks --------------------------------------------------------
@@ -196,6 +230,102 @@ def reference_connect(
         trace.append((move, current.n_components))
     return current, trace
 
+
+class _RecursiveFlowNet:
+    """Dinic max-flow with deterministic arc order."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]  # arc indices per node
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add(self, u: int, v: int, cap: int) -> int:
+        idx = len(self.to)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.head[u].append(idx)
+        self.to.append(u)
+        self.cap.append(0)
+        self.head[v].append(idx + 1)
+        return idx
+
+    def max_flow(self, s: int, t: int) -> int:
+        flow = 0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for idx in self.head[u]:
+                    v = self.to[idx]
+                    if self.cap[idx] > 0 and level[v] == -1:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] == -1:
+                return flow
+            it = [0] * self.n
+
+            def dfs(u: int, pushed: int) -> int:
+                if u == t:
+                    return pushed
+                while it[u] < len(self.head[u]):
+                    idx = self.head[u][it[u]]
+                    v = self.to[idx]
+                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
+                        got = dfs(v, min(pushed, self.cap[idx]))
+                        if got:
+                            self.cap[idx] -= got
+                            self.cap[idx ^ 1] += got
+                            return got
+                    it[u] += 1
+                return 0
+
+            while True:
+                pushed = dfs(s, 1 << 60)
+                if not pushed:
+                    break
+                flow += pushed
+
+    def reachable(self, s: int) -> list[bool]:
+        seen = [False] * self.n
+        seen[s] = True
+        queue = [s]
+        for u in queue:
+            for idx in self.head[u]:
+                v = self.to[idx]
+                if self.cap[idx] > 0 and not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+        return seen
+
+
+def reference_f_factor(
+    graph: BipartiteGraph, demand: DegreeDemand
+) -> Factor | ViolatorCertificate:
+    """find_f_factor over the flow network as first written.
+
+    The Dinic search recurses once per path vertex, so it needs a
+    recursion limit above the longest augmenting path; the violator is the
+    X side of a separate residual reachability pass, shrunk by the
+    library's shrink_violator.
+    """
+    n_x, n_y = graph.n_x, graph.n_y
+    source, sink = 0, n_x + n_y + 1
+    net = _RecursiveFlowNet(n_x + n_y + 2)
+    for x in range(n_x):
+        net.add(source, 1 + x, demand.f_x[x])
+    edge_arcs = []
+    for x in range(n_x):
+        for y in graph.neighbors_x(x):
+            edge_arcs.append(((x, y), net.add(1 + x, 1 + n_x + y, 1)))
+    for y in range(n_y):
+        net.add(1 + n_x + y, sink, demand.f_y[y])
+    if net.max_flow(source, sink) == sum(demand.f_x):
+        return Factor(graph, [e for e, idx in edge_arcs if net.cap[idx] == 0])
+    seen = net.reachable(source)
+    a = tuple(x for x in range(n_x) if seen[1 + x])
+    return shrink_violator(graph, demand, make_certificate(graph, demand, a))
 
 
 def induced_edges(graph: BipartiteGraph, verts: list[VertexRef]) -> list[tuple[int, int]]:

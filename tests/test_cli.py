@@ -21,11 +21,13 @@ from bifactor import (
     star_pair_graph,
 )
 from bifactor.cli import main
-from bifactor.connect import _build_stuck_report
+from bifactor.connect import _build_stuck_report, check_factor
 from bifactor.errors import TheoremContradictionError
-from bifactor.factors import DegreeDemand
-from bifactor.graph import BipartiteGraph, Factor
+from bifactor.factors import DegreeDemand, audit_certificate
+from bifactor.graph import BipartiteGraph, Factor, parse_factor
 from bifactor.suites import TrialResult
+
+from conftest import chain_host
 
 
 @pytest.fixture
@@ -73,6 +75,39 @@ class TestFactorCommand:
             main(["factor", str(bad), "--k", "1"])
         assert err.value.code == 64
         assert "line 2" in capsys.readouterr().err
+
+
+class TestDeepAugmentingPath:
+    """``factor`` on a chain host whose augmenting path is far deeper than
+    the interpreter's recursion limit, run as a separate process."""
+
+    N = 2000
+
+    def _run(self, path, k):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bifactor.cli", "factor", path, "--k", str(k)],
+            capture_output=True,
+            text=True,
+        )
+        assert "Traceback" not in proc.stdout + proc.stderr
+        return proc.returncode
+
+    def test_factor_written(self, graph_file, tmp_path):
+        graph = chain_host(self.N)
+        assert self._run(graph_file(graph), 1) == 0
+        factor = parse_factor((tmp_path / "host.graph.factor").read_text(), graph)
+        check_factor(graph, factor, 1, connected=False)
+
+    def test_violator_written(self, graph_file, tmp_path):
+        graph = chain_host(self.N)
+        assert self._run(graph_file(graph), 2) == 2
+        lines = (tmp_path / "host.graph.violator").read_text().splitlines()
+        size = int(lines[0].split()[1])
+        a = tuple(int(line) for line in lines[1 : 1 + size])
+        demand = DegreeDemand.uniform(graph, 2)
+        cert = make_certificate(graph, demand, a)
+        assert lines[1 + size :] == [f"lhs {cert.lhs}", f"rhs {cert.rhs}"]
+        assert audit_certificate(graph, demand, cert)
 
 
 class TestConnectCommand:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +36,15 @@ from bifactor.errors import (
 )
 from bifactor.generators import SplitMix64
 
-from conftest import assert_regular_spanning, bipartite_graphs, violation_sides
+from conftest import (
+    assert_regular_spanning,
+    balanced_demand,
+    bipartite_graphs,
+    block_host,
+    chain_host,
+    reference_f_factor,
+    violation_sides,
+)
 
 
 class TestDemand:
@@ -199,6 +210,64 @@ class TestFindFactor:
                 assert audit_certificate(g, DegreeDemand.uniform(g, 2), out)
 
 
+def _outcome_bytes(out: Factor | ViolatorCertificate) -> str:
+    """serialize_certificate or serialize_factor output; an irregular
+    factor, which has no file format, as its edge lines."""
+    if isinstance(out, ViolatorCertificate):
+        return serialize_certificate(out) + repr(out.per_vertex_rhs)
+    if out.regularity() is None:
+        return "".join(f"{x} {y}\n" for x, y in out.edge_list)
+    return serialize_factor(out)
+
+
+def _same_as_reference(graph: BipartiteGraph, demand: DegreeDemand) -> str:
+    got = _outcome_bytes(find_f_factor(graph, demand))
+    assert got == _outcome_bytes(reference_f_factor(graph, demand))
+    return "violator" if got.startswith("violator") else "factor"
+
+
+class TestFlowIdentity:
+    """The iterative flow search returns the factor and the violator of
+    the recursive search it replaced, byte for byte."""
+
+    @given(bipartite_graphs(max_side=6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_flow(self, graph, data):
+        demand = balanced_demand(graph, lambda lo, hi: data.draw(st.integers(lo, hi)))
+        _same_as_reference(graph, demand)
+
+    def test_seeded_corpus_reaches_both_outcomes(self):
+        """Random hosts up to 30+30 with non-uniform and uniform demands."""
+        outcomes: dict[tuple[str, bool], int] = {}
+        for seed in range(400):
+            rng = random.Random(seed)
+            n_x, n_y = rng.randint(1, 30), rng.randint(1, 30)
+            p = rng.random() * 6 / max(n_x, n_y)
+            graph = BipartiteGraph(
+                n_x, n_y, [(x, y) for x in range(n_x) for y in range(n_y) if rng.random() < p]
+            )
+            demands = [balanced_demand(graph, rng.randint)]
+            if n_x == n_y:
+                demands.append(DegreeDemand.uniform(graph, rng.randint(1, 3)))
+            for demand in demands:
+                uniform = len(set(demand.f_x + demand.f_y)) == 1
+                key = (_same_as_reference(graph, demand), uniform)
+                outcomes[key] = outcomes.get(key, 0) + 1
+        assert set(outcomes) == {
+            ("factor", False), ("factor", True), ("violator", False), ("violator", True)
+        }
+
+    def test_chain_host_needs_no_recursion(self):
+        """The one augmenting path of the last X vertex runs through all
+        2n + 2 network nodes, deeper than the default recursion limit."""
+        n = 2000
+        assert sys.getrecursionlimit() < 2 * n
+        graph = chain_host(n)
+        got = find_f_factor(graph, DegreeDemand.uniform(graph, 1))
+        assert isinstance(got, Factor)
+        assert got.edge_list == tuple(sorted([(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]))
+
+
 class TestDecompose:
     def test_split_off_matchings(self, k33):
         factor = find_f_factor(k33, DegreeDemand.uniform(k33, 3))
@@ -225,6 +294,43 @@ class TestDecompose:
         lopsided = Factor(k33, [(0, 0), (0, 1), (1, 2)])
         with pytest.raises(NotRegularError):
             regular_decompose(lopsided, 1)
+
+    def test_seeded_sweep_nests_disjoint_matchings(self):
+        """t-regular factors (t 1-3) from block hosts and from unions of
+        random disjoint perfect matchings: the result for s is s-regular,
+        spanning, inside the factor and inside the result for s + 1, so
+        the factor splits into t disjoint perfect matchings."""
+        factors = []
+        for seed in range(150):
+            factors.append(block_host(random.Random(seed).randint)[1])
+            factors.append(_matching_union(random.Random(seed)))
+        assert {f.regularity() for f in factors} == {1, 2, 3}
+        for factor in factors:
+            t = factor.regularity()
+            subs = [regular_decompose(factor, s) for s in range(t + 1)]
+            for s, sub in enumerate(subs):
+                assert_regular_spanning(factor.host, sub, s)
+                assert set(sub.edge_list) <= set(factor.edge_list)
+                assert regular_decompose(factor, s).edge_list == sub.edge_list
+                if s < t:
+                    assert set(sub.edge_list) <= set(subs[s + 1].edge_list)
+            assert subs[t].edge_list == factor.edge_list
+
+
+def _matching_union(rng: random.Random) -> Factor:
+    """A union of t random pairwise disjoint perfect matchings on n + n
+    vertices, as a factor of a host with a few more random edges."""
+    t = rng.randint(1, 3)
+    n = rng.randint(t, 9)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < t * n:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        matching = {(x, perm[x]) for x in range(n)}
+        if not matching & edges:
+            edges |= matching
+    extra = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))}
+    return Factor(BipartiteGraph(n, n, edges | extra), edges)
 
 
 class TestFactorText:

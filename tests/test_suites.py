@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import bifactor.connect
+import bifactor.suites
+from bifactor import BipartiteGraph
 from bifactor.suites import (
     SUITE_NAMES,
     TrialResult,
@@ -41,6 +44,57 @@ def test_seed_changes_instances():
 def test_exhaustive_suites_reduced():
     assert all(r.passed for r in run_oracle_eq(max_n=3))
     assert all(r.passed for r in run_prop_s12(max_n=3))
+
+
+def _record(log, fn):
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        log.append((out, args, kwargs))
+        return out
+
+    return wrapper
+
+
+def _assert_checked(checked, factor, k):
+    assert any(a[1] is factor and a[2] == k and kw == {"connected": True} for _, a, kw in checked)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_pipelines_check_what_the_suites_receive(monkeypatch, seed):
+    """cor4, cor5 and thm3 leave the validity check to the pipelines, so
+    every factor connected_k_factor or hamilton_s13 hands them must have
+    passed check_factor with connected=True."""
+    checked, returned = [], []
+    monkeypatch.setattr(bifactor.connect, "check_factor", _record(checked, bifactor.connect.check_factor))
+    for name in ("connected_k_factor", "hamilton_s13"):
+        monkeypatch.setattr(bifactor.suites, name, _record(returned, getattr(bifactor.suites, name)))
+    results = run_suite("cor4", 3, seed) + run_suite("cor5", 2, seed) + run_suite("thm3", 3, seed)
+    assert all(r.passed for r in results)
+    assert len(returned) == 3 + 2 + 8 + 3
+    for factor, args, _ in returned:
+        k = args[1] if len(args) > 1 else 2  # hamilton_s13 takes only the host
+        _assert_checked(checked, factor, k)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_woven_cycle_is_checked(monkeypatch, m):
+    """A doubled 2m-cycle labelled quadrilateral by quadrilateral: the
+    flow's 2-factor is the m quadrilaterals, no exchange merges them, and
+    hamilton_s13 returns the woven cycle, which must be checked too.  (The
+    suite's doubled cycles never get here: their flow 2-factor connects.)"""
+    edges = []
+    for i in range(m):
+        j = (i + 1) % m
+        edges += [(2 * i + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
+        edges += [(2 * j + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
+    checked, woven = [], []
+    monkeypatch.setattr(bifactor.connect, "check_factor", _record(checked, bifactor.connect.check_factor))
+    monkeypatch.setattr(
+        bifactor.connect, "_weave_quotient_cycle", _record(woven, bifactor.connect._weave_quotient_cycle)
+    )
+    cycle = bifactor.connect.hamilton_s13(BipartiteGraph(2 * m, 2 * m, edges))
+    assert [out for out, _, _ in woven] == [cycle]
+    _assert_checked(checked, cycle, 2)
 
 
 def test_unknown_suite():
