@@ -256,10 +256,8 @@ def try_secondary_swap(
     state = _Exchanger(graph, factor)
     on_x = v1.side == "X"
     i1, i2 = v1.index, v2.index
-    nbrs1 = factor.neighbors_x(i1) if on_x else factor.neighbors_y(i1)
-    nbrs2 = factor.neighbors_x(i2) if on_x else factor.neighbors_y(i2)
-    for w1 in nbrs1:
-        for w2 in nbrs2:
+    for w1 in factor.neighbors(v1):
+        for w2 in factor.neighbors(v2):
             if on_x:
                 cross1, cross2 = (i1, w2), (i2, w1)
                 removed = ((i1, w1), (i2, w2))
@@ -335,11 +333,8 @@ def _build_stuck_report(
     audits: list[DegreeAuditRecord] = []
     for v in graph.vertices():
         own = factor.component_of(v)
-        nbrs = (
-            graph.neighbors_x(v.index) if v.side == "X" else graph.neighbors_y(v.index)
-        )
         other_comp = factor.comp_y if v.side == "X" else factor.comp_x
-        outside = sum(1 for w in nbrs if other_comp[w] != own)
+        outside = sum(1 for w in graph.neighbors(v) if other_comp[w] != own)
         audits.append(
             DegreeAuditRecord(
                 "outside-own-component",
@@ -356,13 +351,8 @@ def _build_stuck_report(
                 continue
             endpoint_seen.add(v)
             own = factor.component_of(v)
-            nbrs = (
-                graph.neighbors_x(v.index)
-                if v.side == "X"
-                else graph.neighbors_y(v.index)
-            )
             other_comp = factor.comp_y if v.side == "X" else factor.comp_x
-            inside = sum(1 for w in nbrs if other_comp[w] == own)
+            inside = sum(1 for w in graph.neighbors(v) if other_comp[w] == own)
             audits.append(
                 DegreeAuditRecord(
                     "inside-own-component",
@@ -520,14 +510,9 @@ def cycle_order(factor: Factor) -> tuple[VertexRef, ...]:
     prev: VertexRef | None = None
     cur = order[0]
     for _ in range(host.n_x + host.n_y - 1):
-        nbrs = (
-            factor.neighbors_x(cur.index)
-            if cur.side == "X"
-            else factor.neighbors_y(cur.index)
-        )
         side = "Y" if cur.side == "X" else "X"
         # the previous vertex always sits on `side`; skip it to keep moving
-        step = [w for w in nbrs if prev is None or w != prev.index]
+        step = [w for w in factor.neighbors(cur) if prev is None or w != prev.index]
         prev, cur = cur, VertexRef(side, step[0])
         order.append(cur)
     return tuple(order)
@@ -671,10 +656,7 @@ def hamilton_s13(graph: BipartiteGraph) -> Factor:
     for v in graph.vertices():
         own = report.factor.component_of(v)
         other_comp = report.factor.comp_y if v.side == "X" else report.factor.comp_x
-        nbrs = (
-            graph.neighbors_x(v.index) if v.side == "X" else graph.neighbors_y(v.index)
-        )
-        foreign = {other_comp[w] for w in nbrs if other_comp[w] != own}
+        foreign = {other_comp[w] for w in graph.neighbors(v) if other_comp[w] != own}
         if len(foreign) > 1:
             raise StructureUnrecognizedError(
                 f"vertex {v.label} sees {len(foreign) + 1} components", report=report

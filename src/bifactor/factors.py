@@ -55,7 +55,9 @@ class ViolatorCertificate:
 
     ``per_vertex_rhs`` lists (y, min(f(y), deg_A(y))) for exactly the
     vertices of N(A), sorted by y; ``rhs`` is their sum and ``lhs`` the
-    total demand of A.  A valid certificate has lhs > rhs strictly.
+    total demand of A.  A valid certificate has lhs > rhs strictly.  The
+    certificates find_f_factor returns are 1-minimal (no single vertex of
+    A can be dropped), not necessarily inclusion-minimal.
     """
 
     a: tuple[int, ...]
@@ -125,27 +127,42 @@ def audit_certificate(
 def shrink_violator(
     graph: BipartiteGraph, demand: DegreeDemand, cert: ViolatorCertificate
 ) -> ViolatorCertificate:
-    """Inclusion-minimal violator contained in cert.a.
+    """A 1-minimal violator contained in cert.a: dropping any single vertex
+    of the result leaves no violation.  It need not be inclusion-minimal;
+    a smaller subset that is not reachable by single removals may still
+    violate.
 
-    Greedy single-removal passes in index order, repeated until no vertex
-    can be dropped.  The input must itself audit; FakeCertificateError
+    Greedy single-removal passes in index order, repeated until a pass
+    drops nothing.  The slack lhs - rhs and deg_A(y) are kept across
+    trials, so trying to drop x costs O(deg x): lhs falls by f(x), and rhs
+    by one for each neighbour y whose term min(f(y), deg_A(y)) is still
+    deg_A(y).  The input must itself audit; FakeCertificateError
     otherwise.
     """
     if not audit_certificate(graph, demand, cert):
         problems: list[str] = []
         audit_certificate(graph, demand, cert, problems)
         raise FakeCertificateError("; ".join(problems))
-    current = list(cert.a)
+    f_x, f_y = demand.f_x, demand.f_y
+    deg_a = [0] * graph.n_y
+    for x in cert.a:
+        for y in graph.neighbors_x(x):
+            deg_a[y] += 1
+    slack = cert.lhs - cert.rhs  # the audit recomputed both sides
+    current = set(cert.a)
     changed = True
     while changed and len(current) > 1:
         changed = False
         for x in sorted(current):
             if len(current) == 1:
                 break
-            trial = tuple(v for v in current if v != x)
-            lhs, rhs, _ = _evaluate_violation(graph, demand, trial)
-            if lhs > rhs:
-                current = list(trial)
+            nbrs = graph.neighbors_x(x)
+            trial = slack - f_x[x] + sum(1 for y in nbrs if deg_a[y] <= f_y[y])
+            if trial > 0:
+                slack = trial
+                for y in nbrs:
+                    deg_a[y] -= 1
+                current.remove(x)
                 changed = True
     return make_certificate(graph, demand, tuple(current))
 
@@ -227,8 +244,10 @@ def find_f_factor(
 ) -> Factor | ViolatorCertificate:
     """The spanning subgraph meeting ``demand`` exactly, or a violator.
 
-    Exactly one of the two outcomes is returned.  The certificate is
-    inclusion-minimal and always passes audit_certificate.
+    Exactly one of the two outcomes is returned.  The certificate is the
+    flow's violator shrunk by shrink_violator: no single vertex can be
+    dropped from it, though a smaller subset may still violate.  It always
+    passes audit_certificate.
     """
     demand.validate_for(graph)
     if not check_demand_balance(demand):

@@ -100,6 +100,10 @@ class BipartiteGraph:
         """Sorted X-neighbors of Y-vertex y."""
         return self._adj_y[y]
 
+    def neighbors(self, v: VertexRef) -> tuple[int, ...]:
+        """Sorted neighbor indices of v, all on the other side."""
+        return self._adj_x[v.index] if v.side == "X" else self._adj_y[v.index]
+
     def degree_x(self, x: int) -> int:
         return len(self._adj_x[x])
 
@@ -235,6 +239,10 @@ class Factor:
 
     def neighbors_y(self, y: int) -> tuple[int, ...]:
         return self._adj_y[y]
+
+    def neighbors(self, v: VertexRef) -> tuple[int, ...]:
+        """Sorted factor-neighbor indices of v, all on the other side."""
+        return self._adj_x[v.index] if v.side == "X" else self._adj_y[v.index]
 
     def regularity(self) -> int | None:
         """Common degree when the factor is regular, else None."""

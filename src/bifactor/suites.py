@@ -69,9 +69,13 @@ def run_cor5(trials: int = 10, seed: int = 0) -> list[TrialResult]:
 def run_thm3(trials: int = 10, seed: int = 0) -> list[TrialResult]:
     """Hamilton cycles in (1,3)-pattern-free hosts of minimum degree 4.
 
-    Fixed part: doubled cycles (the stuck-state weave must fire or the
-    search must connect outright).  Seeded part: dense minus-matching
-    instances, pattern-freeness checked by ``hamilton_s13`` itself.
+    Fixed part: doubled cycles m = 3..10.  They never reach the stuck-state
+    weave: the flow's 2-factor of each has two components, and
+    ``connect_factor`` merges them.  The woven-cycle branch is exercised by
+    ``test_woven_cycle_is_checked`` in ``tests/test_suites.py``, on doubled
+    cycles labelled quadrilateral by quadrilateral.  Seeded part: dense
+    minus-matching instances, pattern-freeness checked by ``hamilton_s13``
+    itself.
     """
     results = []
     for m in range(3, 11):

@@ -8,7 +8,9 @@ tree profile, violators by evaluating both sides of the inequality
 directly, the connecting loop's moves by the loop as first written,
 which rebuilds the factor after every move and recounts every candidate
 from scratch with union-find, and the flow solver's factor and violator
-by the flow network as first written, with a recursive augmenting search.
+by the flow network as first written, with a recursive augmenting search,
+and the violator shrink as first written, which re-evaluates every trial
+set from scratch.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ from bifactor import (
     VertexRef,
     ViolatorCertificate,
     apply_swap,
+    audit_certificate,
     find_links,
     make_certificate,
-    shrink_violator,
 )
 from bifactor.connect import _build_stuck_report
+from bifactor.errors import FakeCertificateError
+from bifactor.factors import _evaluate_violation
 
 
 # -- graph strategies ----------------------------------------------------------
@@ -300,15 +304,46 @@ class _RecursiveFlowNet:
         return seen
 
 
+def reference_shrink_violator(
+    graph: BipartiteGraph,
+    demand: DegreeDemand,
+    cert: ViolatorCertificate,
+    passes: list[int] | None = None,
+) -> ViolatorCertificate:
+    """shrink_violator as first written: every trial removal re-evaluates
+    both sides of the trial set from scratch.  When ``passes`` is a list,
+    the size of the set after each pass is appended to it.
+    """
+    if not audit_certificate(graph, demand, cert):
+        problems: list[str] = []
+        audit_certificate(graph, demand, cert, problems)
+        raise FakeCertificateError("; ".join(problems))
+    current = list(cert.a)
+    changed = True
+    while changed and len(current) > 1:
+        changed = False
+        for x in sorted(current):
+            if len(current) == 1:
+                break
+            trial = tuple(v for v in current if v != x)
+            lhs, rhs, _ = _evaluate_violation(graph, demand, trial)
+            if lhs > rhs:
+                current = list(trial)
+                changed = True
+        if passes is not None:
+            passes.append(len(current))
+    return make_certificate(graph, demand, tuple(current))
+
+
 def reference_f_factor(
     graph: BipartiteGraph, demand: DegreeDemand
 ) -> Factor | ViolatorCertificate:
-    """find_f_factor over the flow network as first written.
+    """find_f_factor over the flow network and the shrink as first written.
 
     The Dinic search recurses once per path vertex, so it needs a
     recursion limit above the longest augmenting path; the violator is the
-    X side of a separate residual reachability pass, shrunk by the
-    library's shrink_violator.
+    X side of a separate residual reachability pass, shrunk by
+    reference_shrink_violator.
     """
     n_x, n_y = graph.n_x, graph.n_y
     source, sink = 0, n_x + n_y + 1
@@ -325,7 +360,7 @@ def reference_f_factor(
         return Factor(graph, [e for e, idx in edge_arcs if net.cap[idx] == 0])
     seen = net.reachable(source)
     a = tuple(x for x in range(n_x) if seen[1 + x])
-    return shrink_violator(graph, demand, make_certificate(graph, demand, a))
+    return reference_shrink_violator(graph, demand, make_certificate(graph, demand, a))
 
 
 def induced_edges(graph: BipartiteGraph, verts: list[VertexRef]) -> list[tuple[int, int]]:

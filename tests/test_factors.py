@@ -43,6 +43,7 @@ from conftest import (
     block_host,
     chain_host,
     reference_f_factor,
+    reference_shrink_violator,
     violation_sides,
 )
 
@@ -130,6 +131,24 @@ class TestCertificates:
         fake = ViolatorCertificate((1,), 9, 0, ())
         with pytest.raises(FakeCertificateError):
             shrink_violator(p4, demand, fake)
+
+    def test_greedy_result_is_one_minimal_not_inclusion_minimal(self):
+        """The flow's violator shrinks to A = {0, 1, 2, 4, 5}: no single
+        vertex can be dropped, yet {2} alone violates (X2 has one
+        neighbour, so 2 > 1).  Pinned, since the set is certificate
+        bytes."""
+        edges = [
+            (0, 0), (0, 2), (0, 3), (0, 4), (1, 0), (1, 4), (2, 2), (3, 0), (3, 2),
+            (3, 3), (3, 4), (3, 5), (4, 0), (4, 3), (4, 5), (5, 0), (5, 2), (5, 3),
+        ]
+        g = BipartiteGraph(6, 6, edges)
+        cert = find_f_factor(g, DegreeDemand.uniform(g, 2))
+        assert isinstance(cert, ViolatorCertificate)
+        assert (cert.a, cert.lhs, cert.rhs) == ((0, 1, 2, 4, 5), 10, 9)
+        for x in cert.a:
+            lhs, rhs = violation_sides(g, [2] * 6, [2] * 6, tuple(v for v in cert.a if v != x))
+            assert lhs <= rhs
+        assert violation_sides(g, [2] * 6, [2] * 6, (2,)) == (2, 1)
 
     def test_serialize_certificate(self, p4):
         demand = DegreeDemand.uniform(p4, 2)
@@ -266,6 +285,59 @@ class TestFlowIdentity:
         got = find_f_factor(graph, DegreeDemand.uniform(graph, 1))
         assert isinstance(got, Factor)
         assert got.edge_list == tuple(sorted([(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]))
+
+
+def _random_demand(n_x: int, n_y: int, choose) -> DegreeDemand:
+    """Independent demands 0-3 per vertex: non-uniform, often zero, and
+    not balanced, which shrink_violator does not need."""
+    return DegreeDemand(
+        tuple(choose(0, 3) for _ in range(n_x)), tuple(choose(0, 3) for _ in range(n_y))
+    )
+
+
+def _same_shrink(graph: BipartiteGraph, demand: DegreeDemand, a: tuple[int, ...]) -> int:
+    """Shrink A both ways when it violates; the number of passes the
+    reference made (0 when A does not violate or has one vertex)."""
+    cert = make_certificate(graph, demand, a)
+    if cert.lhs <= cert.rhs:
+        return 0
+    passes: list[int] = []
+    want = reference_shrink_violator(graph, demand, cert, passes)
+    got = shrink_violator(graph, demand, cert)
+    assert (got.a, got.lhs, got.rhs, got.per_vertex_rhs) == (
+        want.a, want.lhs, want.rhs, want.per_vertex_rhs
+    )
+    return len(passes)
+
+
+class TestShrinkIdentity:
+    """The incremental shrink returns the certificate of the shrink as
+    first written, field for field."""
+
+    @given(bipartite_graphs(max_side=6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_shrink(self, graph, data):
+        demand = _random_demand(graph.n_x, graph.n_y, lambda lo, hi: data.draw(st.integers(lo, hi)))
+        subset = data.draw(st.sets(st.integers(0, graph.n_x - 1), min_size=1))
+        _same_shrink(graph, demand, tuple(range(graph.n_x)))
+        _same_shrink(graph, demand, tuple(sorted(subset)))
+
+    def test_seeded_corpus_reaches_a_third_pass(self):
+        """Hosts up to 6+6 from A = all of X: about one violating case in
+        two hundred needs a third pass, which only repeated passes get
+        right."""
+        passes: dict[int, int] = {}
+        for seed in range(3000):
+            rng = random.Random(seed)
+            n_x, n_y = rng.randint(1, 6), rng.randint(1, 6)
+            p = rng.random()
+            graph = BipartiteGraph(
+                n_x, n_y, [(x, y) for x in range(n_x) for y in range(n_y) if rng.random() < p]
+            )
+            demand = _random_demand(n_x, n_y, rng.randint)
+            n = _same_shrink(graph, demand, tuple(range(n_x)))
+            passes[n] = passes.get(n, 0) + 1
+        assert passes.get(1, 0) > 0 and passes.get(2, 0) > 0 and passes.get(3, 0) > 0
 
 
 class TestDecompose:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from bifactor import (
     BipartiteGraph,
+    Factor,
     VertexRef,
     complete_bipartite,
     complete_bipartite_minus_matching,
@@ -48,6 +49,11 @@ class TestBipartiteGraph:
         assert g.neighbors_x(1) == (0, 2)
         assert g.neighbors_y(1) == (0,)
         assert g.degree_x(0) == 1 and g.degree_y(2) == 1
+        assert g.neighbors(VertexRef("X", 1)) == (0, 2)
+        assert g.neighbors(VertexRef("Y", 1)) == (0,)
+        f = Factor(g, [(1, 2)])
+        assert f.neighbors(VertexRef("X", 1)) == (2,) and f.neighbors(VertexRef("Y", 2)) == (1,)
+        assert f.neighbors(VertexRef("X", 0)) == ()
         with pytest.raises(DuplicateEdgeError):
             BipartiteGraph(2, 2, [(0, 0), (0, 0)])
 
