@@ -30,6 +30,7 @@ from .connect import (
 )
 from .errors import (
     BifactorError,
+    EmptyGraphError,
     GraphFormatError,
     HypothesisViolatedError,
     ParamInvalidError,
@@ -65,9 +66,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_graph(path: str) -> BipartiteGraph:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         sys.stderr.write(f"error: cannot read {path}: {exc}\n")
+        raise SystemExit(EXIT_USAGE) from None
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        sys.stderr.write(f"error: {path}: line {line}: file is not UTF-8 text\n")
         raise SystemExit(EXIT_USAGE) from None
     try:
         return parse_graph(text)
@@ -83,6 +88,8 @@ def _write(path: str, text: str) -> None:
 def cmd_factor(args) -> int:
     graph = _load_graph(args.graph)
     try:
+        if graph.n_vertices == 0:
+            raise EmptyGraphError("graph has no vertices, so no factor has a degree")
         demand = DegreeDemand.uniform(graph, args.k)
         got = find_f_factor(graph, demand)
     except (BifactorError, ValueError) as exc:
@@ -125,7 +132,7 @@ def cmd_connect(args) -> int:
         else:
             sys.stderr.write(f"error: {exc}\n")
         return EXIT_STUCK
-    except ParamOrderError as exc:
+    except (ParamOrderError, EmptyGraphError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     out = args.out or args.graph + ".connected"

@@ -333,7 +333,7 @@ def _build_stuck_report(
     audits: list[DegreeAuditRecord] = []
     for v in graph.vertices():
         own = factor.component_of(v)
-        other_comp = factor.comp_y if v.side == "X" else factor.comp_x
+        other_comp = factor.other_side_components(v)
         outside = sum(1 for w in graph.neighbors(v) if other_comp[w] != own)
         audits.append(
             DegreeAuditRecord(
@@ -351,7 +351,7 @@ def _build_stuck_report(
                 continue
             endpoint_seen.add(v)
             own = factor.component_of(v)
-            other_comp = factor.comp_y if v.side == "X" else factor.comp_x
+            other_comp = factor.other_side_components(v)
             inside = sum(1 for w in graph.neighbors(v) if other_comp[w] == own)
             audits.append(
                 DegreeAuditRecord(
@@ -655,7 +655,7 @@ def hamilton_s13(graph: BipartiteGraph) -> Factor:
     # every vertex may see at most one foreign component
     for v in graph.vertices():
         own = report.factor.component_of(v)
-        other_comp = report.factor.comp_y if v.side == "X" else report.factor.comp_x
+        other_comp = report.factor.other_side_components(v)
         foreign = {other_comp[w] for w in graph.neighbors(v) if other_comp[w] != own}
         if len(foreign) > 1:
             raise StructureUnrecognizedError(

@@ -1,9 +1,9 @@
 """Degree-constrained spanning subgraphs of bipartite graphs.
 
-Existence is decided by a unit-capacity flow network: source -> x with
-capacity f(x), one arc per graph edge, y -> sink with capacity f(y).  A
-saturating flow yields the factor; a shortfall yields a set A of X-vertices
-whose demand exceeds what its neighborhood can absorb:
+Existence is decided by a unit-capacity flow run on the graph itself:
+source -> x with capacity f(x), x -> y per edge, y -> sink with capacity
+f(y).  A saturating flow yields the factor; a shortfall yields a set A of
+X-vertices whose demand exceeds what its neighborhood can absorb:
 
     sum_{x in A} f(x)  >  sum_{y in N(A)} min(f(y), deg_A(y))
 
@@ -11,14 +11,16 @@ That inequality is the violator certificate.  Certificates are always
 re-derivable from the graph alone, and audit_certificate recomputes both
 sides from scratch.
 
-Everything here is deterministic: arcs are built in vertex-index order and
-augmentation scans adjacency lowest index first, so the same input always
-yields the same factor or the same certificate.
+Everything here is deterministic: augmentation scans every arc list lowest
+index first, so the same input always yields the same factor or the same
+certificate.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     DemandImbalanceError,
@@ -167,76 +169,90 @@ def shrink_violator(
     return make_certificate(graph, demand, tuple(current))
 
 
-# -- flow network -------------------------------------------------------------
+# -- flow -------------------------------------------------------------------
 
 
-class _FlowNet:
-    """Dinic max-flow with deterministic arc order and no recursion."""
+def _max_flow(graph: BipartiteGraph, demand: DegreeDemand) -> tuple[list[bool], list[int]]:
+    """Unit-capacity Dinic (Even and Tarjan, 1975) on the graph itself: a
+    used flag per position in graph.edge_list, and the X levels of the last
+    BFS (-1 exactly when the source cannot reach x; all -1 exactly when
+    the flow saturates).
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]  # arc indices per node
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add(self, u: int, v: int, cap: int) -> int:
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[u].append(idx)
-        self.to.append(u)
-        self.cap.append(0)
-        self.head[v].append(idx + 1)
-        return idx
-
-    def max_flow(self, s: int, t: int) -> tuple[int, list[int]]:
-        """The maximum flow value and the BFS levels of the final residual
-        network; a node has level -1 exactly when s cannot reach it.
-
-        Each phase walks one arc path from s with current-arc pointers
-        ``it``: an inadmissible arc, or one ending in a dead end, advances
-        its pointer; a path that reaches t keeps its pointers and carries
-        its bottleneck capacity.
-        """
-        head, to, cap = self.head, self.to, self.cap
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for idx in head[u]:
-                    v = to[idx]
-                    if cap[idx] > 0 and level[v] == -1:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] == -1:
-                return flow, level
-            it = [0] * self.n
-            nodes = [s]  # the path's nodes; path[i] is the arc out of nodes[i]
-            path: list[int] = []
-            while nodes:
-                u = nodes[-1]
-                if u == t:
-                    pushed = min(cap[idx] for idx in path)
-                    for idx in path:
-                        cap[idx] -= pushed
-                        cap[idx ^ 1] += pushed
-                    flow += pushed
-                    del nodes[1:], path[:]
-                    continue
-                arcs, i, want = head[u], it[u], level[u] + 1
-                while i < len(arcs) and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == want):
+    Residual state is the remaining source and sink capacity rx[x] and
+    ry[y] and the used flags.  A phase walks paths source, x, y, x, ...,
+    sink with current-arc pointers, taking arcs in a fixed order: at the
+    source x by index; at x its edges by y; at y its used edges by x, then
+    the sink arc.  An inadmissible arc, or one ending in a dead end,
+    advances its pointer; a path that reaches the sink keeps its pointers
+    and carries 1, as it alternates unit edge arcs.  A BFS that reaches
+    the sink stops at the sink's layer, since nothing beyond it can.
+    """
+    n_x, n_y, m = graph.n_x, graph.n_y, graph.m
+    ex, ey = [x for x, _ in graph.edge_list], [y for _, y in graph.edge_list]
+    # x's edges sit at positions start[x] .. start[x + 1] - 1, by y
+    start = list(accumulate(map(len, map(graph.neighbors_x, range(n_x))), initial=0))
+    held: list[list[int]] = [[] for _ in range(n_y)]  # y's used edge positions, by x
+    used, rx, ry = [False] * m, list(demand.f_x), list(demand.f_y)
+    while True:
+        lx, ly, lt = [1 if r else -1 for r in rx], [-1] * n_y, -1
+        xs = [x for x in range(n_x) if rx[x]]
+        while xs:
+            d = lx[xs[0]] + 1
+            ys = []
+            for x in xs:
+                for i in range(start[x], start[x + 1]):
+                    y = ey[i]
+                    if ly[y] == -1 and not used[i]:
+                        ly[y] = d
+                        ys.append(y)
+                        if ry[y]:
+                            lt = d + 1
+            if lt != -1:
+                break
+            xs = []
+            for y in ys:
+                for i in held[y]:
+                    if lx[ex[i]] == -1:
+                        lx[ex[i]] = d + 1
+                        xs.append(ex[i])
+        if lt == -1:
+            return used, lx
+        itx, ity = start[:], [0] * n_y  # next arc as an edge position; at y, m is the sink arc
+        for x0 in range(n_x):
+            path = [x0] if lx[x0] == 1 else []  # the path's X vertices; y = ey[itx[x]]
+            while path and rx[x0]:
+                x = path[-1]
+                i, end, want = itx[x], start[x + 1], lx[x] + 1
+                while i < end and (used[i] or ly[ey[i]] != want):
                     i += 1
-                it[u] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    nodes.append(to[arcs[i]])
-                else:
-                    nodes.pop()
+                itx[x] = i
+                if i == end:
+                    path.pop()
                     if path:
-                        path.pop()
-                        it[nodes[-1]] += 1
+                        ity[ey[itx[path[-1]]]] += 1
+                    continue
+                y, j, want = ey[i], ity[ey[i]], want + 1
+                for r in held[y]:  # y's unused edges have no residual arc from y
+                    if r >= j and lx[ex[r]] == want:
+                        ity[y] = r
+                        path.append(ex[r])
+                        break
+                else:
+                    if j <= m and ry[y] and lt == want:
+                        ity[y] = m
+                        for v in path:
+                            i = itx[v]
+                            if ity[ey[i]] < m:
+                                used[ity[ey[i]]] = False
+                                held[ey[i]].remove(ity[ey[i]])
+                            used[i] = True
+                            insort(held[ey[i]], i)
+                        rx[x0] -= 1
+                        ry[y] -= 1
+                        path = [x0]
+                    else:
+                        ity[y] = m + 1  # past the sink arc
+                        itx[x] += 1
 
 
 def find_f_factor(
@@ -245,36 +261,20 @@ def find_f_factor(
     """The spanning subgraph meeting ``demand`` exactly, or a violator.
 
     Exactly one of the two outcomes is returned.  The certificate is the
-    flow's violator shrunk by shrink_violator: no single vertex can be
-    dropped from it, though a smaller subset may still violate.  It always
-    passes audit_certificate.
+    set of X-vertices the flow's source still reaches, shrunk by
+    shrink_violator: no single vertex can be dropped from it, though a
+    smaller subset may still violate.  It always passes audit_certificate.
     """
     demand.validate_for(graph)
     if not check_demand_balance(demand):
         raise DemandImbalanceError(
             f"total X demand {sum(demand.f_x)} != total Y demand {sum(demand.f_y)}"
         )
-    total = sum(demand.f_x)
-    n_x, n_y = graph.n_x, graph.n_y
-    source = 0
-    sink = n_x + n_y + 1
-    net = _FlowNet(n_x + n_y + 2)
-    for x in range(n_x):
-        net.add(source, 1 + x, demand.f_x[x])
-    edge_arcs: list[tuple[Edge, int]] = []
-    for x in range(n_x):
-        for y in graph.neighbors_x(x):
-            edge_arcs.append(((x, y), net.add(1 + x, 1 + n_x + y, 1)))
-    for y in range(n_y):
-        net.add(1 + n_x + y, sink, demand.f_y[y])
-    flow, level = net.max_flow(source, sink)
-    if flow == total:
-        chosen = [e for e, idx in edge_arcs if net.cap[idx] == 0]
-        return Factor(graph, chosen)
-    # Shortfall: X-vertices still reachable from the source form a violator.
-    a = tuple(x for x in range(n_x) if level[1 + x] != -1)
-    cert = make_certificate(graph, demand, a)
-    return shrink_violator(graph, demand, cert)
+    used, level_x = _max_flow(graph, demand)
+    a = tuple(x for x in range(graph.n_x) if level_x[x] != -1)
+    if not a:
+        return Factor(graph, [e for e, u in zip(graph.edge_list, used) if u])
+    return shrink_violator(graph, demand, make_certificate(graph, demand, a))
 
 
 # -- regular decomposition -----------------------------------------------------

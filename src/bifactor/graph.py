@@ -258,6 +258,10 @@ class Factor:
     def component_of(self, v: VertexRef) -> int:
         return self.comp_x[v.index] if v.side == "X" else self.comp_y[v.index]
 
+    def other_side_components(self, v: VertexRef) -> tuple[int, ...]:
+        """Component ids of the side opposite v, indexed like neighbors(v)."""
+        return self.comp_y if v.side == "X" else self.comp_x
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Factor)

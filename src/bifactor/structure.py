@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotBipartiteError, NotConnectedError
+from .errors import EmptyGraphError, NotBipartiteError, NotConnectedError
 from .graph import BipartiteGraph, VertexRef, cycle_graph, path_graph
 
 
@@ -187,11 +187,14 @@ def classify_s12_free(graph: BipartiteGraph) -> StructureClass:
     Order of checks: path, even cycle, complete-minus-matching; graphs in
     none of them contain an induced (1,2)-pattern and the witness from the
     detector is attached.  Shape membership is decided directly from
-    degrees and non-edges, never via the detector.
+    degrees and non-edges, never via the detector.  The vertexless graph
+    fits no shape and raises EmptyGraphError.
     """
     if not graph.is_connected():
         raise NotConnectedError("classification needs a connected graph")
     n = graph.n_vertices
+    if n == 0:
+        raise EmptyGraphError("classification needs at least one vertex")
     degrees = [graph.degree_x(x) for x in range(graph.n_x)]
     degrees += [graph.degree_y(y) for y in range(graph.n_y)]
     max_deg = max(degrees, default=0)

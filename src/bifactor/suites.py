@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .connect import connected_k_factor, hamilton_s13
-from .errors import BifactorError
+from .errors import BifactorError, ParamInvalidError
 from .factors import (
     DegreeDemand,
     ViolatorCertificate,
@@ -212,6 +212,10 @@ def _non_edges(graph: BipartiteGraph) -> set[tuple[int, int]]:
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> list[TrialResult]:
+    """Run one named suite; ``trials`` (at least 1) overrides the suite's
+    default count and is ignored by the exhaustive suites."""
+    if trials is not None and trials < 1:
+        raise ParamInvalidError(f"trials must be at least 1, got {trials}")
     if name == "cor4":
         return run_cor4(trials or 25, seed)
     if name == "cor5":

@@ -76,6 +76,22 @@ class TestFactorCommand:
         assert err.value.code == 64
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_file_reports_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.graph"
+        bad.write_bytes(b"bipartite 2 2 1\n0 \xff\n")
+        with pytest.raises(SystemExit) as err:
+            main(["factor", str(bad), "--k", "1"])
+        assert err.value.code == 64
+        assert "line 2: file is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_empty_graph_is_usage_error(self, graph_file, tmp_path, capsys, k):
+        """The vertexless graph has no degree, so no factor file can state one."""
+        path = graph_file(BipartiteGraph(0, 0, []))
+        assert main(["factor", path, "--k", k]) == 64
+        assert "no vertices" in capsys.readouterr().err
+        assert not (tmp_path / "host.graph.factor").exists()
+
 
 class TestDeepAugmentingPath:
     """``factor`` on a chain host whose augmenting path is far deeper than
@@ -136,6 +152,12 @@ class TestConnectCommand:
     def test_parameter_gate(self, graph_file):
         path = graph_file(complete_bipartite(5, 5))
         assert main(["connect", path, "--k", "1", "--l", "2"]) == 64
+
+    @pytest.mark.parametrize("extra", [[], ["--hamilton"]])
+    def test_empty_graph_is_usage_error(self, graph_file, capsys, extra):
+        path = graph_file(BipartiteGraph(0, 0, []))
+        assert main(["connect", path, "--k", "2", "--l", "3", *extra]) == 64
+        assert "no vertices" in capsys.readouterr().err
 
     def test_stuck_report_written(self, graph_file, tmp_path, monkeypatch, capsys):
         """The stuck exit path cannot be reached through honest inputs, so
@@ -209,6 +231,11 @@ class TestClassifyCommand:
         g = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
         assert main(["classify", graph_file(g)]) == 64
 
+    def test_empty_graph_rejected(self, graph_file, capsys):
+        assert main(["classify", graph_file(BipartiteGraph(0, 0, []))]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "at least one vertex" in err
+
 
 class TestGenerateCommand:
     def test_stdout_round_trip(self, capsys):
@@ -270,6 +297,12 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "t[0] FAIL  boom" in out
         assert "SUITE cor4 0/1" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        assert main(["verify", "cor4", "--trials", trials]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "trials must be at least 1" in err
 
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit) as err:

@@ -18,6 +18,7 @@ from bifactor import (
     brute_force_f_factor,
     check_demand_balance,
     complete_bipartite,
+    complete_bipartite_minus_matching,
     enumerate_bipartite_block,
     find_f_factor,
     make_certificate,
@@ -275,6 +276,41 @@ class TestFlowIdentity:
         assert set(outcomes) == {
             ("factor", False), ("factor", True), ("violator", False), ("violator", True)
         }
+
+    def test_dense_minus_matching_hosts(self):
+        """K(n,n) minus a random perfect matching at n 40-100, k = 2 and 3:
+        many augmenting paths per phase share the current-arc pointers."""
+        for n in range(40, 101, 6):
+            rng = random.Random(n)
+            graph = complete_bipartite_minus_matching(n, list(enumerate(rng.sample(range(n), n))))
+            for k in (2, 3):
+                assert _same_as_reference(graph, DegreeDemand.uniform(graph, k)) == "factor"
+
+    def test_dense_unequal_sides_reach_both_outcomes(self):
+        """Hosts of 20-60 vertices per side, mostly n_x != n_y, edge density
+        0.3, X demands 0-8 spread at random over Y: several phases, each
+        later BFS stopping at the sink's layer."""
+        outcomes: dict[str, int] = {}
+        for seed in range(40):
+            rng = random.Random(seed)
+            n_x, n_y = rng.randint(20, 60), rng.randint(20, 60)
+            graph = BipartiteGraph(
+                n_x, n_y, [(x, y) for x in range(n_x) for y in range(n_y) if rng.random() < 0.3]
+            )
+            f_x = [rng.randint(0, 8) for _ in range(n_x)]
+            f_y = [0] * n_y
+            for _ in range(sum(f_x)):
+                f_y[rng.randrange(n_y)] += 1
+            got = _same_as_reference(graph, DegreeDemand(tuple(f_x), tuple(f_y)))
+            outcomes[got] = outcomes.get(got, 0) + 1
+        assert set(outcomes) == {"factor", "violator"}
+
+    @pytest.mark.parametrize("n_x, n_y", [(0, 0), (0, 3), (4, 0), (1, 1), (3, 7), (12, 5), (30, 30)])
+    def test_zero_demand(self, n_x, n_y):
+        """No source arc has capacity: the first BFS ends the search with
+        the empty factor."""
+        graph = complete_bipartite(n_x, n_y)
+        assert _same_as_reference(graph, DegreeDemand.uniform(graph, 0)) == "factor"
 
     def test_chain_host_needs_no_recursion(self):
         """The one augmenting path of the last X vertex runs through all

@@ -54,6 +54,9 @@ class TestBipartiteGraph:
         f = Factor(g, [(1, 2)])
         assert f.neighbors(VertexRef("X", 1)) == (2,) and f.neighbors(VertexRef("Y", 2)) == (1,)
         assert f.neighbors(VertexRef("X", 0)) == ()
+        assert f.other_side_components(VertexRef("X", 1)) == f.comp_y
+        assert f.other_side_components(VertexRef("Y", 2)) == f.comp_x
+        assert f.other_side_components(VertexRef("X", 1))[2] == f.component_of(VertexRef("X", 1))
         with pytest.raises(DuplicateEdgeError):
             BipartiteGraph(2, 2, [(0, 0), (0, 0)])
 

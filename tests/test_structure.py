@@ -21,7 +21,7 @@ from bifactor import (
     serialize_star_witness,
     star_pair_graph,
 )
-from bifactor.errors import NotConnectedError
+from bifactor.errors import EmptyGraphError, NotConnectedError
 
 from conftest import (
     assert_star_witness_valid,
@@ -139,6 +139,12 @@ class TestClassify:
     def test_requires_connected_input(self):
         with pytest.raises(NotConnectedError):
             classify_s12_free(BipartiteGraph(2, 2, [(0, 0), (1, 1)]))
+
+    def test_empty_graph_fits_no_shape(self):
+        """The vertexless graph is connected but is no path, cycle or
+        complete-minus-matching host."""
+        with pytest.raises(EmptyGraphError):
+            classify_s12_free(BipartiteGraph(0, 0, []))
 
     @pytest.mark.parametrize(
         "g",
