@@ -11,7 +11,8 @@ Text format (newline-terminated, single spaces)::
     <x> <y>          (m lines, 0-based endpoints)
 
 Canonical serialization sorts edges by (x, y); parse/serialize round-trips
-are exact on canonical files.
+are exact on canonical files.  Files may declare at most MAX_CLASS_SIZE
+(10,000) vertices per class.
 """
 
 from __future__ import annotations
@@ -110,6 +111,10 @@ class BipartiteGraph:
     def degree_y(self, y: int) -> int:
         return len(self._adj_y[y])
 
+    def degrees(self) -> tuple[list[int], list[int]]:
+        """Degrees of X0..X(n_x-1), and of Y0..Y(n_y-1)."""
+        return list(map(len, self._adj_x)), list(map(len, self._adj_y))
+
     def has_edge(self, x: int, y: int) -> bool:
         return (x, y) in self.edge_set
 
@@ -141,8 +146,8 @@ class BipartiteGraph:
     def min_degree(self) -> int:
         if self.n_vertices == 0:
             raise EmptyGraphError("graph has no vertices")
-        degs = [len(a) for a in self._adj_x] + [len(a) for a in self._adj_y]
-        return min(degs)
+        deg_x, deg_y = self.degrees()
+        return min(deg_x + deg_y)
 
     def is_connected(self) -> bool:
         """True when every vertex is reachable from every other.
@@ -279,8 +284,19 @@ class Factor:
 # -- text format ------------------------------------------------------------
 
 
+# Largest class size a graph file may declare.  Every vertex gets an
+# adjacency list when the graph is built, and the star-pair detector one
+# neighbour bitmask of up to MAX_CLASS_SIZE bits, so a one-line header
+# could otherwise ask for gigabytes.
+MAX_CLASS_SIZE = 10_000
+
+
 def parse_graph(text: str) -> BipartiteGraph:
-    """Parse the graph text format; errors name the offending line."""
+    """Parse the graph text format; errors name the offending line.
+
+    A header declaring a class larger than MAX_CLASS_SIZE is rejected
+    before anything is allocated for it.
+    """
     header: tuple[int, int, int] | None = None
     header_line = 0
     edges: list[Edge] = []
@@ -303,6 +319,10 @@ def parse_graph(text: str) -> BipartiteGraph:
                 ) from None
             if n_x < 0 or n_y < 0 or m < 0:
                 raise MalformedHeaderError(f"negative field in header {line!r}", line=lineno)
+            if max(n_x, n_y) > MAX_CLASS_SIZE:
+                raise MalformedHeaderError(
+                    f"class size above {MAX_CLASS_SIZE} in header {line!r}", line=lineno
+                )
             header = (n_x, n_y, m)
             header_line = lineno
             continue

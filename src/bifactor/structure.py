@@ -12,10 +12,22 @@ k + l + 1 edges.
 The detector builds one neighbour bitmask per vertex (a Python int, one
 pass over the edges) and keeps the l-side candidates of each edge as a
 bitmask.  Adding a k-side leaf is one ``cand & ~mask[leaf]`` and a
-popcount, so a search step costs O(n / 64) word operations.  At an edge
-whose k-center has degree d the search makes at most
-C(d, 1) + ... + C(d, k) steps, and only d when every single leaf already
-leaves fewer than l candidates, as on dense hosts.
+popcount, so a search step costs O(n / 64) word operations.
+
+A k-side leaf b can serve at the edge (u, v) only when
+|N(v) \\ N(b)| >= l, and that test does not involve u: b is adjacent to
+u, so the candidates it leaves are exactly N(v) \\ N(b).  So the first
+time v is the l-center, one "good leaf" mask is built for it over the
+vertices at distance 2 from v, and at every edge the k-leaves are the
+set bits of ``N(u) & good[v]``.  A leaf subset holding a non-good leaf
+would have been abandoned at that leaf, so the first witness is the
+same.  The checks run cheapest first: an orientation is dropped when the
+k-center has at most k neighbours or the l-center at most l, before any
+good mask is built; then when fewer than k good leaves remain, before
+any leaf search.  On dense hosts the scan makes O(n^2) mask operations:
+O(n) per good mask and one AND per edge.  On K(n,n) minus a perfect
+matching every good mask is empty.  With g good leaves at an edge the
+search makes at most C(g, 1) + ... + C(g, k) steps.
 """
 
 from __future__ import annotations
@@ -56,44 +68,71 @@ def serialize_star_witness(w: StarWitness) -> str:
 
 def _neighbor_masks(graph: BipartiteGraph) -> tuple[list[int], list[int]]:
     """Per X vertex the bitmask of its Y neighbours, and vice versa."""
+    bit = [1 << i for i in range(max(graph.n_x, graph.n_y))]
     mask_x = [0] * graph.n_x
     mask_y = [0] * graph.n_y
     for x, y in graph.edge_list:
-        mask_x[x] |= 1 << y
-        mask_y[y] |= 1 << x
+        mask_x[x] |= bit[y]
+        mask_y[y] |= bit[x]
     return mask_x, mask_y
 
 
+def _good_leaves(
+    own: list[int], far: list[int], nbrs: tuple[int, ...], v: int, l: int
+) -> int:
+    """Mask of the vertices b at distance 2 from v with |N(v) \\ N(b)| >= l.
+
+    ``own`` holds the neighbour masks of v's side, ``far`` those of the
+    other side, and ``nbrs`` lists v's neighbours.  Only such a b can be a
+    k-leaf when v is the l-center: every k-leaf is adjacent to the
+    k-center, so the l-side candidates it leaves are exactly N(v) \\ N(b).
+    """
+    reach = 0
+    for a in nbrs:
+        reach |= far[a]
+    reach &= ~(1 << v)
+    nv = own[v]
+    shared = len(nbrs) - l  # b is good when |N(v) & N(b)| <= shared
+    good = 0
+    while reach:
+        low = reach & -reach
+        if (nv & own[low.bit_length() - 1]).bit_count() <= shared:
+            good |= low
+        reach ^= low
+    return good
+
+
 def _star_at_edge(
-    graph: BipartiteGraph,
     masks: tuple[list[int], list[int]],
     x: int,
     y: int,
     k: int,
     l: int,
+    avail: int,
     u_on_x: bool,
 ) -> StarWitness | None:
     """Lexicographically first witness anchored at edge (x, y), if any.
 
-    ``u_on_x`` chooses which endpoint carries the k leaves.  Leaf subsets
-    for the k-center are enumerated in lexicographic order; a partial
-    subset is abandoned as soon as fewer than l candidates for the other
-    center remain non-adjacent to it.  Candidates are a bitmask over the
-    other center's side, and the l picked leaves are its l lowest bits.
+    ``u_on_x`` chooses which endpoint carries the k leaves, and ``avail``
+    masks the k-center's neighbours that are good leaves for the other
+    center.  Leaf subsets of ``avail`` are enumerated in lexicographic
+    order; a partial subset is abandoned as soon as fewer than l
+    candidates for the other center remain non-adjacent to it.
+    Candidates are a bitmask over the other center's side, and the l
+    picked leaves are its l lowest bits.
     """
     mask_x, mask_y = masks
     if u_on_x:
-        leaves = graph.neighbors_x(x)
         leaf_mask = mask_y
         cand = mask_y[y] & ~(1 << x)
     else:
-        leaves = graph.neighbors_y(y)
         leaf_mask = mask_x
         cand = mask_x[x] & ~(1 << y)
-    # The other center is among ``leaves`` but is never chosen: every
-    # candidate is its neighbour, so choosing it leaves none.
-    if len(leaves) <= k or cand.bit_count() < l:
-        return None
+    leaves = []
+    while avail:
+        low = avail & -avail
+        leaves.append(low.bit_length() - 1)
+        avail ^= low
 
     chosen: list[int] = []
 
@@ -144,19 +183,38 @@ def find_induced_star(graph: BipartiteGraph, k: int, l: int) -> StarWitness | No
 
     Edges are scanned sorted by (x, y); for each edge the X endpoint is
     tried as the k-leaf center before the Y endpoint (the second
-    orientation only matters when k != l).
+    orientation only matters when k != l).  An orientation is skipped
+    when the k-center has at most k neighbours or the l-center at most l
+    (the other center is a neighbour of each and never a leaf), and
+    before any leaf search when fewer than k of the k-center's
+    neighbours are good leaves for the l-center.
     """
     if k < 1 or l < 1:
         raise ValueError("both leaf counts must be at least 1")
     masks = _neighbor_masks(graph)
+    mask_x, mask_y = masks
+    deg_x, deg_y = graph.degrees()
+    good_x: list[int | None] = [None] * graph.n_x
+    good_y: list[int | None] = [None] * graph.n_y
     for x, y in graph.edge_list:
-        w = _star_at_edge(graph, masks, x, y, k, l, u_on_x=True)
-        if w is not None:
-            return w
-        if k != l:
-            w = _star_at_edge(graph, masks, x, y, k, l, u_on_x=False)
-            if w is not None:
-                return w
+        if deg_x[x] > k and deg_y[y] > l:
+            good = good_y[y]
+            if good is None:
+                good = good_y[y] = _good_leaves(mask_y, mask_x, graph.neighbors_y(y), y, l)
+            avail = mask_x[x] & good
+            if avail.bit_count() >= k:
+                w = _star_at_edge(masks, x, y, k, l, avail, u_on_x=True)
+                if w is not None:
+                    return w
+        if k != l and deg_y[y] > k and deg_x[x] > l:
+            good = good_x[x]
+            if good is None:
+                good = good_x[x] = _good_leaves(mask_x, mask_y, graph.neighbors_x(x), x, l)
+            avail = mask_y[y] & good
+            if avail.bit_count() >= k:
+                w = _star_at_edge(masks, x, y, k, l, avail, u_on_x=False)
+                if w is not None:
+                    return w
     return None
 
 
@@ -181,6 +239,26 @@ class StructureClass:
     witness: StarWitness | None = None
 
 
+def _removed_matching(graph: BipartiteGraph) -> tuple[tuple[int, int], ...] | None:
+    """The non-edges in (x, y) order when they form a matching, else None.
+
+    Each X vertex's non-neighbours are the complement of its neighbour
+    mask; the scan stops at the first vertex with a second non-edge.
+    """
+    full = (1 << graph.n_y) - 1
+    hit_y = 0
+    pairs = []
+    for x, mask in enumerate(_neighbor_masks(graph)[0]):
+        missing = full ^ mask
+        if not missing:
+            continue
+        if missing & (missing - 1) or missing & hit_y:
+            return None
+        hit_y |= missing
+        pairs.append((x, missing.bit_length() - 1))
+    return tuple(pairs)
+
+
 def classify_s12_free(graph: BipartiteGraph) -> StructureClass:
     """Sort a connected bipartite graph into the three free shapes.
 
@@ -195,23 +273,16 @@ def classify_s12_free(graph: BipartiteGraph) -> StructureClass:
     n = graph.n_vertices
     if n == 0:
         raise EmptyGraphError("classification needs at least one vertex")
-    degrees = [graph.degree_x(x) for x in range(graph.n_x)]
-    degrees += [graph.degree_y(y) for y in range(graph.n_y)]
+    deg_x, deg_y = graph.degrees()
+    degrees = deg_x + deg_y
     max_deg = max(degrees, default=0)
     if graph.m == n - 1 and max_deg <= 2:
         return StructureClass("path")
     if n >= 4 and all(d == 2 for d in degrees):
         return StructureClass("even-cycle")
-    non_edges = [
-        (x, y)
-        for x in range(graph.n_x)
-        for y in range(graph.n_y)
-        if not graph.has_edge(x, y)
-    ]
-    hit_x = [x for x, _ in non_edges]
-    hit_y = [y for _, y in non_edges]
-    if len(set(hit_x)) == len(hit_x) and len(set(hit_y)) == len(hit_y):
-        return StructureClass("complete-minus-matching", removed_matching=tuple(non_edges))
+    removed = _removed_matching(graph)
+    if removed is not None:
+        return StructureClass("complete-minus-matching", removed_matching=removed)
     witness = find_induced_star(graph, 1, 2)
     if witness is None:
         raise NotBipartiteError(

@@ -3,14 +3,15 @@
 Everything here recomputes from first principles and shares no code with
 the implementations under test: witnesses are validated by counting
 induced edges, the detector's choice of witness by enumerating leaf
-subsets in order, star-pair freeness by scanning vertex subsets for the
-tree profile, violators by evaluating both sides of the inequality
-directly, the connecting loop's moves by the loop as first written,
-which rebuilds the factor after every move and recounts every candidate
-from scratch with union-find, and the flow solver's factor and violator
-by the flow network as first written, with a recursive augmenting search,
-and the violator shrink as first written, which re-evaluates every trial
-set from scratch.
+subsets in order and by the bitset detector as first written, which
+tries every neighbour of the k-center as a leaf, star-pair freeness by
+scanning vertex subsets for the tree profile, violators by evaluating
+both sides of the inequality directly, the connecting loop's moves by
+the loop as first written, which rebuilds the factor after every move
+and recounts every candidate from scratch with union-find, and the flow
+solver's factor and violator by the flow network as first written, with
+a recursive augmenting search, and the violator shrink as first written,
+which re-evaluates every trial set from scratch.
 """
 
 from __future__ import annotations
@@ -449,6 +450,115 @@ def first_star_witness(graph: BipartiteGraph, k: int, l: int) -> StarWitness | N
                         tuple(VertexRef(v_side, b) for b in subset),
                         tuple(VertexRef(u_side, a) for a in free[:l]),
                     )
+    return None
+
+
+def _reference_neighbor_masks(graph: BipartiteGraph) -> tuple[list[int], list[int]]:
+    """Per X vertex the bitmask of its Y neighbours, and vice versa."""
+    mask_x = [0] * graph.n_x
+    mask_y = [0] * graph.n_y
+    for x, y in graph.edge_list:
+        mask_x[x] |= 1 << y
+        mask_y[y] |= 1 << x
+    return mask_x, mask_y
+
+
+def _reference_star_at_edge(
+    graph: BipartiteGraph,
+    masks: tuple[list[int], list[int]],
+    x: int,
+    y: int,
+    k: int,
+    l: int,
+    u_on_x: bool,
+) -> StarWitness | None:
+    """Lexicographically first witness anchored at edge (x, y), if any.
+
+    ``u_on_x`` chooses which endpoint carries the k leaves.  Leaf subsets
+    for the k-center are enumerated in lexicographic order; a partial
+    subset is abandoned as soon as fewer than l candidates for the other
+    center remain non-adjacent to it.  Candidates are a bitmask over the
+    other center's side, and the l picked leaves are its l lowest bits.
+    """
+    mask_x, mask_y = masks
+    if u_on_x:
+        leaves = graph.neighbors_x(x)
+        leaf_mask = mask_y
+        cand = mask_y[y] & ~(1 << x)
+    else:
+        leaves = graph.neighbors_y(y)
+        leaf_mask = mask_x
+        cand = mask_x[x] & ~(1 << y)
+    # The other center is among ``leaves`` but is never chosen: every
+    # candidate is its neighbour, so choosing it leaves none.
+    if len(leaves) <= k or cand.bit_count() < l:
+        return None
+
+    chosen: list[int] = []
+
+    def extend(start: int, cand: int) -> int | None:
+        if len(chosen) == k:
+            return cand
+        for pos in range(start, len(leaves)):
+            leaf = leaves[pos]
+            remaining = cand & ~leaf_mask[leaf]
+            if remaining.bit_count() < l:
+                continue
+            chosen.append(leaf)
+            got = extend(pos + 1, remaining)
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
+
+    rest = extend(0, cand)
+    if rest is None:
+        return None
+    picked = []
+    for _ in range(l):
+        low = rest & -rest
+        picked.append(low.bit_length() - 1)
+        rest ^= low
+    if u_on_x:
+        return StarWitness(
+            k,
+            l,
+            VertexRef("X", x),
+            VertexRef("Y", y),
+            tuple(VertexRef("Y", b) for b in chosen),
+            tuple(VertexRef("X", a) for a in picked),
+        )
+    return StarWitness(
+        k,
+        l,
+        VertexRef("Y", y),
+        VertexRef("X", x),
+        tuple(VertexRef("X", a) for a in chosen),
+        tuple(VertexRef("Y", b) for b in picked),
+    )
+
+
+def reference_find_induced_star(graph: BipartiteGraph, k: int, l: int) -> StarWitness | None:
+    """The bitset detector as first written, trying every neighbour of the
+    k-center as a leaf at every edge (O(n^3) mask operations on dense
+    hosts).
+
+    First induced copy in edge order, or None when the graph is free.
+    Edges are scanned sorted by (x, y); for each edge the X endpoint is
+    tried as the k-leaf center before the Y endpoint (the second
+    orientation only matters when k != l).
+    """
+    if k < 1 or l < 1:
+        raise ValueError("both leaf counts must be at least 1")
+    masks = _reference_neighbor_masks(graph)
+    for x, y in graph.edge_list:
+        w = _reference_star_at_edge(graph, masks, x, y, k, l, u_on_x=True)
+        if w is not None:
+            return w
+        if k != l:
+            w = _reference_star_at_edge(graph, masks, x, y, k, l, u_on_x=False)
+            if w is not None:
+                return w
     return None
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import resource
 import subprocess
 import sys
 
@@ -124,6 +125,39 @@ class TestDeepAugmentingPath:
         cert = make_certificate(graph, demand, a)
         assert lines[1 + size :] == [f"lhs {cert.lhs}", f"rhs {cert.rhs}"]
         assert audit_certificate(graph, demand, cert)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestHeaderSizeCap:
+    """A one-line file declaring huge classes is a parse error, refused
+    before one adjacency list per declared vertex is allocated.  Each
+    command runs as a separate process limited to 1 GiB of address space,
+    so allocating for the header would end in a MemoryError traceback."""
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("factor", ["--k", "1"]),
+            ("connect", ["--k", "2", "--l", "3"]),
+            ("classify", []),
+            ("detect", ["--k", "1", "--l", "2"]),
+        ],
+    )
+    def test_usage_error_without_traceback(self, tmp_path, command, options):
+        path = tmp_path / "huge.graph"
+        path.write_text("bipartite 99999999 99999999 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "bifactor.cli", command, str(path), *options],
+            capture_output=True,
+            text=True,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "line 1: class size above" in proc.stderr
 
 
 class TestConnectCommand:

@@ -26,6 +26,7 @@ from bifactor.errors import (
     MalformedHeaderError,
     MatchingNotDisjointError,
 )
+from bifactor.graph import MAX_CLASS_SIZE
 
 from conftest import bipartite_graphs
 
@@ -69,6 +70,11 @@ class TestBipartiteGraph:
     def test_vertices_enumerates_x_side_first(self):
         g = BipartiteGraph(2, 1, [])
         assert [v.label for v in g.vertices()] == ["X0", "X1", "Y0"]
+
+    def test_degrees_in_index_order(self):
+        g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (2, 1)])
+        assert g.degrees() == ([2, 0, 1], [1, 2])
+        assert g.min_degree() == 0
 
     def test_min_degree_requires_vertices(self):
         with pytest.raises(EmptyGraphError):
@@ -126,6 +132,16 @@ class TestParse:
     def test_header_field_validation(self, bad):
         with pytest.raises(MalformedHeaderError):
             parse_graph(bad)
+
+    def test_class_size_cap(self):
+        """Headers above the cap are refused before anything is allocated."""
+        assert parse_graph(f"bipartite {MAX_CLASS_SIZE} 1 0\n").n_x == MAX_CLASS_SIZE
+        for header in (
+            f"bipartite {MAX_CLASS_SIZE + 1} 1 0\n",
+            f"# c\nbipartite 1 {MAX_CLASS_SIZE + 1} 0\n",
+        ):
+            with pytest.raises(MalformedHeaderError, match="class size above"):
+                parse_graph(header)
 
     def test_non_integer_endpoint(self):
         with pytest.raises(GraphFormatError):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifactor import (
     BipartiteGraph,
@@ -26,13 +29,40 @@ from bifactor.errors import EmptyGraphError, NotConnectedError
 from conftest import (
     assert_star_witness_valid,
     bipartite_graphs,
+    chain_host,
     contains_star_pair,
     first_star_witness,
+    reference_find_induced_star,
 )
+
+# Arm pairs for the comparisons against the detector as first written.
+PRUNING_ARMS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2)]
 
 
 def transpose(g: BipartiteGraph) -> BipartiteGraph:
     return BipartiteGraph(g.n_y, g.n_x, [(y, x) for x, y in g.edge_list])
+
+
+@st.composite
+def dense_graphs(draw):
+    """Up to 12+12 vertices, each edge present with probability 0.6-0.95."""
+    n_x, n_y = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    density = draw(st.floats(0.6, 0.95))
+    rng = draw(st.randoms(use_true_random=False))
+    cells = [(x, y) for x in range(n_x) for y in range(n_y)]
+    return BipartiteGraph(n_x, n_y, [c for c in cells if rng.random() < density])
+
+
+def near_minus_matching(n: int, extra: int, at_y: bool, rng: random.Random) -> BipartiteGraph:
+    """K(n,n) minus a random perfect matching and ``extra`` more edges, all
+    at one random Y vertex (``at_y``) or one random X vertex."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    cells = [(x, y) for x in range(n) for y in range(n) if y != perm[x]]
+    v = rng.randrange(n)
+    at_v = [c for c in cells if (c[1] if at_y else c[0]) == v]
+    dropped = set(rng.sample(at_v, extra))
+    return BipartiteGraph(n, n, [c for c in cells if c not in dropped])
 
 
 class TestDetection:
@@ -99,6 +129,39 @@ class TestDetection:
     def test_returns_first_witness_in_order(self, k, l, g):
         """Edge order, X-center orientation first, first leaf sets."""
         assert find_induced_star(g, k, l) == first_star_witness(g, k, l)
+
+
+class TestGoodLeafPruning:
+    """Restricting k-leaves to good leaves of the l-center keeps every
+    witness of the detector as first written, on hosts beyond the small
+    random graphs above."""
+
+    @pytest.mark.parametrize("k, l", PRUNING_ARMS)
+    @given(g=dense_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_dense_hosts(self, k, l, g):
+        assert find_induced_star(g, k, l) == reference_find_induced_star(g, k, l)
+
+    def test_near_minus_matching_hosts(self):
+        """Seeded corpus, n 16-60; it reaches witnesses of both
+        orientations and witnesses that skip the k-center's first leaf."""
+        rng = random.Random(20181)
+        kinds = set()
+        for i, n in enumerate((16, 18, 20, 22, 24, 28, 34, 42, 60)):
+            g = near_minus_matching(n, 2 + i % 4, i % 2 == 1, rng)
+            for k, l in PRUNING_ARMS:
+                w = find_induced_star(g, k, l)
+                assert w == reference_find_induced_star(g, k, l), (n, k, l)
+                if w is not None:
+                    assert_star_witness_valid(g, w)
+                    nbrs = [v for v in g.neighbors(w.center_u) if v != w.center_v.index]
+                    kinds.add((w.center_u.side, w.leaves_u[0].index == nbrs[0]))
+        assert {("X", False), ("Y", False)} <= kinds
+
+    @pytest.mark.parametrize("k, l", PRUNING_ARMS)
+    def test_chain_host(self, k, l):
+        g = chain_host(2000)
+        assert find_induced_star(g, k, l) == reference_find_induced_star(g, k, l)
 
 
 class TestClassify:
