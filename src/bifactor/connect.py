@@ -2,21 +2,22 @@
 
 A *link* is a host-graph edge joining two components of a factor.  The
 primary move removes one factor edge at each end of a link and re-adds the
-link plus one fresh cross edge; the secondary move swaps the factor
-neighbors of two same-side vertices in different components.  Both moves
-preserve every degree.  A move is accepted only when a component recount
-strictly decreases, so progress is measured, never assumed (removed edges
-can be bridges when the degree is odd).  An exchange only touches the two
-components at its link, so the recount is one traversal of their union.
+link plus one fresh cross edge, so it preserves every degree.  A move is
+accepted only when a component recount strictly decreases, so progress is
+measured, never assumed (removed edges can be bridges when the degree is
+odd).  An exchange only touches the two components at its link, so the
+recount is one traversal of their union.
 
-The connecting loop tries primary moves only, because every secondary
-move is also a primary candidate.  Swapping X vertices i1 and i2 (factor
-neighbors w1 and w2) drops i1-w1 and i2-w2 and adds i1-w2 and i2-w1.  The
-added edge i1-w2 joins two components, so it is a link; w1 is a factor
-neighbor of i1 and i2 one of w2; so the primary candidate on link i1-w2
-with fresh edge i2-w1 removes and adds the same four edges.  The Y side
-is symmetric.  Equal edge sets give equal recounts, so the primary scan
-finds a move whenever some secondary move would help.
+The connecting loop tries primary moves only.  The other natural
+exchange, swapping the factor neighbors of two same-side vertices in
+different components, is always a primary candidate.  Swapping X
+vertices i1 and i2 (factor neighbors w1 and w2) drops i1-w1 and i2-w2
+and adds i1-w2 and i2-w1.  The added edge i1-w2 joins two components, so
+it is a link; w1 is a factor neighbor of i1 and i2 one of w2; so the
+primary candidate on link i1-w2 with fresh edge i2-w1 removes and adds
+the same four edges.  The Y side is symmetric.  Equal edge sets give
+equal recounts, so the primary scan finds a move whenever such a swap
+would help.
 
 The loop keeps one working copy of the factor (sorted adjacency, edge
 set, component labels and sizes), updates it in place after each move and
@@ -93,7 +94,7 @@ class Link:
 class SwapMove:
     """A degree-preserving exchange: drop ``removed``, add ``added``."""
 
-    kind: str  # 'primary' | 'secondary'
+    kind: str  # always 'primary'
     removed: tuple[Edge, Edge]
     added: tuple[Edge, Edge]
 
@@ -241,40 +242,6 @@ def try_primary_swap(graph: BipartiteGraph, factor: Factor, link: Link) -> SwapM
     return None if found is None else _primary(x, found[0], found[1], y)
 
 
-def try_secondary_swap(
-    graph: BipartiteGraph, factor: Factor, v1: VertexRef, v2: VertexRef
-) -> SwapMove | None:
-    """First neighbor exchange between two same-side vertices that helps.
-
-    The vertices must lie in distinct components (NotStuckError is not the
-    right complaint here: same-component input is a precondition breach).
-    """
-    if v1.side != v2.side:
-        raise ValueError("secondary swap needs two vertices on the same side")
-    if factor.component_of(v1) == factor.component_of(v2):
-        raise ValueError("secondary swap needs vertices in distinct components")
-    state = _Exchanger(graph, factor)
-    on_x = v1.side == "X"
-    i1, i2 = v1.index, v2.index
-    for w1 in factor.neighbors(v1):
-        for w2 in factor.neighbors(v2):
-            if on_x:
-                cross1, cross2 = (i1, w2), (i2, w1)
-                removed = ((i1, w1), (i2, w2))
-            else:
-                cross1, cross2 = (w2, i1), (w1, i2)
-                removed = ((w1, i1), (w2, i2))
-            if cross1 not in graph.edge_set or cross2 not in graph.edge_set:
-                continue
-            if cross1 in factor.edge_set or cross2 in factor.edge_set:
-                continue
-            # the same exchange as the primary candidate on link cross1
-            (x, y), (v, u) = cross1, cross2
-            if state.joined(x, u, v, y) is not None:
-                return SwapMove("secondary", removed, (cross1, cross2))
-    return None
-
-
 # -- stuck-state reporting -----------------------------------------------------
 
 
@@ -390,8 +357,8 @@ def _build_stuck_report(
 def stuck_audit(graph: BipartiteGraph, factor: Factor, k: int, l: int) -> StuckReport:
     """Full report for a factor on which no move helps.
 
-    NotStuckError when an improving move still exists (a secondary move
-    is always a primary candidate too, see the module docstring).
+    NotStuckError when an improving move still exists (a same-side
+    neighbor swap is always a primary candidate, see the module docstring).
     """
     if factor.n_components <= 1:
         raise NotStuckError("factor is connected")

@@ -25,7 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ParamInvalidError, RetryExhaustedError
-from .graph import BipartiteGraph, Edge, Factor, cycle_graph, double_graph
+from .graph import (
+    MAX_CLASS_SIZE,
+    BipartiteGraph,
+    Edge,
+    Factor,
+    cycle_graph,
+    double_graph,
+)
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -124,10 +131,15 @@ def generate(spec: GenSpec) -> BipartiteGraph:
         raise ParamInvalidError(f"unknown model {spec.model!r}")
     if spec.n < 1:
         raise ParamInvalidError("n must be positive")
+    # the limit graph files have, checked before anything is allocated
+    if spec.n > MAX_CLASS_SIZE:
+        raise ParamInvalidError(f"n must not exceed {MAX_CLASS_SIZE}")
 
     if spec.model == "double-cycle":
         if spec.n < 2:
             raise ParamInvalidError("double-cycle needs n >= 2")
+        if 2 * spec.n > MAX_CLASS_SIZE:  # 2n vertices per class
+            raise ParamInvalidError(f"double-cycle needs n <= {MAX_CLASS_SIZE // 2}")
         return double_graph(cycle_graph(spec.n))
 
     if spec.model == "k-minus-matching":

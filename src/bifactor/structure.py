@@ -1,4 +1,4 @@
-"""Induced two-star detection, sparse-structure classification, layerings.
+"""Induced two-star detection and sparse-structure classification.
 
 The pattern searched for is the graph of two stars, one with k leaves and
 one with l leaves, whose centers are joined by an edge.  In a bipartite
@@ -320,262 +320,3 @@ def rebuild_classified(graph: BipartiteGraph, cls: StructureClass) -> BipartiteG
         ]
         return BipartiteGraph(graph.n_x, graph.n_y, edges)
     raise ValueError(f"cannot rebuild class {cls.tag!r}")
-
-
-# -- layerings -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Layering:
-    """Distance layers from a seed set of X-vertices, each split in three.
-
-    layers[i] holds the vertices at distance exactly i from the seed
-    (indices only; even layers live in X, odd layers in Y).  Within layer
-    i >= 1 the split, driven by the degree bound k, is:
-
-      part0: fewer than k neighbors in the previous layer;
-      part1: not part0, all previous-layer neighbors land in its part0;
-      part2: the rest.
-
-    Layer 0 is the seed and sits entirely in part0.  Vertices unreachable
-    from the seed are listed in uncovered_x / uncovered_y.
-    """
-
-    seed: tuple[int, ...]
-    k: int
-    layers: tuple[tuple[int, ...], ...]
-    parts: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
-    uncovered_x: tuple[int, ...]
-    uncovered_y: tuple[int, ...]
-
-
-def build_layering(graph: BipartiteGraph, seed: tuple[int, ...], k: int) -> Layering:
-    if not seed:
-        raise ValueError("seed must be non-empty")
-    seed = tuple(sorted(set(seed)))
-    if any(not (0 <= x < graph.n_x) for x in seed):
-        raise ValueError("seed contains out-of-range X indices")
-    if k < 1:
-        raise ValueError("degree bound k must be positive")
-
-    dist_x = [-1] * graph.n_x
-    dist_y = [-1] * graph.n_y
-    for x in seed:
-        dist_x[x] = 0
-    frontier = [(0, x) for x in seed]  # (side, index); side 0 = X
-    layers: list[tuple[int, ...]] = [seed]
-    d = 0
-    while frontier:
-        nxt: list[tuple[int, int]] = []
-        for side, i in frontier:
-            if side == 0:
-                for j in graph.neighbors_x(i):
-                    if dist_y[j] == -1:
-                        dist_y[j] = d + 1
-                        nxt.append((1, j))
-            else:
-                for j in graph.neighbors_y(i):
-                    if dist_x[j] == -1:
-                        dist_x[j] = d + 1
-                        nxt.append((0, j))
-        if not nxt:
-            break
-        d += 1
-        layers.append(tuple(sorted(i for _, i in nxt)))
-        frontier = nxt
-
-    parts: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = [
-        (seed, (), ())
-    ]
-    for i in range(1, len(layers)):
-        prev = set(layers[i - 1])
-        prev_part0 = set(parts[i - 1][0])
-        on_x = i % 2 == 0
-        p0, p1, p2 = [], [], []
-        for v in layers[i]:
-            nbrs = graph.neighbors_x(v) if on_x else graph.neighbors_y(v)
-            back = [w for w in nbrs if w in prev]
-            if len(back) < k:
-                p0.append(v)
-            elif all(w in prev_part0 for w in back):
-                p1.append(v)
-            else:
-                p2.append(v)
-        parts.append((tuple(p0), tuple(p1), tuple(p2)))
-
-    return Layering(
-        seed=seed,
-        k=k,
-        layers=tuple(layers),
-        parts=tuple(parts),
-        uncovered_x=tuple(x for x in range(graph.n_x) if dist_x[x] == -1),
-        uncovered_y=tuple(y for y in range(graph.n_y) if dist_y[y] == -1),
-    )
-
-
-@dataclass(frozen=True)
-class AuditRecord:
-    name: str
-    layer: int
-    holds: bool
-    offenders: tuple[VertexRef, ...] = ()
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    records: tuple[AuditRecord, ...]
-
-    def all_hold(self) -> bool:
-        return all(r.holds for r in self.records)
-
-    def failing(self) -> tuple[AuditRecord, ...]:
-        return tuple(r for r in self.records if not r.holds)
-
-
-def serialize_audit_report(report: AuditReport) -> str:
-    lines = []
-    for r in report.records:
-        tail = " " + " ".join(v.label for v in r.offenders) if r.offenders else ""
-        lines.append(f"CLAIM {r.name} {r.layer} {'HOLDS' if r.holds else 'FAILS'}{tail}")
-    return "\n".join(lines) + "\n"
-
-
-def audit_layer_inequalities(
-    graph: BipartiteGraph, layering: Layering, k: int, l: int
-) -> AuditReport:
-    """Evaluate the layer-size and per-vertex degree inequalities.
-
-    Every record states whether its inequality holds at its layer;
-    failures carry the offending vertices.  Nothing is asserted: on inputs
-    outside the intended hypotheses, failed records are the expected
-    outcome and callers read them as data.
-    """
-    layers = layering.layers
-    parts = layering.parts
-    n_layers = len(layers)
-    records: list[AuditRecord] = []
-
-    def ref(i: int, v: int) -> VertexRef:
-        return VertexRef("X" if i % 2 == 0 else "Y", v)
-
-    def part(i: int, which: tuple[int, ...]) -> set[int]:
-        if not (0 <= i < n_layers):
-            return set()
-        out: set[int] = set()
-        for w in which:
-            out.update(parts[i][w])
-        return out
-
-    def layer(i: int) -> set[int]:
-        return set(layers[i]) if 0 <= i < n_layers else set()
-
-    def nbrs(i: int, v: int) -> tuple[int, ...]:
-        return graph.neighbors_x(v) if i % 2 == 0 else graph.neighbors_y(v)
-
-    # strict seed comparison, then the per-layer size drops
-    records.append(
-        AuditRecord("size-drop", 0, len(part(0, (0,))) > len(part(1, (1,))))
-    )
-    for i in range(1, n_layers):
-        records.append(
-            AuditRecord("size-drop", i, len(part(i, (0,))) >= len(part(i + 1, (1,))))
-        )
-
-    for i in range(2, n_layers):
-        ok = len(part(i, (2,))) >= len(part(i - 1, (0,))) + len(part(i + 1, (2,)))
-        records.append(AuditRecord("surplus", i, ok))
-
-    # no vertex of part0/part1 may see the previous layer's part1/part2
-    for i in range(1, n_layers):
-        back = part(i - 1, (1, 2))
-        bad = [
-            v
-            for v in sorted(part(i, (0, 1)))
-            if any(w in back for w in nbrs(i, v))
-        ]
-        records.append(
-            AuditRecord("no-back-skip", i, not bad, tuple(ref(i, v) for v in bad))
-        )
-
-    # seed vertices send at most k-1 edges into layer 1's part0
-    target = part(1, (0,))
-    bad = [
-        x
-        for x in layers[0]
-        if sum(1 for w in graph.neighbors_x(x) if w in target) > k - 1
-    ]
-    records.append(AuditRecord("seed-cap", 0, not bad, tuple(ref(0, v) for v in bad)))
-
-    # part0 vertices send at most k-1 edges into the next layer's part0+part1
-    for i in range(1, n_layers):
-        fwd = part(i + 1, (0, 1))
-        bad = [
-            v
-            for v in sorted(part(i, (0,)))
-            if sum(1 for w in nbrs(i, v) if w in fwd) > k - 1
-        ]
-        records.append(
-            AuditRecord("forward-cap", i, not bad, tuple(ref(i, v) for v in bad))
-        )
-
-    # part2 at layer 2: back-degree into layer 1's part0 plus forward degree
-    if n_layers > 2:
-        back = part(1, (0,))
-        fwd = layer(3)
-        bound = k * (k - 1) + l - 1
-        bad = [
-            v
-            for v in sorted(part(2, (2,)))
-            if sum(1 for w in nbrs(2, v) if w in back)
-            + sum(1 for w in nbrs(2, v) if w in fwd)
-            > bound
-        ]
-        records.append(
-            AuditRecord("mixed-cap-first", 2, not bad, tuple(ref(2, v) for v in bad))
-        )
-
-    # part2 at deeper layers: previous part0+part1 plus the whole next layer
-    for i in range(3, n_layers):
-        back = part(i - 1, (0, 1))
-        fwd = layer(i + 1)
-        bound = k * (k - 1) + l
-        bad = [
-            v
-            for v in sorted(part(i, (2,)))
-            if sum(1 for w in nbrs(i, v) if w in back)
-            + sum(1 for w in nbrs(i, v) if w in fwd)
-            > bound
-        ]
-        records.append(
-            AuditRecord("mixed-cap", i, not bad, tuple(ref(i, v) for v in bad))
-        )
-
-    # part0 vertices need many edges into the NEXT layer's part2 ...
-    for i in range(2, n_layers + 1):
-        src = part(i - 1, (0,))
-        tgt = part(i, (2,))
-        bound = k * (k - 1) + l
-        bad = [
-            v
-            for v in sorted(src)
-            if sum(1 for w in nbrs(i - 1, v) if w in tgt) < bound
-        ]
-        records.append(
-            AuditRecord("core-lower-back", i, not bad, tuple(ref(i - 1, v) for v in bad))
-        )
-
-    # ... and so do part2 vertices one layer further out, looking back
-    for i in range(2, n_layers - 1):
-        src = part(i + 1, (2,))
-        tgt = part(i, (2,))
-        bound = k * (k - 1) + l
-        bad = [
-            v
-            for v in sorted(src)
-            if sum(1 for w in nbrs(i + 1, v) if w in tgt) < bound
-        ]
-        records.append(
-            AuditRecord("core-lower-fwd", i, not bad, tuple(ref(i + 1, v) for v in bad))
-        )
-
-    return AuditReport(tuple(records))

@@ -16,6 +16,7 @@ which re-evaluates every trial set from scratch.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import combinations
 
 import pytest
@@ -185,7 +186,10 @@ def _reference_primary(graph: BipartiteGraph, factor: Factor) -> SwapMove | None
     return None
 
 
-def _reference_secondary(graph: BipartiteGraph, factor: Factor) -> SwapMove | None:
+def reference_secondary_moves(graph: BipartiteGraph, factor: Factor) -> Iterator[SwapMove]:
+    """Every improving secondary move, in scan order, each recounted from
+    scratch: the neighbor swap of two same-side vertices in distinct
+    components."""
     base = factor.n_components
     for on_x, size in ((True, graph.n_x), (False, graph.n_y)):
         comp = factor.comp_x if on_x else factor.comp_y
@@ -208,8 +212,7 @@ def _reference_secondary(graph: BipartiteGraph, factor: Factor) -> SwapMove | No
                             continue
                         added = (cross1, cross2)
                         if _count_after(graph, factor, removed, added) < base:
-                            return SwapMove("secondary", removed, added)
-    return None
+                            yield SwapMove("secondary", removed, added)
 
 
 def reference_connect(
@@ -226,7 +229,9 @@ def reference_connect(
     trace = []
     current = factor
     while current.n_components > 1:
-        move = _reference_primary(graph, current) or _reference_secondary(graph, current)
+        move = _reference_primary(graph, current) or next(
+            reference_secondary_moves(graph, current), None
+        )
         if move is None:
             return _build_stuck_report(graph, current, k, l), trace
         current = apply_swap(current, move)

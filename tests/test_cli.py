@@ -25,7 +25,8 @@ from bifactor.cli import main
 from bifactor.connect import _build_stuck_report, check_factor
 from bifactor.errors import TheoremContradictionError
 from bifactor.factors import DegreeDemand, audit_certificate
-from bifactor.graph import BipartiteGraph, Factor, parse_factor
+from bifactor.generators import MODELS
+from bifactor.graph import MAX_CLASS_SIZE, BipartiteGraph, Factor, parse_factor
 from bifactor.suites import TrialResult
 
 from conftest import chain_host
@@ -294,6 +295,26 @@ class TestGenerateCommand:
 
     def test_invalid_parameters(self):
         assert main(["generate", "--model", "k-regular-union", "--n", "3", "--k", "9"]) == 64
+
+    @pytest.mark.parametrize(
+        "model, n",
+        [(model, MAX_CLASS_SIZE + 1) for model in MODELS]
+        + [("double-cycle", MAX_CLASS_SIZE // 2 + 1)],
+    )
+    def test_class_size_cap_without_traceback(self, model, n):
+        """Classes above the graph-file limit are refused before anything is
+        allocated; the 1 GiB address-space limit turns an allocation into a
+        MemoryError traceback instead."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "bifactor.cli", "generate", "--model", model,
+             "--n", str(n), "--k", "2"],
+            capture_output=True,
+            text=True,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stdout == ""
 
 
 class TestThresholdCommand:

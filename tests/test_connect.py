@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,6 @@ from bifactor import (
     GenSpec,
     StuckReport,
     SwapMove,
-    VertexRef,
     apply_swap,
     check_factor,
     complete_bipartite,
@@ -38,7 +36,6 @@ from bifactor import (
     threshold_c_prime,
     threshold_c_raw,
     try_primary_swap,
-    try_secondary_swap,
 )
 from bifactor.connect import _build_stuck_report, _weave_quotient_cycle
 from bifactor.errors import (
@@ -48,7 +45,13 @@ from bifactor.errors import (
     ParamOrderError,
 )
 
-from conftest import assert_regular_spanning, block_host, block_hosts, reference_connect
+from conftest import (
+    assert_regular_spanning,
+    block_host,
+    block_hosts,
+    reference_connect,
+    reference_secondary_moves,
+)
 
 SQUARE_A = [(0, 0), (0, 1), (1, 0), (1, 1)]
 SQUARE_B = [(2, 2), (2, 3), (3, 2), (3, 3)]
@@ -127,23 +130,6 @@ class TestMoves:
         merged = apply_swap(f, move)
         assert merged.n_components == 1
         assert merged.regularity() == 2
-
-    def test_secondary_swap_same_side_vertices(self):
-        """Both diagonal host edges present, none of them in the factor."""
-        g = BipartiteGraph(4, 4, SQUARE_A + SQUARE_B + [(0, 2), (2, 0)])
-        f = Factor(g, SQUARE_A + SQUARE_B)
-        move = try_secondary_swap(g, f, VertexRef("X", 0), VertexRef("X", 2))
-        assert move is not None and move.kind == "secondary"
-        merged = apply_swap(f, move)
-        assert merged.n_components == 1
-        assert merged.regularity() == 2
-
-    def test_secondary_swap_argument_checks(self, two_squares_in_k44):
-        g, f = two_squares_in_k44
-        with pytest.raises(ValueError):
-            try_secondary_swap(g, f, VertexRef("X", 0), VertexRef("Y", 0))
-        with pytest.raises(ValueError):
-            try_secondary_swap(g, f, VertexRef("X", 0), VertexRef("X", 1))
 
 
 class TestStuck:
@@ -234,7 +220,7 @@ class TestConnectLoop:
         connect_factor(g, f, trace=trace)
         assert len(trace) == 1  # one merge suffices for two components
         move, count = trace[0]
-        assert move.kind in ("primary", "secondary")
+        assert move.kind == "primary"
         assert count == 1
 
     def test_rejects_disconnected_host(self):
@@ -264,7 +250,8 @@ def _same_as_reference(graph: BipartiteGraph, factor: Factor, l: int | None) -> 
 
 class TestMoveTrace:
     """The connecting loop makes exactly the moves of the loop as first
-    written, which also tried secondary moves and recounted from scratch."""
+    written, which rebuilt the factor after every move and recounted every
+    candidate from scratch."""
 
     @given(block_hosts(), st.sampled_from([None, 3]))
     @settings(max_examples=150, deadline=None)
@@ -295,26 +282,20 @@ class TestMoveTrace:
 
 
 def _secondary_moves_subsumed(graph: BipartiteGraph, factor: Factor) -> int:
-    """Check that every improving secondary move is an improving primary
-    candidate on the link it adds first; return how many were checked."""
+    """Check that every improving secondary move of the reference scan is
+    an improving primary candidate on the link it adds first; return how
+    many were checked."""
     links = {(link.u.index, link.v.index): link for link in find_links(graph, factor)}
     checked = 0
-    for side, size in (("X", graph.n_x), ("Y", graph.n_y)):
-        for i1, i2 in combinations(range(size), 2):
-            v1, v2 = VertexRef(side, i1), VertexRef(side, i2)
-            if factor.component_of(v1) == factor.component_of(v2):
-                continue
-            move = try_secondary_swap(graph, factor, v1, v2)
-            if move is None:
-                continue
-            (x, y), (b, a) = move.added
-            assert (x, y) in links
-            assert a in factor.neighbors_x(x) and b in factor.neighbors_y(y)
-            primary = SwapMove("primary", ((x, a), (b, y)), ((x, y), (b, a)))
-            assert set(primary.removed) == set(move.removed)
-            assert apply_swap(factor, primary).n_components < factor.n_components
-            assert try_primary_swap(graph, factor, links[x, y]) is not None
-            checked += 1
+    for move in reference_secondary_moves(graph, factor):
+        (x, y), (b, a) = move.added
+        assert (x, y) in links
+        assert a in factor.neighbors_x(x) and b in factor.neighbors_y(y)
+        primary = SwapMove("primary", ((x, a), (b, y)), ((x, y), (b, a)))
+        assert set(primary.removed) == set(move.removed)
+        assert apply_swap(factor, primary).n_components < factor.n_components
+        assert try_primary_swap(graph, factor, links[x, y]) is not None
+        checked += 1
     return checked
 
 

@@ -1,4 +1,4 @@
-"""Induced star-pair detection, the three-way classification, layering."""
+"""Induced star-pair detection and the three-way classification."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from bifactor import (
     BipartiteGraph,
-    audit_layer_inequalities,
-    build_layering,
     classify_s12_free,
     complete_bipartite,
     complete_bipartite_minus_matching,
@@ -20,7 +18,6 @@ from bifactor import (
     is_skl_free,
     path_graph,
     rebuild_classified,
-    serialize_audit_report,
     serialize_star_witness,
     star_pair_graph,
 )
@@ -246,82 +243,3 @@ class TestClassify:
             assert_star_witness_valid(g, cls.witness)
         else:
             assert is_skl_free(g, 1, 2)
-
-
-class TestLayering:
-    def test_path_layers_and_parts(self, p4):
-        lay = build_layering(p4, (0,), 2)
-        assert lay.layers == ((0,), (0,), (1,), (1,))
-        # every vertex sees at most one previous-layer neighbor, below k
-        assert all(p == (pl, (), ()) for p, pl in zip(lay.parts, lay.layers))
-        assert lay.uncovered_x == () and lay.uncovered_y == ()
-
-    def test_k22_parts(self):
-        g = complete_bipartite(2, 2)
-        lay = build_layering(g, (0,), 2)
-        assert lay.layers == ((0,), (0, 1), (1,))
-        assert lay.parts[1] == ((0, 1), (), ())
-        # x1 keeps both back-neighbors, all of them in part0
-        assert lay.parts[2] == ((), (1,), ())
-
-    def test_uncovered_vertices_reported(self):
-        g = BipartiteGraph(2, 2, [(0, 0)])
-        lay = build_layering(g, (0,), 2)
-        assert lay.uncovered_x == (1,)
-        assert lay.uncovered_y == (1,)
-
-    def test_seed_validation(self, p4):
-        with pytest.raises(ValueError):
-            build_layering(p4, (), 2)
-        with pytest.raises(ValueError):
-            build_layering(p4, (9,), 2)
-        with pytest.raises(ValueError):
-            build_layering(p4, (0,), 0)
-
-    def test_layers_partition_reachable_vertices(self, k33):
-        lay = build_layering(k33, (0, 1), 1)
-        seen_x = sorted(
-            v for i, layer in enumerate(lay.layers) if i % 2 == 0 for v in layer
-        )
-        seen_y = sorted(
-            v for i, layer in enumerate(lay.layers) if i % 2 == 1 for v in layer
-        )
-        assert seen_x + list(lay.uncovered_x) == [0, 1, 2]
-        assert seen_y + list(lay.uncovered_y) == [0, 1, 2]
-
-
-class TestLayerAudit:
-    def test_k22_record_outcomes(self):
-        """Frozen outcomes worked out by hand for K_{2,2} seeded at X0.
-
-        The seed vertex sends both edges into layer 1's part0, so seed-cap
-        fails with offender X0; the strict seed size drop holds (1 > 0);
-        the surplus count at layer 2 fails (0 >= 2 is false).
-        """
-        g = complete_bipartite(2, 2)
-        lay = build_layering(g, (0,), 2)
-        report = audit_layer_inequalities(g, lay, 2, 2)
-        by_key = {(r.name, r.layer): r for r in report.records}
-        assert by_key[("size-drop", 0)].holds
-        assert not by_key[("seed-cap", 0)].holds
-        assert [v.label for v in by_key[("seed-cap", 0)].offenders] == ["X0"]
-        assert not by_key[("surplus", 2)].holds
-        assert not report.all_hold()
-        assert by_key[("seed-cap", 0)] in report.failing()
-
-    def test_serialization_lines(self):
-        g = complete_bipartite(2, 2)
-        report = audit_layer_inequalities(g, build_layering(g, (0,), 2), 2, 2)
-        text = serialize_audit_report(report)
-        assert "CLAIM size-drop 0 HOLDS" in text
-        assert "CLAIM seed-cap 0 FAILS X0" in text
-        for line in text.splitlines():
-            assert line.startswith("CLAIM ")
-
-    def test_audit_never_raises_on_arbitrary_hosts(self):
-        # evaluation must stay total: records report, they do not enforce
-        for g in [path_graph(6), cycle_graph(4), complete_bipartite(4, 3)]:
-            lay = build_layering(g, (0,), 2)
-            report = audit_layer_inequalities(g, lay, 2, 3)
-            assert report.records
-            assert all(isinstance(r.holds, bool) for r in report.records)
