@@ -34,7 +34,6 @@ from .errors import (
     GraphFormatError,
     HypothesisViolatedError,
     ParamInvalidError,
-    ParamOrderError,
     TheoremContradictionError,
     StructureUnrecognizedError,
 )
@@ -87,14 +86,9 @@ def _write(path: str, text: str) -> None:
 
 def cmd_factor(args) -> int:
     graph = _load_graph(args.graph)
-    try:
-        if graph.n_vertices == 0:
-            raise EmptyGraphError("graph has no vertices, so no factor has a degree")
-        demand = DegreeDemand.uniform(graph, args.k)
-        got = find_f_factor(graph, demand)
-    except (BifactorError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    if graph.n_vertices == 0:
+        raise EmptyGraphError("graph has no vertices, so no factor has a degree")
+    got = find_f_factor(graph, DegreeDemand.uniform(graph, args.k))
     if isinstance(got, ViolatorCertificate):
         out = args.out or args.graph + ".violator"
         _write(out, serialize_certificate(got))
@@ -110,16 +104,12 @@ def cmd_connect(args) -> int:
     graph = _load_graph(args.graph)
     k, l = args.k, args.l
     if args.hamilton and k != 2:
-        sys.stderr.write("error: --hamilton needs --k 2\n")
-        return EXIT_USAGE
+        raise ParamInvalidError("--hamilton needs --k 2")
     try:
         if args.hamilton:
             factor = hamilton_s13(graph)
         else:
             factor = connected_k_factor(graph, k, l)
-    except HypothesisViolatedError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_HYPOTHESIS
     except (TheoremContradictionError, StructureUnrecognizedError) as exc:
         report = getattr(exc, "report", None)
         out = args.out or args.graph + ".stuck"
@@ -132,9 +122,6 @@ def cmd_connect(args) -> int:
         else:
             sys.stderr.write(f"error: {exc}\n")
         return EXIT_STUCK
-    except (ParamOrderError, EmptyGraphError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     out = args.out or args.graph + ".connected"
     cycle = cycle_order(factor) if factor.regularity() == 2 else None
     _write(out, serialize_factor(factor, cycle=cycle))
@@ -143,12 +130,7 @@ def cmd_connect(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    graph = _load_graph(args.graph)
-    try:
-        witness = find_induced_star(graph, args.k, args.l)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    witness = find_induced_star(_load_graph(args.graph), args.k, args.l)
     if witness is None:
         print("FREE")
         return EXIT_OK
@@ -160,12 +142,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    graph = _load_graph(args.graph)
-    try:
-        cls = classify_s12_free(graph)
-    except BifactorError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    cls = classify_s12_free(_load_graph(args.graph))
     print(cls.tag)
     if cls.tag == "complete-minus-matching":
         for x, y in cls.removed_matching or ():
@@ -177,11 +154,7 @@ def cmd_classify(args) -> int:
 
 def cmd_generate(args) -> int:
     spec = GenSpec(model=args.model, n=args.n, seed=args.seed, k=args.k, p=args.p)
-    try:
-        graph = generate(spec)
-    except BifactorError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    graph = generate(spec)
     text = serialize_graph(graph)
     if args.out:
         _write(args.out, text)
@@ -192,25 +165,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    try:
-        if args.m is not None:
-            print(threshold_c_prime(args.k, args.l, args.m))
-        elif args.raw:
-            print(threshold_c_raw(args.k, args.l))
-        else:
-            print(threshold_c(args.k, args.l))
-    except ParamOrderError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    if args.m is not None:
+        print(threshold_c_prime(args.k, args.l, args.m))
+    elif args.raw:
+        print(threshold_c_raw(args.k, args.l))
+    else:
+        print(threshold_c(args.k, args.l))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = run_suite(args.suite, trials=args.trials, seed=args.seed)
-    except (ValueError, ParamInvalidError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    results = run_suite(args.suite, trials=args.trials, seed=args.seed)
     passed = 0
     for r in results:
         tail = f"  {r.detail}" if r.detail and not r.passed else ""
@@ -279,9 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    """Run one command; a violated hypothesis exits 4, and any other
+    package error or ValueError is a usage error (64)."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except HypothesisViolatedError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_HYPOTHESIS
+    except (BifactorError, ValueError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

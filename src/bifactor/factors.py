@@ -132,26 +132,36 @@ def shrink_violator(
     """A 1-minimal violator contained in cert.a: dropping any single vertex
     of the result leaves no violation.  It need not be inclusion-minimal;
     a smaller subset that is not reachable by single removals may still
-    violate.
+    violate.  The input must itself audit; FakeCertificateError
+    otherwise.
+    """
+    problems: list[str] = []
+    if not audit_certificate(graph, demand, cert, problems):
+        raise FakeCertificateError("; ".join(problems))
+    return _shrink(graph, demand, cert.a)
+
+
+def _shrink(
+    graph: BipartiteGraph, demand: DegreeDemand, a: tuple[int, ...]
+) -> ViolatorCertificate:
+    """shrink_violator on a set A of distinct, in-range X-indices.
 
     Greedy single-removal passes in index order, repeated until a pass
     drops nothing.  The slack lhs - rhs and deg_A(y) are kept across
     trials, so trying to drop x costs O(deg x): lhs falls by f(x), and rhs
     by one for each neighbour y whose term min(f(y), deg_A(y)) is still
-    deg_A(y).  The input must itself audit; FakeCertificateError
-    otherwise.
+    deg_A(y).  FakeCertificateError when A does not violate.
     """
-    if not audit_certificate(graph, demand, cert):
-        problems: list[str] = []
-        audit_certificate(graph, demand, cert, problems)
-        raise FakeCertificateError("; ".join(problems))
     f_x, f_y = demand.f_x, demand.f_y
     deg_a = [0] * graph.n_y
-    for x in cert.a:
+    for x in a:
         for y in graph.neighbors_x(x):
             deg_a[y] += 1
-    slack = cert.lhs - cert.rhs  # the audit recomputed both sides
-    current = set(cert.a)
+    lhs, rhs = sum(f_x[x] for x in a), sum(map(min, f_y, deg_a))
+    if not lhs > rhs:
+        raise FakeCertificateError(f"no strict violation: lhs {lhs} <= rhs {rhs}")
+    slack = lhs - rhs
+    current = set(a)
     changed = True
     while changed and len(current) > 1:
         changed = False
@@ -261,7 +271,7 @@ def find_f_factor(
     """The spanning subgraph meeting ``demand`` exactly, or a violator.
 
     Exactly one of the two outcomes is returned.  The certificate is the
-    set of X-vertices the flow's source still reaches, shrunk by
+    set of X-vertices the flow's source still reaches, shrunk as by
     shrink_violator: no single vertex can be dropped from it, though a
     smaller subset may still violate.  It always passes audit_certificate.
     """
@@ -274,7 +284,7 @@ def find_f_factor(
     a = tuple(x for x in range(graph.n_x) if level_x[x] != -1)
     if not a:
         return Factor(graph, [e for e, u in zip(graph.edge_list, used) if u])
-    return shrink_violator(graph, demand, make_certificate(graph, demand, a))
+    return _shrink(graph, demand, a)
 
 
 # -- regular decomposition -----------------------------------------------------

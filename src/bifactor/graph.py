@@ -111,9 +111,9 @@ class BipartiteGraph:
     def degree_y(self, y: int) -> int:
         return len(self._adj_y[y])
 
-    def degrees(self) -> tuple[list[int], list[int]]:
+    def degrees(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Degrees of X0..X(n_x-1), and of Y0..Y(n_y-1)."""
-        return list(map(len, self._adj_x)), list(map(len, self._adj_y))
+        return tuple(map(len, self._adj_x)), tuple(map(len, self._adj_y))
 
     def has_edge(self, x: int, y: int) -> bool:
         return (x, y) in self.edge_set
@@ -193,61 +193,26 @@ def _component_labels(
     return tuple(comp_x), tuple(comp_y), next_id
 
 
-class Factor:
+class Factor(BipartiteGraph):
     """A spanning subgraph of a host graph, with component labels.
 
-    Every vertex of the host belongs to the factor; vertices without factor
-    edges sit in singleton components.  Component ids are assigned in
-    discovery order scanning X0..X(n-1), Y0..Y(n-1), so they are stable
-    across runs.
+    A factor is a bipartite graph on the host's vertices whose edges are
+    host edges; vertices without factor edges sit in singleton components.
+    Component ids are assigned in discovery order scanning X0..X(n-1),
+    Y0..Y(n-1), so they are stable across runs.
     """
 
-    __slots__ = (
-        "host",
-        "edge_list",
-        "edge_set",
-        "comp_x",
-        "comp_y",
-        "n_components",
-        "_adj_x",
-        "_adj_y",
-    )
+    __slots__ = ("host", "comp_x", "comp_y", "n_components")
 
     def __init__(self, host: BipartiteGraph, edges: Iterable[Edge]):
+        super().__init__(host.n_x, host.n_y, edges)
+        stray = self.edge_set - host.edge_set
+        if stray:
+            raise IndexOutOfRangeError(f"factor edge {min(stray)} not in host graph")
         self.host = host
-        es = set()
-        adj_x: list[list[int]] = [[] for _ in range(host.n_x)]
-        adj_y: list[list[int]] = [[] for _ in range(host.n_y)]
-        for e in edges:
-            t = (e[0], e[1])
-            if t not in host.edge_set:
-                raise IndexOutOfRangeError(f"factor edge {t} not in host graph")
-            if t in es:
-                raise DuplicateEdgeError(f"factor edge {t} repeated")
-            es.add(t)
-            adj_x[t[0]].append(t[1])
-            adj_y[t[1]].append(t[0])
-        self.edge_list: tuple[Edge, ...] = tuple(sorted(es))
-        self.edge_set: frozenset[Edge] = frozenset(es)
-        self._adj_x = tuple(tuple(sorted(a)) for a in adj_x)
-        self._adj_y = tuple(tuple(sorted(a)) for a in adj_y)
-        self.comp_x, self.comp_y, self.n_components = _component_labels(adj_x, adj_y)
-
-    def degrees(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (
-            tuple(len(a) for a in self._adj_x),
-            tuple(len(a) for a in self._adj_y),
+        self.comp_x, self.comp_y, self.n_components = _component_labels(
+            self._adj_x, self._adj_y
         )
-
-    def neighbors_x(self, x: int) -> tuple[int, ...]:
-        return self._adj_x[x]
-
-    def neighbors_y(self, y: int) -> tuple[int, ...]:
-        return self._adj_y[y]
-
-    def neighbors(self, v: VertexRef) -> tuple[int, ...]:
-        """Sorted factor-neighbor indices of v, all on the other side."""
-        return self._adj_x[v.index] if v.side == "X" else self._adj_y[v.index]
 
     def regularity(self) -> int | None:
         """Common degree when the factor is regular, else None."""

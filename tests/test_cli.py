@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import io
+import os
 import resource
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bifactor import (
     StuckReport,
@@ -27,7 +33,7 @@ from bifactor.errors import TheoremContradictionError
 from bifactor.factors import DegreeDemand, audit_certificate
 from bifactor.generators import MODELS
 from bifactor.graph import MAX_CLASS_SIZE, BipartiteGraph, Factor, parse_factor
-from bifactor.suites import TrialResult
+from bifactor.suites import SUITE_NAMES, TrialResult
 
 from conftest import chain_host
 
@@ -379,3 +385,118 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout == "12\n"
+
+
+# A parameter whose thresholds have more digits than str() converts by
+# default (4300), so formatting them raises ValueError.
+HUGE = 10**1500
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python has no limit on integer string conversion",
+)
+
+
+@needs_digit_limit
+class TestHugeParameters:
+    def test_threshold_is_usage_error(self, capsys):
+        assert main(["threshold", "--k", str(HUGE), "--l", str(2 * HUGE)]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+    def test_connect_ends_in_an_exit_code(self, graph_file, capsys):
+        path = graph_file(complete_bipartite(2, 2))
+        assert main(["connect", path, "--k", str(HUGE), "--l", str(2 * HUGE)]) in (4, 64)
+        assert capsys.readouterr().err.startswith("error:")
+
+
+# Small valid graph files for the fuzz test to mutate; every class has at
+# most 8 vertices.
+FUZZ_SEEDS = [
+    serialize_graph(g).encode()
+    for g in (
+        BipartiteGraph(0, 0, []),
+        complete_bipartite(2, 2),
+        path_graph(5),
+        cycle_graph(4),
+        star_pair_graph(1, 2),
+        double_graph(cycle_graph(3)),
+        complete_bipartite_minus_matching(8, [(i, i) for i in range(8)]),
+    )
+] + [b"# a comment\n\nbipartite 2 1 2\n0 0\n1 0\n"]
+FUZZ_BYTES = st.one_of(st.sampled_from(b"0123456789 -#\n"), st.integers(0, 255))
+FUZZ_PARAMS = st.sampled_from(["-1", "0", "1", "2", "3", str(HUGE)])
+
+
+@st.composite
+def mutated_files(draw) -> bytes:
+    data = bytearray(draw(st.sampled_from(FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        i = draw(st.integers(0, len(data)))
+        if op == "insert":
+            data.insert(i, draw(FUZZ_BYTES))
+        elif i < len(data):
+            if op == "delete":
+                del data[i]
+            else:
+                data[i] = draw(FUZZ_BYTES)
+    return bytes(data)
+
+
+@st.composite
+def command_lines(draw) -> list[str | None]:
+    """An argv whose None stands for the graph file's path."""
+    name = draw(st.sampled_from(["factor", "connect", "detect", "classify", "verify"]))
+    if name == "verify":
+        trials = draw(st.sampled_from(["-1", "0", "1"]))
+        suites = ("cor4", "sharp-s13") if trials == "1" else SUITE_NAMES
+        return ["verify", draw(st.sampled_from(suites)), "--trials", trials]
+    argv = [name, None]
+    if name != "classify":
+        argv += ["--k", draw(FUZZ_PARAMS)]
+    if name in ("connect", "detect"):
+        argv += ["--l", draw(FUZZ_PARAMS)]
+    if name == "connect" and draw(st.booleans()):
+        argv.append("--hamilton")
+    return argv
+
+
+def _declares_big_class(data: bytes) -> bool:
+    """True when the file's header, read as parse_graph reads it, declares
+    a class above 64 vertices."""
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return False
+    for raw in lines:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            parts = line.split()
+            try:
+                return len(parts) == 4 and max(int(parts[1]), int(parts[2])) > 64
+            except ValueError:
+                return False
+    return False
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=mutated_files(), argv=command_lines())
+    def test_every_outcome_is_an_exit_code(self, data, argv):
+        """Mutated graph files and extreme arguments end in a documented
+        exit code; only argparse's and the loader's SystemExit(64) leave
+        main, and only verify exits 1."""
+        assume(not _declares_big_class(data))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "host.graph")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            argv = [path if a is None else a for a in argv]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    assert exc.code == 64
+                    rc = 64
+        assert rc in (0, 1, 2, 3, 4, 64)
+        assert rc != 1 or argv[0] == "verify"

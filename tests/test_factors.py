@@ -35,6 +35,7 @@ from bifactor.errors import (
     NotRegularError,
     SOutOfRangeError,
 )
+from bifactor.factors import _shrink
 from bifactor.generators import SplitMix64
 
 from conftest import (
@@ -132,6 +133,16 @@ class TestCertificates:
         fake = ViolatorCertificate((1,), 9, 0, ())
         with pytest.raises(FakeCertificateError):
             shrink_violator(p4, demand, fake)
+
+    def test_internal_shrink_refuses_a_set_that_does_not_violate(self, p4):
+        """find_f_factor's shrink skips the audit and checks the slack of
+        the flow's set itself; A = {1} has lhs 2 <= rhs 2."""
+        demand = DegreeDemand.uniform(p4, 2)
+        with pytest.raises(FakeCertificateError, match="lhs 2 <= rhs 2"):
+            _shrink(p4, demand, (1,))
+        assert _shrink(p4, demand, (0, 1)) == shrink_violator(
+            p4, demand, make_certificate(p4, demand, (0, 1))
+        )
 
     def test_greedy_result_is_one_minimal_not_inclusion_minimal(self):
         """The flow's violator shrinks to A = {0, 1, 2, 4, 5}: no single

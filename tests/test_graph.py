@@ -73,7 +73,7 @@ class TestBipartiteGraph:
 
     def test_degrees_in_index_order(self):
         g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (2, 1)])
-        assert g.degrees() == ([2, 0, 1], [1, 2])
+        assert g.degrees() == ((2, 0, 1), (1, 2))
         assert g.min_degree() == 0
 
     def test_min_degree_requires_vertices(self):
@@ -91,6 +91,38 @@ class TestBipartiteGraph:
         b = BipartiteGraph(2, 2, [(1, 1), (0, 0)])
         assert a == b
         assert hash(a) == hash(b)
+
+
+class TestFactor:
+    def test_is_a_graph_on_the_host_vertices(self):
+        g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (2, 1)])
+        f = Factor(g, [(2, 1), (0, 0)])
+        assert isinstance(f, BipartiteGraph)
+        assert (f.n_x, f.n_y, f.m) == (3, 2, 2)
+        assert f.edge_list == ((0, 0), (2, 1))
+        assert f.neighbors_x(0) == (0,) and f.neighbors_y(1) == (2,)
+        assert f.degrees() == ((1, 0, 1), (1, 1))
+        assert f.n_components == 3
+
+    def test_rejects_edge_missing_from_host(self):
+        g = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
+        with pytest.raises(IndexOutOfRangeError, match=r"factor edge \(0, 1\) not in host"):
+            Factor(g, [(0, 0), (0, 1)])
+        with pytest.raises(IndexOutOfRangeError):
+            Factor(g, [(2, 0)])
+
+    def test_rejects_repeated_edge(self):
+        g = complete_bipartite(2, 2)
+        with pytest.raises(DuplicateEdgeError):
+            Factor(g, [(0, 1), (1, 0), (0, 1)])
+
+    def test_factor_with_every_host_edge_is_not_its_host(self):
+        g = complete_bipartite(2, 2)
+        f = Factor(g, g.edge_list)
+        assert f.edge_set == g.edge_set
+        assert g != f and f != g
+        assert f == Factor(g, reversed(g.edge_list))
+        assert hash(f) == hash(Factor(g, g.edge_list))
 
 
 class TestParse:
