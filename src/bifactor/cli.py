@@ -15,6 +15,7 @@ Status goes to stdout; factors, certificates and reports go to files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -81,7 +82,11 @@ def _load_graph(path: str) -> BipartiteGraph:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {path}: {exc}\n")
+        raise SystemExit(EXIT_USAGE) from None
 
 
 def cmd_factor(args) -> int:
@@ -185,7 +190,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_SUITE_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, and each cmd_* function looks up its collaborators
+    when it runs."""
     parser = _Parser(prog="bifactor", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

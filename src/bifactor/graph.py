@@ -18,7 +18,8 @@ are exact on canonical files.  Files may declare at most MAX_CLASS_SIZE
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -66,22 +67,42 @@ class BipartiteGraph:
             raise ValueError("class sizes must be non-negative")
         self.n_x = n_x
         self.n_y = n_y
-        seen: set[Edge] = set()
-        adj_x: list[list[int]] = [[] for _ in range(n_x)]
-        adj_y: list[list[int]] = [[] for _ in range(n_y)]
-        for e in edges:
-            x, y = e
-            if not (0 <= x < n_x and 0 <= y < n_y):
-                raise IndexOutOfRangeError(f"edge ({x}, {y}) outside {n_x}x{n_y}")
-            if (x, y) in seen:
-                raise DuplicateEdgeError(f"edge ({x}, {y}) repeated")
-            seen.add((x, y))
+        if iter(edges) is edges:
+            edges = list(edges)  # one pass only: keep the input order for _checked_edges
+        try:
+            if self._index(edges):
+                return
+        except (TypeError, ValueError, IndexError):
+            pass
+        self._index(_checked_edges(n_x, n_y, edges))
+
+    def _index(self, edges: Iterable[Edge]) -> bool:
+        """Store the sorted edges, their set and the sorted adjacency lists.
+
+        Returns False, storing nothing, when an edge repeats or its x is out
+        of range, or when some y is negative; a y of n_y or more raises
+        IndexError.  Sorting is linear on the presorted input that
+        canonical files, edge_list slices and flow results give.
+        """
+        ordered = sorted(edges)
+        edge_set = frozenset(ordered)
+        if len(edge_set) != len(ordered) or (
+            ordered and not (0 <= ordered[0][0] and ordered[-1][0] < self.n_x)
+        ):
+            return False
+        adj_x: list[list[int]] = [[] for _ in range(self.n_x)]
+        adj_y: list[list[int]] = [[] for _ in range(self.n_y)]
+        for x, y in ordered:
             adj_x[x].append(y)
             adj_y[y].append(x)
-        self.edge_list: tuple[Edge, ...] = tuple(sorted(seen))
-        self.edge_set: frozenset[Edge] = frozenset(seen)
-        self._adj_x = tuple(tuple(sorted(a)) for a in adj_x)
-        self._adj_y = tuple(tuple(sorted(a)) for a in adj_y)
+        # Each adj_x list is ascending, so a negative y heads its list.
+        if any(a[0] < 0 for a in adj_x if a):
+            return False
+        self.edge_list: tuple[Edge, ...] = tuple(ordered)
+        self.edge_set: frozenset[Edge] = edge_set
+        self._adj_x = tuple(map(tuple, adj_x))
+        self._adj_y = tuple(map(tuple, adj_y))
+        return True
 
     # -- basic accessors ---------------------------------------------------
 
@@ -157,6 +178,22 @@ class BipartiteGraph:
         if self.n_vertices == 0:
             return True
         return _component_labels(self._adj_x, self._adj_y)[2] == 1
+
+
+def _checked_edges(n_x: int, n_y: int, edges: Iterable[Edge]) -> list[Edge]:
+    """The edges as tuples, in input order; raises for the first edge out of
+    range or repeated."""
+    seen: set[Edge] = set()
+    checked: list[Edge] = []
+    for e in edges:
+        x, y = e
+        if not (0 <= x < n_x and 0 <= y < n_y):
+            raise IndexOutOfRangeError(f"edge ({x}, {y}) outside {n_x}x{n_y}")
+        if (x, y) in seen:
+            raise DuplicateEdgeError(f"edge ({x}, {y}) repeated")
+        seen.add((x, y))
+        checked.append((x, y))
+    return checked
 
 
 def _component_labels(
@@ -260,36 +297,54 @@ def parse_graph(text: str) -> BipartiteGraph:
     """Parse the graph text format; errors name the offending line.
 
     A header declaring a class larger than MAX_CLASS_SIZE is rejected
-    before anything is allocated for it.
+    before anything is allocated for it.  The edge lines are read in one
+    pass and validated once, by the BipartiteGraph constructor.
     """
-    header: tuple[int, int, int] | None = None
-    header_line = 0
-    edges: list[Edge] = []
+    lines = text.splitlines()
+    for header_line, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+    else:
+        raise MalformedHeaderError("missing 'bipartite' header line")
+    parts = line.split()
+    if len(parts) != 4 or parts[0] != "bipartite":
+        raise MalformedHeaderError(
+            f"expected 'bipartite <nX> <nY> <m>', got {line!r}", line=header_line
+        )
+    try:
+        n_x, n_y, m = int(parts[1]), int(parts[2]), int(parts[3])
+    except ValueError:
+        raise MalformedHeaderError(
+            f"non-integer field in header {line!r}", line=header_line
+        ) from None
+    if n_x < 0 or n_y < 0 or m < 0:
+        raise MalformedHeaderError(f"negative field in header {line!r}", line=header_line)
+    if max(n_x, n_y) > MAX_CLASS_SIZE:
+        raise MalformedHeaderError(
+            f"class size above {MAX_CLASS_SIZE} in header {line!r}", line=header_line
+        )
+    rows = (
+        p for p in map(str.split, islice(lines, header_line, None)) if p and p[0][0] != "#"
+    )
+    try:
+        edges = [(int(a), int(b)) for a, b in rows]
+        if len(edges) == m:
+            return BipartiteGraph(n_x, n_y, edges)
+    except (ValueError, GraphFormatError):
+        pass
+    _raise_first_bad_line(lines, header_line, n_x, n_y, m)
+
+
+def _raise_first_bad_line(
+    lines: list[str], header_line: int, n_x: int, n_y: int, m: int
+) -> NoReturn:
+    """Re-read the edge lines one at a time and raise the error of the first
+    bad one, or the header's edge-count mismatch when no line is bad."""
     seen: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(islice(lines, header_line, None), start=header_line + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "bipartite":
-                raise MalformedHeaderError(
-                    f"expected 'bipartite <nX> <nY> <m>', got {line!r}", line=lineno
-                )
-            try:
-                n_x, n_y, m = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise MalformedHeaderError(
-                    f"non-integer field in header {line!r}", line=lineno
-                ) from None
-            if n_x < 0 or n_y < 0 or m < 0:
-                raise MalformedHeaderError(f"negative field in header {line!r}", line=lineno)
-            if max(n_x, n_y) > MAX_CLASS_SIZE:
-                raise MalformedHeaderError(
-                    f"class size above {MAX_CLASS_SIZE} in header {line!r}", line=lineno
-                )
-            header = (n_x, n_y, m)
-            header_line = lineno
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -298,7 +353,6 @@ def parse_graph(text: str) -> BipartiteGraph:
             x, y = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError(f"non-integer endpoint in {line!r}", line=lineno) from None
-        n_x, n_y, _ = header
         if not (0 <= x < n_x and 0 <= y < n_y):
             raise IndexOutOfRangeError(
                 f"edge ({x}, {y}) outside {n_x}x{n_y}", line=lineno
@@ -306,15 +360,9 @@ def parse_graph(text: str) -> BipartiteGraph:
         if (x, y) in seen:
             raise DuplicateEdgeError(f"edge ({x}, {y}) repeated", line=lineno)
         seen.add((x, y))
-        edges.append((x, y))
-    if header is None:
-        raise MalformedHeaderError("missing 'bipartite' header line")
-    n_x, n_y, m = header
-    if len(edges) != m:
-        raise MalformedHeaderError(
-            f"header promises {m} edges, file has {len(edges)}", line=header_line
-        )
-    return BipartiteGraph(n_x, n_y, edges)
+    raise MalformedHeaderError(
+        f"header promises {m} edges, file has {len(seen)}", line=header_line
+    )
 
 
 def serialize_graph(graph: BipartiteGraph) -> str:

@@ -10,8 +10,9 @@ both sides of the inequality directly, the connecting loop's moves by
 the loop as first written, which rebuilds the factor after every move
 and recounts every candidate from scratch with union-find, and the flow
 solver's factor and violator by the flow network as first written, with
-a recursive augmenting search, and the violator shrink as first written,
-which re-evaluates every trial set from scratch.
+a recursive augmenting search, the violator shrink as first written,
+which re-evaluates every trial set from scratch, and the graph reader
+and constructor as first written, which check every edge line by line.
 """
 
 from __future__ import annotations
@@ -37,8 +38,15 @@ from bifactor import (
     make_certificate,
 )
 from bifactor.connect import _build_stuck_report
-from bifactor.errors import FakeCertificateError
+from bifactor.errors import (
+    DuplicateEdgeError,
+    FakeCertificateError,
+    GraphFormatError,
+    IndexOutOfRangeError,
+    MalformedHeaderError,
+)
 from bifactor.factors import _evaluate_violation
+from bifactor.graph import MAX_CLASS_SIZE
 
 
 # -- graph strategies ----------------------------------------------------------
@@ -367,6 +375,99 @@ def reference_f_factor(
     seen = net.reachable(source)
     a = tuple(x for x in range(n_x) if seen[1 + x])
     return reference_shrink_violator(graph, demand, make_certificate(graph, demand, a))
+
+
+class _ReferenceGraph:
+    """The fields BipartiteGraph.__init__ as first written stores."""
+
+    __slots__ = ("n_x", "n_y", "edge_list", "edge_set", "_adj_x", "_adj_y")
+
+
+def reference_graph_init(n_x: int, n_y: int, edges) -> _ReferenceGraph:
+    """BipartiteGraph.__init__ as first written: each edge is range-checked
+    and looked up in a set of the edges before it, in input order, and
+    each adjacency list is sorted on its own."""
+    self = _ReferenceGraph()
+    if n_x < 0 or n_y < 0:
+        raise ValueError("class sizes must be non-negative")
+    self.n_x = n_x
+    self.n_y = n_y
+    seen: set[tuple[int, int]] = set()
+    adj_x: list[list[int]] = [[] for _ in range(n_x)]
+    adj_y: list[list[int]] = [[] for _ in range(n_y)]
+    for e in edges:
+        x, y = e
+        if not (0 <= x < n_x and 0 <= y < n_y):
+            raise IndexOutOfRangeError(f"edge ({x}, {y}) outside {n_x}x{n_y}")
+        if (x, y) in seen:
+            raise DuplicateEdgeError(f"edge ({x}, {y}) repeated")
+        seen.add((x, y))
+        adj_x[x].append(y)
+        adj_y[y].append(x)
+    self.edge_list = tuple(sorted(seen))
+    self.edge_set = frozenset(seen)
+    self._adj_x = tuple(tuple(sorted(a)) for a in adj_x)
+    self._adj_y = tuple(tuple(sorted(a)) for a in adj_y)
+    return self
+
+
+def reference_parse_graph(text: str) -> _ReferenceGraph:
+    """parse_graph as first written: one loop over the lines that checks
+    each edge's range and repeats itself, then hands the edges to
+    reference_graph_init, which checks them again."""
+    header: tuple[int, int, int] | None = None
+    header_line = 0
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "bipartite":
+                raise MalformedHeaderError(
+                    f"expected 'bipartite <nX> <nY> <m>', got {line!r}", line=lineno
+                )
+            try:
+                n_x, n_y, m = int(parts[1]), int(parts[2]), int(parts[3])
+            except ValueError:
+                raise MalformedHeaderError(
+                    f"non-integer field in header {line!r}", line=lineno
+                ) from None
+            if n_x < 0 or n_y < 0 or m < 0:
+                raise MalformedHeaderError(f"negative field in header {line!r}", line=lineno)
+            if max(n_x, n_y) > MAX_CLASS_SIZE:
+                raise MalformedHeaderError(
+                    f"class size above {MAX_CLASS_SIZE} in header {line!r}", line=lineno
+                )
+            header = (n_x, n_y, m)
+            header_line = lineno
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"expected '<x> <y>', got {line!r}", line=lineno)
+        try:
+            x, y = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"non-integer endpoint in {line!r}", line=lineno) from None
+        n_x, n_y, _ = header
+        if not (0 <= x < n_x and 0 <= y < n_y):
+            raise IndexOutOfRangeError(
+                f"edge ({x}, {y}) outside {n_x}x{n_y}", line=lineno
+            )
+        if (x, y) in seen:
+            raise DuplicateEdgeError(f"edge ({x}, {y}) repeated", line=lineno)
+        seen.add((x, y))
+        edges.append((x, y))
+    if header is None:
+        raise MalformedHeaderError("missing 'bipartite' header line")
+    n_x, n_y, m = header
+    if len(edges) != m:
+        raise MalformedHeaderError(
+            f"header promises {m} edges, file has {len(edges)}", line=header_line
+        )
+    return reference_graph_init(n_x, n_y, edges)
 
 
 def induced_edges(graph: BipartiteGraph, verts: list[VertexRef]) -> list[tuple[int, int]]:

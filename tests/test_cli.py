@@ -371,6 +371,96 @@ class TestVerifyCommand:
         assert err.value.code == 64
 
 
+class TestUnwritableOut:
+    """An --out path that cannot be written is a usage error (64), named
+    on stderr like an unreadable graph file, not a traceback."""
+
+    def _assert_cannot_write(self, argv, target, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 64
+        out, errtext = capsys.readouterr()
+        assert errtext.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in out + errtext
+
+    def test_factor(self, graph_file, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "x")
+        argv = ["factor", graph_file(complete_bipartite(2, 2)), "--k", "1", "--out", target]
+        self._assert_cannot_write(argv, target, capsys)
+
+    def test_factor_violator(self, graph_file, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "x")
+        argv = ["factor", graph_file(path_graph(4)), "--k", "2", "--out", target]
+        self._assert_cannot_write(argv, target, capsys)
+
+    def test_connect(self, graph_file, tmp_path, capsys):
+        g = complete_bipartite_minus_matching(13, [(i, i) for i in range(13)])
+        target = str(tmp_path / "missing" / "x")
+        argv = ["connect", graph_file(g), "--k", "2", "--l", "3", "--out", target]
+        self._assert_cannot_write(argv, target, capsys)
+
+    def test_connect_stuck_report(self, graph_file, tmp_path, monkeypatch, capsys):
+        cert = make_certificate(path_graph(4), DegreeDemand((2, 2), (2, 2)), (0,))
+
+        def boom(graph, k, l):
+            raise TheoremContradictionError("no factor", report=cert)
+
+        monkeypatch.setattr(cli, "connected_k_factor", boom)
+        target = str(tmp_path / "missing" / "x")
+        argv = ["connect", graph_file(complete_bipartite(4, 4)), "--k", "2", "--l", "3",
+                "--out", target]
+        self._assert_cannot_write(argv, target, capsys)
+
+    def test_detect(self, graph_file, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "x")
+        argv = ["detect", graph_file(star_pair_graph(1, 2)), "--k", "1", "--l", "2",
+                "--out", target]
+        self._assert_cannot_write(argv, target, capsys)
+
+    def test_generate(self, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "x")
+        argv = ["generate", "--model", "double-cycle", "--n", "3", "--out", target]
+        self._assert_cannot_write(argv, target, capsys)
+
+
+def _run_main(argv):
+    """Exit code, stdout and stderr of one in-process main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, graph_file, tmp_path):
+        """main builds its parser once per process, and a reused parser
+        gives each call the outcome a freshly built one gives."""
+        path = graph_file(complete_bipartite(2, 2))
+        calls = [
+            ["factor", path, "--k", "1", "--out", str(tmp_path / "a.factor")],
+            ["factor", path, "--k", "one"],
+            ["threshold", "--k", "2", "--l", "3"],
+            ["factor", path, "--k", "1", "--out", str(tmp_path / "b.factor")],
+        ]
+        reused = []
+        parsers = set()
+        for argv in calls:
+            reused.append(_run_main(argv))
+            parsers.add(id(cli.build_parser()))
+        assert len(parsers) == 1
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(_run_main(argv))
+        assert reused == fresh
+        assert [rc for rc, _, _ in reused] == [0, 64, 0, 0]
+        assert "invalid int value: 'one'" in reused[1][2]
+        assert (tmp_path / "a.factor").read_text() == (tmp_path / "b.factor").read_text()
+
+
 class TestUsage:
     def test_no_command(self):
         with pytest.raises(SystemExit) as err:
@@ -443,6 +533,10 @@ def mutated_files(draw) -> bytes:
     return bytes(data)
 
 
+# Stands for an --out path inside a directory that does not exist.
+MISSING_DIR_OUT = "<missing>"
+
+
 @st.composite
 def command_lines(draw) -> list[str | None]:
     """An argv whose None stands for the graph file's path."""
@@ -458,6 +552,8 @@ def command_lines(draw) -> list[str | None]:
         argv += ["--l", draw(FUZZ_PARAMS)]
     if name == "connect" and draw(st.booleans()):
         argv.append("--hamilton")
+    if name != "classify" and draw(st.integers(0, 3)) == 0:
+        argv += ["--out", MISSING_DIR_OUT]
     return argv
 
 
@@ -483,15 +579,17 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(data=mutated_files(), argv=command_lines())
     def test_every_outcome_is_an_exit_code(self, data, argv):
-        """Mutated graph files and extreme arguments end in a documented
-        exit code; only argparse's and the loader's SystemExit(64) leave
-        main, and only verify exits 1."""
+        """Mutated graph files, extreme arguments and --out paths in a
+        missing directory end in a documented exit code; only the
+        SystemExit(64) of argparse, the loader and the writer leave main,
+        and only verify exits 1."""
         assume(not _declares_big_class(data))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "host.graph")
             with open(path, "wb") as fh:
                 fh.write(data)
-            argv = [path if a is None else a for a in argv]
+            missing = os.path.join(tmp, "missing", "out")
+            argv = [path if a is None else missing if a == MISSING_DIR_OUT else a for a in argv]
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 try:
                     rc = main(argv)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifactor import (
     BipartiteGraph,
@@ -28,7 +29,7 @@ from bifactor.errors import (
 )
 from bifactor.graph import MAX_CLASS_SIZE
 
-from conftest import bipartite_graphs
+from conftest import bipartite_graphs, reference_graph_init, reference_parse_graph
 
 K22_TEXT = "bipartite 2 2 4\n0 0\n0 1\n1 0\n1 1\n"
 
@@ -183,6 +184,120 @@ class TestParse:
     @settings(max_examples=60)
     def test_serialize_parse_round_trip(self, g):
         assert parse_graph(serialize_graph(g)) == g
+
+
+def _outcome(build, *args):
+    """The graph's fields, or the class, text and line of what it raised."""
+    try:
+        g = build(*args)
+    except Exception as exc:  # the reference's outcome may be any exception
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return g.n_x, g.n_y, g.edge_list, g.edge_set, g._adj_x, g._adj_y
+
+
+# Graph texts for the reader to mutate: canonical, unsorted, commented and
+# indented files, and one with a repeated edge.
+PARSE_SEEDS = [
+    serialize_graph(g)
+    for g in (
+        BipartiteGraph(0, 0, []),
+        complete_bipartite(2, 2),
+        path_graph(5),
+        double_graph(cycle_graph(3)),
+        complete_bipartite_minus_matching(5, [(i, i) for i in range(5)]),
+    )
+] + [
+    "# host\n\nbipartite 3 2 3\n# inner\n2 1\n  0 0\t\n\n1 1\n",
+    "bipartite 2 3 3\n1 2\n0 1\n1 2\n",
+]
+PARSE_CHARS = st.one_of(st.sampled_from("0123456789 -+#_\n\tbx"), st.characters())
+
+
+@st.composite
+def mutated_texts(draw) -> str:
+    """A seed text with lines after the first swapped or repeated, then
+    characters replaced, inserted or deleted."""
+    lines = draw(st.sampled_from(PARSE_SEEDS)).splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 2)) if len(lines) > 1 else 0):
+        i, j = draw(st.integers(1, len(lines) - 1)), draw(st.integers(1, len(lines) - 1))
+        if draw(st.booleans()):
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines.insert(j, lines[i])
+    text = list("".join(lines))
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        body = min(len(lines[0]), len(text))
+        i = draw(st.integers(draw(st.sampled_from((0, body))), len(text)))
+        if op == "insert":
+            text.insert(i, draw(PARSE_CHARS))
+        elif i < len(text):
+            if op == "delete":
+                del text[i]
+            else:
+                text[i] = draw(PARSE_CHARS)
+    return "".join(text)
+
+
+@st.composite
+def edge_inputs(draw):
+    """Class sizes and a maker of fresh edge iterables of one of four
+    kinds: unsorted, often repeated, and in half the cases with endpoints
+    from -1 to 5, so out of range."""
+    n_x, n_y = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if n_x and n_y and draw(st.booleans()):
+        pairs = st.tuples(st.integers(0, n_x - 1), st.integers(0, n_y - 1))
+    else:
+        pairs = st.tuples(st.integers(-1, 5), st.integers(-1, 5))
+    edges = draw(st.lists(pairs, max_size=12))
+    kind = draw(st.sampled_from(("list", "tuple", "generator", "set")))
+    if kind == "set":
+        edges = set(edges)
+        return n_x, n_y, lambda: edges
+    if kind == "generator":
+        return n_x, n_y, lambda: (e for e in edges)
+    return n_x, n_y, lambda: (tuple if kind == "tuple" else list)(edges)
+
+
+class TestAgainstFirstWritten:
+    """The one-pass reader and the bulk-validating constructor give the
+    outcome of the versions first written, kept in conftest.py: the same
+    graph fields, or the same exception class, text and line."""
+
+    @given(mutated_texts())
+    @settings(max_examples=600, deadline=None)
+    def test_parse_matches_reference(self, text):
+        assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
+
+    @given(edge_inputs())
+    @settings(max_examples=600, deadline=None)
+    def test_constructor_matches_reference(self, case):
+        n_x, n_y, make = case
+        assert _outcome(BipartiteGraph, n_x, n_y, make()) == _outcome(
+            reference_graph_init, n_x, n_y, make()
+        )
+
+    @pytest.mark.parametrize(
+        "text, error, line",
+        [
+            ("bipartite 2 2 2\n0 5\nq q\n", IndexOutOfRangeError, 2),
+            ("bipartite 2 2 3\n0 0\n0 0\n1\n", DuplicateEdgeError, 3),
+            ("bipartite 2 2 9\n-1 0\n", IndexOutOfRangeError, 2),
+            ("bipartite 2 2 3\n1 1\n0 0\n0 0\n", DuplicateEdgeError, 4),
+            ("# c\nbipartite 2 2 3\n1 1\n0 0\n", MalformedHeaderError, 2),
+        ],
+    )
+    def test_first_bad_line_is_named(self, text, error, line):
+        """An early bad edge is named before a later syntax error or the
+        header's edge count, as when every line was checked in turn."""
+        with pytest.raises(error) as err:
+            parse_graph(text)
+        assert err.value.line == line
+        assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
+
+    def test_list_edges_are_stored_as_tuples(self):
+        g = BipartiteGraph(2, 2, [[1, 0], [0, 1]])
+        assert g.edge_list == ((0, 1), (1, 0)) and g.has_edge(1, 0)
 
 
 class TestConstructions:
