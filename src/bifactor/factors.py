@@ -13,14 +13,16 @@ sides from scratch.
 
 Everything here is deterministic: augmentation scans every arc list lowest
 index first, so the same input always yields the same factor or the same
-certificate.
+certificate.  The flow's first phase is one greedy pass in that same order
+(each x by index takes its edges by y to every y with capacity left), which
+is exactly what that phase's search would do.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, compress, repeat
 
 from .errors import (
     DemandImbalanceError,
@@ -196,13 +198,39 @@ def _max_flow(graph: BipartiteGraph, demand: DegreeDemand) -> tuple[list[bool], 
     advances its pointer; a path that reaches the sink keeps its pointers
     and carries 1, as it alternates unit edge arcs.  A BFS that reaches
     the sink stops at the sink's layer, since nothing beyond it can.
+
+    The first phase runs as one greedy pass: each x by index takes its
+    edges by y to every y with ry[y] > 0 until rx[x] is 0.  That is the
+    phase itself.  With no edge used, every x with demand is at level 1
+    and every y it reaches at level 2, so the BFS either stops at the
+    sink's layer 3 or reaches no y with capacity.  No x gets level 3, so
+    y's held edges never give an admissible arc, and every path the
+    search finds is source, x, y, sink, taken in the order above.  A y
+    with no capacity left is a dead end for good.  Positions grow with x,
+    so appending to held[y] keeps it sorted.  When no y with capacity is
+    reachable the pass takes nothing, and the next BFS finds the levels
+    the first one would have.
     """
     n_x, n_y, m = graph.n_x, graph.n_y, graph.m
-    ex, ey = [x for x, _ in graph.edge_list], [y for _, y in graph.edge_list]
+    deg_x = graph.degrees()[0]
+    ey = list(chain.from_iterable(map(graph.neighbors_x, range(n_x))))
+    ex = list(chain.from_iterable(map(repeat, range(n_x), deg_x)))
     # x's edges sit at positions start[x] .. start[x + 1] - 1, by y
-    start = list(accumulate(map(len, map(graph.neighbors_x, range(n_x))), initial=0))
+    start = list(accumulate(deg_x, initial=0))
     held: list[list[int]] = [[] for _ in range(n_y)]  # y's used edge positions, by x
     used, rx, ry = [False] * m, list(demand.f_x), list(demand.f_y)
+    for x in range(n_x):  # the first phase
+        need = rx[x]
+        if need:
+            for i, y in enumerate(graph.neighbors_x(x), start[x]):
+                if ry[y]:
+                    ry[y] -= 1
+                    used[i] = True
+                    held[y].append(i)
+                    need -= 1
+                    if not need:
+                        break
+            rx[x] = need
     while True:
         lx, ly, lt = [1 if r else -1 for r in rx], [-1] * n_y, -1
         xs = [x for x in range(n_x) if rx[x]]
@@ -283,7 +311,7 @@ def find_f_factor(
     used, level_x = _max_flow(graph, demand)
     a = tuple(x for x in range(graph.n_x) if level_x[x] != -1)
     if not a:
-        return Factor(graph, [e for e, u in zip(graph.edge_list, used) if u])
+        return Factor(graph, compress(graph.edge_list, used))
     return _shrink(graph, demand, a)
 
 

@@ -323,6 +323,95 @@ class TestFlowIdentity:
         graph = complete_bipartite(n_x, n_y)
         assert _same_as_reference(graph, DegreeDemand.uniform(graph, 0)) == "factor"
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_first_phase_skips_full_y_on_complete_hosts(self, k):
+        """K(n,n) at uniform k: X0..X(k-1) fill Y0..Y(k-1), and every later
+        x lists those full Y vertices first and must pass over them."""
+        for n in range(k, 13):
+            graph = complete_bipartite(n, n)
+            assert _same_as_reference(graph, DegreeDemand.uniform(graph, k)) == "factor"
+
+    def test_first_phase_skips_full_y(self):
+        """Every x lists Y0 first, and Y0 (capacity 1 or 2) fills after
+        the first X vertices; the other demands are spread at random."""
+        outcomes: dict[str, int] = {}
+        for seed in range(300):
+            rng = random.Random(seed)
+            n_x, n_y = rng.randint(2, 12), rng.randint(2, 12)
+            edges = {(x, 0) for x in range(n_x)}
+            edges.update((x, y) for x in range(n_x) for y in range(1, n_y) if rng.random() < 0.5)
+            graph = BipartiteGraph(n_x, n_y, edges)
+            f_x = [rng.randint(1, 3) for _ in range(n_x)]
+            f_y = [rng.randint(1, 2)] + [0] * (n_y - 1)
+            for _ in range(sum(f_x) - f_y[0]):
+                f_y[rng.randrange(1, n_y)] += 1
+            got = _same_as_reference(graph, DegreeDemand(tuple(f_x), tuple(f_y)))
+            outcomes[got] = outcomes.get(got, 0) + 1
+        assert set(outcomes) == {"factor", "violator"}
+
+    def test_first_phase_demand_without_edges(self):
+        """Some X vertices have demand but no edge: the first phase takes
+        nothing at them, and the outcome is always a violator."""
+        for seed in range(200):
+            rng = random.Random(seed)
+            n_x, n_y = rng.randint(2, 10), rng.randint(1, 10)
+            bare = set(rng.sample(range(n_x), rng.randint(1, n_x - 1)))
+            edges = [(x, y) for x in range(n_x) for y in range(n_y) if rng.random() < 0.6]
+            graph = BipartiteGraph(n_x, n_y, [(x, y) for x, y in edges if x not in bare])
+            demand = balanced_demand(graph, rng.randint)
+            f_x, f_y = list(demand.f_x), list(demand.f_y)
+            donor = max(range(n_x), key=f_x.__getitem__)
+            if f_x[donor]:
+                f_x[donor] -= 1
+            else:
+                f_y[rng.randrange(n_y)] += 1
+            f_x[rng.choice(sorted(bare))] += 1
+            assert _same_as_reference(graph, DegreeDemand(tuple(f_x), tuple(f_y))) == "violator"
+
+    def test_first_phase_zero_capacity_y(self):
+        """Non-uniform demands with f(y) = 0 at some Y vertices, whose edges
+        the first phase must never take; one unit moved between two X
+        vertices makes some hosts infeasible."""
+        outcomes: dict[str, int] = {}
+        for seed in range(300):
+            rng = random.Random(seed)
+            n_x, n_y = rng.randint(1, 12), rng.randint(2, 12)
+            graph = BipartiteGraph(
+                n_x, n_y, [(x, y) for x in range(n_x) for y in range(n_y) if rng.random() < 0.5]
+            )
+            zero = set(rng.sample(range(n_y), rng.randint(1, n_y - 1)))
+            f_x, f_y = [0] * n_x, [0] * n_y
+            for x, y in graph.edge_list:
+                if y not in zero and rng.random() < 0.6:
+                    f_x[x] += 1
+                    f_y[y] += 1
+            a, b = rng.randrange(n_x), rng.randrange(n_x)
+            if f_x[a] and rng.random() < 0.5:
+                f_x[a] -= 1
+                f_x[b] += 1
+            got = _same_as_reference(graph, DegreeDemand(tuple(f_x), tuple(f_y)))
+            outcomes[got] = outcomes.get(got, 0) + 1
+        assert set(outcomes) == {"factor", "violator"}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_first_phase_saturates_disjoint_blocks(self, k):
+        """Disjoint K(k,k) blocks with shuffled labels at uniform k: the
+        first phase alone meets every demand."""
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = k * rng.randint(1, 8)
+            px, py = rng.sample(range(n), n), rng.sample(range(n), n)
+            blocks = [(i + a, i + b) for i in range(0, n, k) for a in range(k) for b in range(k)]
+            graph = BipartiteGraph(n, n, [(px[a], py[b]) for a, b in blocks])
+            assert _same_as_reference(graph, DegreeDemand.uniform(graph, k)) == "factor"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 57, 200])
+    def test_first_phase_leaves_chain_path(self, n):
+        """chain_host at k=1: the first phase matches X_i-Y_i for i < n-1,
+        which leaves X(n-1) the augmenting path through the whole chain."""
+        graph = chain_host(n)
+        assert _same_as_reference(graph, DegreeDemand.uniform(graph, 1)) == "factor"
+
     def test_chain_host_needs_no_recursion(self):
         """The one augmenting path of the last X vertex runs through all
         2n + 2 network nodes, deeper than the default recursion limit."""
