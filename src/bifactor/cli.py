@@ -7,7 +7,7 @@ Exit codes are part of the contract:
     2   certified non-existence (violator written)
     3   connectivity search stuck (report written)
     4   pipeline hypothesis violated
-    64  usage or parse error
+    64  usage or parse error, or out of memory
 
 Status goes to stdout; factors, certificates and reports go to files.
 """
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; a violated hypothesis exits 4, and any other
-    package error or ValueError is a usage error (64)."""
+    package error, ValueError or MemoryError exits 64."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
@@ -263,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_HYPOTHESIS
     except (BifactorError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return EXIT_USAGE
 
 

@@ -2,11 +2,17 @@
 
 A *link* is a host-graph edge joining two components of a factor.  The
 primary move removes one factor edge at each end of a link and re-adds the
-link plus one fresh cross edge, so it preserves every degree.  A move is
-accepted only when a component recount strictly decreases, so progress is
-measured, never assumed (removed edges can be bridges when the degree is
-odd).  An exchange only touches the two components at its link, so the
-recount is one traversal of their union.
+link plus one fresh cross edge, so it preserves every degree.
+
+For a k-regular factor with k >= 2 every such move merges the two
+components, so the loop proves progress instead of recounting.  Suppose
+x-u were a bridge of a k-regular bipartite component, and let C be x's
+side once it is removed, with parts P (holding x) and Q.  Counting C's
+edges from each part gives k|P| - 1 = k|Q|, impossible for k >= 2.  So
+dropping x-u2 and v2-y leaves the components A of x and B of y each
+connected, and adding x-y and v2-u2 joins them.  The fresh edge v2-u2
+runs between A and B, so it is never a factor edge.  For k <= 1 no
+exchange merges anything: a 1-factor's edges are all bridges.
 
 The connecting loop tries primary moves only.  The other natural
 exchange, swapping the factor neighbors of two same-side vertices in
@@ -15,20 +21,19 @@ vertices i1 and i2 (factor neighbors w1 and w2) drops i1-w1 and i2-w2
 and adds i1-w2 and i2-w1.  The added edge i1-w2 joins two components, so
 it is a link; w1 is a factor neighbor of i1 and i2 one of w2; so the
 primary candidate on link i1-w2 with fresh edge i2-w1 removes and adds
-the same four edges.  The Y side is symmetric.  Equal edge sets give
-equal recounts, so the primary scan finds a move whenever such a swap
-would help.
+the same four edges.  The Y side is symmetric.  So the primary scan
+finds a move whenever such a swap would help.
 
-The loop keeps one working copy of the factor (sorted adjacency, edge
-set, component labels and sizes), updates it in place after each move and
-builds a ``Factor`` once, at the end; its component count must equal the
-tracked one.
+The loop keeps one working copy of the factor (sorted adjacency,
+component labels and the members of each label), updates it in place
+after each move and builds a ``Factor`` once, at the end; its component
+count must equal the tracked one.
 
-A factor none of whose candidate moves helps is *stuck*.  Stuck states are
-audited, not asserted away: the report carries every link, whether the
-factor neighborhoods of each link are fully non-adjacent, and per-vertex
-degree tallies against the bounds that hold in a genuinely stuck state of
-a pattern-free graph.  When those bounds together cap a vertex's degree
+A factor on which no exchange merges two components is *stuck*.  Stuck
+states are audited, not asserted away: the report carries every link,
+whether the factor neighborhoods of each link are fully non-adjacent, and
+per-vertex degree tallies against the bounds that hold in a genuinely
+stuck state of a pattern-free graph.  When those bounds together cap a vertex's degree
 below the host's minimum degree, the stuck state is impossible under the
 stated hypotheses and the report flags the contradiction.
 """
@@ -42,7 +47,6 @@ from .errors import (
     HypothesisViolatedError,
     NotConnectedError,
     NotRegularError,
-    NotStuckError,
     ParamOrderError,
     StructureUnrecognizedError,
     TheoremContradictionError,
@@ -109,107 +113,68 @@ def find_links(graph: BipartiteGraph, factor: Factor) -> tuple[Link, ...]:
     return tuple(links)
 
 
-def apply_swap(factor: Factor, move: SwapMove) -> Factor:
-    edges = set(factor.edge_set)
-    for e in move.removed:
-        edges.remove(e)
-    for e in move.added:
-        edges.add(e)
-    return Factor(factor.host, edges)
-
-
 def _primary(x: int, u2: int, v2: int, y: int) -> SwapMove:
     return SwapMove("primary", ((x, u2), (v2, y)), ((x, y), (v2, u2)))
 
 
 class _Exchanger:
-    """Mutable working copy of a factor for the connecting loop.
+    """Mutable working copy of a k-regular factor for the connecting loop.
 
-    Holds sorted factor adjacency lists, the factor edge set, component
-    labels and component sizes; accepted exchanges update them in place.
-    Label ids are internal: merging keeps the X endpoint's id.
+    Holds sorted factor adjacency lists, component labels and the member
+    lists of each label; accepted exchanges update them in place.  Label
+    ids are internal: a merge relabels the smaller component with the
+    larger one's id.
     """
 
-    def __init__(self, graph: BipartiteGraph, factor: Factor):
+    def __init__(self, graph: BipartiteGraph, factor: Factor, k: int):
         self.graph = graph
+        self.k = k
         self.adj_x = [list(factor.neighbors_x(x)) for x in range(graph.n_x)]
         self.adj_y = [list(factor.neighbors_y(y)) for y in range(graph.n_y)]
-        self.edges = set(factor.edge_set)
         self.comp_x = list(factor.comp_x)
         self.comp_y = list(factor.comp_y)
-        self.size = [0] * factor.n_components
-        for c in self.comp_x + self.comp_y:
-            self.size[c] += 1
+        self.members: list[tuple[list[int], list[int]]] = [
+            ([], []) for _ in range(factor.n_components)
+        ]
+        for x, c in enumerate(self.comp_x):
+            self.members[c][0].append(x)
+        for y, c in enumerate(self.comp_y):
+            self.members[c][1].append(y)
         self.count = factor.n_components
 
-    def joined(self, x: int, u2: int, v2: int, y: int):
-        """Recount after dropping x-u2 and v2-y and adding x-y and v2-u2.
-
-        The exchange touches only the components of x and y, so one
-        traversal from x over the exchanged edges counts them: the two
-        merge exactly when it reaches both whole.  Returns the reached
-        (X, Y) vertex sets when they do, else None.
-        """
-        adj_x, adj_y = self.adj_x, self.adj_y
-        seen_x, seen_y = {x}, set()
-        xs, ys = [x], []
-        while xs:
-            for i in xs:
-                nbrs = adj_x[i]
-                if i == x:
-                    nbrs = [y] + [w for w in nbrs if w != u2]
-                elif i == v2:
-                    nbrs = [u2] + [w for w in nbrs if w != y]
-                for j in nbrs:
-                    if j not in seen_y:
-                        seen_y.add(j)
-                        ys.append(j)
-            xs = []
-            for j in ys:
-                nbrs = adj_y[j]
-                if j == y:
-                    nbrs = [x] + [w for w in nbrs if w != v2]
-                elif j == u2:
-                    nbrs = [v2] + [w for w in nbrs if w != x]
-                for i in nbrs:
-                    if i not in seen_x:
-                        seen_x.add(i)
-                        xs.append(i)
-            ys = []
-        need = self.size[self.comp_x[x]] + self.size[self.comp_y[y]]
-        return (seen_x, seen_y) if len(seen_x) + len(seen_y) == need else None
-
-    def first_exchange(self, x: int, y: int):
-        """First improving primary exchange on link (x, y): (u2, v2, reached).
+    def first_exchange(self, x: int, y: int) -> tuple[int, int] | None:
+        """First primary exchange on link (x, y): (u2, v2), or None.
 
         Candidates scan N_F(x) and N_F(y) in index order; the fresh edge
-        v2-u2 must exist in the host and be absent from the factor.
+        v2-u2 must exist in the host.  It runs between the two components,
+        so it is never a factor edge, and for k >= 2 the exchange merges
+        them (see the module docstring).
         """
-        host, edges = self.graph.edge_set, self.edges
+        host = self.graph.edge_set
+        nbrs_y = self.adj_y[y]
         for u2 in self.adj_x[x]:
-            for v2 in self.adj_y[y]:
-                fresh = (v2, u2)
-                if fresh not in host or fresh in edges:
-                    continue
-                reached = self.joined(x, u2, v2, y)
-                if reached is not None:
-                    return u2, v2, reached
+            for v2 in nbrs_y:
+                if (v2, u2) in host:
+                    return u2, v2
         return None
 
     def step(self) -> SwapMove | None:
-        """Apply the first improving exchange over all links, in (x, y) order."""
+        """Apply the first exchange over all links, in (x, y) order; None
+        when there is none or k < 2, where no exchange merges anything."""
+        if self.k < 2:
+            return None
         comp_x, comp_y = self.comp_x, self.comp_y
         for x, y in self.graph.edge_list:
             if comp_x[x] == comp_y[y]:
                 continue
             found = self.first_exchange(x, y)
             if found is not None:
-                u2, v2, reached = found
-                self._apply(x, u2, v2, y, reached)
+                u2, v2 = found
+                self._apply(x, u2, v2, y)
                 return _primary(x, u2, v2, y)
         return None
 
-    def _apply(self, x: int, u2: int, v2: int, y: int, reached) -> None:
+    def _apply(self, x: int, u2: int, v2: int, y: int) -> None:
         adj_x, adj_y = self.adj_x, self.adj_y
         for adj, a, old, new in (
             (adj_x, x, u2, y),
@@ -219,27 +184,21 @@ class _Exchanger:
         ):
             adj[a].remove(old)
             insort(adj[a], new)
-        self.edges.difference_update(((x, u2), (v2, y)))
-        self.edges.update(((x, y), (v2, u2)))
-        cu, cv = self.comp_x[x], self.comp_y[y]
-        for i in reached[0]:
-            self.comp_x[i] = cu
-        for j in reached[1]:
-            self.comp_y[j] = cu
-        self.size[cu] += self.size[cv]
-        self.size[cv] = 0
+        keep, gone = self.comp_x[x], self.comp_y[y]
+        kept, moved = self.members[keep], self.members[gone]
+        if len(kept[0]) + len(kept[1]) < len(moved[0]) + len(moved[1]):
+            keep, gone, kept, moved = gone, keep, moved, kept
+        for i in moved[0]:
+            self.comp_x[i] = keep
+        for j in moved[1]:
+            self.comp_y[j] = keep
+        kept[0].extend(moved[0])
+        kept[1].extend(moved[1])
+        self.members[gone] = ([], [])
         self.count -= 1
 
-
-def try_primary_swap(graph: BipartiteGraph, factor: Factor, link: Link) -> SwapMove | None:
-    """First primary move on ``link`` that strictly lowers the component count.
-
-    Candidates scan the factor neighbors of both endpoints in index order;
-    the fresh edge must exist in the host and be absent from the factor.
-    """
-    x, y = link.u.index, link.v.index
-    found = _Exchanger(graph, factor).first_exchange(x, y)
-    return None if found is None else _primary(x, found[0], found[1], y)
+    def factor(self) -> Factor:
+        return Factor(self.graph, [(x, y) for x, ys in enumerate(self.adj_x) for y in ys])
 
 
 # -- stuck-state reporting -----------------------------------------------------
@@ -354,19 +313,6 @@ def _build_stuck_report(
     )
 
 
-def stuck_audit(graph: BipartiteGraph, factor: Factor, k: int, l: int) -> StuckReport:
-    """Full report for a factor on which no move helps.
-
-    NotStuckError when an improving move still exists (a same-side
-    neighbor swap is always a primary candidate, see the module docstring).
-    """
-    if factor.n_components <= 1:
-        raise NotStuckError("factor is connected")
-    if _Exchanger(graph, factor).step() is not None:
-        raise NotStuckError("an improving move still exists")
-    return _build_stuck_report(graph, factor, k, l)
-
-
 def serialize_stuck_report(report: StuckReport) -> str:
     lines = []
     for link in report.links:
@@ -405,31 +351,39 @@ def connect_factor(
 ) -> Factor | StuckReport:
     """Drive a regular factor to one component, or report the stuck state.
 
-    Links are scanned in (x, y) order; the first strictly improving primary
-    move is applied and the scan restarts.  ``l`` only feeds the stuck
+    Links are scanned in (x, y) order; the first primary move with a fresh
+    host edge is applied and the scan restarts.  ``l`` only feeds the stuck
     report's degree bounds.  ``trace`` (when a list) collects (move, count)
     pairs as moves are accepted.
+
+    The host's connectivity is checked only when the factor is not regular
+    or the loop ends with more than one component, so NotConnectedError
+    still comes before NotRegularError.  A spanning factor of a
+    disconnected host can never reach one component, so such a host always
+    raises NotConnectedError, but ``trace`` may by then hold the moves the
+    loop made inside the host's components.
     """
+    k = factor.regularity()
+    if k is not None:
+        state = _Exchanger(graph, factor, k)
+        while state.count > 1:
+            move = state.step()
+            if move is None:
+                break
+            if trace is not None:
+                trace.append((move, state.count))
+        current = state.factor()
+        if current.n_components != state.count:
+            raise AssertionError(
+                f"tracked {state.count} components, factor has {current.n_components}"
+            )
+        if current.n_components <= 1:
+            return current
     if not graph.is_connected():
         raise NotConnectedError("host graph is disconnected; no factor can connect it")
-    k = factor.regularity()
     if k is None:
         raise NotRegularError("connectivity search expects a regular factor")
-    state = _Exchanger(graph, factor)
-    while state.count > 1:
-        move = state.step()
-        if move is None:
-            break
-        if trace is not None:
-            trace.append((move, state.count))
-    current = Factor(graph, state.edges)
-    if current.n_components != state.count:
-        raise AssertionError(
-            f"tracked {state.count} components, factor has {current.n_components}"
-        )
-    if current.n_components > 1:
-        return _build_stuck_report(graph, current, k, l)
-    return current
+    return _build_stuck_report(graph, current, k, l)
 
 
 # -- pipelines -----------------------------------------------------------------

@@ -78,10 +78,6 @@ class BudgetExceededError(BifactorError):
     pass
 
 
-class NotStuckError(BifactorError):
-    """A stuck-state audit was requested for a factor that still has moves."""
-
-
 class HypothesisViolatedError(BifactorError):
     """An input fails one of a pipeline's stated preconditions.
 

@@ -32,7 +32,6 @@ from bifactor import (
     SwapMove,
     VertexRef,
     ViolatorCertificate,
-    apply_swap,
     audit_certificate,
     find_links,
     make_certificate,
@@ -221,6 +220,17 @@ def reference_secondary_moves(graph: BipartiteGraph, factor: Factor) -> Iterator
                         added = (cross1, cross2)
                         if _count_after(graph, factor, removed, added) < base:
                             yield SwapMove("secondary", removed, added)
+
+
+def apply_swap(factor: Factor, move: SwapMove) -> Factor:
+    """The factor after ``move``, rebuilt from its edge set, as the
+    package's own move helper was first written."""
+    edges = set(factor.edge_set)
+    for e in move.removed:
+        edges.remove(e)
+    for e in move.added:
+        edges.add(e)
+    return Factor(factor.host, edges)
 
 
 def reference_connect(

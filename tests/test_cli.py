@@ -323,6 +323,18 @@ class TestGenerateCommand:
         assert proc.stdout == ""
 
 
+    def test_out_of_memory_without_traceback(self, monkeypatch, capsys):
+        """A dense model near the class-size cap can exhaust memory while
+        its edges are built; main reports that instead of a traceback."""
+
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "generate", exhausted)
+        assert main(["generate", "--model", "k-minus-matching", "--n", "4"]) == 64
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+
 class TestThresholdCommand:
     @pytest.mark.parametrize(
         "argv, expected",

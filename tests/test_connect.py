@@ -16,7 +16,6 @@ from bifactor import (
     GenSpec,
     StuckReport,
     SwapMove,
-    apply_swap,
     check_factor,
     complete_bipartite,
     complete_bipartite_minus_matching,
@@ -31,24 +30,24 @@ from bifactor import (
     hamilton_s13,
     path_graph,
     serialize_stuck_report,
-    stuck_audit,
     threshold_c,
     threshold_c_prime,
     threshold_c_raw,
-    try_primary_swap,
 )
-from bifactor.connect import _build_stuck_report, _weave_quotient_cycle
+from bifactor.connect import _build_stuck_report, _Exchanger, _weave_quotient_cycle
 from bifactor.errors import (
     HypothesisViolatedError,
+    NotConnectedError,
     NotRegularError,
-    NotStuckError,
     ParamOrderError,
 )
 
 from conftest import (
+    apply_swap,
     assert_regular_spanning,
     block_host,
     block_hosts,
+    component_count,
     reference_connect,
     reference_secondary_moves,
 )
@@ -116,27 +115,33 @@ class TestMoves:
 
     def test_primary_swap_blocked_without_fresh_edge(self, two_squares_linked):
         g, f = two_squares_linked
-        (link,) = find_links(g, f)
-        assert try_primary_swap(g, f, link) is None
+        trace: list = []
+        assert isinstance(connect_factor(g, f, l=3, trace=trace), StuckReport)
+        assert trace == []
 
     def test_primary_swap_merges_components(self, two_squares_in_k44):
         g, f = two_squares_in_k44
+        trace: list = []
+        out = connect_factor(g, f, trace=trace)
+        ((move, count),) = trace
+        assert move.kind == "primary" and count == 1
         link = find_links(g, f)[0]
-        move = try_primary_swap(g, f, link)
-        assert move is not None and move.kind == "primary"
+        assert move.added[0] == (link.u.index, link.v.index)
         assert set(move.removed) <= f.edge_set
         assert not set(move.added) & f.edge_set
         assert set(move.added) <= g.edge_set
         merged = apply_swap(f, move)
         assert merged.n_components == 1
         assert merged.regularity() == 2
+        assert merged == out
 
 
 class TestStuck:
     def test_audit_of_genuinely_stuck_state(self, two_squares_linked):
         g, f = two_squares_linked
-        report = stuck_audit(g, f, 2, 3)
+        report = connect_factor(g, f, l=3)
         assert isinstance(report, StuckReport)
+        assert report.factor == f
         assert len(report.links) == 1
         assert report.neighborhoods_isolated
         assert report.min_degree == 2
@@ -144,7 +149,7 @@ class TestStuck:
 
     def test_audit_bounds(self, two_squares_linked):
         g, f = two_squares_linked
-        report = stuck_audit(g, f, 2, 3)
+        report = connect_factor(g, f, l=3)
         outside = [r for r in report.degree_audits if r.name == "outside-own-component"]
         inside = [r for r in report.degree_audits if r.name == "inside-own-component"]
         assert len(outside) == 8  # one per vertex
@@ -156,17 +161,19 @@ class TestStuck:
     def test_not_stuck_when_connected(self):
         g = complete_bipartite(2, 2)
         f = Factor(g, list(g.edge_list))
-        with pytest.raises(NotStuckError):
-            stuck_audit(g, f, 2, 2)
+        trace: list = []
+        assert connect_factor(g, f, l=2, trace=trace) == f
+        assert trace == []
 
     def test_not_stuck_when_move_exists(self, two_squares_in_k44):
         g, f = two_squares_in_k44
-        with pytest.raises(NotStuckError):
-            stuck_audit(g, f, 2, 3)
+        out = connect_factor(g, f, l=3)
+        assert isinstance(out, Factor) and out.n_components == 1
 
     def test_serialization(self, two_squares_linked):
         g, f = two_squares_linked
-        text = serialize_stuck_report(stuck_audit(g, f, 2, 3))
+        text = serialize_stuck_report(connect_factor(g, f, l=3))
+        assert text == serialize_stuck_report(_build_stuck_report(g, f, 2, 3))
         assert "LINK X0 Y2 " in text
         assert "EQ10 X0 Y2 HOLDS" in text
         assert "EQ10 ALL HOLDS" in text
@@ -225,9 +232,24 @@ class TestConnectLoop:
 
     def test_rejects_disconnected_host(self):
         g = BipartiteGraph(4, 4, SQUARE_A + SQUARE_B)
-        with pytest.raises(Exception) as err:
+        with pytest.raises(NotConnectedError):
             connect_factor(g, Factor(g, SQUARE_A + SQUARE_B))
-        assert "connected" in str(err.value)
+
+    def test_disconnected_host_after_moves(self):
+        """The loop first merges what it can inside one host component;
+        the leftover components then show the host is disconnected, and
+        the trace keeps the accepted move."""
+        far = [(4, 4), (4, 5), (5, 4), (5, 5)]
+        g = BipartiteGraph(6, 6, [(x, y) for x in range(4) for y in range(4)] + far)
+        trace: list = []
+        with pytest.raises(NotConnectedError):
+            connect_factor(g, Factor(g, SQUARE_A + SQUARE_B + far), trace=trace)
+        assert [count for _, count in trace] == [2]
+
+    def test_disconnected_host_before_irregular_factor(self):
+        g = BipartiteGraph(4, 4, SQUARE_A + SQUARE_B)
+        with pytest.raises(NotConnectedError):
+            connect_factor(g, Factor(g, [(0, 0)]))
 
     def test_rejects_irregular_factor(self, two_squares_in_k44):
         g, _ = two_squares_in_k44
@@ -285,7 +307,7 @@ def _secondary_moves_subsumed(graph: BipartiteGraph, factor: Factor) -> int:
     """Check that every improving secondary move of the reference scan is
     an improving primary candidate on the link it adds first; return how
     many were checked."""
-    links = {(link.u.index, link.v.index): link for link in find_links(graph, factor)}
+    links = {(link.u.index, link.v.index) for link in find_links(graph, factor)}
     checked = 0
     for move in reference_secondary_moves(graph, factor):
         (x, y), (b, a) = move.added
@@ -294,7 +316,7 @@ def _secondary_moves_subsumed(graph: BipartiteGraph, factor: Factor) -> int:
         primary = SwapMove("primary", ((x, a), (b, y)), ((x, y), (b, a)))
         assert set(primary.removed) == set(move.removed)
         assert apply_swap(factor, primary).n_components < factor.n_components
-        assert try_primary_swap(graph, factor, links[x, y]) is not None
+        assert _Exchanger(graph, factor, factor.regularity()).first_exchange(x, y) is not None
         checked += 1
     return checked
 
@@ -311,6 +333,72 @@ class TestSecondarySubsumed:
             for seed in range(100)
         )
         assert checked > 0
+
+
+def random_regular_edges(rng: random.Random, k: int) -> tuple[int, list[tuple[int, int]]]:
+    """(n, edges) of a k-regular bipartite n+n graph: one or two blocks,
+    each k cyclic shifts of a matching mixed by random degree-preserving
+    switches, under a random relabelling of the union."""
+    n, edges = 0, []
+    for _ in range(rng.randint(1, 2)):
+        size = rng.randint(k + 1, k + 3)
+        block = {(i, (i + t) % size) for i in range(size) for t in range(k)}
+        for _ in range(size * k):
+            (a, b), (c, d) = rng.sample(sorted(block), 2)
+            if (a, d) not in block and (c, b) not in block:
+                block -= {(a, b), (c, d)}
+                block |= {(a, d), (c, b)}
+        edges += [(n + x, n + y) for x, y in block]
+        n += size
+    px, py = rng.sample(range(n), n), rng.sample(range(n), n)
+    return n, sorted((px[x], py[y]) for x, y in edges)
+
+
+def _assert_bridges_match_degree(n_x: int, n_y: int, edges, k: int) -> None:
+    """Removing one edge of a k-regular graph splits its component exactly
+    when k == 1; counted by union-find, not by the package."""
+    base = component_count(n_x, n_y, edges)
+    for e in edges:
+        rest = [f for f in edges if f != e]
+        assert component_count(n_x, n_y, rest) == base + (k == 1), (e, k)
+
+
+class TestExchangeLemma:
+    """The loop applies the first candidate without recounting, because a
+    k-regular bipartite graph has no bridge when k >= 2."""
+
+    @given(block_hosts())
+    @settings(max_examples=100, deadline=None)
+    def test_block_factors(self, host):
+        _, factor = host
+        _assert_bridges_match_degree(
+            factor.n_x, factor.n_y, factor.edge_list, factor.regularity()
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_seeded_regular_graphs(self, k):
+        counts = set()
+        for seed in range(40):
+            n, edges = random_regular_edges(random.Random(seed), k)
+            counts.add(min(component_count(n, n, edges), 2))
+            _assert_bridges_match_degree(n, n, edges, k)
+        # a perfect matching on 2+ vertices a side is never connected
+        assert counts == ({1, 2} if k > 1 else {2})
+
+    @pytest.mark.parametrize("square_first", [False, True])
+    def test_merge_relabels_the_smaller_component(self, square_first):
+        """An 8-cycle and a square in K(6,6), the square holding either end
+        of the first link: the square's labels change, the cycle's do not."""
+        g = complete_bipartite(6, 6)
+        c, q = (2, 0) if square_first else (0, 4)
+        cycle = [(c + x, c + y) for x in range(4) for y in (x, (x + 1) % 4)]
+        square = [(q + x, q + y) for x in (0, 1) for y in (0, 1)]
+        f = Factor(g, cycle + square)
+        big = f.comp_x[c]
+        state = _Exchanger(g, f, 2)
+        assert state.step() is not None
+        assert state.comp_x[c : c + 4] == [big] * 4 and state.comp_y[c : c + 4] == [big] * 4
+        assert set(state.comp_x) == set(state.comp_y) == {big}
 
 
 class TestCycleOrder:
@@ -405,8 +493,9 @@ class TestHamilton:
             squares += [(x, x), (x + 3, x + 3), (x, x + 3), (x + 3, x)]
         f = Factor(g, squares)
         assert f.n_components == 3
-        # sanity: the state really offers no move, so the audit accepts it
-        report = stuck_audit(g, f, 2, 3)
+        # sanity: the state really offers no move, so the loop reports it
+        report = connect_factor(g, f, l=3)
+        assert isinstance(report, StuckReport) and report.factor == f
         assert report.neighborhoods_isolated
         woven = _weave_quotient_cycle(g, f)
         assert woven is not None
