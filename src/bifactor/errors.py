@@ -50,10 +50,6 @@ class NotRegularError(BifactorError):
     pass
 
 
-class SOutOfRangeError(BifactorError):
-    pass
-
-
 class NotConnectedError(BifactorError):
     pass
 

@@ -1,9 +1,9 @@
 """Degree-constrained spanning subgraphs of bipartite graphs.
 
-Existence is decided by a unit-capacity flow run on the graph itself:
-source -> x with capacity f(x), x -> y per edge, y -> sink with capacity
-f(y).  A saturating flow yields the factor; a shortfall yields a set A of
-X-vertices whose demand exceeds what its neighborhood can absorb:
+Existence is decided by a unit-capacity flow run on the graph's own
+adjacency: source -> x with capacity f(x), x -> y per edge, y -> sink with
+capacity f(y).  A saturating flow yields the factor; a shortfall yields a
+set A of X-vertices whose demand exceeds what its neighborhood can absorb:
 
     sum_{x in A} f(x)  >  sum_{y in N(A)} min(f(y), deg_A(y))
 
@@ -11,26 +11,26 @@ That inequality is the violator certificate.  Certificates are always
 re-derivable from the graph alone, and audit_certificate recomputes both
 sides from scratch.
 
-Everything here is deterministic: augmentation scans every arc list lowest
-index first, so the same input always yields the same factor or the same
-certificate.  The flow's first phase is one greedy pass in that same order
-(each x by index takes its edges by y to every y with capacity left), which
-is exactly what that phase's search would do.
+The flow keeps its residual state per vertex: the y's of each x's used
+edges, the x's holding an edge at each y, and the demand left at each
+vertex.  Everything here is deterministic: augmentation scans every arc
+list lowest index first, so the same input always yields the same factor
+or the same certificate.  The flow's first phase is one greedy pass in that
+same order (each x by index takes its edges to the lowest-indexed y's with
+capacity left), which is exactly what that phase's search would take,
+whichever of N(x) and the list of y's with capacity it walks to find them.
+A BFS layer whose y's with capacity are reached from the sink side labels
+only those y's: the rest of the layer is dead ends the search would only
+step past.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
 
-from .errors import (
-    DemandImbalanceError,
-    FakeCertificateError,
-    NotRegularError,
-    SOutOfRangeError,
-)
-from .graph import BipartiteGraph, Edge, Factor
+from .errors import DemandImbalanceError, FakeCertificateError
+from .graph import BipartiteGraph, Factor
 
 
 @dataclass(frozen=True)
@@ -184,112 +184,169 @@ def _shrink(
 # -- flow -------------------------------------------------------------------
 
 
-def _max_flow(graph: BipartiteGraph, demand: DegreeDemand) -> tuple[list[bool], list[int]]:
-    """Unit-capacity Dinic (Even and Tarjan, 1975) on the graph itself: a
-    used flag per position in graph.edge_list, and the X levels of the last
+def _max_flow(
+    graph: BipartiteGraph, demand: DegreeDemand
+) -> tuple[list[set[int]], list[int]]:
+    """Unit-capacity Dinic (Even and Tarjan, 1975) on the graph's own
+    adjacency: the y's of each x's used edges, and the X levels of the last
     BFS (-1 exactly when the source cannot reach x; all -1 exactly when
     the flow saturates).
 
-    Residual state is the remaining source and sink capacity rx[x] and
-    ry[y] and the used flags.  A phase walks paths source, x, y, x, ...,
-    sink with current-arc pointers, taking arcs in a fixed order: at the
-    source x by index; at x its edges by y; at y its used edges by x, then
-    the sink arc.  An inadmissible arc, or one ending in a dead end,
-    advances its pointer; a path that reaches the sink keeps its pointers
-    and carries 1, as it alternates unit edge arcs.  A BFS that reaches
-    the sink stops at the sink's layer, since nothing beyond it can.
+    Residual state is kept per vertex, with no per-edge array: ux[x] holds
+    the y's of x's used edges, held[y] the x's holding an edge at y in
+    ascending order, rx[x] and ry[y] the demand left, and open_ys the y's
+    with ry[y] > 0 in ascending order.  A phase walks paths source, x, y,
+    x, ..., sink with current-arc pointers, taking arcs in a fixed order:
+    at the source x by index; at x its unused edges by y; at y its used
+    edges by x, then the sink arc.  The pointer at x is an index into
+    graph.neighbors_x(x); the one at y is the least x still to try, n_x
+    standing for the sink arc.  An inadmissible arc, or one ending in a
+    dead end, advances its pointer; a path that reaches the sink keeps its
+    pointers and carries 1, as it alternates unit edge arcs.  A BFS that
+    reaches the sink stops at the sink's layer, since nothing beyond it
+    can.
 
     The first phase runs as one greedy pass: each x by index takes its
-    edges by y to every y with ry[y] > 0 until rx[x] is 0.  That is the
-    phase itself.  With no edge used, every x with demand is at level 1
-    and every y it reaches at level 2, so the BFS either stops at the
-    sink's layer 3 or reaches no y with capacity.  No x gets level 3, so
-    y's held edges never give an admissible arc, and every path the
+    edges to the lowest-indexed y's with ry[y] > 0 until rx[x] is 0.  That
+    is the phase itself.  With no edge used, every x with demand is at
+    level 1 and every y it reaches at level 2, so the BFS either stops at
+    the sink's layer 3 or reaches no y with capacity.  No x gets level 3,
+    so y's held edges never give an admissible arc, and every path the
     search finds is source, x, y, sink, taken in the order above.  A y
-    with no capacity left is a dead end for good.  Positions grow with x,
-    so appending to held[y] keeps it sorted.  When no y with capacity is
+    with no capacity left is a dead end for good.  The y's that x takes
+    are the first rx[x] of N(x) that are also in open_ys, so the pass
+    walks whichever of the two lists is shorter, probing ry along N(x) or
+    graph.edge_set along open_ys, and stops once rx[x] is met.  Along N(x)
+    it only counts the y's that fill (stale); the open_ys walk prunes them
+    first and removes the y's it fills itself.  When no y with capacity is
     reachable the pass takes nothing, and the next BFS finds the levels
     the first one would have.
+
+    Before it scans Y layer d from the X frontier, the BFS tests the y's
+    of open_ys for an unused edge to the frontier when their total degree
+    is below the frontier's.  If some are reached, only they get level d
+    and the BFS ends.  The layer's other y's have no capacity, and no x
+    has level d + 1, so they are dead ends: each time the search entered
+    one it would find no admissible arc and advance the pointer of the x
+    it came from, just as skipping it does.  So each phase augments along
+    the same paths as with the full layer.
     """
-    n_x, n_y, m = graph.n_x, graph.n_y, graph.m
-    deg_x = graph.degrees()[0]
-    ey = list(chain.from_iterable(map(graph.neighbors_x, range(n_x))))
-    ex = list(chain.from_iterable(map(repeat, range(n_x), deg_x)))
-    # x's edges sit at positions start[x] .. start[x + 1] - 1, by y
-    start = list(accumulate(deg_x, initial=0))
-    held: list[list[int]] = [[] for _ in range(n_y)]  # y's used edge positions, by x
-    used, rx, ry = [False] * m, list(demand.f_x), list(demand.f_y)
+    n_x, n_y = graph.n_x, graph.n_y
+    adj = list(map(graph.neighbors_x, range(n_x)))
+    deg_x, deg_y = graph.degrees()
+    edge_set = graph.edge_set
+    rx, ry = list(demand.f_x), list(demand.f_y)
+    ux: list = [frozenset()] * n_x  # an x without demand never holds an edge
+    held: list[list[int]] = [[] for _ in range(n_y)]
+    open_ys, stale = [y for y in range(n_y) if ry[y]], 0
     for x in range(n_x):  # the first phase
         need = rx[x]
-        if need:
-            for i, y in enumerate(graph.neighbors_x(x), start[x]):
+        if not need:
+            continue
+        used = ux[x] = set()
+        if len(adj[x]) <= len(open_ys) - stale:
+            for y in adj[x]:
                 if ry[y]:
                     ry[y] -= 1
-                    used[i] = True
-                    held[y].append(i)
+                    if not ry[y]:
+                        stale += 1
+                    used.add(y)
+                    held[y].append(x)
                     need -= 1
                     if not need:
                         break
-            rx[x] = need
+        else:
+            if stale:
+                open_ys, stale = [y for y in open_ys if ry[y]], 0
+            for y in open_ys:
+                if (x, y) in edge_set:
+                    used.add(y)
+                    need -= 1
+                    if not need:
+                        break
+            for y in used:
+                ry[y] -= 1
+                if not ry[y]:
+                    del open_ys[bisect_left(open_ys, y)]
+                held[y].append(x)
+        rx[x] = need
+    if stale:
+        open_ys = [y for y in open_ys if ry[y]]
+    open_deg = sum(map(deg_y.__getitem__, open_ys))
     while True:
         lx, ly, lt = [1 if r else -1 for r in rx], [-1] * n_y, -1
         xs = [x for x in range(n_x) if rx[x]]
+        reach = sum(map(deg_x.__getitem__, xs))  # the frontier's total degree
         while xs:
             d = lx[xs[0]] + 1
+            if open_deg < reach:  # the layer's y's with capacity, from the sink side
+                for y in open_ys:
+                    for x in graph.neighbors_y(y):
+                        if lx[x] == d - 1 and x not in held[y]:
+                            ly[y], lt = d, d + 1
+                            break
+                if lt != -1:
+                    break
             ys = []
             for x in xs:
-                for i in range(start[x], start[x + 1]):
-                    y = ey[i]
-                    if ly[y] == -1 and not used[i]:
+                used = ux[x]
+                for y in adj[x]:
+                    if ly[y] == -1 and y not in used:
                         ly[y] = d
                         ys.append(y)
                         if ry[y]:
                             lt = d + 1
             if lt != -1:
                 break
-            xs = []
+            xs, reach = [], 0
             for y in ys:
-                for i in held[y]:
-                    if lx[ex[i]] == -1:
-                        lx[ex[i]] = d + 1
-                        xs.append(ex[i])
+                for x in held[y]:
+                    if lx[x] == -1:
+                        lx[x] = d + 1
+                        xs.append(x)
+                        reach += deg_x[x]
         if lt == -1:
-            return used, lx
-        itx, ity = start[:], [0] * n_y  # next arc as an edge position; at y, m is the sink arc
+            return ux, lx
+        itx, ity = [0] * n_x, [0] * n_y
         for x0 in range(n_x):
-            path = [x0] if lx[x0] == 1 else []  # the path's X vertices; y = ey[itx[x]]
+            path = [x0] if lx[x0] == 1 else []  # the path's X vertices; y = adj[x][itx[x]]
             while path and rx[x0]:
                 x = path[-1]
-                i, end, want = itx[x], start[x + 1], lx[x] + 1
-                while i < end and (used[i] or ly[ey[i]] != want):
+                nbrs, used, i, want = adj[x], ux[x], itx[x], lx[x] + 1
+                end = len(nbrs)
+                while i < end and (ly[y := nbrs[i]] != want or y in used):
                     i += 1
                 itx[x] = i
                 if i == end:
                     path.pop()
                     if path:
-                        ity[ey[itx[path[-1]]]] += 1
+                        ity[adj[path[-1]][itx[path[-1]]]] += 1
                     continue
-                y, j, want = ey[i], ity[ey[i]], want + 1
-                for r in held[y]:  # y's unused edges have no residual arc from y
-                    if r >= j and lx[ex[r]] == want:
-                        ity[y] = r
-                        path.append(ex[r])
+                j, want = ity[y], want + 1
+                for w in held[y]:  # y's unused edges have no residual arc from y
+                    if w >= j and lx[w] == want:
+                        ity[y] = w
+                        path.append(w)
                         break
                 else:
-                    if j <= m and ry[y] and lt == want:
-                        ity[y] = m
+                    if j <= n_x and ry[y] and lt == want:
+                        ity[y] = n_x
                         for v in path:
-                            i = itx[v]
-                            if ity[ey[i]] < m:
-                                used[ity[ey[i]]] = False
-                                held[ey[i]].remove(ity[ey[i]])
-                            used[i] = True
-                            insort(held[ey[i]], i)
+                            z = adj[v][itx[v]]
+                            w = ity[z]
+                            if w < n_x:
+                                ux[w].remove(z)
+                                held[z].remove(w)
+                            ux[v].add(z)
+                            insort(held[z], v)
                         rx[x0] -= 1
                         ry[y] -= 1
+                        if not ry[y]:
+                            del open_ys[bisect_left(open_ys, y)]
+                            open_deg -= deg_y[y]
                         path = [x0]
                     else:
-                        ity[y] = m + 1  # past the sink arc
+                        ity[y] = n_x + 1  # past the sink arc
                         itx[x] += 1
 
 
@@ -308,41 +365,11 @@ def find_f_factor(
         raise DemandImbalanceError(
             f"total X demand {sum(demand.f_x)} != total Y demand {sum(demand.f_y)}"
         )
-    used, level_x = _max_flow(graph, demand)
+    ux, level_x = _max_flow(graph, demand)
     a = tuple(x for x in range(graph.n_x) if level_x[x] != -1)
     if not a:
-        return Factor(graph, compress(graph.edge_list, used))
+        return Factor(graph, [(x, y) for x in range(graph.n_x) for y in ux[x]])
     return _shrink(graph, demand, a)
-
-
-# -- regular decomposition -----------------------------------------------------
-
-
-def regular_decompose(factor: Factor, s: int) -> Factor:
-    """An s-regular spanning subgraph of a t-regular factor, 0 <= s <= t.
-
-    The factor splits into t edge-disjoint perfect matchings; the union of
-    the first s of them is returned, each the flow's 1-factor of the edges
-    the earlier ones left.
-    """
-    t = factor.regularity()
-    if t is None:
-        raise NotRegularError("factor is not regular")
-    if not (0 <= s <= t):
-        raise SOutOfRangeError(f"s={s} outside [0, {t}]")
-    host = factor.host
-    if t > 0 and host.n_x != host.n_y:
-        raise NotRegularError("a positive-degree regular factor needs balanced classes")
-    rest = set(factor.edge_list)
-    chosen: list[Edge] = []
-    for _ in range(s):
-        sub = BipartiteGraph(host.n_x, host.n_y, rest)
-        matching = find_f_factor(sub, DegreeDemand.uniform(sub, 1))
-        if isinstance(matching, ViolatorCertificate):
-            raise NotRegularError("matching extraction failed; factor degrees inconsistent")
-        chosen.extend(matching.edge_list)
-        rest.difference_update(matching.edge_list)
-    return Factor(host, chosen)
 
 
 # -- certificate text format ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Demands, violator certificates, the flow solver, and decomposition."""
+"""Demands, violator certificates and the flow solver."""
 
 from __future__ import annotations
 
@@ -24,17 +24,11 @@ from bifactor import (
     make_certificate,
     parse_factor,
     path_graph,
-    regular_decompose,
     serialize_certificate,
     serialize_factor,
     shrink_violator,
 )
-from bifactor.errors import (
-    DemandImbalanceError,
-    FakeCertificateError,
-    NotRegularError,
-    SOutOfRangeError,
-)
+from bifactor.errors import DemandImbalanceError, FakeCertificateError, NotRegularError
 from bifactor.factors import _shrink
 from bifactor.generators import SplitMix64
 
@@ -42,7 +36,6 @@ from conftest import (
     assert_regular_spanning,
     balanced_demand,
     bipartite_graphs,
-    block_host,
     chain_host,
     reference_f_factor,
     reference_shrink_violator,
@@ -412,6 +405,120 @@ class TestFlowIdentity:
         graph = chain_host(n)
         assert _same_as_reference(graph, DegreeDemand.uniform(graph, 1)) == "factor"
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_first_phase_walks_open_list_on_minus_matching_hosts(self, k):
+        """K(n,n) minus a shuffled perfect matching at uniform k: the y's
+        fill in index order, so from about the third x on fewer y's have
+        capacity than x has neighbours.  Those x's walk the list of open
+        y's and probe the edge set, skipping their missing partner, and
+        must still take the lowest open y's."""
+        for n in range(k + 1, 31):
+            rng = random.Random(100 * k + n)
+            graph = complete_bipartite_minus_matching(n, list(enumerate(rng.sample(range(n), n))))
+            assert _same_as_reference(graph, DegreeDemand.uniform(graph, k)) == "factor"
+
+    def test_first_phase_walks_open_list_on_unequal_sides(self):
+        """Dense hosts of 8-30 X against 30-60 Y vertices where only 2-6
+        y's have demand: from the first x on the open list is the shorter
+        one, and it loses y's as they fill."""
+        outcomes: dict[str, int] = {}
+        for seed in range(120):
+            rng = random.Random(seed)
+            n_x, n_y = rng.randint(8, 30), rng.randint(30, 60)
+            graph = BipartiteGraph(
+                n_x, n_y, [(x, y) for x in range(n_x) for y in range(n_y) if rng.random() < 0.7]
+            )
+            hot = rng.sample(range(n_y), rng.randint(2, 6))
+            f_x, f_y = [rng.randint(0, 3) for _ in range(n_x)], [0] * n_y
+            for _ in range(sum(f_x)):
+                f_y[rng.choice(hot)] += 1
+            got = _same_as_reference(graph, DegreeDemand(tuple(f_x), tuple(f_y)))
+            outcomes[got] = outcomes.get(got, 0) + 1
+        assert set(outcomes) == {"factor", "violator"}
+
+    def test_sink_side_check_ends_the_bfs(self):
+        """Hosts of edge density 0.3-0.9 where the first phase leaves a few
+        x's short: a later BFS layer holds most x's, while the few y's with
+        capacity have far smaller total degree, so they are tested from
+        the sink side and, when reached, are the only y's of the last
+        layer.  With
+        non-uniform demands several of them are reached at once, and each
+        must be labelled."""
+        outcomes: dict[str, int] = {}
+        for seed in range(150):
+            rng = random.Random(seed)
+            n, p = rng.randint(8, 24), rng.uniform(0.3, 0.9)
+            graph = BipartiteGraph(
+                n, n, [(x, y) for x in range(n) for y in range(n) if rng.random() < p]
+            )
+            f_x = [rng.randint(1, 4) for _ in range(n)]
+            f_y = f_x[:]
+            rng.shuffle(f_y)
+            got = _same_as_reference(graph, DegreeDemand(tuple(f_x), tuple(f_y)))
+            outcomes[got] = outcomes.get(got, 0) + 1
+        assert set(outcomes) == {"factor", "violator"}
+
+    def test_sink_side_check_misses_then_scans(self):
+        """A random block with a perfect matching, plus X(n), whose one edge
+        goes to a block y, and Y(n), whose one edge comes from a block x,
+        at demand 1: the first phase mostly leaves X(n) short and Y(n)
+        open.  Y(n) has degree 1, below any frontier's past X(n) alone, so
+        each layer tests it from the sink side first and, until the
+        frontier holds its neighbour, finds it unreached and scans the
+        layer top-down."""
+        outcomes: dict[str, int] = {}
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(3, 14)
+            edges = {(x, y) for x in range(n) for y in range(n) if rng.random() < 0.3}
+            edges.update((x, x) for x in range(n))
+            edges.update({(n, rng.randrange(n)), (rng.randrange(n), n)})
+            graph = BipartiteGraph(n + 1, n + 1, edges)
+            got = _same_as_reference(graph, DegreeDemand.uniform(graph, 1))
+            outcomes[got] = outcomes.get(got, 0) + 1
+        assert set(outcomes) == {"factor", "violator"}
+
+    def test_zero_demands_on_both_sides(self):
+        """Non-uniform demands with zeros among the X and the Y vertices:
+        the first phase skips those x's, open_ys leaves out those y's, and
+        neither ever holds an edge; one unit moved between two X vertices
+        makes some hosts infeasible."""
+        outcomes: dict[str, int] = {}
+        for seed in range(300):
+            rng = random.Random(seed)
+            n_x, n_y = rng.randint(2, 12), rng.randint(2, 12)
+            graph = BipartiteGraph(
+                n_x, n_y, [(x, y) for x in range(n_x) for y in range(n_y) if rng.random() < 0.6]
+            )
+            zero_x = set(rng.sample(range(n_x), rng.randint(1, n_x - 1)))
+            zero_y = set(rng.sample(range(n_y), rng.randint(1, n_y - 1)))
+            f_x, f_y = [0] * n_x, [0] * n_y
+            for x, y in graph.edge_list:
+                if x not in zero_x and y not in zero_y and rng.random() < 0.6:
+                    f_x[x] += 1
+                    f_y[y] += 1
+            live = sorted(set(range(n_x)) - zero_x)
+            a, b = rng.choice(live), rng.choice(live)
+            if f_x[a] and rng.random() < 0.5:
+                f_x[a] -= 1
+                f_x[b] += 1
+            assert not any(f_x[x] for x in zero_x) and not any(f_y[y] for y in zero_y)
+            got = _same_as_reference(graph, DegreeDemand(tuple(f_x), tuple(f_y)))
+            outcomes[got] = outcomes.get(got, 0) + 1
+        assert set(outcomes) == {"factor", "violator"}
+
+    @given(st.integers(2, 9), st.integers(2, 9), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_dense_hosts(self, n_x, n_y, data):
+        """Complete hosts with a few edges removed, and demands from a
+        random edge subset with a few unit transfers: both first-phase
+        walks, multi-phase searches and the sink-side check."""
+        cells = [(x, y) for x in range(n_x) for y in range(n_y)]
+        missing = data.draw(st.sets(st.sampled_from(cells), max_size=max(n_x, n_y)))
+        graph = BipartiteGraph(n_x, n_y, [e for e in cells if e not in missing])
+        demand = balanced_demand(graph, lambda lo, hi: data.draw(st.integers(lo, hi)))
+        _same_as_reference(graph, demand)
+
     def test_chain_host_needs_no_recursion(self):
         """The one augmenting path of the last X vertex runs through all
         2n + 2 network nodes, deeper than the default recursion limit."""
@@ -474,71 +581,6 @@ class TestShrinkIdentity:
             n = _same_shrink(graph, demand, tuple(range(n_x)))
             passes[n] = passes.get(n, 0) + 1
         assert passes.get(1, 0) > 0 and passes.get(2, 0) > 0 and passes.get(3, 0) > 0
-
-
-class TestDecompose:
-    def test_split_off_matchings(self, k33):
-        factor = find_f_factor(k33, DegreeDemand.uniform(k33, 3))
-        for s in (0, 1, 2, 3):
-            sub = regular_decompose(factor, s)
-            assert sub.regularity() == (s if s else 0)
-            assert set(sub.edge_list) <= set(factor.edge_list)
-            assert len(sub.edge_list) == 3 * s
-
-    def test_deterministic(self, k33):
-        factor = find_f_factor(k33, DegreeDemand.uniform(k33, 2))
-        a = regular_decompose(factor, 1)
-        b = regular_decompose(factor, 1)
-        assert a.edge_list == b.edge_list
-
-    def test_range_checks(self, k33):
-        factor = find_f_factor(k33, DegreeDemand.uniform(k33, 2))
-        with pytest.raises(SOutOfRangeError):
-            regular_decompose(factor, 3)
-        with pytest.raises(SOutOfRangeError):
-            regular_decompose(factor, -1)
-
-    def test_rejects_irregular(self, k33):
-        lopsided = Factor(k33, [(0, 0), (0, 1), (1, 2)])
-        with pytest.raises(NotRegularError):
-            regular_decompose(lopsided, 1)
-
-    def test_seeded_sweep_nests_disjoint_matchings(self):
-        """t-regular factors (t 1-3) from block hosts and from unions of
-        random disjoint perfect matchings: the result for s is s-regular,
-        spanning, inside the factor and inside the result for s + 1, so
-        the factor splits into t disjoint perfect matchings."""
-        factors = []
-        for seed in range(150):
-            factors.append(block_host(random.Random(seed).randint)[1])
-            factors.append(_matching_union(random.Random(seed)))
-        assert {f.regularity() for f in factors} == {1, 2, 3}
-        for factor in factors:
-            t = factor.regularity()
-            subs = [regular_decompose(factor, s) for s in range(t + 1)]
-            for s, sub in enumerate(subs):
-                assert_regular_spanning(factor.host, sub, s)
-                assert set(sub.edge_list) <= set(factor.edge_list)
-                assert regular_decompose(factor, s).edge_list == sub.edge_list
-                if s < t:
-                    assert set(sub.edge_list) <= set(subs[s + 1].edge_list)
-            assert subs[t].edge_list == factor.edge_list
-
-
-def _matching_union(rng: random.Random) -> Factor:
-    """A union of t random pairwise disjoint perfect matchings on n + n
-    vertices, as a factor of a host with a few more random edges."""
-    t = rng.randint(1, 3)
-    n = rng.randint(t, 9)
-    edges: set[tuple[int, int]] = set()
-    while len(edges) < t * n:
-        perm = list(range(n))
-        rng.shuffle(perm)
-        matching = {(x, perm[x]) for x in range(n)}
-        if not matching & edges:
-            edges |= matching
-    extra = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))}
-    return Factor(BipartiteGraph(n, n, edges | extra), edges)
 
 
 class TestFactorText:
