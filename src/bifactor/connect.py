@@ -25,9 +25,10 @@ the same four edges.  The Y side is symmetric.  So the primary scan
 finds a move whenever such a swap would help.
 
 The loop keeps one working copy of the factor (sorted adjacency,
-component labels and the members of each label), updates it in place
-after each move and builds a ``Factor`` once, at the end; its component
-count must equal the tracked one.
+component labels, and the members of each label as listed by
+``_component_vertex_sets``, which the Hamilton weave reads too), updates
+it in place after each move and builds a ``Factor`` once, at the end;
+its component count must equal the tracked one.
 
 A factor on which no exchange merges two components is *stuck*.  Stuck
 states are audited, not asserted away: the report carries every link,
@@ -41,6 +42,7 @@ stated hypotheses and the report flags the contradiction.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -117,6 +119,16 @@ def _primary(x: int, u2: int, v2: int, y: int) -> SwapMove:
     return SwapMove("primary", ((x, u2), (v2, y)), ((x, y), (v2, u2)))
 
 
+def _component_vertex_sets(factor: Factor) -> list[tuple[list[int], list[int]]]:
+    """Per component: (sorted X indices, sorted Y indices)."""
+    out: list[tuple[list[int], list[int]]] = [([], []) for _ in range(factor.n_components)]
+    for x, c in enumerate(factor.comp_x):
+        out[c][0].append(x)
+    for y, c in enumerate(factor.comp_y):
+        out[c][1].append(y)
+    return out
+
+
 class _Exchanger:
     """Mutable working copy of a k-regular factor for the connecting loop.
 
@@ -133,13 +145,7 @@ class _Exchanger:
         self.adj_y = [list(factor.neighbors_y(y)) for y in range(graph.n_y)]
         self.comp_x = list(factor.comp_x)
         self.comp_y = list(factor.comp_y)
-        self.members: list[tuple[list[int], list[int]]] = [
-            ([], []) for _ in range(factor.n_components)
-        ]
-        for x, c in enumerate(self.comp_x):
-            self.members[c][0].append(x)
-        for y, c in enumerate(self.comp_y):
-            self.members[c][1].append(y)
+        self.members = _component_vertex_sets(factor)
         self.count = factor.n_components
 
     def first_exchange(self, x: int, y: int) -> tuple[int, int] | None:
@@ -241,6 +247,19 @@ class StuckReport:
     contradiction_vertices: tuple[VertexRef, ...]
 
 
+def _foreign_labels(
+    graph: BipartiteGraph, factor: Factor
+) -> Iterator[tuple[VertexRef, list[int]]]:
+    """Per vertex, X0.. then Y0..: the component labels of its host
+    neighbours outside its own component, one per neighbour."""
+    for side, own, other, nbrs in (
+        ("X", factor.comp_x, factor.comp_y, graph.neighbors_x),
+        ("Y", factor.comp_y, factor.comp_x, graph.neighbors_y),
+    ):
+        for i, c in enumerate(own):
+            yield VertexRef(side, i), [other[w] for w in nbrs(i) if other[w] != c]
+
+
 def _build_stuck_report(
     graph: BipartiteGraph, factor: Factor, k: int, l: int | None
 ) -> StuckReport:
@@ -257,37 +276,30 @@ def _build_stuck_report(
     bound_in = None if l is None else k * bound_out + l - 1
 
     audits: list[DegreeAuditRecord] = []
-    for v in graph.vertices():
-        own = factor.component_of(v)
-        other_comp = factor.other_side_components(v)
-        outside = sum(1 for w in graph.neighbors(v) if other_comp[w] != own)
+    outside: dict[VertexRef, int] = {}
+    for v, foreign in _foreign_labels(graph, factor):
+        outside[v] = len(foreign)
         audits.append(
             DegreeAuditRecord(
                 "outside-own-component",
                 v,
-                outside,
+                outside[v],
                 bound_out,
-                None if bound_out is None else outside <= bound_out,
+                None if bound_out is None else outside[v] <= bound_out,
             )
         )
-    endpoint_seen = set()
-    for link in links:
-        for v in (link.u, link.v):
-            if v in endpoint_seen:
-                continue
-            endpoint_seen.add(v)
-            own = factor.component_of(v)
-            other_comp = factor.other_side_components(v)
-            inside = sum(1 for w in graph.neighbors(v) if other_comp[w] == own)
-            audits.append(
-                DegreeAuditRecord(
-                    "inside-own-component",
-                    v,
-                    inside,
-                    bound_in,
-                    None if bound_in is None else inside <= bound_in,
-                )
+    endpoints = dict.fromkeys(v for link in links for v in (link.u, link.v))
+    for v in endpoints:
+        inside = len(graph.neighbors(v)) - outside[v]
+        audits.append(
+            DegreeAuditRecord(
+                "inside-own-component",
+                v,
+                inside,
+                bound_in,
+                None if bound_in is None else inside <= bound_in,
             )
+        )
 
     delta = graph.min_degree()
     contradiction_vertices: tuple[VertexRef, ...] = ()
@@ -296,9 +308,7 @@ def _build_stuck_report(
         # link endpoint's degree is capped by their sum; a cap under the
         # minimum degree is impossible.
         if bound_out + bound_in < delta:
-            contradiction_vertices = tuple(
-                sorted(endpoint_seen, key=lambda v: v.sort_key)
-            )
+            contradiction_vertices = tuple(sorted(endpoints))
     return StuckReport(
         factor=factor,
         links=links,
@@ -448,14 +458,30 @@ def _hypotheses(
         raise HypothesisViolatedError(
             "balance", f"classes have sizes {graph.n_x} and {graph.n_y}"
         )
-    if graph.min_degree() < min_degree:
-        raise HypothesisViolatedError(
-            "min_degree", f"minimum degree {graph.min_degree()} < {min_degree}"
-        )
+    delta = graph.min_degree()
+    if delta < min_degree:
+        raise HypothesisViolatedError("min_degree", f"minimum degree {delta} < {min_degree}")
     if not is_skl_free(graph, k, l):
         raise HypothesisViolatedError(
             "skl_free", f"graph contains an induced ({k},{l}) star pair"
         )
+
+
+def _regular_factor_connected(
+    graph: BipartiteGraph, k: int, l: int, min_degree: int, degree: int, name: str
+) -> Factor | StuckReport:
+    """The head both pipelines share: check the hypotheses (connected,
+    balanced, minimum degree at least ``min_degree``, no induced (k, l)
+    star pair), find a ``degree``-regular factor by flow and run the
+    connecting loop on it.  ``name`` names the degree in the message of the
+    TheoremContradictionError a certificate raises."""
+    _hypotheses(graph, k, l, min_degree)
+    got = find_f_factor(graph, DegreeDemand.uniform(graph, degree))
+    if isinstance(got, ViolatorCertificate):
+        raise TheoremContradictionError(
+            f"no {name}-regular factor despite satisfied hypotheses", report=got
+        )
+    return connect_factor(graph, got, l=l)
 
 
 def connected_k_factor(graph: BipartiteGraph, k: int, l: int) -> Factor:
@@ -466,14 +492,7 @@ def connected_k_factor(graph: BipartiteGraph, k: int, l: int) -> Factor:
     a stuck state under these hypotheses is impossible, so either raises
     TheoremContradictionError and the caller should treat it as a bug.
     """
-    c = threshold_c(k, l)
-    _hypotheses(graph, k, l, c)
-    got = find_f_factor(graph, DegreeDemand.uniform(graph, k))
-    if isinstance(got, ViolatorCertificate):
-        raise TheoremContradictionError(
-            "no k-regular factor despite satisfied hypotheses", report=got
-        )
-    result = connect_factor(graph, got, l=l)
+    result = _regular_factor_connected(graph, k, l, threshold_c(k, l), k, "k")
     if isinstance(result, StuckReport):
         raise TheoremContradictionError(
             "connectivity search stuck despite satisfied hypotheses", report=result
@@ -482,31 +501,19 @@ def connected_k_factor(graph: BipartiteGraph, k: int, l: int) -> Factor:
     return result
 
 
-def _component_vertex_sets(factor: Factor) -> list[tuple[list[int], list[int]]]:
-    """Per component: (sorted X indices, sorted Y indices)."""
-    n = factor.n_components
-    out: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n)]
-    for x, c in enumerate(factor.comp_x):
-        out[c][0].append(x)
-    for y, c in enumerate(factor.comp_y):
-        out[c][1].append(y)
-    return out
-
-
-def _weave_quotient_cycle(graph: BipartiteGraph, factor: Factor) -> Factor | None:
+def _weave_quotient_cycle(
+    graph: BipartiteGraph, comps: list[tuple[list[int], list[int]]]
+) -> Factor | None:
     """Hamilton cycle of a stuck all-quadrilateral state, if the shape fits.
 
-    Requirements checked here: every component is a 4-cycle; between two
-    components all host edges run one way only (Y half of one to X half of
-    the other) and, when present, form the full 2x2 pattern; the component
-    quotient under these arcs is a single directed cycle.  Walking that
-    cycle and traversing each quadrilateral in full yields the Hamilton
-    cycle.
+    ``comps`` lists the components as ``_component_vertex_sets`` does, and
+    each must have two vertices a side (the caller checks).  Requirements
+    checked here: between two components all host edges run one way only
+    (Y half of one to X half of the other) and, when present, form the
+    full 2x2 pattern; the component quotient under these arcs is a single
+    directed cycle.  Walking that cycle and traversing each quadrilateral
+    in full yields the Hamilton cycle.
     """
-    comps = _component_vertex_sets(factor)
-    for xs, ys in comps:
-        if len(xs) != 2 or len(ys) != 2:
-            return None
     n = len(comps)
     succ = [-1] * n
     pred = [-1] * n
@@ -557,13 +564,7 @@ def hamilton_s13(graph: BipartiteGraph) -> Factor:
     quotient is a cycle, and the explicit Hamilton cycle is woven from it.
     StructureUnrecognizedError (carrying the stuck report) otherwise.
     """
-    _hypotheses(graph, 1, 3, 4)
-    got = find_f_factor(graph, DegreeDemand.uniform(graph, 2))
-    if isinstance(got, ViolatorCertificate):
-        raise TheoremContradictionError(
-            "no 2-regular factor despite satisfied hypotheses", report=got
-        )
-    result = connect_factor(graph, got, l=3)
+    result = _regular_factor_connected(graph, 1, 3, 4, 2, "2")
     if isinstance(result, Factor):
         check_factor(graph, result, 2, connected=True)
         return result
@@ -574,15 +575,13 @@ def hamilton_s13(graph: BipartiteGraph) -> Factor:
             "stuck with a component larger than a quadrilateral", report=report
         )
     # every vertex may see at most one foreign component
-    for v in graph.vertices():
-        own = report.factor.component_of(v)
-        other_comp = report.factor.other_side_components(v)
-        foreign = {other_comp[w] for w in graph.neighbors(v) if other_comp[w] != own}
-        if len(foreign) > 1:
+    for v, foreign in _foreign_labels(graph, report.factor):
+        seen = len(set(foreign)) + 1
+        if seen > 2:
             raise StructureUnrecognizedError(
-                f"vertex {v.label} sees {len(foreign) + 1} components", report=report
+                f"vertex {v.label} sees {seen} components", report=report
             )
-    woven = _weave_quotient_cycle(graph, report.factor)
+    woven = _weave_quotient_cycle(graph, comps)
     if woven is None:
         raise StructureUnrecognizedError(
             "quadrilateral components do not chain into a cycle", report=report

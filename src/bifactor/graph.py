@@ -34,9 +34,12 @@ from .errors import (
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class VertexRef:
-    """A vertex named by its side ('X' or 'Y') and 0-based index."""
+    """A vertex named by its side ('X' or 'Y') and 0-based index.
+
+    Vertices order X before Y, then by index.
+    """
 
     side: str
     index: int
@@ -44,10 +47,6 @@ class VertexRef:
     def __post_init__(self):
         if self.side not in ("X", "Y"):
             raise ValueError(f"side must be 'X' or 'Y', got {self.side!r}")
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (0 if self.side == "X" else 1, self.index)
 
     @property
     def label(self) -> str:
@@ -261,13 +260,6 @@ class Factor(BipartiteGraph):
 
     def is_connected(self) -> bool:
         return self.n_components == 1
-
-    def component_of(self, v: VertexRef) -> int:
-        return self.comp_x[v.index] if v.side == "X" else self.comp_y[v.index]
-
-    def other_side_components(self, v: VertexRef) -> tuple[int, ...]:
-        """Component ids of the side opposite v, indexed like neighbors(v)."""
-        return self.comp_y if v.side == "X" else self.comp_x
 
     def __eq__(self, other) -> bool:
         return (

@@ -11,14 +11,24 @@ the loop as first written, which rebuilds the factor after every move
 and recounts every candidate from scratch with union-find, and the flow
 solver's factor and violator by the flow network as first written, with
 a recursive augmenting search, the violator shrink as first written,
-which re-evaluates every trial set from scratch, and the graph reader
-and constructor as first written, which check every edge line by line.
+which re-evaluates every trial set from scratch, the graph reader
+and constructor as first written, which check every edge line by line,
+and the stuck report as first written, which looks up each vertex's
+component through per-vertex accessors and scans its neighbourhood
+again for the inside count.
+
+Every test runs under a time limit: a test that hangs ends the run with
+a traceback of every thread and a nonzero exit instead of stalling it.
 """
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
 from collections.abc import Iterator
 from itertools import combinations
+from typing import TextIO
 
 import pytest
 from hypothesis import strategies as st
@@ -36,7 +46,7 @@ from bifactor import (
     find_links,
     make_certificate,
 )
-from bifactor.connect import _build_stuck_report
+from bifactor.connect import DegreeAuditRecord, LinkIsolation
 from bifactor.errors import (
     DuplicateEdgeError,
     FakeCertificateError,
@@ -46,6 +56,35 @@ from bifactor.errors import (
 )
 from bifactor.factors import _evaluate_violation
 from bifactor.graph import MAX_CLASS_SIZE
+
+# Seconds one test may run, from the setup of the fixtures it needs, of
+# every scope, to its teardown; the slowest, test_criterion_5's module
+# fixtures, take about 10 s.
+TEST_TIME_LIMIT = 300
+_STDERR = pytest.StashKey[TextIO]()
+
+
+def pytest_configure(config):
+    # While a test runs, output capture points fd 2 at a temporary file,
+    # which the exit below would discard; keep a copy of the real stderr.
+    config.stash[_STDERR] = os.fdopen(os.dup(sys.stderr.fileno()), "w")
+
+
+def pytest_unconfigure(config):
+    config.stash[_STDERR].close()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Dump every thread's traceback and exit the run when a test hangs
+    (pytest-timeout is not a dependency).  A hook, not an autouse
+    fixture, because module-scoped fixtures are set up before any
+    function-scoped one."""
+    faulthandler.dump_traceback_later(
+        TEST_TIME_LIMIT, exit=True, file=item.config.stash[_STDERR]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 # -- graph strategies ----------------------------------------------------------
@@ -251,12 +290,99 @@ def reference_connect(
             reference_secondary_moves(graph, current), None
         )
         if move is None:
-            return _build_stuck_report(graph, current, k, l), trace
+            return reference_stuck_report(graph, current, k, l), trace
         current = apply_swap(current, move)
         if component_count(graph.n_x, graph.n_y, current.edge_list) != current.n_components:
             raise AssertionError("factor labels disagree with the recount")
         trace.append((move, current.n_components))
     return current, trace
+
+
+def _component_of(factor: Factor, v: VertexRef) -> int:
+    return factor.comp_x[v.index] if v.side == "X" else factor.comp_y[v.index]
+
+
+def _other_side_components(factor: Factor, v: VertexRef) -> tuple[int, ...]:
+    """Component ids of the side opposite v, indexed like neighbors(v)."""
+    return factor.comp_y if v.side == "X" else factor.comp_x
+
+
+def reference_stuck_report(
+    graph: BipartiteGraph, factor: Factor, k: int, l: int | None
+) -> StuckReport:
+    """The stuck report as first written: each vertex's component and the
+    other side's labels come from per-vertex accessors (here the
+    Factor.component_of and Factor.other_side_components methods as first
+    written, as functions), a link endpoint's inside count scans its
+    neighbourhood a second time, and contradiction vertices sort by an
+    explicit (side, index) key."""
+    links = find_links(graph, factor)
+    isolation = []
+    for link in links:
+        n_u = factor.neighbors_x(link.u.index)  # Y vertices
+        n_v = factor.neighbors_y(link.v.index)  # X vertices
+        joining = tuple(
+            (a, b) for a in n_v for b in n_u if graph.has_edge(a, b)
+        )
+        isolation.append(LinkIsolation(link, joining))
+    bound_out = None if l is None else (k * k - k + 1) * (2 * l - 2 * k - 1)
+    bound_in = None if l is None else k * bound_out + l - 1
+
+    audits: list[DegreeAuditRecord] = []
+    for v in graph.vertices():
+        own = _component_of(factor, v)
+        other_comp = _other_side_components(factor, v)
+        outside = sum(1 for w in graph.neighbors(v) if other_comp[w] != own)
+        audits.append(
+            DegreeAuditRecord(
+                "outside-own-component",
+                v,
+                outside,
+                bound_out,
+                None if bound_out is None else outside <= bound_out,
+            )
+        )
+    endpoint_seen = set()
+    for link in links:
+        for v in (link.u, link.v):
+            if v in endpoint_seen:
+                continue
+            endpoint_seen.add(v)
+            own = _component_of(factor, v)
+            other_comp = _other_side_components(factor, v)
+            inside = sum(1 for w in graph.neighbors(v) if other_comp[w] == own)
+            audits.append(
+                DegreeAuditRecord(
+                    "inside-own-component",
+                    v,
+                    inside,
+                    bound_in,
+                    None if bound_in is None else inside <= bound_in,
+                )
+            )
+
+    delta = graph.min_degree()
+    contradiction_vertices: tuple[VertexRef, ...] = ()
+    if l is not None and links:
+        # In a genuinely stuck pattern-free state both bounds apply, so a
+        # link endpoint's degree is capped by their sum; a cap under the
+        # minimum degree is impossible.
+        if bound_out + bound_in < delta:
+            contradiction_vertices = tuple(
+                sorted(endpoint_seen, key=lambda v: (0 if v.side == "X" else 1, v.index))
+            )
+    return StuckReport(
+        factor=factor,
+        links=links,
+        isolation=tuple(isolation),
+        neighborhoods_isolated=all(rec.isolated for rec in isolation),
+        degree_audits=tuple(audits),
+        k=k,
+        l=l,
+        min_degree=delta,
+        contradiction=bool(contradiction_vertices),
+        contradiction_vertices=contradiction_vertices,
+    )
 
 
 class _RecursiveFlowNet:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bifactor.connect
 from bifactor import (
     BipartiteGraph,
     DegreeDemand,
@@ -34,12 +35,18 @@ from bifactor import (
     threshold_c_prime,
     threshold_c_raw,
 )
-from bifactor.connect import _build_stuck_report, _Exchanger, _weave_quotient_cycle
+from bifactor.connect import (
+    _build_stuck_report,
+    _component_vertex_sets,
+    _Exchanger,
+    _weave_quotient_cycle,
+)
 from bifactor.errors import (
     HypothesisViolatedError,
     NotConnectedError,
     NotRegularError,
     ParamOrderError,
+    StructureUnrecognizedError,
 )
 
 from conftest import (
@@ -50,6 +57,7 @@ from conftest import (
     component_count,
     reference_connect,
     reference_secondary_moves,
+    reference_stuck_report,
 )
 
 SQUARE_A = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -110,7 +118,7 @@ class TestMoves:
     def test_no_links_inside_components(self, two_squares_in_k44):
         g, f = two_squares_in_k44
         links = find_links(g, f)
-        assert all(f.component_of(k.u) != f.component_of(k.v) for k in links)
+        assert all(f.comp_x[k.u.index] != f.comp_y[k.v.index] for k in links)
         assert len(links) == 8  # every cross edge of K_{4,4}
 
     def test_primary_swap_blocked_without_fresh_edge(self, two_squares_linked):
@@ -206,6 +214,65 @@ class TestStuck:
         report = _build_stuck_report(g, f, 2, None)
         assert all(r.bound is None and r.ok is None for r in report.degree_audits)
         assert not report.contradiction
+
+
+def random_factor_state(rng: random.Random) -> tuple[BipartiteGraph, Factor]:
+    """A host on up to 9+9 vertices and a k-regular factor of it, k 1-3.
+
+    The factor is blocks of k cyclic shifts of a matching, each block at
+    least k a side, under a random relabelling; every other cell is a host
+    edge with one probability drawn per state.
+    """
+    k = rng.randint(1, 3)
+    n = left = rng.randint(k, 9)
+    factor_edges, start = [], 0
+    while left:
+        size = rng.randint(k, left)
+        if left - size < k:
+            size = left
+        factor_edges += [(start + i, start + (i + t) % size) for i in range(size) for t in range(k)]
+        start, left = start + size, left - size
+    px, py = rng.sample(range(n), n), rng.sample(range(n), n)
+    factor_edges = [(px[x], py[y]) for x, y in factor_edges]
+    p = rng.random()
+    cells = [(x, y) for x in range(n) for y in range(n) if rng.random() < p]
+    graph = BipartiteGraph(n, n, set(factor_edges) | set(cells))
+    return graph, Factor(graph, factor_edges)
+
+
+def _report_as_reference(graph: BipartiteGraph, factor: Factor, l: int | None) -> StuckReport:
+    k = factor.regularity()
+    report = _build_stuck_report(graph, factor, k, l)
+    want = reference_stuck_report(graph, factor, k, l)
+    assert serialize_stuck_report(report) == serialize_stuck_report(want)
+    assert report == want
+    return report
+
+
+class TestStuckReportReference:
+    """Stuck reports are byte-identical to the report as first written, on
+    factors with and without links, and with and without a contradiction.
+    On these hosts the two degree bounds sum below the minimum degree only
+    for l <= 3."""
+
+    @pytest.mark.parametrize("l", [None, 2, 3, 5])
+    def test_seeded_regular_factors(self, l):
+        reports = [
+            _report_as_reference(*random_factor_state(random.Random(seed)), l)
+            for seed in range(300)
+        ]
+        assert {r.factor.regularity() for r in reports} == {1, 2, 3}
+        assert any(r.links for r in reports) and not all(r.links for r in reports)
+        assert any(r.contradiction for r in reports) == (l in (2, 3))
+
+    @pytest.mark.parametrize("l", [None, 2, 3, 5])
+    def test_block_host_corpus(self, l):
+        reports = [
+            _report_as_reference(*block_host(random.Random(seed).randint), l)
+            for seed in range(300)
+        ]
+        assert all(r.links for r in reports)
+        assert any(r.contradiction for r in reports) == (l in (2, 3))
 
 
 class TestConnectLoop:
@@ -497,7 +564,7 @@ class TestHamilton:
         report = connect_factor(g, f, l=3)
         assert isinstance(report, StuckReport) and report.factor == f
         assert report.neighborhoods_isolated
-        woven = _weave_quotient_cycle(g, f)
+        woven = _weave_quotient_cycle(g, _component_vertex_sets(f))
         assert woven is not None
         assert_regular_spanning(g, woven, 2, connected=True)
 
@@ -515,3 +582,42 @@ class TestHamilton:
         with pytest.raises(HypothesisViolatedError) as err:
             hamilton_s13(g)
         assert err.value.hypothesis == "skl_free"
+
+    @staticmethod
+    def _assert_unrecognized(monkeypatch, g, factor_edges, message):
+        """hamilton_s13 on ``g`` when the connecting loop reports the factor
+        of ``factor_edges`` as stuck, whatever factor the flow found."""
+        f = Factor(g, factor_edges)
+
+        def stuck(graph, factor, l=None):
+            return _build_stuck_report(graph, f, 2, l)
+
+        monkeypatch.setattr(bifactor.connect, "connect_factor", stuck)
+        with pytest.raises(StructureUnrecognizedError, match=message) as err:
+            hamilton_s13(g)
+        assert isinstance(err.value.report, StuckReport) and err.value.report.factor == f
+
+    def test_stuck_component_larger_than_quadrilateral(self, monkeypatch):
+        g = complete_bipartite(6, 6)
+        hexagons = [(c + x, c + y) for c in (0, 3) for x in range(3) for y in (x, (x + 1) % 3)]
+        self._assert_unrecognized(
+            monkeypatch, g, hexagons, "^stuck with a component larger than a quadrilateral$"
+        )
+
+    def test_stuck_vertex_sees_three_components(self, monkeypatch):
+        g = complete_bipartite(6, 6)
+        squares = [(c + x, c + y) for c in (0, 2, 4) for x in (0, 1) for y in (0, 1)]
+        self._assert_unrecognized(monkeypatch, g, squares, "^vertex X0 sees 3 components$")
+
+    def test_stuck_quadrilaterals_not_chained(self, monkeypatch):
+        """Two quadrilaterals joined by one edge: each vertex sees at most
+        one foreign component, but no full 2x2 pattern joins them.  The
+        host's minimum degree is 2, so the hypotheses are stubbed out."""
+        g = BipartiteGraph(4, 4, SQUARE_A + SQUARE_B + [(2, 0)])
+        monkeypatch.setattr(bifactor.connect, "_hypotheses", lambda *args: None)
+        self._assert_unrecognized(
+            monkeypatch,
+            g,
+            SQUARE_A + SQUARE_B,
+            "^quadrilateral components do not chain into a cycle$",
+        )

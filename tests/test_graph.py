@@ -38,7 +38,7 @@ class TestVertexRef:
     def test_label_and_ordering(self):
         assert VertexRef("X", 3).label == "X3"
         assert VertexRef("Y", 0).label == "Y0"
-        assert VertexRef("X", 9).sort_key < VertexRef("Y", 0).sort_key
+        assert VertexRef("X", 9) < VertexRef("Y", 0)
 
     def test_rejects_bad_side(self):
         with pytest.raises(ValueError):
@@ -56,9 +56,6 @@ class TestBipartiteGraph:
         f = Factor(g, [(1, 2)])
         assert f.neighbors(VertexRef("X", 1)) == (2,) and f.neighbors(VertexRef("Y", 2)) == (1,)
         assert f.neighbors(VertexRef("X", 0)) == ()
-        assert f.other_side_components(VertexRef("X", 1)) == f.comp_y
-        assert f.other_side_components(VertexRef("Y", 2)) == f.comp_x
-        assert f.other_side_components(VertexRef("X", 1))[2] == f.component_of(VertexRef("X", 1))
         with pytest.raises(DuplicateEdgeError):
             BipartiteGraph(2, 2, [(0, 0), (0, 0)])
 
