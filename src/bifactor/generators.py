@@ -30,6 +30,7 @@ from .graph import (
     BipartiteGraph,
     Edge,
     Factor,
+    complete_bipartite_minus_matching,
     cycle_graph,
     double_graph,
 )
@@ -146,16 +147,8 @@ def generate(spec: GenSpec) -> BipartiteGraph:
         size = spec.n if spec.k < 0 else spec.k
         if size > spec.n:
             raise ParamInvalidError("matching size cannot exceed n")
-        rng = SplitMix64(spec.seed)
-        perm = _permutation(rng, spec.n)
-        removed = {(x, perm[x]) for x in range(size)}
-        edges = [
-            (x, y)
-            for x in range(spec.n)
-            for y in range(spec.n)
-            if (x, y) not in removed
-        ]
-        return BipartiteGraph(spec.n, spec.n, edges)
+        perm = _permutation(SplitMix64(spec.seed), spec.n)
+        return complete_bipartite_minus_matching(spec.n, [(x, perm[x]) for x in range(size)])
 
     if spec.model == "k-regular-union":
         if spec.k < 1 or spec.k > spec.n:

@@ -4,22 +4,30 @@ Graphs are simple, undirected, bipartite, with the two classes indexed
 independently from 0.  A vertex is identified by (side, index) only; there
 are no labels.  Instances are immutable once built.
 
-Text format (newline-terminated, single spaces)::
+Graph text format (newline-terminated, single spaces)::
 
     # optional comment lines
     bipartite <nX> <nY> <m>
     <x> <y>          (m lines, 0-based endpoints)
 
+Factor text format, read against its host graph::
+
+    # optional comment lines
+    factor <k> <m>
+    <x> <y>          (m lines, host edges; every vertex has degree k)
+    cycle X0 Y1 ...  (optional, a Hamilton cycle's vertex order; ignored)
+
+In both, blank lines and lines starting with '#' may appear anywhere.
 Canonical serialization sorts edges by (x, y); parse/serialize round-trips
-are exact on canonical files.  Files may declare at most MAX_CLASS_SIZE
-(10,000) vertices per class.
+are exact on canonical files.  Graph files may declare at most
+MAX_CLASS_SIZE (10,000) vertices per class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, NoReturn, Sequence
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -73,7 +81,7 @@ class BipartiteGraph:
                 return
         except (TypeError, ValueError, IndexError):
             pass
-        self._index(_checked_edges(n_x, n_y, edges))
+        self._index(_checked_edges(n_x, n_y, zip(repeat(None), edges)))
 
     def _index(self, edges: Iterable[Edge]) -> bool:
         """Store the sorted edges, their set and the sorted adjacency lists.
@@ -179,17 +187,19 @@ class BipartiteGraph:
         return _component_labels(self._adj_x, self._adj_y)[2] == 1
 
 
-def _checked_edges(n_x: int, n_y: int, edges: Iterable[Edge]) -> list[Edge]:
-    """The edges as tuples, in input order; raises for the first edge out of
-    range or repeated."""
+def _checked_edges(
+    n_x: int, n_y: int, rows: Iterable[tuple[int | None, Edge]]
+) -> list[Edge]:
+    """The edges of (line number, edge) rows as tuples, in input order;
+    raises for the first edge out of range or repeated, naming its line
+    when it has one."""
     seen: set[Edge] = set()
     checked: list[Edge] = []
-    for e in edges:
-        x, y = e
+    for line, (x, y) in rows:
         if not (0 <= x < n_x and 0 <= y < n_y):
-            raise IndexOutOfRangeError(f"edge ({x}, {y}) outside {n_x}x{n_y}")
+            raise IndexOutOfRangeError(f"edge ({x}, {y}) outside {n_x}x{n_y}", line=line)
         if (x, y) in seen:
-            raise DuplicateEdgeError(f"edge ({x}, {y}) repeated")
+            raise DuplicateEdgeError(f"edge ({x}, {y}) repeated", line=line)
         seen.add((x, y))
         checked.append((x, y))
     return checked
@@ -285,31 +295,62 @@ class Factor(BipartiteGraph):
 MAX_CLASS_SIZE = 10_000
 
 
+def _header(lines: list[str], usage: str) -> tuple[int, str, tuple[int, ...]]:
+    """The header: the first line that is neither blank nor a comment, as
+    its line number, its text and its integer fields.
+
+    ``usage`` spells the header out, keyword first, as
+    ``"bipartite <nX> <nY> <m>"``; it fixes the keyword, the field count
+    and the error messages.
+    """
+    keyword, *fields = usage.split()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+    else:
+        raise MalformedHeaderError(f"missing '{keyword}' header line")
+    parts = line.split()
+    if len(parts) != 1 + len(fields) or parts[0] != keyword:
+        raise MalformedHeaderError(f"expected '{usage}', got {line!r}", line=lineno)
+    try:
+        return lineno, line, tuple(map(int, parts[1:]))
+    except ValueError:
+        raise MalformedHeaderError(f"non-integer field in header {line!r}", line=lineno) from None
+
+
+def _edge_rows(
+    lines: list[str], header_line: int, skip: str | tuple[str, ...]
+) -> Iterator[tuple[int, Edge]]:
+    """(line number, (x, y)) for each edge line after the header, lazily.
+
+    Blank lines and lines starting with ``skip`` are passed over; the
+    first line that is not two integers raises GraphFormatError.
+    """
+    for lineno, raw in enumerate(islice(lines, header_line, None), start=header_line + 1):
+        line = raw.strip()
+        if not line or line.startswith(skip):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"expected '<x> <y>', got {line!r}", line=lineno)
+        try:
+            edge = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"non-integer endpoint in {line!r}", line=lineno) from None
+        yield lineno, edge
+
+
 def parse_graph(text: str) -> BipartiteGraph:
     """Parse the graph text format; errors name the offending line.
 
     A header declaring a class larger than MAX_CLASS_SIZE is rejected
     before anything is allocated for it.  The edge lines are read in one
-    pass and validated once, by the BipartiteGraph constructor.
+    pass and validated once, by the BipartiteGraph constructor; only a
+    bad file is read again, line by line, to name its first bad line.
     """
     lines = text.splitlines()
-    for header_line, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            break
-    else:
-        raise MalformedHeaderError("missing 'bipartite' header line")
-    parts = line.split()
-    if len(parts) != 4 or parts[0] != "bipartite":
-        raise MalformedHeaderError(
-            f"expected 'bipartite <nX> <nY> <m>', got {line!r}", line=header_line
-        )
-    try:
-        n_x, n_y, m = int(parts[1]), int(parts[2]), int(parts[3])
-    except ValueError:
-        raise MalformedHeaderError(
-            f"non-integer field in header {line!r}", line=header_line
-        ) from None
+    header_line, line, (n_x, n_y, m) = _header(lines, "bipartite <nX> <nY> <m>")
     if n_x < 0 or n_y < 0 or m < 0:
         raise MalformedHeaderError(f"negative field in header {line!r}", line=header_line)
     if max(n_x, n_y) > MAX_CLASS_SIZE:
@@ -325,35 +366,9 @@ def parse_graph(text: str) -> BipartiteGraph:
             return BipartiteGraph(n_x, n_y, edges)
     except (ValueError, GraphFormatError):
         pass
-    _raise_first_bad_line(lines, header_line, n_x, n_y, m)
-
-
-def _raise_first_bad_line(
-    lines: list[str], header_line: int, n_x: int, n_y: int, m: int
-) -> NoReturn:
-    """Re-read the edge lines one at a time and raise the error of the first
-    bad one, or the header's edge-count mismatch when no line is bad."""
-    seen: set[Edge] = set()
-    for lineno, raw in enumerate(islice(lines, header_line, None), start=header_line + 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"expected '<x> <y>', got {line!r}", line=lineno)
-        try:
-            x, y = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"non-integer endpoint in {line!r}", line=lineno) from None
-        if not (0 <= x < n_x and 0 <= y < n_y):
-            raise IndexOutOfRangeError(
-                f"edge ({x}, {y}) outside {n_x}x{n_y}", line=lineno
-            )
-        if (x, y) in seen:
-            raise DuplicateEdgeError(f"edge ({x}, {y}) repeated", line=lineno)
-        seen.add((x, y))
+    checked = _checked_edges(n_x, n_y, _edge_rows(lines, header_line, "#"))
     raise MalformedHeaderError(
-        f"header promises {m} edges, file has {len(seen)}", line=header_line
+        f"header promises {m} edges, file has {len(checked)}", line=header_line
     )
 
 
@@ -366,40 +381,12 @@ def serialize_graph(graph: BipartiteGraph) -> str:
 def parse_factor(text: str, host: BipartiteGraph) -> Factor:
     """Parse a factor file against its host graph.
 
-    Header is ``factor <k> <m>``.  A trailing ``cycle ...`` line, as written
-    for Hamilton cycles, is accepted and ignored.
+    Header is ``factor <k> <m>``.  A ``cycle ...`` line, as written for
+    Hamilton cycles, is accepted and ignored.
     """
-    header: tuple[int, int] | None = None
-    edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 3 or parts[0] != "factor":
-                raise MalformedHeaderError(
-                    f"expected 'factor <k> <m>', got {line!r}", line=lineno
-                )
-            try:
-                header = (int(parts[1]), int(parts[2]))
-            except ValueError:
-                raise MalformedHeaderError(
-                    f"non-integer field in header {line!r}", line=lineno
-                ) from None
-            continue
-        if line.startswith("cycle "):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"expected '<x> <y>', got {line!r}", line=lineno)
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise GraphFormatError(f"non-integer endpoint in {line!r}", line=lineno) from None
-    if header is None:
-        raise MalformedHeaderError("missing 'factor' header line")
-    k, m = header
+    lines = text.splitlines()
+    header_line, _, (k, m) = _header(lines, "factor <k> <m>")
+    edges = [edge for _, edge in _edge_rows(lines, header_line, ("#", "cycle "))]
     if len(edges) != m:
         raise MalformedHeaderError(f"header promises {m} edges, file has {len(edges)}")
     factor = Factor(host, edges)

@@ -123,11 +123,10 @@ def _star_at_edge(
     """
     mask_x, mask_y = masks
     if u_on_x:
-        leaf_mask = mask_y
-        cand = mask_y[y] & ~(1 << x)
+        u_side, u, v_side, v, leaf_mask = "X", x, "Y", y, mask_y
     else:
-        leaf_mask = mask_x
-        cand = mask_x[x] & ~(1 << y)
+        u_side, u, v_side, v, leaf_mask = "Y", y, "X", x, mask_x
+    cand = leaf_mask[v] & ~(1 << u)
     leaves = []
     while avail:
         low = avail & -avail
@@ -159,22 +158,13 @@ def _star_at_edge(
         low = rest & -rest
         picked.append(low.bit_length() - 1)
         rest ^= low
-    if u_on_x:
-        return StarWitness(
-            k,
-            l,
-            VertexRef("X", x),
-            VertexRef("Y", y),
-            tuple(VertexRef("Y", b) for b in chosen),
-            tuple(VertexRef("X", a) for a in picked),
-        )
     return StarWitness(
         k,
         l,
-        VertexRef("Y", y),
-        VertexRef("X", x),
-        tuple(VertexRef("X", a) for a in chosen),
-        tuple(VertexRef("Y", b) for b in picked),
+        VertexRef(u_side, u),
+        VertexRef(v_side, v),
+        tuple(VertexRef(v_side, b) for b in chosen),
+        tuple(VertexRef(u_side, a) for a in picked),
     )
 
 
@@ -303,9 +293,8 @@ def rebuild_classified(graph: BipartiteGraph, cls: StructureClass) -> BipartiteG
         rebuilt = path_graph(graph.n_vertices)
         if (rebuilt.n_x, rebuilt.n_y) != (graph.n_x, graph.n_y):
             # path starting on the Y side: swap roles, then swap back
-            flipped = path_graph(graph.n_vertices)
             rebuilt = BipartiteGraph(
-                flipped.n_y, flipped.n_x, [(y, x) for x, y in flipped.edge_list]
+                rebuilt.n_y, rebuilt.n_x, [(y, x) for x, y in rebuilt.edge_list]
             )
         return rebuilt
     if cls.tag == "even-cycle":

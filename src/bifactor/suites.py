@@ -113,8 +113,8 @@ def run_sharp_s13(trials: int = 5, seed: int = 0) -> list[TrialResult]:
         except BifactorError as exc:
             results.append(TrialResult(name, False, f"{type(exc).__name__}: {exc}"))
             continue
-        degs = [graph.degree_x(x) for x in range(n)] + [graph.degree_y(y) for y in range(n)]
-        if any(d != 3 for d in degs):
+        deg_x, deg_y = graph.degrees()
+        if set(deg_x + deg_y) != {3}:
             results.append(TrialResult(name, False, "generator output not 3-regular"))
             continue
         free = is_skl_free(graph, 1, 3)
@@ -150,8 +150,7 @@ def run_oracle_eq(max_n: int = 4) -> list[TrialResult]:
                     if not verdict.exists:
                         failure = f"flow built one, oracle says no ({graph!r})"
                         break
-                    dx, dy = got.degrees()
-                    if set(dx) | set(dy) != {k}:
+                    if got.regularity() != k:
                         failure = f"flow factor not {k}-regular ({graph!r})"
                         break
                 checked += 1
@@ -195,11 +194,8 @@ def run_prop_s12(max_n: int = 4) -> list[TrialResult]:
     return results
 
 
-def _degree_multiset(graph: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (
-        tuple(sorted(graph.degree_x(x) for x in range(graph.n_x))),
-        tuple(sorted(graph.degree_y(y) for y in range(graph.n_y))),
-    )
+def _degree_multiset(graph: BipartiteGraph) -> list[list[int]]:
+    return [sorted(degrees) for degrees in graph.degrees()]
 
 
 def _non_edges(graph: BipartiteGraph) -> set[tuple[int, int]]:
@@ -216,14 +212,9 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> list[Trial
     default count and is ignored by the exhaustive suites."""
     if trials is not None and trials < 1:
         raise ParamInvalidError(f"trials must be at least 1, got {trials}")
-    if name == "cor4":
-        return run_cor4(trials or 25, seed)
-    if name == "cor5":
-        return run_cor5(trials or 10, seed)
-    if name == "thm3":
-        return run_thm3(trials or 10, seed)
-    if name == "sharp-s13":
-        return run_sharp_s13(trials or 5, seed)
+    seeded = {"cor4": run_cor4, "cor5": run_cor5, "thm3": run_thm3, "sharp-s13": run_sharp_s13}
+    if name in seeded:
+        return seeded[name](seed=seed) if trials is None else seeded[name](trials, seed)
     if name == "oracle-eq":
         return run_oracle_eq()
     if name == "prop-s12":

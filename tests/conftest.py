@@ -13,7 +13,8 @@ solver's factor and violator by the flow network as first written, with
 a recursive augmenting search, the violator shrink as first written,
 which re-evaluates every trial set from scratch, the graph reader
 and constructor as first written, which check every edge line by line,
-and the stuck report as first written, which looks up each vertex's
+the factor reader as first written, with its own header and edge-line
+loop, and the stuck report as first written, which looks up each vertex's
 component through per-vertex accessors and scans its neighbourhood
 again for the inside count.
 
@@ -53,6 +54,7 @@ from bifactor.errors import (
     GraphFormatError,
     IndexOutOfRangeError,
     MalformedHeaderError,
+    NotRegularError,
 )
 from bifactor.factors import _evaluate_violation
 from bifactor.graph import MAX_CLASS_SIZE
@@ -604,6 +606,49 @@ def reference_parse_graph(text: str) -> _ReferenceGraph:
             f"header promises {m} edges, file has {len(edges)}", line=header_line
         )
     return reference_graph_init(n_x, n_y, edges)
+
+
+def reference_parse_factor(text: str, host: BipartiteGraph) -> Factor:
+    """parse_factor as first written: one loop that reads the header, then
+    the edge lines, skipping ``cycle`` lines, before the edge count,
+    the host and the regularity are checked."""
+    header: tuple[int, int] | None = None
+    edges: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            parts = line.split()
+            if len(parts) != 3 or parts[0] != "factor":
+                raise MalformedHeaderError(
+                    f"expected 'factor <k> <m>', got {line!r}", line=lineno
+                )
+            try:
+                header = (int(parts[1]), int(parts[2]))
+            except ValueError:
+                raise MalformedHeaderError(
+                    f"non-integer field in header {line!r}", line=lineno
+                ) from None
+            continue
+        if line.startswith("cycle "):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"expected '<x> <y>', got {line!r}", line=lineno)
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise GraphFormatError(f"non-integer endpoint in {line!r}", line=lineno) from None
+    if header is None:
+        raise MalformedHeaderError("missing 'factor' header line")
+    k, m = header
+    if len(edges) != m:
+        raise MalformedHeaderError(f"header promises {m} edges, file has {len(edges)}")
+    factor = Factor(host, edges)
+    if factor.regularity() != k:
+        raise NotRegularError(f"factor file claims {k}-regular but degrees differ")
+    return factor
 
 
 def induced_edges(graph: BipartiteGraph, verts: list[VertexRef]) -> list[tuple[int, int]]:

@@ -13,9 +13,12 @@ from bifactor import (
     complete_bipartite,
     complete_bipartite_minus_matching,
     cycle_graph,
+    cycle_order,
     double_graph,
+    parse_factor,
     parse_graph,
     path_graph,
+    serialize_factor,
     serialize_graph,
     star_pair_graph,
 )
@@ -26,10 +29,16 @@ from bifactor.errors import (
     IndexOutOfRangeError,
     MalformedHeaderError,
     MatchingNotDisjointError,
+    NotRegularError,
 )
 from bifactor.graph import MAX_CLASS_SIZE
 
-from conftest import bipartite_graphs, reference_graph_init, reference_parse_graph
+from conftest import (
+    bipartite_graphs,
+    reference_graph_init,
+    reference_parse_factor,
+    reference_parse_graph,
+)
 
 K22_TEXT = "bipartite 2 2 4\n0 0\n0 1\n1 0\n1 1\n"
 
@@ -211,10 +220,10 @@ PARSE_CHARS = st.one_of(st.sampled_from("0123456789 -+#_\n\tbx"), st.characters(
 
 
 @st.composite
-def mutated_texts(draw) -> str:
+def mutated_texts(draw, seeds=PARSE_SEEDS) -> str:
     """A seed text with lines after the first swapped or repeated, then
     characters replaced, inserted or deleted."""
-    lines = draw(st.sampled_from(PARSE_SEEDS)).splitlines(keepends=True)
+    lines = draw(st.sampled_from(seeds)).splitlines(keepends=True)
     for _ in range(draw(st.integers(0, 2)) if len(lines) > 1 else 0):
         i, j = draw(st.integers(1, len(lines) - 1)), draw(st.integers(1, len(lines) - 1))
         if draw(st.booleans()):
@@ -295,6 +304,137 @@ class TestAgainstFirstWritten:
     def test_list_edges_are_stored_as_tuples(self):
         g = BipartiteGraph(2, 2, [[1, 0], [0, 1]])
         assert g.edge_list == ((0, 1), (1, 0)) and g.has_edge(1, 0)
+
+
+def _regular_factor_text(host: BipartiteGraph, edges, cycle: bool = False) -> str:
+    factor = Factor(host, edges)
+    return serialize_factor(factor, cycle=cycle_order(factor) if cycle else None)
+
+
+K22 = complete_bipartite(2, 2)
+K22_LESS_01 = BipartiteGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
+DOUBLED_C3 = double_graph(cycle_graph(3))
+K55_LESS_MATCHING = complete_bipartite_minus_matching(5, [(i, i) for i in range(5)])
+
+# Factor files for the reader to mutate, each with its host: canonical
+# files with and without a cycle line, a commented and indented file with
+# the cycle line first, an irregular file and one with an edge the host
+# lacks.
+FACTOR_SEEDS = [
+    (K22, _regular_factor_text(K22, K22.edge_list, cycle=True)),
+    (
+        DOUBLED_C3,
+        _regular_factor_text(
+            DOUBLED_C3, [(x + h, y + h) for x, y in cycle_graph(3).edge_list for h in (0, 3)]
+        ),
+    ),
+    (
+        K55_LESS_MATCHING,
+        _regular_factor_text(K55_LESS_MATCHING, [(i, (i + 1) % 5) for i in range(5)]),
+    ),
+    (K22, "# f\n\nfactor 1 2\ncycle X0 Y0\n  0 0\t\n# c\n1 1\n"),
+    (K22, "factor 1 2\n0 0\n0 1\n"),
+    (K22_LESS_01, "factor 1 2\n0 1\n1 0\n"),
+]
+
+
+@st.composite
+def mutated_factor_files(draw) -> tuple[BipartiteGraph, str]:
+    host, text = draw(st.sampled_from(FACTOR_SEEDS))
+    return host, draw(mutated_texts([text]))
+
+
+class TestFactorReader:
+    """parse_factor gives the outcome of the reader first written, kept in
+    conftest.py, and each of its errors has the text and line it had."""
+
+    @given(mutated_factor_files())
+    @settings(max_examples=600, deadline=None)
+    def test_parse_matches_reference(self, case):
+        host, text = case
+        assert _outcome(parse_factor, text, host) == _outcome(
+            reference_parse_factor, text, host
+        )
+
+    @pytest.mark.parametrize(
+        "host, text, error, message",
+        [
+            (K22, "", MalformedHeaderError, "missing 'factor' header line"),
+            (K22, "# comment\n\n", MalformedHeaderError, "missing 'factor' header line"),
+            (
+                K22,
+                "bipartite 2 2 4\n0 0\n",
+                MalformedHeaderError,
+                "line 1: expected 'factor <k> <m>', got 'bipartite 2 2 4'",
+            ),
+            (
+                K22,
+                "\nfactor 1\n",
+                MalformedHeaderError,
+                "line 2: expected 'factor <k> <m>', got 'factor 1'",
+            ),
+            (
+                K22,
+                "factor one 2\n0 0\n1 1\n",
+                MalformedHeaderError,
+                "line 1: non-integer field in header 'factor one 2'",
+            ),
+            (
+                K22,
+                "factor 1 2\n0 0 1\n1 1\n",
+                GraphFormatError,
+                "line 2: expected '<x> <y>', got '0 0 1'",
+            ),
+            (
+                K22,
+                "factor 1 2\n0 0\n# c\n1 y\n",
+                GraphFormatError,
+                "line 4: non-integer endpoint in '1 y'",
+            ),
+            (
+                K22,
+                "factor 1 3\n0 0\n1 1\n",
+                MalformedHeaderError,
+                "header promises 3 edges, file has 2",
+            ),
+            (K22, "factor 1 2\n0 0\n2 1\n", IndexOutOfRangeError, "edge (2, 1) outside 2x2"),
+            (K22, "factor 1 2\n1 1\n1 1\n", DuplicateEdgeError, "edge (1, 1) repeated"),
+            (
+                K22_LESS_01,
+                "factor 1 2\n0 1\n1 0\n",
+                IndexOutOfRangeError,
+                "factor edge (0, 1) not in host graph",
+            ),
+            (
+                K22,
+                "factor 2 2\n0 0\n1 1\n",
+                NotRegularError,
+                "factor file claims 2-regular but degrees differ",
+            ),
+            # A bad line is named before an out-of-range edge above it and
+            # before the edge count; the edge count before the edges' range.
+            (K22, "factor 1 9\n5 5\nq\n", GraphFormatError, "line 3: expected '<x> <y>', got 'q'"),
+            (
+                K22,
+                "factor 1 1\n5 5\n0 0\n",
+                MalformedHeaderError,
+                "header promises 1 edges, file has 2",
+            ),
+        ],
+    )
+    def test_each_error(self, host, text, error, message):
+        with pytest.raises(error) as err:
+            parse_factor(text, host)
+        assert type(err.value) is error and str(err.value) == message
+        assert _outcome(parse_factor, text, host) == _outcome(reference_parse_factor, text, host)
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_cycle_line_before_or_after_the_edges(self, where):
+        cycle = "cycle X0 Y0 X1 Y1\n"
+        body = "0 0\n0 1\n1 0\n1 1\n"
+        text = "factor 2 4\n" + (cycle + body if where == "before" else body + cycle)
+        factor = parse_factor(text, K22)
+        assert factor.edge_list == K22.edge_list and factor.regularity() == 2
 
 
 class TestConstructions:
