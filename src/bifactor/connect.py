@@ -42,7 +42,7 @@ stated hypotheses and the report flags the contradiction.
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Iterator
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -247,17 +247,15 @@ class StuckReport:
     contradiction_vertices: tuple[VertexRef, ...]
 
 
-def _foreign_labels(
-    graph: BipartiteGraph, factor: Factor
-) -> Iterator[tuple[VertexRef, list[int]]]:
-    """Per vertex, X0.. then Y0..: the component labels of its host
-    neighbours outside its own component, one per neighbour."""
-    for side, own, other, nbrs in (
-        ("X", factor.comp_x, factor.comp_y, graph.neighbors_x),
-        ("Y", factor.comp_y, factor.comp_x, graph.neighbors_y),
-    ):
-        for i, c in enumerate(own):
-            yield VertexRef(side, i), [other[w] for w in nbrs(i) if other[w] != c]
+def _far_labels(graph: BipartiteGraph, links: tuple[Link, ...]) -> dict[VertexRef, list[int]]:
+    """Per vertex, X0.. then Y0..: the component label at the far end of
+    each of its links.  Every host edge leaving a vertex's component is a
+    link, so these are the labels of its neighbours outside it."""
+    far: dict[VertexRef, list[int]] = {v: [] for v in graph.vertices()}
+    for link in links:
+        far[link.u].append(link.component_v)
+        far[link.v].append(link.component_u)
+    return far
 
 
 def _build_stuck_report(
@@ -275,31 +273,16 @@ def _build_stuck_report(
     bound_out = None if l is None else (k * k - k + 1) * (2 * l - 2 * k - 1)
     bound_in = None if l is None else k * bound_out + l - 1
 
-    audits: list[DegreeAuditRecord] = []
-    outside: dict[VertexRef, int] = {}
-    for v, foreign in _foreign_labels(graph, factor):
-        outside[v] = len(foreign)
-        audits.append(
-            DegreeAuditRecord(
-                "outside-own-component",
-                v,
-                outside[v],
-                bound_out,
-                None if bound_out is None else outside[v] <= bound_out,
-            )
-        )
+    def audit(name: str, v: VertexRef, value: int, bound: int | None) -> DegreeAuditRecord:
+        return DegreeAuditRecord(name, v, value, bound, None if bound is None else value <= bound)
+
+    far = _far_labels(graph, links)
     endpoints = dict.fromkeys(v for link in links for v in (link.u, link.v))
-    for v in endpoints:
-        inside = len(graph.neighbors(v)) - outside[v]
-        audits.append(
-            DegreeAuditRecord(
-                "inside-own-component",
-                v,
-                inside,
-                bound_in,
-                None if bound_in is None else inside <= bound_in,
-            )
-        )
+    audits = [audit("outside-own-component", v, len(far[v]), bound_out) for v in far]
+    audits += [
+        audit("inside-own-component", v, len(graph.neighbors(v)) - len(far[v]), bound_in)
+        for v in endpoints
+    ]
 
     delta = graph.min_degree()
     contradiction_vertices: tuple[VertexRef, ...] = ()
@@ -502,46 +485,34 @@ def connected_k_factor(graph: BipartiteGraph, k: int, l: int) -> Factor:
 
 
 def _weave_quotient_cycle(
-    graph: BipartiteGraph, comps: list[tuple[list[int], list[int]]]
+    report: StuckReport, comps: list[tuple[list[int], list[int]]]
 ) -> Factor | None:
     """Hamilton cycle of a stuck all-quadrilateral state, if the shape fits.
 
-    ``comps`` lists the components as ``_component_vertex_sets`` does, and
-    each must have two vertices a side (the caller checks).  Requirements
-    checked here: between two components all host edges run one way only
-    (Y half of one to X half of the other) and, when present, form the
-    full 2x2 pattern; the component quotient under these arcs is a single
-    directed cycle.  Walking that cycle and traversing each quadrilateral
-    in full yields the Hamilton cycle.
+    ``comps`` lists the components of ``report.factor`` as
+    ``_component_vertex_sets`` does, and each must have two vertices a side
+    (the caller checks).  An arc i -> j is a link from the Y half of
+    component i to the X half of component j; every host edge between two
+    components is a link.  Requirements checked here: each arc is the full
+    2x2 pattern, each component has one arc out and one arc in, and the
+    quotient under these arcs is a single directed cycle.  Walking that
+    cycle and traversing each quadrilateral in full yields the Hamilton
+    cycle.
     """
     n = len(comps)
     succ = [-1] * n
-    pred = [-1] * n
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            cross = [
-                (a, b) for b in comps[i][1] for a in comps[j][0] if graph.has_edge(a, b)
-            ]
-            if not cross:
-                continue
-            if len(cross) != 4:
-                return None
-            if succ[i] != -1 or pred[j] != -1:
-                return None
-            succ[i] = j
-            pred[j] = i
-    if any(s == -1 for s in succ) or any(p == -1 for p in pred):
+    arcs = Counter((link.component_v, link.component_u) for link in report.links)
+    for (i, j), count in arcs.items():
+        if count != 4 or succ[i] != -1:
+            return None
+        succ[i] = j
+    # one arc out of and one arc into each component make succ a
+    # permutation, so the walk from component 0 returns to it
+    if sorted(succ) != list(range(n)):
         return None
     order = [0]
-    while True:
-        nxt = succ[order[-1]]
-        if nxt == 0:
-            break
-        if nxt in order:
-            return None
-        order.append(nxt)
+    while succ[order[-1]] != 0:
+        order.append(succ[order[-1]])
     if len(order) != n:
         return None
     edges: list[Edge] = []
@@ -552,7 +523,7 @@ def _weave_quotient_cycle(
         edges.append((xs[1], ys[1]))
         nxt_xs, _ = comps[order[(pos + 1) % n]]
         edges.append((nxt_xs[0], ys[1]))
-    return Factor(graph, edges)
+    return Factor(report.factor.host, edges)
 
 
 def hamilton_s13(graph: BipartiteGraph) -> Factor:
@@ -575,13 +546,13 @@ def hamilton_s13(graph: BipartiteGraph) -> Factor:
             "stuck with a component larger than a quadrilateral", report=report
         )
     # every vertex may see at most one foreign component
-    for v, foreign in _foreign_labels(graph, report.factor):
-        seen = len(set(foreign)) + 1
+    for v, labels in _far_labels(graph, report.links).items():
+        seen = len(set(labels)) + 1
         if seen > 2:
             raise StructureUnrecognizedError(
                 f"vertex {v.label} sees {seen} components", report=report
             )
-    woven = _weave_quotient_cycle(graph, comps)
+    woven = _weave_quotient_cycle(report, comps)
     if woven is None:
         raise StructureUnrecognizedError(
             "quadrilateral components do not chain into a cycle", report=report

@@ -14,9 +14,11 @@ a recursive augmenting search, the violator shrink as first written,
 which re-evaluates every trial set from scratch, the graph reader
 and constructor as first written, which check every edge line by line,
 the factor reader as first written, with its own header and edge-line
-loop, and the stuck report as first written, which looks up each vertex's
+loop, the stuck report as first written, which looks up each vertex's
 component through per-vertex accessors and scans its neighbourhood
-again for the inside count.
+again for the inside count, and the Hamilton pipeline's checks on a
+stuck state as first written, which scan every neighbourhood for
+foreign components and probe every pair of components for the weave.
 
 Every test runs under a time limit: a test that hangs ends the run with
 a traceback of every thread and a nonzero exit instead of stalling it.
@@ -55,6 +57,7 @@ from bifactor.errors import (
     IndexOutOfRangeError,
     MalformedHeaderError,
     NotRegularError,
+    StructureUnrecognizedError,
 )
 from bifactor.factors import _evaluate_violation
 from bifactor.graph import MAX_CLASS_SIZE
@@ -99,15 +102,6 @@ def bipartite_graphs(draw, max_side: int = 4, min_side: int = 1):
     cells = [(x, y) for x in range(n_x) for y in range(n_y)]
     edges = draw(st.sets(st.sampled_from(cells))) if cells else set()
     return BipartiteGraph(n_x, n_y, edges)
-
-
-@st.composite
-def connected_bipartite_graphs(draw, max_side: int = 4):
-    from hypothesis import assume
-
-    graph = draw(bipartite_graphs(max_side=max_side))
-    assume(graph.is_connected() and graph.m > 0)
-    return graph
 
 
 def block_host(choose) -> tuple[BipartiteGraph, Factor]:
@@ -385,6 +379,105 @@ def reference_stuck_report(
         contradiction=bool(contradiction_vertices),
         contradiction_vertices=contradiction_vertices,
     )
+
+
+def _reference_foreign_labels(
+    graph: BipartiteGraph, factor: Factor
+) -> Iterator[tuple[VertexRef, list[int]]]:
+    """Per vertex, X0.. then Y0..: the component labels of its host
+    neighbours outside its own component, one per neighbour."""
+    for side, own, other, nbrs in (
+        ("X", factor.comp_x, factor.comp_y, graph.neighbors_x),
+        ("Y", factor.comp_y, factor.comp_x, graph.neighbors_y),
+    ):
+        for i, c in enumerate(own):
+            yield VertexRef(side, i), [other[w] for w in nbrs(i) if other[w] != c]
+
+
+def _reference_weave_quotient_cycle(
+    graph: BipartiteGraph, comps: list[tuple[list[int], list[int]]]
+) -> Factor | None:
+    """Hamilton cycle of a stuck all-quadrilateral state, if the shape fits.
+
+    ``comps`` lists the components as ``_component_vertex_sets`` does, and
+    each must have two vertices a side (the caller checks).  Requirements
+    checked here: between two components all host edges run one way only
+    (Y half of one to X half of the other) and, when present, form the
+    full 2x2 pattern; the component quotient under these arcs is a single
+    directed cycle.  Walking that cycle and traversing each quadrilateral
+    in full yields the Hamilton cycle.
+    """
+    n = len(comps)
+    succ = [-1] * n
+    pred = [-1] * n
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            cross = [
+                (a, b) for b in comps[i][1] for a in comps[j][0] if graph.has_edge(a, b)
+            ]
+            if not cross:
+                continue
+            if len(cross) != 4:
+                return None
+            if succ[i] != -1 or pred[j] != -1:
+                return None
+            succ[i] = j
+            pred[j] = i
+    if any(s == -1 for s in succ) or any(p == -1 for p in pred):
+        return None
+    order = [0]
+    while True:
+        nxt = succ[order[-1]]
+        if nxt == 0:
+            break
+        if nxt in order:
+            return None
+        order.append(nxt)
+    if len(order) != n:
+        return None
+    edges: list[tuple[int, int]] = []
+    for pos, ci in enumerate(order):
+        xs, ys = comps[ci]
+        edges.append((xs[0], ys[0]))
+        edges.append((xs[1], ys[0]))
+        edges.append((xs[1], ys[1]))
+        nxt_xs, _ = comps[order[(pos + 1) % n]]
+        edges.append((nxt_xs[0], ys[1]))
+    return Factor(graph, edges)
+
+
+def reference_hamilton_after_stuck(graph: BipartiteGraph, report: StuckReport) -> Factor:
+    """hamilton_s13's checks after the connecting loop sticks, as first
+    written: each vertex's foreign components from a second scan of its
+    whole host neighbourhood, and the quotient arcs from a has_edge probe
+    of every ordered pair of components.  Returns the woven cycle
+    (unchecked) or raises StructureUnrecognizedError."""
+    comps: list[tuple[list[int], list[int]]] = [
+        ([], []) for _ in range(report.factor.n_components)
+    ]
+    for x, c in enumerate(report.factor.comp_x):
+        comps[c][0].append(x)
+    for y, c in enumerate(report.factor.comp_y):
+        comps[c][1].append(y)
+    if any(len(xs) != 2 or len(ys) != 2 for xs, ys in comps):
+        raise StructureUnrecognizedError(
+            "stuck with a component larger than a quadrilateral", report=report
+        )
+    # every vertex may see at most one foreign component
+    for v, foreign in _reference_foreign_labels(graph, report.factor):
+        seen = len(set(foreign)) + 1
+        if seen > 2:
+            raise StructureUnrecognizedError(
+                f"vertex {v.label} sees {seen} components", report=report
+            )
+    woven = _reference_weave_quotient_cycle(graph, comps)
+    if woven is None:
+        raise StructureUnrecognizedError(
+            "quadrilateral components do not chain into a cycle", report=report
+        )
+    return woven
 
 
 class _RecursiveFlowNet:

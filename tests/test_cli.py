@@ -181,6 +181,24 @@ class TestConnectCommand:
         assert main(["connect", path, "--k", "2", "--l", "3", "--hamilton"]) == 0
         assert "cycle " in (tmp_path / "host.graph.connected").read_text()
 
+    def test_hamilton_weave(self, graph_file, tmp_path, capsys):
+        """A doubled 6-cycle labelled quadrilateral by quadrilateral: the
+        flow's 2-factor is three quadrilaterals, no exchange merges them,
+        and the written cycle is the one woven from the stuck state."""
+        edges = []
+        for i in range(3):
+            j = (i + 1) % 3
+            edges += [(2 * i + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
+            edges += [(2 * j + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
+        path = graph_file(BipartiteGraph(6, 6, edges))
+        assert main(["factor", path, "--k", "2"]) == 0
+        assert "(3 components)" in capsys.readouterr().out
+        assert main(["connect", path, "--k", "2", "--l", "3", "--hamilton"]) == 0
+        assert (tmp_path / "host.graph.connected").read_text() == (
+            "factor 2 12\n0 0\n0 5\n1 0\n1 1\n2 1\n2 2\n3 2\n3 3\n4 3\n4 4\n5 4\n5 5\n"
+            "cycle X0 Y0 X1 Y1 X2 Y2 X3 Y3 X4 Y4 X5 Y5\n"
+        )
+
     def test_hamilton_requires_k2(self, graph_file):
         path = graph_file(complete_bipartite(5, 5))
         assert main(["connect", path, "--k", "3", "--l", "3", "--hamilton"]) == 64

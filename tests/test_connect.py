@@ -56,6 +56,7 @@ from conftest import (
     block_hosts,
     component_count,
     reference_connect,
+    reference_hamilton_after_stuck,
     reference_secondary_moves,
     reference_stuck_report,
 )
@@ -536,6 +537,32 @@ class TestConnectedKFactor:
         assert err.value.hypothesis == "skl_free"
 
 
+def quadrilateral_state(rng: random.Random) -> tuple[BipartiteGraph, Factor]:
+    """1-6 quadrilaterals under a random relabelling, as the factor, plus
+    cross edges: half the time the chained pattern (every Y-to-X edge from
+    each quadrilateral to the next, in a random cyclic order) with 0-2
+    cells outside the quadrilaterals flipped, otherwise random cells."""
+    c = rng.randint(1, 6)
+    n = 2 * c
+    px, py = rng.sample(range(n), n), rng.sample(range(n), n)
+    quads = [(px[2 * i : 2 * i + 2], py[2 * i : 2 * i + 2]) for i in range(c)]
+    factor_edges = {(x, y) for xs, ys in quads for x in xs for y in ys}
+    edges = set(factor_edges)
+    if rng.random() < 0.5:
+        order = rng.sample(range(c), c)
+        for i, j in zip(order, order[1:] + order[:1]):
+            if i != j:
+                edges |= {(x, y) for y in quads[i][1] for x in quads[j][0]}
+        for _ in range(rng.randint(0, 2)):
+            cell = (rng.randrange(n), rng.randrange(n))
+            if cell not in factor_edges:
+                edges ^= {cell}
+    else:
+        edges |= {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * c))}
+    graph = BipartiteGraph(n, n, edges)
+    return graph, Factor(graph, factor_edges)
+
+
 class TestHamilton:
     def test_doubled_cycles(self):
         for half in (3, 4, 5):
@@ -564,7 +591,7 @@ class TestHamilton:
         report = connect_factor(g, f, l=3)
         assert isinstance(report, StuckReport) and report.factor == f
         assert report.neighborhoods_isolated
-        woven = _weave_quotient_cycle(g, _component_vertex_sets(f))
+        woven = _weave_quotient_cycle(report, _component_vertex_sets(f))
         assert woven is not None
         assert_regular_spanning(g, woven, 2, connected=True)
 
@@ -621,3 +648,37 @@ class TestHamilton:
             SQUARE_A + SQUARE_B,
             "^quadrilateral components do not chain into a cycle$",
         )
+
+    def test_stuck_quadrilaterals_match_reference(self, monkeypatch):
+        """On seeded all-quadrilateral stuck states, hamilton_s13 weaves the
+        same cycle, or raises the same error, as its checks as first
+        written, and the report it attaches is the stuck report as first
+        written.  The hypotheses are stubbed out, and the connecting loop
+        reports the quadrilaterals as stuck."""
+        state = {}
+
+        def stuck(graph, factor, l=None):
+            return _build_stuck_report(graph, state["factor"], 2, l)
+
+        monkeypatch.setattr(bifactor.connect, "_hypotheses", lambda *args: None)
+        monkeypatch.setattr(bifactor.connect, "connect_factor", stuck)
+        outcomes = Counter()
+        for seed in range(3000):
+            g, f = quadrilateral_state(random.Random(seed))
+            state["factor"] = f
+            want_report = reference_stuck_report(g, f, 2, 3)
+            try:
+                want = reference_hamilton_after_stuck(g, want_report).edge_list
+            except StructureUnrecognizedError as exc:
+                want = str(exc)
+            try:
+                got = hamilton_s13(g).edge_list
+            except StructureUnrecognizedError as exc:
+                assert serialize_stuck_report(exc.report) == serialize_stuck_report(want_report)
+                got = str(exc)
+            assert got == want, seed
+            if isinstance(got, tuple):
+                outcomes["woven"] += 1
+            else:
+                outcomes["chain" if "chain" in got else "sees"] += 1
+        assert set(outcomes) == {"woven", "chain", "sees"}, outcomes
