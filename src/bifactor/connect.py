@@ -506,14 +506,14 @@ def _weave_quotient_cycle(
         if count != 4 or succ[i] != -1:
             return None
         succ[i] = j
-    # one arc out of and one arc into each component make succ a
-    # permutation, so the walk from component 0 returns to it
-    if sorted(succ) != list(range(n)):
-        return None
+    # the quotient is one cycle exactly when the walk from component 0
+    # first returns to 0 after n steps
     order = [0]
-    while succ[order[-1]] != 0:
+    for _ in range(n - 1):
         order.append(succ[order[-1]])
-    if len(order) != n:
+        if order[-1] <= 0:
+            return None
+    if succ[order[-1]] != 0:
         return None
     edges: list[Edge] = []
     for pos, ci in enumerate(order):

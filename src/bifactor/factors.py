@@ -16,17 +16,13 @@ edges, the x's holding an edge at each y, and the demand left at each
 vertex.  Everything here is deterministic: augmentation scans every arc
 list lowest index first, so the same input always yields the same factor
 or the same certificate.  The flow's first phase is one greedy pass in that
-same order (each x by index takes its edges to the lowest-indexed y's with
-capacity left), which is exactly what that phase's search would take,
-whichever of N(x) and the list of y's with capacity it walks to find them.
-A BFS layer whose y's with capacity are reached from the sink side labels
-only those y's: the rest of the layer is dead ends the search would only
-step past.
+same order: each x by index takes its edges to the lowest-indexed y's with
+capacity left.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import DemandImbalanceError, FakeCertificateError
@@ -195,32 +191,27 @@ def _max_flow(
     Residual state is kept per vertex, with no per-edge array: ux[x] holds
     the y's of x's used edges, held[y] the x's holding an edge at y in
     ascending order, rx[x] and ry[y] the demand left, and open_ys the y's
-    with ry[y] > 0 in ascending order.  A phase walks paths source, x, y,
-    x, ..., sink with current-arc pointers, taking arcs in a fixed order:
-    at the source x by index; at x its unused edges by y; at y its used
-    edges by x, then the sink arc.  The pointer at x is an index into
-    graph.neighbors_x(x); the one at y is the least x still to try, n_x
-    standing for the sink arc.  An inadmissible arc, or one ending in a
-    dead end, advances its pointer; a path that reaches the sink keeps its
-    pointers and carries 1, as it alternates unit edge arcs.  A BFS that
-    reaches the sink stops at the sink's layer, since nothing beyond it
-    can.
+    with ry[y] > 0 in ascending order, rebuilt at the head of each phase.
+    A phase walks paths source, x, y, x, ..., sink with current-arc
+    pointers, taking arcs in a fixed order: at the source x by index; at x
+    its unused edges by y; at y its used edges by x, then the sink arc.
+    The pointer at x is an index into graph.neighbors_x(x); the one at y
+    is the least x still to try, n_x standing for the sink arc.  An
+    inadmissible arc, or one ending in a dead end, advances its pointer; a
+    path that reaches the sink keeps its pointers and carries 1, as it
+    alternates unit edge arcs.  A BFS that reaches the sink stops at the
+    sink's layer, since nothing beyond it can.
 
-    The first phase runs as one greedy pass: each x by index takes its
-    edges to the lowest-indexed y's with ry[y] > 0 until rx[x] is 0.  That
-    is the phase itself.  With no edge used, every x with demand is at
-    level 1 and every y it reaches at level 2, so the BFS either stops at
-    the sink's layer 3 or reaches no y with capacity.  No x gets level 3,
-    so y's held edges never give an admissible arc, and every path the
+    The first phase runs as one greedy pass: each x by index walks N(x)
+    and takes its edges to the first rx[x] y's with ry[y] > 0.  That is
+    the phase itself.  With no edge used, every x with demand is at level
+    1 and every y it reaches at level 2, so the BFS either stops at the
+    sink's layer 3 or reaches no y with capacity.  No x gets level 3, so
+    y's held edges never give an admissible arc, and every path the
     search finds is source, x, y, sink, taken in the order above.  A y
-    with no capacity left is a dead end for good.  The y's that x takes
-    are the first rx[x] of N(x) that are also in open_ys, so the pass
-    walks whichever of the two lists is shorter, probing ry along N(x) or
-    graph.edge_set along open_ys, and stops once rx[x] is met.  Along N(x)
-    it only counts the y's that fill (stale); the open_ys walk prunes them
-    first and removes the y's it fills itself.  When no y with capacity is
-    reachable the pass takes nothing, and the next BFS finds the levels
-    the first one would have.
+    with no capacity left is a dead end for good.  When no y with
+    capacity is reachable the pass takes nothing, and the next BFS finds
+    the levels the first one would have.
 
     Before it scans Y layer d from the X frontier, the BFS tests the y's
     of open_ys for an unused edge to the frontier when their total degree
@@ -234,46 +225,27 @@ def _max_flow(
     n_x, n_y = graph.n_x, graph.n_y
     adj = list(map(graph.neighbors_x, range(n_x)))
     deg_x, deg_y = graph.degrees()
-    edge_set = graph.edge_set
     rx, ry = list(demand.f_x), list(demand.f_y)
     ux: list = [frozenset()] * n_x  # an x without demand never holds an edge
     held: list[list[int]] = [[] for _ in range(n_y)]
-    open_ys, stale = [y for y in range(n_y) if ry[y]], 0
     for x in range(n_x):  # the first phase
         need = rx[x]
         if not need:
             continue
         used = ux[x] = set()
-        if len(adj[x]) <= len(open_ys) - stale:
-            for y in adj[x]:
-                if ry[y]:
-                    ry[y] -= 1
-                    if not ry[y]:
-                        stale += 1
-                    used.add(y)
-                    held[y].append(x)
-                    need -= 1
-                    if not need:
-                        break
-        else:
-            if stale:
-                open_ys, stale = [y for y in open_ys if ry[y]], 0
-            for y in open_ys:
-                if (x, y) in edge_set:
-                    used.add(y)
-                    need -= 1
-                    if not need:
-                        break
-            for y in used:
+        for y in adj[x]:
+            if ry[y]:
                 ry[y] -= 1
-                if not ry[y]:
-                    del open_ys[bisect_left(open_ys, y)]
+                used.add(y)
                 held[y].append(x)
+                need -= 1
+                if not need:
+                    break
         rx[x] = need
-    if stale:
-        open_ys = [y for y in open_ys if ry[y]]
-    open_deg = sum(map(deg_y.__getitem__, open_ys))
+    open_ys = range(n_y)
     while True:
+        open_ys = [y for y in open_ys if ry[y]]
+        open_deg = sum(map(deg_y.__getitem__, open_ys))
         lx, ly, lt = [1 if r else -1 for r in rx], [-1] * n_y, -1
         xs = [x for x in range(n_x) if rx[x]]
         reach = sum(map(deg_x.__getitem__, xs))  # the frontier's total degree
@@ -341,9 +313,6 @@ def _max_flow(
                             insort(held[z], v)
                         rx[x0] -= 1
                         ry[y] -= 1
-                        if not ry[y]:
-                            del open_ys[bisect_left(open_ys, y)]
-                            open_deg -= deg_y[y]
                         path = [x0]
                     else:
                         ity[y] = n_x + 1  # past the sink arc

@@ -289,16 +289,3 @@ def enumerate_bipartite_block(n_x: int, n_y: int):
             continue
         if _spanning_connected(n_x, n_y, edges):
             yield BipartiteGraph(n_x, n_y, edges)
-
-
-def enumerate_small_bipartite(max_n: int):
-    """Yield every connected bipartite graph with 1..max_n vertices per side.
-
-    Plain labeled enumeration over all edge subsets; isomorphic duplicates
-    are emitted.  max_n is capped at 5 per side.
-    """
-    if not 1 <= max_n <= 5:
-        raise ParamInvalidError("max_n must lie in [1, 5]")
-    for n_x in range(1, max_n + 1):
-        for n_y in range(1, max_n + 1):
-            yield from enumerate_bipartite_block(n_x, n_y)

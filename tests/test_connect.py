@@ -595,6 +595,27 @@ class TestHamilton:
         assert woven is not None
         assert_regular_spanning(g, woven, 2, connected=True)
 
+    @pytest.mark.parametrize(
+        "arcs", [[(0, 1), (1, 2), (2, 1)], [(0, 1), (1, 0), (2, 3), (3, 2)]]
+    )
+    def test_weave_rejects_a_quotient_that_is_not_one_cycle(self, arcs):
+        """Quadrilaterals with full arcs, one out of each component: either
+        the walk from component 0 enters the cycle 1 -> 2 -> 1 and never
+        comes back to 0, or it comes back to 0 before it has seen every
+        component."""
+        c = 1 + max(j for _, j in arcs)
+        quads = [([2 * i, 2 * i + 1], [2 * i, 2 * i + 1]) for i in range(c)]
+        factor_edges = [(x, y) for xs, ys in quads for x in xs for y in ys]
+        cross = [(x, y) for i, j in arcs for y in quads[i][1] for x in quads[j][0]]
+        g = BipartiteGraph(2 * c, 2 * c, factor_edges + cross)
+        f = Factor(g, factor_edges)
+        assert _component_vertex_sets(f) == quads
+        report = _build_stuck_report(g, f, 2, 3)
+        assert Counter((link.component_v, link.component_u) for link in report.links) == {
+            arc: 4 for arc in arcs
+        }
+        assert _weave_quotient_cycle(report, quads) is None
+
     def test_hypothesis_min_degree(self):
         with pytest.raises(HypothesisViolatedError) as err:
             hamilton_s13(complete_bipartite(3, 3))

@@ -406,21 +406,20 @@ class TestFlowIdentity:
         assert _same_as_reference(graph, DegreeDemand.uniform(graph, 1)) == "factor"
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_first_phase_walks_open_list_on_minus_matching_hosts(self, k):
+    def test_first_phase_skips_filled_ys_on_minus_matching_hosts(self, k):
         """K(n,n) minus a shuffled perfect matching at uniform k: the y's
-        fill in index order, so from about the third x on fewer y's have
-        capacity than x has neighbours.  Those x's walk the list of open
-        y's and probe the edge set, skipping their missing partner, and
-        must still take the lowest open y's."""
+        fill in index order, so from about the third x on most of N(x)
+        has no capacity left.  Those x's walk past the filled y's and
+        their missing partner, and must still take the lowest open y's."""
         for n in range(k + 1, 31):
             rng = random.Random(100 * k + n)
             graph = complete_bipartite_minus_matching(n, list(enumerate(rng.sample(range(n), n))))
             assert _same_as_reference(graph, DegreeDemand.uniform(graph, k)) == "factor"
 
-    def test_first_phase_walks_open_list_on_unequal_sides(self):
+    def test_first_phase_skips_ys_without_demand_on_unequal_sides(self):
         """Dense hosts of 8-30 X against 30-60 Y vertices where only 2-6
-        y's have demand: from the first x on the open list is the shorter
-        one, and it loses y's as they fill."""
+        y's have demand: each x walks past many y's without demand in
+        N(x), and the few open y's fill as the pass goes on."""
         outcomes: dict[str, int] = {}
         for seed in range(120):
             rng = random.Random(seed)
@@ -511,8 +510,8 @@ class TestFlowIdentity:
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_on_dense_hosts(self, n_x, n_y, data):
         """Complete hosts with a few edges removed, and demands from a
-        random edge subset with a few unit transfers: both first-phase
-        walks, multi-phase searches and the sink-side check."""
+        random edge subset with a few unit transfers: the first phase,
+        multi-phase searches and the sink-side check."""
         cells = [(x, y) for x in range(n_x) for y in range(n_y)]
         missing = data.draw(st.sets(st.sampled_from(cells), max_size=max(n_x, n_y)))
         graph = BipartiteGraph(n_x, n_y, [e for e in cells if e not in missing])

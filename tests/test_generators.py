@@ -12,7 +12,6 @@ from bifactor import (
     brute_force_f_factor,
     complete_bipartite,
     enumerate_bipartite_block,
-    enumerate_small_bipartite,
     generate,
     path_graph,
 )
@@ -176,7 +175,7 @@ class TestEnumeration:
         """All connected graphs with class sizes at most 2, counted by
         hand: one edge, the two 2-edge stars, four paths inside K_{2,2},
         and K_{2,2} itself."""
-        gs = list(enumerate_small_bipartite(2))
+        gs = [g for n_x in (1, 2) for n_y in (1, 2) for g in enumerate_bipartite_block(n_x, n_y)]
         assert len(gs) == 8
         shapes = sorted((g.n_x, g.n_y, g.m) for g in gs)
         assert shapes == [
@@ -193,11 +192,15 @@ class TestEnumeration:
         assert path_graph(4) in gs
 
     def test_everything_connected_and_spanning(self):
-        for g in enumerate_small_bipartite(3):
-            assert g.is_connected()
-            assert g.m >= g.n_vertices - 1
+        for n_x in (1, 2, 3):
+            for n_y in (1, 2, 3):
+                for g in enumerate_bipartite_block(n_x, n_y):
+                    assert g.is_connected()
+                    assert g.m >= g.n_vertices - 1
 
     @pytest.mark.parametrize("bad", [0, 6, -1])
     def test_size_gate(self, bad):
-        with pytest.raises(ParamInvalidError):
-            list(enumerate_small_bipartite(bad))
+        """A class size outside [1, 5] on either side is refused."""
+        for n_x, n_y in ((bad, 1), (1, bad), (bad, 5), (5, bad)):
+            with pytest.raises(ParamInvalidError):
+                list(enumerate_bipartite_block(n_x, n_y))
