@@ -25,6 +25,7 @@ MAX_CLASS_SIZE (10,000) vertices per class.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
@@ -294,6 +295,9 @@ class Factor(BipartiteGraph):
 # could otherwise ask for gigabytes.
 MAX_CLASS_SIZE = 10_000
 
+# The edge lines of a canonical graph file, as serialize_graph writes them.
+_EDGE_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+
 
 def _header(lines: list[str], usage: str) -> tuple[int, str, tuple[int, ...]]:
     """The header: the first line that is neither blank nor a comment, as
@@ -345,11 +349,24 @@ def parse_graph(text: str) -> BipartiteGraph:
     """Parse the graph text format; errors name the offending line.
 
     A header declaring a class larger than MAX_CLASS_SIZE is rejected
-    before anything is allocated for it.  The edge lines are read in one
-    pass and validated once, by the BipartiteGraph constructor; only a
-    bad file is read again, line by line, to name its first bad line.
+    before anything is allocated for it.  A file as serialize_graph writes
+    it, the header on the first line and then lines of two unsigned
+    decimal integers, one space apart, each ending in "\\n", is read in
+    bulk, with no list per line; every other file is read line by line.
+    The edges are validated once, by the BipartiteGraph constructor; only
+    a bad file is read again, line by line, to name its first bad line.
     """
-    lines = text.splitlines()
+    head, _, body = text.partition("\n")
+    # str.splitlines also breaks lines at "\r", "\x0c", "\x85" and the like.
+    # Inside the first line such a break moves the header; at its end it
+    # adds at most a blank line, which changes no edge, and line numbers
+    # come from the line-by-line read alone.
+    bulk = (
+        head.startswith("bipartite")
+        and len(head.splitlines()) == 1
+        and _EDGE_LINES.fullmatch(body) is not None
+    )
+    lines = [head] if bulk else text.splitlines()
     header_line, line, (n_x, n_y, m) = _header(lines, "bipartite <nX> <nY> <m>")
     if n_x < 0 or n_y < 0 or m < 0:
         raise MalformedHeaderError(f"negative field in header {line!r}", line=header_line)
@@ -357,16 +374,17 @@ def parse_graph(text: str) -> BipartiteGraph:
         raise MalformedHeaderError(
             f"class size above {MAX_CLASS_SIZE} in header {line!r}", line=header_line
         )
-    rows = (
-        p for p in map(str.split, islice(lines, header_line, None)) if p and p[0][0] != "#"
-    )
     try:
-        edges = [(int(a), int(b)) for a, b in rows]
+        if bulk:
+            ends = map(int, body.split())
+            edges = list(zip(ends, ends))
+        else:
+            edges = [edge for _, edge in _edge_rows(lines, header_line, "#")]
         if len(edges) == m:
             return BipartiteGraph(n_x, n_y, edges)
-    except (ValueError, GraphFormatError):
+    except (ValueError, GraphFormatError):  # int() refuses over 4300 digits
         pass
-    checked = _checked_edges(n_x, n_y, _edge_rows(lines, header_line, "#"))
+    checked = _checked_edges(n_x, n_y, _edge_rows(text.splitlines(), header_line, "#"))
     raise MalformedHeaderError(
         f"header promises {m} edges, file has {len(checked)}", line=header_line
     )

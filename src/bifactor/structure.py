@@ -21,13 +21,22 @@ time v is the l-center, one "good leaf" mask is built for it over the
 vertices at distance 2 from v, and at every edge the k-leaves are the
 set bits of ``N(u) & good[v]``.  A leaf subset holding a non-good leaf
 would have been abandoned at that leaf, so the first witness is the
-same.  The checks run cheapest first: an orientation is dropped when the
+same.
+
+Since |N(v) \\ N(b)| is at most the number of b's non-neighbours, only a
+"thin" b, one with at least l non-neighbours, can be good.  One pass over
+the degrees gives a thin mask per side; good masks are built over thin
+candidates only, and when no orientation that runs has a thin k-leaf
+side the host is free before any neighbour mask is built.  So on
+K(n,n) minus a perfect matching, whose vertices have one non-neighbour
+each, a scan with l >= 2 costs O(n) for the degrees alone.
+
+The checks run cheapest first: an orientation is dropped when the
 k-center has at most k neighbours or the l-center at most l, before any
 good mask is built; then when fewer than k good leaves remain, before
-any leaf search.  On dense hosts the scan makes O(n^2) mask operations:
-O(n) per good mask and one AND per edge.  On K(n,n) minus a perfect
-matching every good mask is empty.  With g good leaves at an edge the
-search makes at most C(g, 1) + ... + C(g, k) steps.
+any leaf search.  Otherwise a dense host costs O(n^2) mask operations:
+O(n) per good mask and one AND per edge.  With g good leaves at an edge
+the search makes at most C(g, 1) + ... + C(g, k) steps.
 """
 
 from __future__ import annotations
@@ -77,20 +86,33 @@ def _neighbor_masks(graph: BipartiteGraph) -> tuple[list[int], list[int]]:
     return mask_x, mask_y
 
 
+def _thin_mask(degrees: tuple[int, ...], n_other: int, l: int) -> int:
+    """Mask of the vertices with at least l non-neighbours on the other
+    side of ``n_other`` vertices."""
+    thin = 0
+    for b, d in enumerate(degrees):
+        if n_other - d >= l:
+            thin |= 1 << b
+    return thin
+
+
 def _good_leaves(
-    own: list[int], far: list[int], nbrs: tuple[int, ...], v: int, l: int
+    own: list[int], far: list[int], nbrs: tuple[int, ...], v: int, l: int, thin: int
 ) -> int:
     """Mask of the vertices b at distance 2 from v with |N(v) \\ N(b)| >= l.
 
     ``own`` holds the neighbour masks of v's side, ``far`` those of the
-    other side, and ``nbrs`` lists v's neighbours.  Only such a b can be a
-    k-leaf when v is the l-center: every k-leaf is adjacent to the
-    k-center, so the l-side candidates it leaves are exactly N(v) \\ N(b).
+    other side, ``nbrs`` lists v's neighbours and ``thin`` masks the
+    vertices of v's side with at least l non-neighbours.  Only such a b
+    can be a k-leaf when v is the l-center: every k-leaf is adjacent to
+    the k-center, so the l-side candidates it leaves are exactly
+    N(v) \\ N(b).  A b outside ``thin`` misses fewer than l vertices at
+    all, so only thin candidates are counted.
     """
     reach = 0
     for a in nbrs:
         reach |= far[a]
-    reach &= ~(1 << v)
+    reach &= thin & ~(1 << v)
     nv = own[v]
     shared = len(nbrs) - l  # b is good when |N(v) & N(b)| <= shared
     good = 0
@@ -177,20 +199,27 @@ def find_induced_star(graph: BipartiteGraph, k: int, l: int) -> StarWitness | No
     when the k-center has at most k neighbours or the l-center at most l
     (the other center is a neighbour of each and never a leaf), and
     before any leaf search when fewer than k of the k-center's
-    neighbours are good leaves for the l-center.
+    neighbours are good leaves for the l-center.  When no vertex on the
+    k-leaf side of an orientation that runs has l non-neighbours, the
+    host is free, and the scan returns None before it builds any
+    neighbour mask.
     """
     if k < 1 or l < 1:
         raise ValueError("both leaf counts must be at least 1")
+    deg_x, deg_y = graph.degrees()
+    thin_x = _thin_mask(deg_x, graph.n_y, l)
+    thin_y = _thin_mask(deg_y, graph.n_x, l)
+    if not thin_y and (k == l or not thin_x):
+        return None
     masks = _neighbor_masks(graph)
     mask_x, mask_y = masks
-    deg_x, deg_y = graph.degrees()
     good_x: list[int | None] = [None] * graph.n_x
     good_y: list[int | None] = [None] * graph.n_y
     for x, y in graph.edge_list:
         if deg_x[x] > k and deg_y[y] > l:
             good = good_y[y]
             if good is None:
-                good = good_y[y] = _good_leaves(mask_y, mask_x, graph.neighbors_y(y), y, l)
+                good = good_y[y] = _good_leaves(mask_y, mask_x, graph.neighbors_y(y), y, l, thin_y)
             avail = mask_x[x] & good
             if avail.bit_count() >= k:
                 w = _star_at_edge(masks, x, y, k, l, avail, u_on_x=True)
@@ -199,7 +228,7 @@ def find_induced_star(graph: BipartiteGraph, k: int, l: int) -> StarWitness | No
         if k != l and deg_y[y] > k and deg_x[x] > l:
             good = good_x[x]
             if good is None:
-                good = good_x[x] = _good_leaves(mask_x, mask_y, graph.neighbors_x(x), x, l)
+                good = good_x[x] = _good_leaves(mask_x, mask_y, graph.neighbors_x(x), x, l, thin_x)
             avail = mask_y[y] & good
             if avail.bit_count() >= k:
                 w = _star_at_edge(masks, x, y, k, l, avail, u_on_x=False)

@@ -3,10 +3,12 @@
 Everything here recomputes from first principles and shares no code with
 the implementations under test: witnesses are validated by counting
 induced edges, the detector's choice of witness by enumerating leaf
-subsets in order and by the bitset detector as first written, which
-tries every neighbour of the k-center as a leaf, star-pair freeness by
-scanning vertex subsets for the tree profile, violators by evaluating
-both sides of the inequality directly, the connecting loop's moves by
+subsets in order, by the bitset detector as first written, which tries
+every neighbour of the k-center as a leaf, and by the good-leaf detector
+as first written, which counts every vertex at distance 2 from the
+l-center for its good mask, star-pair freeness by scanning vertex
+subsets for the tree profile, violators by evaluating both sides of the
+inequality directly, the connecting loop's moves by
 the loop as first written, which rebuilds the factor after every move
 and recounts every candidate from scratch with union-find, and the flow
 solver's factor and violator by the flow network as first written, with
@@ -939,6 +941,146 @@ def reference_find_induced_star(graph: BipartiteGraph, k: int, l: int) -> StarWi
             w = _reference_star_at_edge(graph, masks, x, y, k, l, u_on_x=False)
             if w is not None:
                 return w
+    return None
+
+
+def _reference_good_leaves(
+    own: list[int], far: list[int], nbrs: tuple[int, ...], v: int, l: int
+) -> int:
+    """Mask of the vertices b at distance 2 from v with |N(v) \\ N(b)| >= l.
+
+    ``own`` holds the neighbour masks of v's side, ``far`` those of the
+    other side, and ``nbrs`` lists v's neighbours.  Only such a b can be a
+    k-leaf when v is the l-center: every k-leaf is adjacent to the
+    k-center, so the l-side candidates it leaves are exactly N(v) \\ N(b).
+    """
+    reach = 0
+    for a in nbrs:
+        reach |= far[a]
+    reach &= ~(1 << v)
+    nv = own[v]
+    shared = len(nbrs) - l  # b is good when |N(v) & N(b)| <= shared
+    good = 0
+    while reach:
+        low = reach & -reach
+        if (nv & own[low.bit_length() - 1]).bit_count() <= shared:
+            good |= low
+        reach ^= low
+    return good
+
+
+def _reference_good_leaf_star_at_edge(
+    masks: tuple[list[int], list[int]],
+    x: int,
+    y: int,
+    k: int,
+    l: int,
+    avail: int,
+    u_on_x: bool,
+) -> StarWitness | None:
+    """Lexicographically first witness anchored at edge (x, y), if any.
+
+    ``u_on_x`` chooses which endpoint carries the k leaves, and ``avail``
+    masks the k-center's neighbours that are good leaves for the other
+    center.  Leaf subsets of ``avail`` are enumerated in lexicographic
+    order; a partial subset is abandoned as soon as fewer than l
+    candidates for the other center remain non-adjacent to it.
+    Candidates are a bitmask over the other center's side, and the l
+    picked leaves are its l lowest bits.
+    """
+    mask_x, mask_y = masks
+    if u_on_x:
+        u_side, u, v_side, v, leaf_mask = "X", x, "Y", y, mask_y
+    else:
+        u_side, u, v_side, v, leaf_mask = "Y", y, "X", x, mask_x
+    cand = leaf_mask[v] & ~(1 << u)
+    leaves = []
+    while avail:
+        low = avail & -avail
+        leaves.append(low.bit_length() - 1)
+        avail ^= low
+
+    chosen: list[int] = []
+
+    def extend(start: int, cand: int) -> int | None:
+        if len(chosen) == k:
+            return cand
+        for pos in range(start, len(leaves)):
+            leaf = leaves[pos]
+            remaining = cand & ~leaf_mask[leaf]
+            if remaining.bit_count() < l:
+                continue
+            chosen.append(leaf)
+            got = extend(pos + 1, remaining)
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
+
+    rest = extend(0, cand)
+    if rest is None:
+        return None
+    picked = []
+    for _ in range(l):
+        low = rest & -rest
+        picked.append(low.bit_length() - 1)
+        rest ^= low
+    return StarWitness(
+        k,
+        l,
+        VertexRef(u_side, u),
+        VertexRef(v_side, v),
+        tuple(VertexRef(v_side, b) for b in chosen),
+        tuple(VertexRef(u_side, a) for a in picked),
+    )
+
+
+def reference_good_leaf_star(graph: BipartiteGraph, k: int, l: int) -> StarWitness | None:
+    """The good-leaf detector as first written, which counts every vertex
+    at distance 2 from the l-center for its good mask (O(n^2) mask
+    operations on K(n,n) minus a perfect matching, where every good mask
+    is empty).
+
+    First induced copy in edge order, or None when the graph is free.
+
+    Edges are scanned sorted by (x, y); for each edge the X endpoint is
+    tried as the k-leaf center before the Y endpoint (the second
+    orientation only matters when k != l).  An orientation is skipped
+    when the k-center has at most k neighbours or the l-center at most l
+    (the other center is a neighbour of each and never a leaf), and
+    before any leaf search when fewer than k of the k-center's
+    neighbours are good leaves for the l-center.
+    """
+    if k < 1 or l < 1:
+        raise ValueError("both leaf counts must be at least 1")
+    masks = _reference_neighbor_masks(graph)
+    mask_x, mask_y = masks
+    deg_x, deg_y = graph.degrees()
+    good_x: list[int | None] = [None] * graph.n_x
+    good_y: list[int | None] = [None] * graph.n_y
+    for x, y in graph.edge_list:
+        if deg_x[x] > k and deg_y[y] > l:
+            good = good_y[y]
+            if good is None:
+                good = good_y[y] = _reference_good_leaves(
+                    mask_y, mask_x, graph.neighbors_y(y), y, l
+                )
+            avail = mask_x[x] & good
+            if avail.bit_count() >= k:
+                w = _reference_good_leaf_star_at_edge(masks, x, y, k, l, avail, u_on_x=True)
+                if w is not None:
+                    return w
+        if k != l and deg_y[y] > k and deg_x[x] > l:
+            good = good_x[x]
+            if good is None:
+                good = good_x[x] = _reference_good_leaves(
+                    mask_x, mask_y, graph.neighbors_x(x), x, l
+                )
+            avail = mask_y[y] & good
+            if avail.bit_count() >= k:
+                w = _reference_good_leaf_star_at_edge(masks, x, y, k, l, avail, u_on_x=False)
+                if w is not None:
+                    return w
     return None
 
 

@@ -301,6 +301,42 @@ class TestAgainstFirstWritten:
         assert err.value.line == line
         assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
 
+    @pytest.mark.parametrize(
+        "text",
+        # Headers holding another line break of str.splitlines: one that
+        # parts the header from an edge, and one that ends the header
+        # before good or repeated edges.
+        [f"bipartite 2 2 1{c}0 0\n1 1\n" for c in "\x0c\x0b\x1c\x85\u2028\r"]
+        + [f"bipartite 2 2 2{c}\n0 0\n1 1\n" for c in "\x0c\x0b\x1c\x85\u2028\r"]
+        + [f"bipartite 2 2 2{c}\n0 0\n0 0\n" for c in "\x0c\x0b\x1c\x85\u2028\r"]
+        + [
+            "bipartite 2 2 1\x0c\x0c\n0 0\n",
+            "bipartite 2 2 2\r\n0 0\n1 1\n",
+            "# bipartite 2 2 1\n0 0\n",
+            "#\n0 0\n",
+            " bipartite 2 2 1\n0 0\n",
+            "bipartite 2 2 2\r\n0 0\r\n1 1\r\n",
+            "# c\nbipartite 2 2 2\n0 0\n1 1\n",
+            "\nbipartite 2 2 2\n0 0\n1 1\n",
+            " bipartite 2 2 2 \n0 0\n1 1\n",
+            "bipartite 2 2 2\n0 0\n1 1",
+            "bipartite 0 0 0",
+            "bipartite 0 0 0\n",
+            "bipartite 2 2 2\n00 0\n1 01\n",
+            "bipartite 2 2 2\n0 0\n+1 1\n",
+            "bipartite 2 2 2\n0\t0\n1 1\n",
+            "bipartite 2 2 2\n0 0\n# x\n1 1\n",
+            "bipartite 2 2 2\n0 0\n0 0\n",
+            "bipartite 2 2 2\n0 0\n2 1\n",
+            "bipartite 2 2 3\n0 0\n1 1\n",
+            "bipartite 2 2 1\n0 0\n1 1\n",
+            "bipartite 2 2 1\n" + "1" * 5000 + " 0\n",
+        ],
+    )
+    def test_canonical_shape_edge_cases(self, text):
+        """Files at the edge of the canonical shape the bulk read takes."""
+        assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
+
     def test_list_edges_are_stored_as_tuples(self):
         g = BipartiteGraph(2, 2, [[1, 0], [0, 1]])
         assert g.edge_list == ((0, 1), (1, 0)) and g.has_edge(1, 0)

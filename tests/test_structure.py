@@ -30,6 +30,7 @@ from conftest import (
     contains_star_pair,
     first_star_witness,
     reference_find_induced_star,
+    reference_good_leaf_star,
 )
 
 # Arm pairs for the comparisons against the detector as first written.
@@ -61,6 +62,35 @@ def near_minus_matching(n: int, extra: int, at_y: bool, rng: random.Random) -> B
     dropped = set(rng.sample(at_v, extra))
     return BipartiteGraph(n, n, [c for c in cells if c not in dropped])
 
+
+
+def ragged_minus_matching(n: int, rng: random.Random) -> BipartiteGraph:
+    """K(n,n) minus a random perfect matching and more non-edges at four
+    random vertices a side, which then miss exactly 2, 3, 4 and 5
+    vertices; no such non-edge joins two of them, and the other vertices
+    miss 1 or more."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    missing = {(x, perm[x]) for x in range(n)}
+    xs, ys = rng.sample(range(n), 4), rng.sample(range(n), 4)
+    for extra, x, y in zip(range(1, 5), xs, ys):
+        spare_y = [b for b in range(n) if b not in ys and (x, b) not in missing]
+        missing.update((x, b) for b in rng.sample(spare_y, extra))
+        spare_x = [a for a in range(n) if a not in xs and (a, y) not in missing]
+        missing.update((a, y) for a in rng.sample(spare_x, extra))
+    cells = ((x, y) for x in range(n) for y in range(n))
+    return BipartiteGraph(n, n, [c for c in cells if c not in missing])
+
+
+def sparse_misses(n_x: int, n_y: int, p: float, rng: random.Random) -> BipartiteGraph:
+    """K(n_x, n_y) with each edge dropped with probability p."""
+    cells = ((x, y) for x in range(n_x) for y in range(n_y))
+    return BipartiteGraph(n_x, n_y, [c for c in cells if rng.random() >= p])
+
+
+def non_neighbour_counts(g: BipartiteGraph) -> tuple[set[int], set[int]]:
+    deg_x, deg_y = g.degrees()
+    return {g.n_y - d for d in deg_x}, {g.n_x - d for d in deg_y}
 
 class TestDetection:
     @pytest.mark.parametrize("k, l", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
@@ -159,6 +189,51 @@ class TestGoodLeafPruning:
     def test_chain_host(self, k, l):
         g = chain_host(2000)
         assert find_induced_star(g, k, l) == reference_find_induced_star(g, k, l)
+
+
+class TestThinPrune:
+    """Counting only k-leaf candidates with at least l non-neighbours, and
+    returning before any mask is built when no orientation has one, keeps
+    every witness of the good-leaf detector as first written."""
+
+    def test_ragged_minus_matching_hosts(self):
+        """Seeded corpus, n 16-100: some vertices of each side miss l - 1,
+        l and l + 1 vertices for every l of PRUNING_ARMS, so the thin
+        masks are neither empty nor full."""
+        rng = random.Random(20182)
+        outcomes = set()
+        for n in (16, 17, 20, 25, 31, 40, 100):
+            g = ragged_minus_matching(n, rng)
+            assert all({1, 2, 3, 4, 5} <= side for side in non_neighbour_counts(g))
+            for k, l in PRUNING_ARMS:
+                w = find_induced_star(g, k, l)
+                assert w == reference_good_leaf_star(g, k, l), (n, k, l)
+                if w is not None:
+                    assert_star_witness_valid(g, w)
+                    outcomes.add(w.center_u.side)
+                else:
+                    outcomes.add(None)
+        assert outcomes == {"X", "Y", None}
+
+    def test_unbalanced_hosts(self):
+        """Seeded corpus of unequal sides on which a vertex's count of
+        non-neighbours, n_other - deg, falls on both sides of each l."""
+        rng = random.Random(20183)
+        crossed = set()
+        for n_x, n_y in ((20, 26), (31, 24), (40, 33), (24, 60), (60, 17)):
+            g = sparse_misses(n_x, n_y, 0.08, rng)
+            for side, counts in enumerate(non_neighbour_counts(g)):
+                crossed |= {(side, l) for l in (2, 3, 4) if min(counts) < l <= max(counts)}
+            for k, l in PRUNING_ARMS:
+                w = find_induced_star(g, k, l)
+                assert w == reference_good_leaf_star(g, k, l), (n_x, n_y, k, l)
+        assert crossed == {(side, l) for side in (0, 1) for l in (2, 3, 4)}
+
+    def test_k400_minus_matching(self):
+        g = complete_bipartite_minus_matching(400, [(i, (i + 1) % 400) for i in range(400)])
+        for k, l in PRUNING_ARMS:
+            assert find_induced_star(g, k, l) is None
+            assert reference_good_leaf_star(g, k, l) is None
 
 
 class TestClassify:
