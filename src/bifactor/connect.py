@@ -26,9 +26,12 @@ finds a move whenever such a swap would help.
 
 The loop keeps one working copy of the factor (sorted adjacency,
 component labels, and the members of each label as listed by
-``_component_vertex_sets``, which the Hamilton weave reads too), updates
-it in place after each move and builds a ``Factor`` once, at the end;
-its component count must equal the tracked one.
+``_component_vertex_sets``, which the Hamilton weave reads too) and
+updates it in place after each move.  It builds a ``Factor`` once, at the
+end, from that adjacency as it stands, still sorted, so no edge list is
+sorted or indexed again.  The result checks its edges against the host
+and labels its components from scratch, so its component count, which
+must equal the tracked one, is an independent recount.
 
 A factor on which no exchange merges two components is *stuck*.  Stuck
 states are audited, not asserted away: the report carries every link,
@@ -141,8 +144,8 @@ class _Exchanger:
     def __init__(self, graph: BipartiteGraph, factor: Factor, k: int):
         self.graph = graph
         self.k = k
-        self.adj_x = [list(factor.neighbors_x(x)) for x in range(graph.n_x)]
-        self.adj_y = [list(factor.neighbors_y(y)) for y in range(graph.n_y)]
+        self.adj_x = list(map(list, factor._adj_x))
+        self.adj_y = list(map(list, factor._adj_y))
         self.comp_x = list(factor.comp_x)
         self.comp_y = list(factor.comp_y)
         self.members = _component_vertex_sets(factor)
@@ -204,7 +207,7 @@ class _Exchanger:
         self.count -= 1
 
     def factor(self) -> Factor:
-        return Factor(self.graph, [(x, y) for x, ys in enumerate(self.adj_x) for y in ys])
+        return Factor._from_adjacency(self.graph, self.adj_x, self.adj_y)
 
 
 # -- stuck-state reporting -----------------------------------------------------

@@ -17,12 +17,15 @@ vertex.  Everything here is deterministic: augmentation scans every arc
 list lowest index first, so the same input always yields the same factor
 or the same certificate.  The flow's first phase is one greedy pass in that
 same order: each x by index takes its edges to the lowest-indexed y's with
-capacity left.
+capacity left, starting its walk at the lowest y that still has any.  A
+saturating flow hands its per-vertex edge lists to the Factor, each x's
+sorted and each y's already ascending, so the factor's edge list is read
+off them, not sorted and indexed again.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import DemandImbalanceError, FakeCertificateError
@@ -182,11 +185,12 @@ def _shrink(
 
 def _max_flow(
     graph: BipartiteGraph, demand: DegreeDemand
-) -> tuple[list[set[int]], list[int]]:
+) -> tuple[list[set[int]], list[list[int]], list[int]]:
     """Unit-capacity Dinic (Even and Tarjan, 1975) on the graph's own
-    adjacency: the y's of each x's used edges, and the X levels of the last
-    BFS (-1 exactly when the source cannot reach x; all -1 exactly when
-    the flow saturates).
+    adjacency: the y's of each x's used edges, the x's of each y's used
+    edges in ascending order, and the X levels of the last BFS (-1 exactly
+    when the source cannot reach x; all -1 exactly when the flow
+    saturates).
 
     Residual state is kept per vertex, with no per-edge array: ux[x] holds
     the y's of x's used edges, held[y] the x's holding an edge at y in
@@ -213,6 +217,15 @@ def _max_flow(
     capacity is reachable the pass takes nothing, and the next BFS finds
     the levels the first one would have.
 
+    The pass keeps a pointer lo: every y below it has ry[y] = 0.  Each x
+    starts its walk at bisect_left(N(x), lo), and after each walk lo moves
+    up past the y's at lo with no capacity left, so only when the y at lo
+    fills (or had no demand to begin with).  Capacity only falls during
+    the pass, so the y's of N(x) an x skips are ones its walk would have
+    passed over, and it takes the same edges.  Where the y's fill in
+    index order, as on K(n,n) minus a perfect matching, an x no longer
+    walks past the filled part of N(x), half of it on average.
+
     Before it scans Y layer d from the X frontier, the BFS tests the y's
     of open_ys for an unused edge to the frontier when their total degree
     is below the frontier's.  If some are reached, only they get level d
@@ -225,15 +238,20 @@ def _max_flow(
     n_x, n_y = graph.n_x, graph.n_y
     adj = list(map(graph.neighbors_x, range(n_x)))
     deg_x, deg_y = graph.degrees()
-    rx, ry = list(demand.f_x), list(demand.f_y)
+    rx, ry = list(demand.f_x), [*demand.f_y, 1]  # ry[n_y] stops the first phase's lo
     ux: list = [frozenset()] * n_x  # an x without demand never holds an edge
     held: list[list[int]] = [[] for _ in range(n_y)]
+    lo = 0  # every y below lo has no capacity left
     for x in range(n_x):  # the first phase
         need = rx[x]
         if not need:
             continue
         used = ux[x] = set()
-        for y in adj[x]:
+        nbrs = adj[x]
+        i, end = bisect_left(nbrs, lo) if lo else 0, len(nbrs)
+        while i < end:
+            y = nbrs[i]
+            i += 1
             if ry[y]:
                 ry[y] -= 1
                 used.add(y)
@@ -242,6 +260,8 @@ def _max_flow(
                 if not need:
                     break
         rx[x] = need
+        while not ry[lo]:
+            lo += 1
     open_ys = range(n_y)
     while True:
         open_ys = [y for y in open_ys if ry[y]]
@@ -278,7 +298,7 @@ def _max_flow(
                         xs.append(x)
                         reach += deg_x[x]
         if lt == -1:
-            return ux, lx
+            return ux, held, lx
         itx, ity = [0] * n_x, [0] * n_y
         for x0 in range(n_x):
             path = [x0] if lx[x0] == 1 else []  # the path's X vertices; y = adj[x][itx[x]]
@@ -334,10 +354,10 @@ def find_f_factor(
         raise DemandImbalanceError(
             f"total X demand {sum(demand.f_x)} != total Y demand {sum(demand.f_y)}"
         )
-    ux, level_x = _max_flow(graph, demand)
+    ux, held, level_x = _max_flow(graph, demand)
     a = tuple(x for x in range(graph.n_x) if level_x[x] != -1)
     if not a:
-        return Factor(graph, [(x, y) for x in range(graph.n_x) for y in ux[x]])
+        return Factor._from_adjacency(graph, map(sorted, ux), held)
     return _shrink(graph, demand, a)
 
 

@@ -15,7 +15,7 @@ Factor text format, read against its host graph::
     # optional comment lines
     factor <k> <m>
     <x> <y>          (m lines, host edges; every vertex has degree k)
-    cycle X0 Y1 ...  (optional, a Hamilton cycle's vertex order; ignored)
+    cycle X0 Y1 ...  (optional, a Hamilton cycle's vertex order; checked)
 
 In both, blank lines and lines starting with '#' may appear anywhere.
 Canonical serialization sorts edges by (x, y); parse/serialize round-trips
@@ -90,7 +90,7 @@ class BipartiteGraph:
         Returns False, storing nothing, when an edge repeats or its x is out
         of range, or when some y is negative; a y of n_y or more raises
         IndexError.  Sorting is linear on the presorted input that
-        canonical files, edge_list slices and flow results give.
+        canonical files and edge_list slices give.
         """
         ordered = sorted(edges)
         edge_set = frozenset(ordered)
@@ -247,12 +247,44 @@ class Factor(BipartiteGraph):
     host edges; vertices without factor edges sit in singleton components.
     Component ids are assigned in discovery order scanning X0..X(n-1),
     Y0..Y(n-1), so they are stable across runs.
+
+    ``Factor(host, edges)`` takes edges in any order and validates them
+    as the BipartiteGraph constructor does.  The flow and the connecting
+    loop, which already hold the factor's sorted adjacency, build their
+    results with ``_from_adjacency`` instead; both ways check every edge
+    against the host and label the components from scratch.
     """
 
     __slots__ = ("host", "comp_x", "comp_y", "n_components")
 
     def __init__(self, host: BipartiteGraph, edges: Iterable[Edge]):
         super().__init__(host.n_x, host.n_y, edges)
+        self._attach(host)
+
+    @classmethod
+    def _from_adjacency(
+        cls,
+        host: BipartiteGraph,
+        adj_x: Iterable[Sequence[int]],
+        adj_y: Iterable[Sequence[int]],
+    ) -> "Factor":
+        """The factor with the given adjacency on the host's vertices.
+
+        One list per X and per Y vertex, each ascending, the two sides
+        listing the same edges: the edge list is read off ``adj_x`` in
+        order, with no sort and no duplicate or range pass.
+        """
+        self = cls.__new__(cls)
+        self.n_x, self.n_y = host.n_x, host.n_y
+        self._adj_x = tuple(map(tuple, adj_x))
+        self._adj_y = tuple(map(tuple, adj_y))
+        self.edge_list = tuple([(x, y) for x, ys in enumerate(self._adj_x) for y in ys])
+        self.edge_set = frozenset(self.edge_list)
+        self._attach(host)
+        return self
+
+    def _attach(self, host: BipartiteGraph) -> None:
+        """Check every edge against the host, then label the components."""
         stray = self.edge_set - host.edge_set
         if stray:
             raise IndexOutOfRangeError(f"factor edge {min(stray)} not in host graph")
@@ -400,7 +432,9 @@ def parse_factor(text: str, host: BipartiteGraph) -> Factor:
     """Parse a factor file against its host graph.
 
     Header is ``factor <k> <m>``.  A ``cycle ...`` line, as written for
-    Hamilton cycles, is accepted and ignored.
+    Hamilton cycles, is checked last, once the factor is built: it must
+    list every vertex once, sides alternating, and each step, the one from
+    the last vertex back to the first included, must be a factor edge.
     """
     lines = text.splitlines()
     header_line, _, (k, m) = _header(lines, "factor <k> <m>")
@@ -410,7 +444,40 @@ def parse_factor(text: str, host: BipartiteGraph) -> Factor:
     factor = Factor(host, edges)
     if factor.regularity() != k:
         raise NotRegularError(f"factor file claims {k}-regular but degrees differ")
+    for lineno, raw in enumerate(islice(lines, header_line, None), start=header_line + 1):
+        line = raw.strip()
+        if line.startswith("cycle "):
+            _check_cycle(factor, line.split()[1:], lineno)
     return factor
+
+
+# A vertex label as VertexRef.label writes it.
+_LABEL = re.compile(r"([XY])(0|[1-9][0-9]*)")
+
+
+def _check_cycle(factor: Factor, labels: list[str], lineno: int) -> None:
+    """Raise GraphFormatError, naming line ``lineno``, unless ``labels`` is
+    a Hamilton cycle of ``factor``."""
+    size = {"X": factor.n_x, "Y": factor.n_y}
+    order: list[tuple[str, int]] = []
+    seen: set[str] = set()
+    for label in labels:
+        found = _LABEL.fullmatch(label)
+        if found is None or int(found[2]) >= size[found[1]]:
+            raise GraphFormatError(f"cycle names no vertex of the host: {label!r}", line=lineno)
+        if label in seen:
+            raise GraphFormatError(f"cycle lists {label} twice", line=lineno)
+        seen.add(label)
+        order.append((found[1], int(found[2])))
+    n = factor.n_x + factor.n_y
+    if len(order) != n:
+        raise GraphFormatError(f"cycle lists {len(order)} of {n} vertices", line=lineno)
+    if n < 4:
+        raise GraphFormatError(f"no cycle runs through {n} vertices", line=lineno)
+    for (side, i), (next_side, j) in zip(order, order[1:] + order[:1]):
+        if side == next_side or ((i, j) if side == "X" else (j, i)) not in factor.edge_set:
+            problem = "stays on one side" if side == next_side else "is not a factor edge"
+            raise GraphFormatError(f"cycle step {side}{i}-{next_side}{j} {problem}", line=lineno)
 
 
 def serialize_factor(factor: Factor, cycle: tuple[VertexRef, ...] | None = None) -> str:

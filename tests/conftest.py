@@ -1123,6 +1123,17 @@ def assert_regular_spanning(
         assert len(seen) == graph.n_x + graph.n_y, "factor not connected"
 
 
+def assert_same_factor(got: Factor, want: Factor) -> None:
+    """Every field the two factors hold agrees, and so do == and hash."""
+    assert (got.n_x, got.n_y, got.host) == (want.n_x, want.n_y, want.host)
+    assert got.edge_list == want.edge_list and got.edge_set == want.edge_set
+    assert (got._adj_x, got._adj_y) == (want._adj_x, want._adj_y)
+    assert (got.comp_x, got.comp_y, got.n_components) == (
+        want.comp_x, want.comp_y, want.n_components
+    )
+    assert got == want and hash(got) == hash(want)
+
+
 @pytest.fixture
 def p4() -> BipartiteGraph:
     from bifactor import path_graph

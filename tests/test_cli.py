@@ -175,11 +175,15 @@ class TestConnectCommand:
         text = (tmp_path / "host.graph.connected").read_text()
         assert text.startswith("factor 2 26\n")
         assert "cycle X0 " in text
+        assert parse_factor(text, g).is_connected()  # the cycle line is checked
 
     def test_hamilton_pipeline(self, graph_file, tmp_path):
-        path = graph_file(double_graph(cycle_graph(3)))
+        g = double_graph(cycle_graph(3))
+        path = graph_file(g)
         assert main(["connect", path, "--k", "2", "--l", "3", "--hamilton"]) == 0
-        assert "cycle " in (tmp_path / "host.graph.connected").read_text()
+        text = (tmp_path / "host.graph.connected").read_text()
+        assert "cycle " in text
+        assert parse_factor(text, g).is_connected()
 
     def test_hamilton_weave(self, graph_file, tmp_path, capsys):
         """A doubled 6-cycle labelled quadrilateral by quadrilateral: the
@@ -190,7 +194,8 @@ class TestConnectCommand:
             j = (i + 1) % 3
             edges += [(2 * i + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
             edges += [(2 * j + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
-        path = graph_file(BipartiteGraph(6, 6, edges))
+        host = BipartiteGraph(6, 6, edges)
+        path = graph_file(host)
         assert main(["factor", path, "--k", "2"]) == 0
         assert "(3 components)" in capsys.readouterr().out
         assert main(["connect", path, "--k", "2", "--l", "3", "--hamilton"]) == 0
@@ -198,6 +203,7 @@ class TestConnectCommand:
             "factor 2 12\n0 0\n0 5\n1 0\n1 1\n2 1\n2 2\n3 2\n3 3\n4 3\n4 4\n5 4\n5 5\n"
             "cycle X0 Y0 X1 Y1 X2 Y2 X3 Y3 X4 Y4 X5 Y5\n"
         )
+        parse_factor((tmp_path / "host.graph.connected").read_text(), host)
 
     def test_hamilton_requires_k2(self, graph_file):
         path = graph_file(complete_bipartite(5, 5))

@@ -52,6 +52,7 @@ from bifactor.errors import (
 from conftest import (
     apply_swap,
     assert_regular_spanning,
+    assert_same_factor,
     block_host,
     block_hosts,
     component_count,
@@ -324,6 +325,18 @@ class TestConnectLoop:
         with pytest.raises(NotRegularError):
             connect_factor(g, Factor(g, [(0, 0)]))
 
+    @pytest.mark.parametrize("n", [40, 100, 250])
+    def test_result_on_minus_matching_hosts(self, n):
+        """K(n,n) minus a shuffled perfect matching at k = 2 and 3: the
+        loop hands its working adjacency to the result, which holds every
+        field Factor(host, edges) gives from its edges in reverse order."""
+        rng = random.Random(n)
+        g = complete_bipartite_minus_matching(n, list(enumerate(rng.sample(range(n), n))))
+        for k in (2, 3):
+            got = connect_factor(g, find_f_factor(g, DegreeDemand.uniform(g, k)))
+            assert got.n_components == 1
+            assert_same_factor(got, Factor(g, reversed(got.edge_list)))
+
 
 def _same_as_reference(graph: BipartiteGraph, factor: Factor, l: int | None) -> str:
     trace: list = []
@@ -333,8 +346,9 @@ def _same_as_reference(graph: BipartiteGraph, factor: Factor, l: int | None) -> 
     if isinstance(want, StuckReport):
         assert isinstance(got, StuckReport)
         assert serialize_stuck_report(got) == serialize_stuck_report(want)
+        assert_same_factor(got.factor, want.factor)
         return "stuck"
-    assert got == want
+    assert_same_factor(got, want)
     return "connected"
 
 

@@ -34,6 +34,7 @@ from bifactor.generators import SplitMix64
 
 from conftest import (
     assert_regular_spanning,
+    assert_same_factor,
     balanced_demand,
     bipartite_graphs,
     chain_host,
@@ -245,9 +246,46 @@ def _outcome_bytes(out: Factor | ViolatorCertificate) -> str:
 
 
 def _same_as_reference(graph: BipartiteGraph, demand: DegreeDemand) -> str:
-    got = _outcome_bytes(find_f_factor(graph, demand))
-    assert got == _outcome_bytes(reference_f_factor(graph, demand))
-    return "violator" if got.startswith("violator") else "factor"
+    """find_f_factor's outcome equals the reference's byte for byte, and a
+    factor, which the flow hands over as adjacency, holds every field the
+    reference's Factor(host, edges) holds."""
+    got, want = find_f_factor(graph, demand), reference_f_factor(graph, demand)
+    assert _outcome_bytes(got) == _outcome_bytes(want)
+    if isinstance(got, Factor):
+        assert_same_factor(got, want)
+        return "factor"
+    return "violator"
+
+
+def _minus_shuffled_matching(n: int, seed: int) -> BipartiteGraph:
+    rng = random.Random(seed)
+    return complete_bipartite_minus_matching(n, list(enumerate(rng.sample(range(n), n))))
+
+
+class _Counted(tuple):
+    """A neighbour list that counts, in ``reads``, the entries read from
+    it, by index, slice or iteration."""
+
+    reads = [0]
+
+    def __getitem__(self, i):
+        got = tuple.__getitem__(self, i)
+        _Counted.reads[0] += len(got) if isinstance(i, slice) else 1
+        return got
+
+    def __iter__(self):
+        for y in tuple.__iter__(self):
+            _Counted.reads[0] += 1
+            yield y
+
+
+class _CountingGraph(BipartiteGraph):
+    """A host whose N(x) lists count the entries the flow reads."""
+
+    __slots__ = ()
+
+    def neighbors_x(self, x: int) -> tuple[int, ...]:
+        return _Counted(self._adj_x[x])
 
 
 class TestFlowIdentity:
@@ -283,10 +321,12 @@ class TestFlowIdentity:
 
     def test_dense_minus_matching_hosts(self):
         """K(n,n) minus a random perfect matching at n 40-100, k = 2 and 3:
-        many augmenting paths per phase share the current-arc pointers."""
-        for n in range(40, 101, 6):
-            rng = random.Random(n)
-            graph = complete_bipartite_minus_matching(n, list(enumerate(rng.sample(range(n), n))))
+        many augmenting paths per phase share the current-arc pointers.  At
+        n 150-400 too: the y's fill in index order, so the first phase's
+        pointer moves up through all of Y, and every x but the first
+        starts its walk past some filled y's."""
+        for n in [*range(40, 101, 6), 150, 200, 300, 400]:
+            graph = _minus_shuffled_matching(n, n)
             for k in (2, 3):
                 assert _same_as_reference(graph, DegreeDemand.uniform(graph, k)) == "factor"
 
@@ -505,6 +545,57 @@ class TestFlowIdentity:
             got = _same_as_reference(graph, DegreeDemand(tuple(f_x), tuple(f_y)))
             outcomes[got] = outcomes.get(got, 0) + 1
         assert set(outcomes) == {"factor", "violator"}
+
+    @pytest.mark.parametrize("n, k", [(100, 2), (160, 3), (250, 2)])
+    def test_first_phase_pointer_passes_zero_demand_ys(self, n, k):
+        """K(n,n) minus a shuffled perfect matching with f(y) = 0 at Y0, at
+        the middle y and at the y after it, and the 3k units they free
+        taken off random x's: the pointer starts past Y0 and must step over
+        the middle pair, as the pass fills the y's below them."""
+        for seed in range(4):
+            rng = random.Random(seed)
+            graph = _minus_shuffled_matching(n, rng.random())
+            f_y = [k] * n
+            f_y[0] = f_y[n // 2] = f_y[n // 2 + 1] = 0
+            f_x = [k] * n
+            for _ in range(3 * k):
+                f_x[rng.choice([x for x in range(n) if f_x[x]])] -= 1
+            _same_as_reference(graph, DegreeDemand(tuple(f_x), tuple(f_y)))
+
+    @pytest.mark.parametrize("n_x, n_y", [(150, 100), (100, 150), (240, 80)])
+    def test_first_phase_pointer_on_unequal_sides(self, n_x, n_y):
+        """Complete hosts minus a shuffled matching of the smaller side,
+        with demands spread evenly over each side: the y's fill in index
+        order at a rate set by f(y), not by f(x)."""
+        total = n_x * n_y // 50
+        for seed in range(3):
+            rng = random.Random(seed)
+            small = min(n_x, n_y)
+            removed = set(zip(rng.sample(range(n_x), small), rng.sample(range(n_y), small)))
+            graph = BipartiteGraph(
+                n_x, n_y, [(x, y) for x in range(n_x) for y in range(n_y) if (x, y) not in removed]
+            )
+            f_x, f_y = [total // n_x] * n_x, [total // n_y] * n_y
+            for i in range(total - sum(f_x)):
+                f_x[i] += 1
+            for j in range(total - sum(f_y)):
+                f_y[j] += 1
+            assert _same_as_reference(graph, DegreeDemand(tuple(f_x), tuple(f_y))) == "factor"
+
+    @pytest.mark.parametrize("n, k", [(120, 1), (120, 2), (120, 3), (300, 2)])
+    def test_first_phase_reads_little_of_each_neighbourhood(self, n, k):
+        """K(n,n) at uniform k with k dividing n: the first phase alone
+        meets every demand, X(ik)..X(ik+k-1) filling Y(ik)..Y(ik+k-1).  Each
+        x starts at the lowest y with capacity left, so it reads about
+        log2(n) entries of N(x) to find it and k to take its edges, not
+        the ~n/2 filled y's before them."""
+        graph = _CountingGraph(n, n, [(x, y) for x in range(n) for y in range(n)])
+        _Counted.reads[0] = 0
+        got = find_f_factor(graph, DegreeDemand.uniform(graph, k))
+        assert got.edge_list == tuple(
+            (x, y) for x in range(n) for y in range(x - x % k, x - x % k + k)
+        )
+        assert _Counted.reads[0] <= n * (k + n.bit_length() + 1)
 
     @given(st.integers(2, 9), st.integers(2, 9), st.data())
     @settings(max_examples=200, deadline=None)

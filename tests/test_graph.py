@@ -34,6 +34,7 @@ from bifactor.errors import (
 from bifactor.graph import MAX_CLASS_SIZE
 
 from conftest import (
+    assert_same_factor,
     bipartite_graphs,
     reference_graph_init,
     reference_parse_factor,
@@ -130,6 +131,30 @@ class TestFactor:
         assert g != f and f != g
         assert f == Factor(g, reversed(g.edge_list))
         assert hash(f) == hash(Factor(g, g.edge_list))
+
+    @given(bipartite_graphs(max_side=6, min_side=0), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_from_adjacency_matches_the_constructor(self, host, data):
+        """Any subset of the host's edges, handed over as ascending
+        adjacency, gives the factor Factor(host, edges) gives."""
+        edges = data.draw(st.lists(st.sampled_from(host.edge_list), unique=True)) if host.m else []
+        assert_same_factor(_via_adjacency(host, edges), Factor(host, edges))
+
+    def test_from_adjacency_rejects_edge_missing_from_host(self):
+        g = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
+        for edges in ([(0, 0), (0, 1)], [(1, 0)], [(0, 1), (1, 0)]):
+            with pytest.raises(IndexOutOfRangeError) as err:
+                _via_adjacency(g, edges)
+            with pytest.raises(IndexOutOfRangeError) as want:
+                Factor(g, edges)
+            assert str(err.value) == str(want.value)
+
+
+def _via_adjacency(host: BipartiteGraph, edges) -> Factor:
+    """Factor._from_adjacency on the ascending adjacency of ``edges``."""
+    adj_x = [sorted(y for x, y in edges if x == i) for i in range(host.n_x)]
+    adj_y = [sorted(x for x, y in edges if y == j) for j in range(host.n_y)]
+    return Factor._from_adjacency(host, adj_x, adj_y)
 
 
 class TestParse:
@@ -351,11 +376,16 @@ K22 = complete_bipartite(2, 2)
 K22_LESS_01 = BipartiteGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
 DOUBLED_C3 = double_graph(cycle_graph(3))
 K55_LESS_MATCHING = complete_bipartite_minus_matching(5, [(i, i) for i in range(5)])
+K22_CYCLE_HEAD = "factor 2 4\n0 0\n0 1\n1 0\n1 1\n"
+K33 = complete_bipartite(3, 3)
+K33_HEXAGON = "factor 2 6\n0 0\n0 2\n1 0\n1 1\n2 1\n2 2\n"
+K44_LESS_MATCHING = complete_bipartite_minus_matching(4, [(i, i) for i in range(4)])
+K44_LESS_MATCHING_TEXT = serialize_factor(Factor(K44_LESS_MATCHING, K44_LESS_MATCHING.edge_list))
 
 # Factor files for the reader to mutate, each with its host: canonical
-# files with and without a cycle line, a commented and indented file with
-# the cycle line first, an irregular file and one with an edge the host
-# lacks.
+# files with and without a cycle line, commented and indented files with
+# the cycle line first (one of them a 1-factor, which has no Hamilton
+# cycle), an irregular file and one with an edge the host lacks.
 FACTOR_SEEDS = [
     (K22, _regular_factor_text(K22, K22.edge_list, cycle=True)),
     (
@@ -369,6 +399,13 @@ FACTOR_SEEDS = [
         _regular_factor_text(K55_LESS_MATCHING, [(i, (i + 1) % 5) for i in range(5)]),
     ),
     (K22, "# f\n\nfactor 1 2\ncycle X0 Y0\n  0 0\t\n# c\n1 1\n"),
+    (K22, "# f\n\nfactor 2 4\n  cycle X0 Y1 X1 Y0\t\n0 0\n# c\n0 1\n1 0\n1 1\n"),
+    (
+        K55_LESS_MATCHING,
+        _regular_factor_text(
+            K55_LESS_MATCHING, [(i, (i + d) % 5) for i in range(5) for d in (1, 2)], cycle=True
+        ),
+    ),
     (K22, "factor 1 2\n0 0\n0 1\n"),
     (K22_LESS_01, "factor 1 2\n0 1\n1 0\n"),
 ]
@@ -380,17 +417,47 @@ def mutated_factor_files(draw) -> tuple[BipartiteGraph, str]:
     return host, draw(mutated_texts([text]))
 
 
+def _is_hamilton_cycle(labels: list[str], factor: Factor) -> bool:
+    """Whether the labels of a cycle line name every vertex of the factor
+    once, sides alternating, each step around the closed walk a factor
+    edge."""
+    names = [f"X{i}" for i in range(factor.n_x)] + [f"Y{j}" for j in range(factor.n_y)]
+    if len(labels) < 4 or sorted(labels) != sorted(names):
+        return False
+    for a, b in zip(labels, labels[1:] + labels[:1]):
+        x, y = (a, b) if a[0] == "X" else (b, a)
+        if x[0] != "X" or y[0] != "Y" or (int(x[1:]), int(y[1:])) not in factor.edge_set:
+            return False
+    return True
+
+
+def _first_bad_cycle_line(text: str, factor: Factor) -> int | None:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("cycle ") and not _is_hamilton_cycle(line.split()[1:], factor):
+            return lineno
+    return None
+
+
 class TestFactorReader:
     """parse_factor gives the outcome of the reader first written, kept in
-    conftest.py, and each of its errors has the text and line it had."""
+    conftest.py, and each of its errors has the text and line it had.  The
+    one exception is a cycle line, which that reader ignored: on a file it
+    accepts, a cycle line that is not a Hamilton cycle of the factor is a
+    GraphFormatError naming that line."""
 
     @given(mutated_factor_files())
     @settings(max_examples=600, deadline=None)
     def test_parse_matches_reference(self, case):
         host, text = case
-        assert _outcome(parse_factor, text, host) == _outcome(
-            reference_parse_factor, text, host
+        got, want = _outcome(parse_factor, text, host), _outcome(reference_parse_factor, text, host)
+        bad = None if isinstance(want[0], type) else _first_bad_cycle_line(
+            text, reference_parse_factor(text, host)
         )
+        if bad is None:
+            assert got == want
+        else:
+            assert (got[0], got[2]) == (GraphFormatError, bad)
 
     @pytest.mark.parametrize(
         "host, text, error, message",
@@ -471,6 +538,80 @@ class TestFactorReader:
         text = "factor 2 4\n" + (cycle + body if where == "before" else body + cycle)
         factor = parse_factor(text, K22)
         assert factor.edge_list == K22.edge_list and factor.regularity() == 2
+
+    @pytest.mark.parametrize(
+        "host, text, message",
+        [
+            (K22, "factor 1 2\n0 0\n1 1\ncycle X0 Y0\n", "line 4: cycle lists 2 of 4 vertices"),
+            (K22, K22_CYCLE_HEAD + "cycle X0 Y0 X1 Y0\n", "line 6: cycle lists Y0 twice"),
+            (K22, K22_CYCLE_HEAD + "cycle X0 Y0 X1 Y1 X0\n", "line 6: cycle lists X0 twice"),
+            (K22, K22_CYCLE_HEAD + "cycle X0 Y0 X1\n", "line 6: cycle lists 3 of 4 vertices"),
+            (
+                K22,
+                K22_CYCLE_HEAD + "cycle X0 X1 Y0 Y1\n",
+                "line 6: cycle step X0-X1 stays on one side",
+            ),
+            (
+                K22,
+                K22_CYCLE_HEAD + "cycle X0 Y0 X1 Y2\n",
+                "line 6: cycle names no vertex of the host: 'Y2'",
+            ),
+            (
+                K22,
+                K22_CYCLE_HEAD + "cycle X0 Y0 X1 y1\n",
+                "line 6: cycle names no vertex of the host: 'y1'",
+            ),
+            (
+                K22,
+                K22_CYCLE_HEAD + "cycle X0 Y0 X1 Y01\n",
+                "line 6: cycle names no vertex of the host: 'Y01'",
+            ),
+            # every cycle line is checked, wherever it stands
+            (
+                K22,
+                "# c\nfactor 2 4\ncycle X0 Y0 X1 Y1\n0 0\n\n0 1\n1 0\n1 1\ncycle X1 Y1\n",
+                "line 9: cycle lists 2 of 4 vertices",
+            ),
+            (
+                complete_bipartite(1, 1),
+                "factor 1 1\n0 0\ncycle X0 Y0\n",
+                "line 3: no cycle runs through 2 vertices",
+            ),
+            (
+                K33,
+                K33_HEXAGON + "cycle X0 Y0 X2 Y1 X1 Y2\n",
+                "line 8: cycle step Y0-X2 is not a factor edge",
+            ),
+            # the closing step, back to the first vertex, is a step too
+            (
+                K44_LESS_MATCHING,
+                K44_LESS_MATCHING_TEXT + "cycle X0 Y1 X2 Y3 X1 Y2 X3 Y0\n",
+                "line 14: cycle step Y0-X0 is not a factor edge",
+            ),
+        ],
+    )
+    def test_each_cycle_error(self, host, text, message):
+        with pytest.raises(GraphFormatError) as err:
+            parse_factor(text, host)
+        assert type(err.value) is GraphFormatError and str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "host, text, error",
+        [
+            (K22, "factor 1 3\ncycle X0\n0 0\n1 1\n", MalformedHeaderError),
+            (K22, "factor 1 2\n0 0\n9 9\ncycle X0\n", IndexOutOfRangeError),
+            (K22, "factor 2 2\n0 0\n1 1\ncycle X0\n", NotRegularError),
+        ],
+    )
+    def test_cycle_checked_after_the_factor(self, host, text, error):
+        with pytest.raises(error):
+            parse_factor(text, host)
+
+    def test_hamilton_cycle_of_a_cube(self):
+        """K(4,4) minus a perfect matching is the 3-cube: a 3-factor of
+        itself, with the Hamilton cycle below."""
+        text = K44_LESS_MATCHING_TEXT + "cycle X0 Y1 X2 Y3 X1 Y0 X3 Y2\n"
+        assert parse_factor(text, K44_LESS_MATCHING).edge_list == K44_LESS_MATCHING.edge_list
 
 
 class TestConstructions:
