@@ -18,6 +18,8 @@ list lowest index first, so the same input always yields the same factor
 or the same certificate.  The flow's first phase is one greedy pass in that
 same order: each x by index takes its edges to the lowest-indexed y's with
 capacity left, starting its walk at the lowest y that still has any.  A
+later phase searches only the part of its level graph that can still
+reach the sink, found by a walk back from the sink's layer.  A
 saturating flow hands its per-vertex edge lists to the Factor, each x's
 sorted and each y's already ascending, so the factor's edge list is read
 off them, not sorted and indexed again.
@@ -234,6 +236,28 @@ def _max_flow(
     one it would find no admissible arc and advance the pointer of the x
     it came from, just as skipping it does.  So each phase augments along
     the same paths as with the full layer.
+
+    Before a later phase's search, the level graph is pruned to the
+    vertices that can still reach the sink, walking back from the y's
+    with capacity at level lt - 1: a kept y at level d keeps each x at
+    level d - 1 with an unused edge to it, and a kept x at level c keeps
+    each y of ux[x] at level c - 1.  Each X layer is reached from the
+    cheaper side: the kept y's through N(y) when their total degree is
+    below the layer's, else the layer's own x's through N(x).  So the walk
+    reads no more of the adjacency than the BFS did.  The search then runs
+    on fresh level arrays that hold only the kept vertices, starting from
+    the kept x's at level 1 in index order.  A phase only removes
+    admissible arcs, since the reverse of an arc it augments runs down a
+    level, and only lowers capacities.  So a vertex that cannot reach the
+    sink when the phase begins never can during it: each time the search
+    entered one it would find nothing and advance the pointer of the
+    vertex it came from, just as skipping it does, and the phase augments
+    along the same paths.  The walk only runs where it can pay: with the
+    sink at level 7 or more, and more than two labelled x's per X layer on
+    average.  At level 5 almost every labelled vertex of a dense host lies
+    on a path, and a level graph of one x per layer, as on a chain, has
+    nothing to prune.  The last BFS, which reaches no y with capacity, is
+    never pruned, so the levels returned mark every x the source reaches.
     """
     n_x, n_y = graph.n_x, graph.n_y
     adj = list(map(graph.neighbors_x, range(n_x)))
@@ -269,7 +293,10 @@ def _max_flow(
         lx, ly, lt = [1 if r else -1 for r in rx], [-1] * n_y, -1
         xs = [x for x in range(n_x) if rx[x]]
         reach = sum(map(deg_x.__getitem__, xs))  # the frontier's total degree
+        layers, reaches = [], []  # each X layer, in level order, and its total degree
         while xs:
+            layers.append(xs)
+            reaches.append(reach)
             d = lx[xs[0]] + 1
             if open_deg < reach:  # the layer's y's with capacity, from the sink side
                 for y in open_ys:
@@ -299,10 +326,40 @@ def _max_flow(
                         reach += deg_x[x]
         if lt == -1:
             return ux, held, lx
+        starts = layers[0]
+        if lt >= 7 and n_x - lx.count(-1) > lt - 1:  # over 2 x's per X layer
+            kx, ky = [-1] * n_x, [-1] * n_y  # the levels of the vertices that reach the sink
+            ys = [y for y in open_ys if ly[y] == lt - 1]
+            for y in ys:
+                ky[y] = lt - 1
+            for d in range(lt - 1, 1, -2):  # keep the X layer d - 1, then the Y layer d - 2
+                layer = layers[d // 2 - 1]
+                kept = []
+                if sum(map(deg_y.__getitem__, ys)) < reaches[d // 2 - 1]:
+                    for y in ys:
+                        for x in graph.neighbors_y(y):
+                            if lx[x] == d - 1 and kx[x] == -1 and y not in ux[x]:
+                                kx[x] = d - 1
+                                kept.append(x)
+                else:
+                    for x in layer:
+                        used = ux[x]
+                        for y in adj[x]:
+                            if ky[y] == d and y not in used:
+                                kx[x] = d - 1
+                                kept.append(x)
+                                break
+                ys = []
+                for x in kept:
+                    for y in ux[x]:
+                        if ly[y] == d - 2 and ky[y] == -1:
+                            ky[y] = d - 2
+                            ys.append(y)
+            lx, ly, starts = kx, ky, sorted(kept)
         itx, ity = [0] * n_x, [0] * n_y
-        for x0 in range(n_x):
-            path = [x0] if lx[x0] == 1 else []  # the path's X vertices; y = adj[x][itx[x]]
-            while path and rx[x0]:
+        for x0 in starts:
+            path = [x0]  # the path's X vertices; y = adj[x][itx[x]]
+            while path:
                 x = path[-1]
                 nbrs, used, i, want = adj[x], ux[x], itx[x], lx[x] + 1
                 end = len(nbrs)
@@ -333,7 +390,7 @@ def _max_flow(
                             insort(held[z], v)
                         rx[x0] -= 1
                         ry[y] -= 1
-                        path = [x0]
+                        path = [x0] if rx[x0] else []
                     else:
                         ity[y] = n_x + 1  # past the sink arc
                         itx[x] += 1
@@ -348,6 +405,9 @@ def find_f_factor(
     set of X-vertices the flow's source still reaches, shrunk as by
     shrink_violator: no single vertex can be dropped from it, though a
     smaller subset may still violate.  It always passes audit_certificate.
+    It does not depend on the order in which the flow augments: every
+    maximum flow leaves the same vertices reachable from the source in its
+    residual graph.
     """
     demand.validate_for(graph)
     if not check_demand_balance(demand):

@@ -331,6 +331,24 @@ MAX_CLASS_SIZE = 10_000
 _EDGE_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
 
 
+def _edge_lines(body: str, chunk: int = 1 << 16) -> bool:
+    """Whether ``body`` is all edge lines of a canonical graph file.
+
+    The pattern's repeated group keeps about 100 bytes of backtracking
+    state per line while one match runs, so it is matched against runs of
+    whole lines of about ``chunk`` characters each, not against the whole
+    body.  Every edge line ends in its one newline, so the body is edge
+    lines exactly when every run cut after a newline is.
+    """
+    pos, end = 0, len(body)
+    while pos < end:
+        stop = body.rfind("\n", pos, pos + chunk) + 1 or body.find("\n", pos + chunk) + 1
+        if not stop or _EDGE_LINES.fullmatch(body, pos, stop) is None:
+            return False
+        pos = stop
+    return True
+
+
 def _header(lines: list[str], usage: str) -> tuple[int, str, tuple[int, ...]]:
     """The header: the first line that is neither blank nor a comment, as
     its line number, its text and its integer fields.
@@ -396,7 +414,7 @@ def parse_graph(text: str) -> BipartiteGraph:
     bulk = (
         head.startswith("bipartite")
         and len(head.splitlines()) == 1
-        and _EDGE_LINES.fullmatch(body) is not None
+        and _edge_lines(body)
     )
     lines = [head] if bulk else text.splitlines()
     header_line, line, (n_x, n_y, m) = _header(lines, "bipartite <nX> <nY> <m>")

@@ -12,7 +12,8 @@ inequality directly, the connecting loop's moves by
 the loop as first written, which rebuilds the factor after every move
 and recounts every candidate from scratch with union-find, and the flow
 solver's factor and violator by the flow network as first written, with
-a recursive augmenting search, the violator shrink as first written,
+a recursive augmenting search whose phases can also report the vertices
+on a shortest augmenting path, the violator shrink as first written,
 which re-evaluates every trial set from scratch, the graph reader
 and constructor as first written, which check every edge line by line,
 the factor reader as first written, with its own header and edge-line
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import faulthandler
 import os
+import random
 import sys
 from collections.abc import Iterator
 from itertools import combinations
@@ -172,6 +174,23 @@ def chain_host(n: int) -> BipartiteGraph:
     """
     edges = [(i, i) for i in range(n - 1)] + [(i, i + 1) for i in range(n - 1)]
     return BipartiteGraph(n, n, edges + [(n - 1, 0)])
+
+
+def planted_hall_host(a: int, n: int, rng: random.Random) -> tuple[BipartiteGraph, tuple[int, ...]]:
+    """n + n vertices whose only minimal violator at k=1 is a planted set A
+    of a X vertices, returned sorted.
+
+    A and a - 1 Y vertices form a path, so A has a - 1 neighbours while
+    every proper subset of A has enough.  Each other x is joined to two
+    consecutive other y's and one at random.  Labels are shuffled.
+    """
+    xs, ys = rng.sample(range(n), n), rng.sample(range(n), n)
+    a_set, b_set, rest_x, rest_y = xs[:a], ys[: a - 1], xs[a:], ys[a - 1 :]
+    edges = {(a_set[i], b_set[i]) for i in range(a - 1)}
+    edges.update((a_set[i + 1], b_set[i]) for i in range(a - 1))
+    for i, x in enumerate(rest_x):
+        edges.update({(x, rest_y[i]), (x, rest_y[i + 1]), (x, rng.choice(rest_y))})
+    return BipartiteGraph(n, n, edges), tuple(sorted(a_set))
 
 
 # -- independent checks --------------------------------------------------------
@@ -501,7 +520,11 @@ class _RecursiveFlowNet:
         self.head[v].append(idx + 1)
         return idx
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(
+        self, s: int, t: int, phases: list[tuple[list[int], set[int]]] | None = None
+    ) -> int:
+        """The flow value.  When ``phases`` is a list, each phase appends
+        its BFS levels and the nodes of its level graph that reach t."""
         flow = 0
         while True:
             level = [-1] * self.n
@@ -515,6 +538,16 @@ class _RecursiveFlowNet:
                         queue.append(v)
             if level[t] == -1:
                 return flow
+            if phases is not None:
+                live = {t}
+                for u in reversed(queue):
+                    if any(
+                        self.cap[idx] > 0 and level[self.to[idx]] == level[u] + 1
+                        and self.to[idx] in live
+                        for idx in self.head[u]
+                    ):
+                        live.add(u)
+                phases.append((level, live))
             it = [0] * self.n
 
             def dfs(u: int, pushed: int) -> int:
@@ -583,14 +616,19 @@ def reference_shrink_violator(
 
 
 def reference_f_factor(
-    graph: BipartiteGraph, demand: DegreeDemand
+    graph: BipartiteGraph,
+    demand: DegreeDemand,
+    phases: list[tuple[int, int, set[int]]] | None = None,
 ) -> Factor | ViolatorCertificate:
     """find_f_factor over the flow network and the shrink as first written.
 
     The Dinic search recurses once per path vertex, so it needs a
     recursion limit above the longest augmenting path; the violator is the
     X side of a separate residual reachability pass, shrunk by
-    reference_shrink_violator.
+    reference_shrink_violator.  When ``phases`` is a list, each phase
+    appends the sink's level (a free x is at level 1), the number of X
+    vertices below it, and the X vertices on a shortest augmenting path
+    when the phase begins.
     """
     n_x, n_y = graph.n_x, graph.n_y
     source, sink = 0, n_x + n_y + 1
@@ -603,7 +641,13 @@ def reference_f_factor(
             edge_arcs.append(((x, y), net.add(1 + x, 1 + n_x + y, 1)))
     for y in range(n_y):
         net.add(1 + n_x + y, sink, demand.f_y[y])
-    if net.max_flow(source, sink) == sum(demand.f_x):
+    recorded: list[tuple[list[int], set[int]]] = []
+    value = net.max_flow(source, sink, None if phases is None else recorded)
+    if phases is not None:
+        for level, live in recorded:
+            lt, xs = level[sink], level[1 : 1 + n_x]
+            phases.append((lt, sum(0 < d < lt for d in xs), {x for x in range(n_x) if 1 + x in live}))
+    if value == sum(demand.f_x):
         return Factor(graph, [e for e, idx in edge_arcs if net.cap[idx] == 0])
     seen = net.reachable(source)
     a = tuple(x for x in range(n_x) if seen[1 + x])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from itertools import chain, groupby
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from bifactor import (
     complete_bipartite_minus_matching,
     enumerate_bipartite_block,
     find_f_factor,
+    generate,
     make_certificate,
     parse_factor,
     path_graph,
@@ -29,8 +31,8 @@ from bifactor import (
     shrink_violator,
 )
 from bifactor.errors import DemandImbalanceError, FakeCertificateError, NotRegularError
-from bifactor.factors import _shrink
-from bifactor.generators import SplitMix64
+from bifactor.factors import _max_flow, _shrink
+from bifactor.generators import GenSpec, SplitMix64
 
 from conftest import (
     assert_regular_spanning,
@@ -38,6 +40,7 @@ from conftest import (
     balanced_demand,
     bipartite_graphs,
     chain_host,
+    planted_hall_host,
     reference_f_factor,
     reference_shrink_violator,
     violation_sides,
@@ -286,6 +289,53 @@ class _CountingGraph(BipartiteGraph):
 
     def neighbors_x(self, x: int) -> tuple[int, ...]:
         return _Counted(self._adj_x[x])
+
+
+class _Logged(tuple):
+    """N(x) for one x, which appends x to ``log`` when read by index (the
+    first phase and the later phases' search) and None when iterated (the
+    BFS and the pruning walk)."""
+
+    log: list[int | None] = []
+    x = -1
+
+    def __getitem__(self, i):
+        _Logged.log.append(self.x)
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        _Logged.log.append(None)
+        return tuple.__iter__(self)
+
+
+class _LoggingGraph(BipartiteGraph):
+    """A host whose N(x) lists log the reads of the flow, and whose N(y)
+    lookups, made by the BFS and the pruning walk only, log None."""
+
+    __slots__ = ()
+
+    def neighbors_x(self, x: int) -> tuple[int, ...]:
+        got = _Logged(self._adj_x[x])
+        got.x = x
+        return got
+
+    def neighbors_y(self, y: int) -> tuple[int, ...]:
+        _Logged.log.append(None)
+        return self._adj_y[y]
+
+
+def _searched_per_phase(log: list[int | None]) -> list[set[int]]:
+    """The x's whose N(x) each later phase's search reads: the runs of
+    reads between two BFS, after the first BFS."""
+    tail = log[log.index(None) :]
+    return [set(run) for walk, run in groupby(tail, lambda x: x is None) if not walk]
+
+
+def _min_degree_random(n: int, seed: int) -> tuple[BipartiteGraph, int]:
+    """factor-large's sparse host: delta disjoint perfect matchings, delta
+    3 up to n=400 and 2 above, plus edges of probability 1/n."""
+    delta = 3 if n <= 400 else 2
+    return generate(GenSpec("min-degree-random", n, seed=seed, k=delta, p=1.0 / n)), delta
 
 
 class TestFlowIdentity:
@@ -609,6 +659,65 @@ class TestFlowIdentity:
         demand = balanced_demand(graph, lambda lo, hi: data.draw(st.integers(lo, hi)))
         _same_as_reference(graph, demand)
 
+    @pytest.mark.parametrize("n", [300, 400, 500, 600, 800, 1000])
+    def test_min_degree_random_hosts(self, n):
+        """At k = delta a union of delta perfect matchings gives a factor; at
+        k = delta + 1 a vertex of degree delta rules one out.  Later phases
+        reach sink levels up to about 35 and label hundreds of x's, most of
+        them dead ends, so the flow prunes most of their level graphs."""
+        graph, delta = _min_degree_random(n, n + 1)
+        assert graph.min_degree() == delta
+        assert _same_as_reference(graph, DegreeDemand.uniform(graph, delta)) == "factor"
+        assert _same_as_reference(graph, DegreeDemand.uniform(graph, delta + 1)) == "violator"
+
+    @pytest.mark.parametrize("a", [100, 140, 180, 220, 260, 300])
+    def test_planted_hall_hosts(self, a):
+        """A planted violator on a path of 2a - 1 vertices, beside a block
+        with a matching: the last phases' paths run along the planted path,
+        with sink levels up to about a/2, and the certificate is the
+        planted set."""
+        graph, planted = planted_hall_host(a, 2 * a, random.Random(a))
+        demand = DegreeDemand.uniform(graph, 1)
+        assert _same_as_reference(graph, demand) == "violator"
+        assert find_f_factor(graph, demand).a == planted
+
+    @pytest.mark.parametrize("n", [350, 400, 450, 500, 550, 600])
+    def test_chain_hosts(self, n):
+        """One later phase with one vertex per layer and nothing to prune.
+        The recursive reference needs a frame per path vertex, more than
+        the default recursion limit allows from n=500."""
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 4 * n))
+        try:
+            graph = chain_host(n)
+            assert _same_as_reference(graph, DegreeDemand.uniform(graph, 1)) == "factor"
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize("n, k", [(300, 3), (300, 4), (600, 2), (600, 3), (1000, 2), (1000, 3)])
+    def test_later_phases_search_only_live_vertices(self, n, k):
+        """On factor-large's sparse hosts a later phase whose sink is at
+        level 7 or more, with more than two labelled x's per X layer on
+        average, reads N(x) only for the x's on a shortest augmenting path
+        when the phase begins, as the reference network's level graph finds
+        them.  Its BFS labels several times as many x's, dead ends that an
+        unpruned search enters and backs out of."""
+        graph, _ = _min_degree_random(n, n)
+        graph = _LoggingGraph(n, n, graph.edge_list)
+        demand = DegreeDemand.uniform(graph, k)
+        _Logged.log.clear()
+        _max_flow(graph, demand)
+        searched = _searched_per_phase(_Logged.log)
+        phases: list[tuple[int, int, set[int]]] = []
+        reference_f_factor(graph, demand, phases)
+        assert len(searched) == len(phases) - 1  # the first phase is the greedy pass
+        labelled = live = 0
+        for got, (lt, below, want) in zip(searched, phases[1:]):
+            if lt >= 7 and below > lt - 1:  # more than 2 per X layer
+                assert got <= want
+                labelled, live = labelled + below, live + len(want)
+        assert labelled > 3 * live
+
     def test_chain_host_needs_no_recursion(self):
         """The one augmenting path of the last X vertex runs through all
         2n + 2 network nodes, deeper than the default recursion limit."""
@@ -618,6 +727,61 @@ class TestFlowIdentity:
         got = find_f_factor(graph, DegreeDemand.uniform(graph, 1))
         assert isinstance(got, Factor)
         assert got.edge_list == tuple(sorted([(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]))
+
+
+def _residual_reachable_x(graph: BipartiteGraph, demand: DegreeDemand, nx) -> tuple[int, set[int]]:
+    """networkx's maximum flow value on the network source -> x -> y ->
+    sink, and the X vertices its residual graph reaches from the source,
+    found by a BFS here over the flow dict."""
+    n_x, n_y = graph.n_x, graph.n_y
+    source, sink = n_x + n_y, n_x + n_y + 1  # x is node x, y is node n_x + y
+    net = nx.DiGraph()
+    net.add_edges_from((source, x, {"capacity": f}) for x, f in enumerate(demand.f_x))
+    net.add_edges_from((x, n_x + y, {"capacity": 1}) for x, y in graph.edge_list)
+    net.add_edges_from((n_x + y, sink, {"capacity": f}) for y, f in enumerate(demand.f_y))
+    value, flow = nx.maximum_flow(net, source, sink)
+    seen, queue = {source}, [source]
+    for u in queue:
+        ahead = (v for v, arc in net.succ[u].items() if flow[u][v] < arc["capacity"])
+        back = (v for v in net.pred[u] if flow[v][u] > 0)
+        for v in chain(ahead, back):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return value, {x for x in seen if x < n_x}
+
+
+class TestAgainstNetworkx:
+    """find_f_factor against an independent maximum flow on factor-large's
+    sparse hosts.  Every maximum flow leaves the same residual reachable
+    set, so a certificate is the shrink of that set's X side whichever
+    flow found it, and a factor exists exactly when the flow value is the
+    total demand."""
+
+    @pytest.mark.parametrize("n", [300, 400, 500, 600, 800, 1000])
+    def test_min_degree_random_hosts(self, n):
+        nx = pytest.importorskip("networkx")
+        graph, delta = _min_degree_random(n, n)
+        for k in (delta, delta + 1):
+            demand = DegreeDemand.uniform(graph, k)
+            value, reached = _residual_reachable_x(graph, demand, nx)
+            got = find_f_factor(graph, demand)
+            if k == delta:
+                assert isinstance(got, Factor) and value == sum(demand.f_x)
+            else:
+                assert value < sum(demand.f_x) and audit_certificate(graph, demand, got)
+                assert got == _shrink(graph, demand, tuple(sorted(reached)))
+
+    @pytest.mark.parametrize("a", [100, 200, 300])
+    def test_planted_hall_hosts(self, a):
+        nx = pytest.importorskip("networkx")
+        graph, planted = planted_hall_host(a, 2 * a, random.Random(a))
+        demand = DegreeDemand.uniform(graph, 1)
+        value, reached = _residual_reachable_x(graph, demand, nx)
+        assert value < sum(demand.f_x) and set(planted) <= reached
+        got = find_f_factor(graph, demand)
+        assert audit_certificate(graph, demand, got)
+        assert got == _shrink(graph, demand, tuple(sorted(reached)))
 
 
 def _random_demand(n_x: int, n_y: int, choose) -> DegreeDemand:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +33,7 @@ from bifactor.errors import (
     MatchingNotDisjointError,
     NotRegularError,
 )
-from bifactor.graph import MAX_CLASS_SIZE
+from bifactor.graph import _EDGE_LINES, MAX_CLASS_SIZE, _edge_lines
 
 from conftest import (
     assert_same_factor,
@@ -361,6 +363,30 @@ class TestAgainstFirstWritten:
     def test_canonical_shape_edge_cases(self, text):
         """Files at the edge of the canonical shape the bulk read takes."""
         assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
+
+    @given(
+        st.lists(st.sampled_from(["0 0\n", "12 345\n", "7 7\n", "1  2\n", "1 2", "\n", " 1 2\n", "1 x\n"])),
+        st.integers(1, 12),
+    )
+    def test_canonical_check_in_runs_of_lines(self, parts, chunk):
+        """Checked in runs of whole lines, some of them shorter than a line,
+        a body is canonical exactly when one match of all of it says so."""
+        body = "".join(parts)
+        assert _edge_lines(body, chunk) == (_EDGE_LINES.fullmatch(body) is not None)
+
+    @pytest.mark.parametrize("tail", ["", "1 x\n"])
+    def test_canonical_check_memory_is_bounded(self, tail):
+        """The check on a 200,000-line body, canonical or bad in its last
+        line, peaks at well under the ~20 MB that one match of the whole
+        body holds."""
+        body = "".join(f"{i % 1000} {i % 997}\n" for i in range(200_000)) + tail
+        tracemalloc.start()
+        try:
+            assert _edge_lines(body) == (not tail)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_list_edges_are_stored_as_tuples(self):
         g = BipartiteGraph(2, 2, [[1, 0], [0, 1]])
