@@ -28,7 +28,7 @@ The loop keeps one working copy of the factor (sorted adjacency,
 component labels, and the members of each label as listed by
 ``_component_vertex_sets``, which the Hamilton weave reads too) and
 updates it in place after each move.  It builds a ``Factor`` once, at the
-end, from that adjacency as it stands, still sorted, so no edge list is
+end, from that adjacency as it stands, still sorted, so nothing is
 sorted or indexed again.  The result checks its edges against the host
 and labels its components from scratch, so its component count, which
 must equal the tracked one, is an independent recount.
@@ -57,7 +57,15 @@ from .errors import (
     TheoremContradictionError,
 )
 from .factors import DegreeDemand, ViolatorCertificate, find_f_factor
-from .graph import BipartiteGraph, Edge, Factor, VertexRef, _component_labels
+from .graph import (
+    BipartiteGraph,
+    Edge,
+    Factor,
+    VertexRef,
+    _component_labels,
+    _stray_edge,
+    _transpose,
+)
 from .structure import is_skl_free
 
 
@@ -111,10 +119,12 @@ class SwapMove:
 def find_links(graph: BipartiteGraph, factor: Factor) -> tuple[Link, ...]:
     """All links, sorted by (x, y)."""
     links = []
-    for x, y in graph.edge_list:
-        cu, cv = factor.comp_x[x], factor.comp_y[y]
-        if cu != cv:
-            links.append(Link(VertexRef("X", x), VertexRef("Y", y), cu, cv))
+    comp_y = factor.comp_y
+    for x, (cu, ys) in enumerate(zip(factor.comp_x, graph._adj_x)):
+        for y in ys:
+            cv = comp_y[y]
+            if cu != cv:
+                links.append(Link(VertexRef("X", x), VertexRef("Y", y), cu, cv))
     return tuple(links)
 
 
@@ -159,11 +169,11 @@ class _Exchanger:
         so it is never a factor edge, and for k >= 2 the exchange merges
         them (see the module docstring).
         """
-        host = self.graph.edge_set
+        in_host = self.graph.has_edge
         nbrs_y = self.adj_y[y]
         for u2 in self.adj_x[x]:
             for v2 in nbrs_y:
-                if (v2, u2) in host:
+                if in_host(v2, u2):
                     return u2, v2
         return None
 
@@ -173,14 +183,16 @@ class _Exchanger:
         if self.k < 2:
             return None
         comp_x, comp_y = self.comp_x, self.comp_y
-        for x, y in self.graph.edge_list:
-            if comp_x[x] == comp_y[y]:
-                continue
-            found = self.first_exchange(x, y)
-            if found is not None:
-                u2, v2 = found
-                self._apply(x, u2, v2, y)
-                return _primary(x, u2, v2, y)
+        for x, ys in enumerate(self.graph._adj_x):
+            cx = comp_x[x]
+            for y in ys:
+                if cx == comp_y[y]:
+                    continue
+                found = self.first_exchange(x, y)
+                if found is not None:
+                    u2, v2 = found
+                    self._apply(x, u2, v2, y)
+                    return _primary(x, u2, v2, y)
         return None
 
     def _apply(self, x: int, u2: int, v2: int, y: int) -> None:
@@ -390,29 +402,23 @@ def check_factor(
 ) -> None:
     """Independent validity check: edges, regularity, spanning, connectivity.
 
-    Recomputes everything from the edge list; raises AssertionError on any
-    breach.  Pipelines run this before returning a factor.
+    Recomputes everything from the factor's rows N(x) alone, not from its
+    Y rows or its component labels; raises AssertionError on any breach.
+    Pipelines run this before returning a factor.
     """
-    for e in factor.edge_list:
-        if e not in graph.edge_set:
-            raise AssertionError(f"edge {e} not in host")
-    dx = [0] * graph.n_x
-    dy = [0] * graph.n_y
-    for x, y in factor.edge_list:
-        dx[x] += 1
-        dy[y] += 1
+    rows = factor._adj_x
+    stray = _stray_edge(rows, graph._adj_x)
+    if stray is not None:
+        raise AssertionError(f"edge {stray} not in host")
+    dx = list(map(len, rows))
+    adj_y = _transpose(rows, graph.n_y)
+    dy = list(map(len, adj_y))
     if not all(d == k for d in dx):
         raise AssertionError(f"X degrees {dx} != {k}")
     if not all(d == k for d in dy):
         raise AssertionError(f"Y degrees {dy} != {k}")
-    if connected:
-        adj_x: list[list[int]] = [[] for _ in range(graph.n_x)]
-        adj_y: list[list[int]] = [[] for _ in range(graph.n_y)]
-        for x, y in factor.edge_list:
-            adj_x[x].append(y)
-            adj_y[y].append(x)
-        if _component_labels(adj_x, adj_y)[2] != 1:
-            raise AssertionError("factor is not connected")
+    if connected and _component_labels(rows, adj_y)[2] != 1:
+        raise AssertionError("factor is not connected")
 
 
 def cycle_order(factor: Factor) -> tuple[VertexRef, ...]:

@@ -21,8 +21,8 @@ capacity left, starting its walk at the lowest y that still has any.  A
 later phase searches only the part of its level graph that can still
 reach the sink, found by a walk back from the sink's layer.  A
 saturating flow hands its per-vertex edge lists to the Factor, each x's
-sorted and each y's already ascending, so the factor's edge list is read
-off them, not sorted and indexed again.
+sorted and each y's already ascending, so the factor stores them as its
+adjacency, not sorted and indexed again.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .errors import DemandImbalanceError, FakeCertificateError
+from .errors import DemandImbalanceError, FakeCertificateError, TheoremContradictionError
 from .graph import BipartiteGraph, Factor
 
 
@@ -258,6 +258,10 @@ def _max_flow(
     on a path, and a level graph of one x per layer, as on a chain, has
     nothing to prune.  The last BFS, which reaches no y with capacity, is
     never pruned, so the levels returned mark every x the source reaches.
+
+    A phase whose BFS reaches the sink finds at least one augmenting path.
+    One that finds none would repeat its BFS and search forever, so it
+    raises TheoremContradictionError instead.
     """
     n_x, n_y = graph.n_x, graph.n_y
     adj = list(map(graph.neighbors_x, range(n_x)))
@@ -328,35 +332,8 @@ def _max_flow(
             return ux, held, lx
         starts = layers[0]
         if lt >= 7 and n_x - lx.count(-1) > lt - 1:  # over 2 x's per X layer
-            kx, ky = [-1] * n_x, [-1] * n_y  # the levels of the vertices that reach the sink
-            ys = [y for y in open_ys if ly[y] == lt - 1]
-            for y in ys:
-                ky[y] = lt - 1
-            for d in range(lt - 1, 1, -2):  # keep the X layer d - 1, then the Y layer d - 2
-                layer = layers[d // 2 - 1]
-                kept = []
-                if sum(map(deg_y.__getitem__, ys)) < reaches[d // 2 - 1]:
-                    for y in ys:
-                        for x in graph.neighbors_y(y):
-                            if lx[x] == d - 1 and kx[x] == -1 and y not in ux[x]:
-                                kx[x] = d - 1
-                                kept.append(x)
-                else:
-                    for x in layer:
-                        used = ux[x]
-                        for y in adj[x]:
-                            if ky[y] == d and y not in used:
-                                kx[x] = d - 1
-                                kept.append(x)
-                                break
-                ys = []
-                for x in kept:
-                    for y in ux[x]:
-                        if ly[y] == d - 2 and ky[y] == -1:
-                            ky[y] = d - 2
-                            ys.append(y)
-            lx, ly, starts = kx, ky, sorted(kept)
-        itx, ity = [0] * n_x, [0] * n_y
+            lx, ly, starts = _prune(graph, adj, deg_y, ux, lx, ly, lt, open_ys, layers, reaches)
+        itx, ity, paths = [0] * n_x, [0] * n_y, 0
         for x0 in starts:
             path = [x0]  # the path's X vertices; y = adj[x][itx[x]]
             while path:
@@ -390,10 +367,61 @@ def _max_flow(
                             insort(held[z], v)
                         rx[x0] -= 1
                         ry[y] -= 1
+                        paths += 1
                         path = [x0] if rx[x0] else []
                     else:
                         ity[y] = n_x + 1  # past the sink arc
                         itx[x] += 1
+        if not paths:
+            raise TheoremContradictionError(
+                f"flow phase with the sink at level {lt} found no augmenting path"
+            )
+
+
+def _prune(
+    graph: BipartiteGraph,
+    adj: list[tuple[int, ...]],
+    deg_y: tuple[int, ...],
+    ux: list,
+    lx: list[int],
+    ly: list[int],
+    lt: int,
+    open_ys: list[int],
+    layers: list[list[int]],
+    reaches: list[int],
+) -> tuple[list[int], list[int], list[int]]:
+    """The X and Y levels of the vertices of a later phase's level graph
+    that can still reach the sink (-1 for the others), and the kept x's at
+    level 1 in index order, walking back from the y's with capacity at
+    level lt - 1 (see _max_flow)."""
+    kx, ky = [-1] * graph.n_x, [-1] * graph.n_y
+    ys = [y for y in open_ys if ly[y] == lt - 1]
+    for y in ys:
+        ky[y] = lt - 1
+    for d in range(lt - 1, 1, -2):  # keep the X layer d - 1, then the Y layer d - 2
+        layer = layers[d // 2 - 1]
+        kept = []
+        if sum(map(deg_y.__getitem__, ys)) < reaches[d // 2 - 1]:
+            for y in ys:
+                for x in graph.neighbors_y(y):
+                    if lx[x] == d - 1 and kx[x] == -1 and y not in ux[x]:
+                        kx[x] = d - 1
+                        kept.append(x)
+        else:
+            for x in layer:
+                used = ux[x]
+                for y in adj[x]:
+                    if ky[y] == d and y not in used:
+                        kx[x] = d - 1
+                        kept.append(x)
+                        break
+        ys = []
+        for x in kept:
+            for y in ux[x]:
+                if ly[y] == d - 2 and ky[y] == -1:
+                    ky[y] = d - 2
+                    ys.append(y)
+    return kx, ky, sorted(kept)
 
 
 def find_f_factor(

@@ -258,6 +258,7 @@ def _search_factor(
         return False
 
     found = rec(0)
+    del rec  # rec refers to itself through its closure cell: free it without the cyclic GC
     witness = Factor(graph, chosen) if found else None
     return OracleVerdict(found, witness, examined)
 

@@ -4,6 +4,12 @@ Graphs are simple, undirected, bipartite, with the two classes indexed
 independently from 0.  A vertex is identified by (side, index) only; there
 are no labels.  Instances are immutable once built.
 
+A graph stores its class sizes, its edge count and its two sorted
+adjacency tuples, nothing more: there is no per-edge object.  The
+``edge_list`` and ``edge_set`` properties build a fresh value on each
+access, so a caller that reads them in a loop should bind them once;
+``has_edge`` bisects N(x).
+
 Graph text format (newline-terminated, single spaces)::
 
     # optional comment lines
@@ -26,8 +32,10 @@ MAX_CLASS_SIZE (10,000) vertices per class.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, repeat
+from operator import add, eq, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -66,9 +74,13 @@ class VertexRef:
 
 
 class BipartiteGraph:
-    """Immutable simple bipartite graph on X = [0, n_x) and Y = [0, n_y)."""
+    """Immutable simple bipartite graph on X = [0, n_x) and Y = [0, n_y).
 
-    __slots__ = ("n_x", "n_y", "edge_list", "edge_set", "_adj_x", "_adj_y")
+    Only the edge count ``m`` and the sorted adjacency tuples are stored;
+    ``edge_list`` and ``edge_set`` are built from N(x) on each access.
+    """
+
+    __slots__ = ("n_x", "n_y", "m", "_adj_x", "_adj_y")
 
     def __init__(self, n_x: int, n_y: int, edges: Iterable[Edge]):
         if n_x < 0 or n_y < 0:
@@ -85,16 +97,16 @@ class BipartiteGraph:
         self._index(_checked_edges(n_x, n_y, zip(repeat(None), edges)))
 
     def _index(self, edges: Iterable[Edge]) -> bool:
-        """Store the sorted edges, their set and the sorted adjacency lists.
+        """Store the edge count and the sorted adjacency lists.
 
         Returns False, storing nothing, when an edge repeats or its x is out
         of range, or when some y is negative; a y of n_y or more raises
         IndexError.  Sorting is linear on the presorted input that
-        canonical files and edge_list slices give.
+        canonical files and edge_list slices give, and a repeated edge sits
+        next to its twin in the sorted list.
         """
         ordered = sorted(edges)
-        edge_set = frozenset(ordered)
-        if len(edge_set) != len(ordered) or (
+        if any(map(eq, ordered, islice(ordered, 1, None))) or (
             ordered and not (0 <= ordered[0][0] and ordered[-1][0] < self.n_x)
         ):
             return False
@@ -106,8 +118,7 @@ class BipartiteGraph:
         # Each adj_x list is ascending, so a negative y heads its list.
         if any(a[0] < 0 for a in adj_x if a):
             return False
-        self.edge_list: tuple[Edge, ...] = tuple(ordered)
-        self.edge_set: frozenset[Edge] = edge_set
+        self.m = len(ordered)
         self._adj_x = tuple(map(tuple, adj_x))
         self._adj_y = tuple(map(tuple, adj_y))
         return True
@@ -115,8 +126,14 @@ class BipartiteGraph:
     # -- basic accessors ---------------------------------------------------
 
     @property
-    def m(self) -> int:
-        return len(self.edge_list)
+    def edge_list(self) -> tuple[Edge, ...]:
+        """The edges sorted by (x, y), built afresh on each access."""
+        return tuple([(x, y) for x, ys in enumerate(self._adj_x) for y in ys])
+
+    @property
+    def edge_set(self) -> frozenset[Edge]:
+        """The edges as a set, built afresh on each access."""
+        return frozenset(self.edge_list)
 
     @property
     def n_vertices(self) -> int:
@@ -145,7 +162,11 @@ class BipartiteGraph:
         return tuple(map(len, self._adj_x)), tuple(map(len, self._adj_y))
 
     def has_edge(self, x: int, y: int) -> bool:
-        return (x, y) in self.edge_set
+        if not 0 <= x < self.n_x:
+            return False
+        ys = self._adj_x[x]
+        i = bisect_left(ys, y)
+        return i < len(ys) and ys[i] == y
 
     def vertices(self) -> Iterator[VertexRef]:
         for x in range(self.n_x):
@@ -158,11 +179,11 @@ class BipartiteGraph:
             isinstance(other, BipartiteGraph)
             and self.n_x == other.n_x
             and self.n_y == other.n_y
-            and self.edge_set == other.edge_set
+            and self._adj_x == other._adj_x
         )
 
     def __hash__(self) -> int:
-        return hash((self.n_x, self.n_y, self.edge_set))
+        return hash((self.n_x, self.n_y, self._adj_x))
 
     def __repr__(self) -> str:
         return f"BipartiteGraph({self.n_x}, {self.n_y}, m={self.m})"
@@ -188,6 +209,18 @@ class BipartiteGraph:
         return _component_labels(self._adj_x, self._adj_y)[2] == 1
 
 
+def _stored(
+    cls: type, n_x: int, n_y: int, adj_x: Iterable[Sequence[int]], adj_y: Iterable[Sequence[int]]
+):
+    """A ``cls`` holding the given sorted adjacency as tuples, unchecked."""
+    self = cls.__new__(cls)
+    self.n_x, self.n_y = n_x, n_y
+    self._adj_x = tuple(map(tuple, adj_x))
+    self._adj_y = tuple(map(tuple, adj_y))
+    self.m = sum(map(len, self._adj_x))
+    return self
+
+
 def _checked_edges(
     n_x: int, n_y: int, rows: Iterable[tuple[int | None, Edge]]
 ) -> list[Edge]:
@@ -204,6 +237,37 @@ def _checked_edges(
         seen.add((x, y))
         checked.append((x, y))
     return checked
+
+
+def _stray_edge(
+    rows: Sequence[Sequence[int]], host_rows: Sequence[Sequence[int]]
+) -> Edge | None:
+    """The first edge in (x, y) order of the ascending ``rows`` that the
+    ascending ``host_rows`` lack, or None.
+
+    A merge walk per x: each y is sought by bisection in the host's row
+    from just past the y before it.
+    """
+    for x, ys in enumerate(rows):
+        if ys:
+            host_ys = host_rows[x]
+            end, i = len(host_ys), 0
+            for y in ys:
+                i = bisect_left(host_ys, y, i)
+                if i == end or host_ys[i] != y:
+                    return x, y
+                i += 1
+    return None
+
+
+def _transpose(rows: Sequence[Sequence[int]], n_other: int) -> list[list[int]]:
+    """The ascending rows of the other side's ``n_other`` vertices, for
+    the edges that ``rows`` lists per vertex of this side."""
+    out: list[list[int]] = [[] for _ in range(n_other)]
+    for x, ys in enumerate(rows):
+        for y in ys:
+            out[y].append(x)
+    return out
 
 
 def _component_labels(
@@ -252,7 +316,9 @@ class Factor(BipartiteGraph):
     as the BipartiteGraph constructor does.  The flow and the connecting
     loop, which already hold the factor's sorted adjacency, build their
     results with ``_from_adjacency`` instead; both ways check every edge
-    against the host and label the components from scratch.
+    against the host, each factor row against its host row by a merge
+    walk, and label the components from scratch.  Like the graph, a factor
+    stores its adjacency only.
     """
 
     __slots__ = ("host", "comp_x", "comp_y", "n_components")
@@ -271,23 +337,18 @@ class Factor(BipartiteGraph):
         """The factor with the given adjacency on the host's vertices.
 
         One list per X and per Y vertex, each ascending, the two sides
-        listing the same edges: the edge list is read off ``adj_x`` in
-        order, with no sort and no duplicate or range pass.
+        listing the same edges: they are stored as they are, with no sort
+        and no duplicate or range pass.
         """
-        self = cls.__new__(cls)
-        self.n_x, self.n_y = host.n_x, host.n_y
-        self._adj_x = tuple(map(tuple, adj_x))
-        self._adj_y = tuple(map(tuple, adj_y))
-        self.edge_list = tuple([(x, y) for x, ys in enumerate(self._adj_x) for y in ys])
-        self.edge_set = frozenset(self.edge_list)
+        self = _stored(cls, host.n_x, host.n_y, adj_x, adj_y)
         self._attach(host)
         return self
 
     def _attach(self, host: BipartiteGraph) -> None:
         """Check every edge against the host, then label the components."""
-        stray = self.edge_set - host.edge_set
-        if stray:
-            raise IndexOutOfRangeError(f"factor edge {min(stray)} not in host graph")
+        stray = _stray_edge(self._adj_x, host._adj_x)
+        if stray is not None:
+            raise IndexOutOfRangeError(f"factor edge {stray} not in host graph")
         self.host = host
         self.comp_x, self.comp_y, self.n_components = _component_labels(
             self._adj_x, self._adj_y
@@ -308,14 +369,14 @@ class Factor(BipartiteGraph):
         return (
             isinstance(other, Factor)
             and self.host == other.host
-            and self.edge_set == other.edge_set
+            and self._adj_x == other._adj_x
         )
 
     def __hash__(self) -> int:
-        return hash((self.host, self.edge_set))
+        return hash((self.host, self._adj_x))
 
     def __repr__(self) -> str:
-        return f"Factor(m={len(self.edge_list)}, components={self.n_components})"
+        return f"Factor(m={self.m}, components={self.n_components})"
 
 
 # -- text format ------------------------------------------------------------
@@ -402,9 +463,11 @@ def parse_graph(text: str) -> BipartiteGraph:
     before anything is allocated for it.  A file as serialize_graph writes
     it, the header on the first line and then lines of two unsigned
     decimal integers, one space apart, each ending in "\\n", is read in
-    bulk, with no list per line; every other file is read line by line.
-    The edges are validated once, by the BipartiteGraph constructor; only
-    a bad file is read again, line by line, to name its first bad line.
+    bulk, with no list per line, and when its edges are canonical too it
+    is read straight into the adjacency (see _read_canonical).  Every
+    other file is read line by line.  Those edges are validated once, by
+    the BipartiteGraph constructor; only a bad file is read again, line by
+    line, to name its first bad line.
     """
     head, _, body = text.partition("\n")
     # str.splitlines also breaks lines at "\r", "\x0c", "\x85" and the like.
@@ -424,6 +487,10 @@ def parse_graph(text: str) -> BipartiteGraph:
         raise MalformedHeaderError(
             f"class size above {MAX_CLASS_SIZE} in header {line!r}", line=header_line
         )
+    if bulk:
+        graph = _read_canonical(n_x, n_y, m, body)
+        if graph is not None:
+            return graph
     try:
         if bulk:
             ends = map(int, body.split())
@@ -440,9 +507,46 @@ def parse_graph(text: str) -> BipartiteGraph:
     )
 
 
+def _read_canonical(n_x: int, n_y: int, m: int, body: str) -> BipartiteGraph | None:
+    """The graph whose edge lines are ``body``, read straight into its
+    adjacency, or None unless the m edges are canonical: each endpoint
+    spelled as str() writes an index in range, and the keys x * n_y + y
+    strictly ascending, so sorted by (x, y) with no repeat.
+
+    Endpoints are converted by dict lookup, not int(), and no per-edge
+    object is made.  A None sends the file to the general reader, which
+    names a bad line.
+    """
+    tokens = body.split()
+    if len(tokens) != 2 * m:
+        return None
+    x_keys = {str(x): x * n_y for x in range(n_x)}
+    y_index = {str(y): y for y in range(n_y)}
+    try:
+        ys = list(map(y_index.__getitem__, tokens[1::2]))
+        keys = list(map(add, map(x_keys.__getitem__, tokens[0::2]), ys))
+    except KeyError:  # a leading zero, or no index of its side
+        return None
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        return None
+    adj_x, lo = [], 0
+    for x in range(1, n_x + 1):
+        hi = bisect_left(keys, x * n_y, lo)
+        adj_x.append(ys[lo:hi])
+        lo = hi
+    return _stored(BipartiteGraph, n_x, n_y, adj_x, _transpose(adj_x, n_y))
+
+
+def _edge_text(graph: BipartiteGraph) -> list[str]:
+    """The line "x y" of each edge, in (x, y) order; each index is
+    spelled once."""
+    names = list(map(str, range(max(graph.n_x, graph.n_y))))
+    return [f"{x} {names[y]}" for x, ys in zip(names, graph._adj_x) for y in ys]
+
+
 def serialize_graph(graph: BipartiteGraph) -> str:
     lines = [f"bipartite {graph.n_x} {graph.n_y} {graph.m}"]
-    lines.extend(f"{x} {y}" for x, y in graph.edge_list)
+    lines.extend(_edge_text(graph))
     return "\n".join(lines) + "\n"
 
 
@@ -493,7 +597,7 @@ def _check_cycle(factor: Factor, labels: list[str], lineno: int) -> None:
     if n < 4:
         raise GraphFormatError(f"no cycle runs through {n} vertices", line=lineno)
     for (side, i), (next_side, j) in zip(order, order[1:] + order[:1]):
-        if side == next_side or ((i, j) if side == "X" else (j, i)) not in factor.edge_set:
+        if side == next_side or not factor.has_edge(*((i, j) if side == "X" else (j, i))):
             problem = "stays on one side" if side == next_side else "is not a factor edge"
             raise GraphFormatError(f"cycle step {side}{i}-{next_side}{j} {problem}", line=lineno)
 
@@ -507,8 +611,8 @@ def serialize_factor(factor: Factor, cycle: tuple[VertexRef, ...] | None = None)
     k = factor.regularity()
     if k is None:
         raise NotRegularError("only regular factors serialize")
-    lines = [f"factor {k} {len(factor.edge_list)}"]
-    lines.extend(f"{x} {y}" for x, y in factor.edge_list)
+    lines = [f"factor {k} {factor.m}"]
+    lines.extend(_edge_text(factor))
     if cycle is not None:
         lines.append("cycle " + " ".join(v.label for v in cycle))
     return "\n".join(lines) + "\n"

@@ -78,12 +78,10 @@ def serialize_star_witness(w: StarWitness) -> str:
 def _neighbor_masks(graph: BipartiteGraph) -> tuple[list[int], list[int]]:
     """Per X vertex the bitmask of its Y neighbours, and vice versa."""
     bit = [1 << i for i in range(max(graph.n_x, graph.n_y))]
-    mask_x = [0] * graph.n_x
-    mask_y = [0] * graph.n_y
-    for x, y in graph.edge_list:
-        mask_x[x] |= bit[y]
-        mask_y[y] |= bit[x]
-    return mask_x, mask_y
+    return (
+        [sum(map(bit.__getitem__, ys)) for ys in map(graph.neighbors_x, range(graph.n_x))],
+        [sum(map(bit.__getitem__, xs)) for xs in map(graph.neighbors_y, range(graph.n_y))],
+    )
 
 
 def _thin_mask(degrees: tuple[int, ...], n_other: int, l: int) -> int:
@@ -215,25 +213,27 @@ def find_induced_star(graph: BipartiteGraph, k: int, l: int) -> StarWitness | No
     mask_x, mask_y = masks
     good_x: list[int | None] = [None] * graph.n_x
     good_y: list[int | None] = [None] * graph.n_y
-    for x, y in graph.edge_list:
-        if deg_x[x] > k and deg_y[y] > l:
-            good = good_y[y]
-            if good is None:
-                good = good_y[y] = _good_leaves(mask_y, mask_x, graph.neighbors_y(y), y, l, thin_y)
-            avail = mask_x[x] & good
-            if avail.bit_count() >= k:
-                w = _star_at_edge(masks, x, y, k, l, avail, u_on_x=True)
-                if w is not None:
-                    return w
-        if k != l and deg_y[y] > k and deg_x[x] > l:
-            good = good_x[x]
-            if good is None:
-                good = good_x[x] = _good_leaves(mask_x, mask_y, graph.neighbors_x(x), x, l, thin_x)
-            avail = mask_y[y] & good
-            if avail.bit_count() >= k:
-                w = _star_at_edge(masks, x, y, k, l, avail, u_on_x=False)
-                if w is not None:
-                    return w
+    for x, ys in enumerate(graph._adj_x):
+        for y in ys:
+            if deg_x[x] > k and deg_y[y] > l:
+                good = good_y[y]
+                if good is None:
+                    nbrs = graph.neighbors_y(y)
+                    good = good_y[y] = _good_leaves(mask_y, mask_x, nbrs, y, l, thin_y)
+                avail = mask_x[x] & good
+                if avail.bit_count() >= k:
+                    w = _star_at_edge(masks, x, y, k, l, avail, u_on_x=True)
+                    if w is not None:
+                        return w
+            if k != l and deg_y[y] > k and deg_x[x] > l:
+                good = good_x[x]
+                if good is None:
+                    good = good_x[x] = _good_leaves(mask_x, mask_y, ys, x, l, thin_x)
+                avail = mask_y[y] & good
+                if avail.bit_count() >= k:
+                    w = _star_at_edge(masks, x, y, k, l, avail, u_on_x=False)
+                    if w is not None:
+                        return w
     return None
 
 

@@ -83,9 +83,9 @@ def run_thm3(trials: int = 10, seed: int = 0) -> list[TrialResult]:
         graph = double_graph(cycle_graph(m))
         try:
             cycle = hamilton_s13(graph)
-            ok = len(cycle.edge_list) == 4 * m
+            ok = cycle.m == 4 * m
             results.append(
-                TrialResult(name, ok, "" if ok else f"cycle length {len(cycle.edge_list)} != {4 * m}")
+                TrialResult(name, ok, "" if ok else f"cycle length {cycle.m} != {4 * m}")
             )
         except (BifactorError, AssertionError) as exc:
             results.append(TrialResult(name, False, f"{type(exc).__name__}: {exc}"))

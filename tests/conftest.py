@@ -236,11 +236,12 @@ def _count_after(graph: BipartiteGraph, factor: Factor, removed, added) -> int:
 
 def _reference_primary(graph: BipartiteGraph, factor: Factor) -> SwapMove | None:
     base = factor.n_components
+    factor_edges = factor.edge_set
     for link in find_links(graph, factor):
         x, y = link.u.index, link.v.index
         for u2 in factor.neighbors_x(x):
             for v2 in factor.neighbors_y(y):
-                if not graph.has_edge(v2, u2) or (v2, u2) in factor.edge_set:
+                if not graph.has_edge(v2, u2) or (v2, u2) in factor_edges:
                     continue
                 removed = ((x, u2), (v2, y))
                 added = ((x, y), (v2, u2))
@@ -254,6 +255,7 @@ def reference_secondary_moves(graph: BipartiteGraph, factor: Factor) -> Iterator
     scratch: the neighbor swap of two same-side vertices in distinct
     components."""
     base = factor.n_components
+    factor_edges = factor.edge_set
     for on_x, size in ((True, graph.n_x), (False, graph.n_y)):
         comp = factor.comp_x if on_x else factor.comp_y
         nbrs = factor.neighbors_x if on_x else factor.neighbors_y
@@ -271,7 +273,7 @@ def reference_secondary_moves(graph: BipartiteGraph, factor: Factor) -> Iterator
                             removed = ((w1, i1), (w2, i2))
                         if not (graph.has_edge(*cross1) and graph.has_edge(*cross2)):
                             continue
-                        if cross1 in factor.edge_set or cross2 in factor.edge_set:
+                        if cross1 in factor_edges or cross2 in factor_edges:
                             continue
                         added = (cross1, cross2)
                         if _count_after(graph, factor, removed, added) < base:

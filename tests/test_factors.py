@@ -28,9 +28,17 @@ from bifactor import (
     path_graph,
     serialize_certificate,
     serialize_factor,
+    serialize_graph,
     shrink_violator,
 )
-from bifactor.errors import DemandImbalanceError, FakeCertificateError, NotRegularError
+from bifactor import factors
+from bifactor.cli import main
+from bifactor.errors import (
+    DemandImbalanceError,
+    FakeCertificateError,
+    NotRegularError,
+    TheoremContradictionError,
+)
 from bifactor.factors import _max_flow, _shrink
 from bifactor.generators import GenSpec, SplitMix64
 
@@ -727,6 +735,41 @@ class TestFlowIdentity:
         got = find_f_factor(graph, DegreeDemand.uniform(graph, 1))
         assert isinstance(got, Factor)
         assert got.edge_list == tuple(sorted([(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]))
+
+
+class TestFlowGuard:
+    """A later phase that finds no augmenting path, which Dinic's argument
+    rules out, raises instead of repeating its BFS and search forever."""
+
+    @pytest.fixture
+    def prune_keeps_nothing(self, monkeypatch):
+        """Patch the pruning walk to keep no vertex, so no start; returns
+        the sink level of each pruned phase.  A second pruned phase at the
+        same level is the same phase repeated, so it fails the test rather
+        than letting it run to the suite's time limit."""
+        levels: list[int] = []
+
+        def keep_nothing(graph, adj, deg_y, ux, lx, ly, lt, *rest):
+            assert lt not in levels, f"phase at sink level {lt} repeated"
+            levels.append(lt)
+            return [-1] * graph.n_x, [-1] * graph.n_y, []
+
+        monkeypatch.setattr(factors, "_prune", keep_nothing)
+        return levels
+
+    def test_phase_without_a_path_raises(self, prune_keeps_nothing):
+        graph, _ = _min_degree_random(300, 301)
+        with pytest.raises(TheoremContradictionError, match="found no augmenting path"):
+            _max_flow(graph, DegreeDemand.uniform(graph, 3))
+        assert len(prune_keeps_nothing) == 1 and prune_keeps_nothing[0] >= 7
+
+    def test_cli_factor_exits_64(self, prune_keeps_nothing, tmp_path, capsys):
+        graph, _ = _min_degree_random(300, 301)
+        path = tmp_path / "host.graph"
+        path.write_text(serialize_graph(graph))
+        assert main(["factor", str(path), "--k", "3"]) == 64
+        assert "found no augmenting path" in capsys.readouterr().err
+        assert not (tmp_path / "host.graph.factor").exists()
 
 
 def _residual_reachable_x(graph: BipartiteGraph, demand: DegreeDemand, nx) -> tuple[int, set[int]]:

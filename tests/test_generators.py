@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from bifactor import (
@@ -163,6 +165,20 @@ class TestSearchOracles:
     def test_edge_budget(self):
         with pytest.raises(BudgetExceededError):
             brute_force_f_factor(complete_bipartite(7, 7), [1] * 7, [1] * 7)
+
+    def test_search_leaves_no_cycle_behind(self):
+        """A call frees everything it made by reference counting, so the
+        cyclic GC finds nothing afterwards."""
+        graph = complete_bipartite(3, 3)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert brute_force_f_factor(graph, [2] * 3, [2] * 3).exists
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestEnumeration:

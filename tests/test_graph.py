@@ -33,7 +33,7 @@ from bifactor.errors import (
     MatchingNotDisjointError,
     NotRegularError,
 )
-from bifactor.graph import _EDGE_LINES, MAX_CLASS_SIZE, _edge_lines
+from bifactor.graph import _EDGE_LINES, MAX_CLASS_SIZE, _edge_lines, _read_canonical
 
 from conftest import (
     assert_same_factor,
@@ -388,6 +388,61 @@ class TestAgainstFirstWritten:
             tracemalloc.stop()
         assert peak < 4 << 20
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "bipartite 1 2 1\n0 01\n",  # a leading zero
+            "bipartite 2 2 2\n0 0\n1 01\n",
+            "bipartite 3 2 1\n0 2\n",  # y >= n_y, below n_x
+            "bipartite 3 2 2\n0 1\n2 2\n",
+            "bipartite 2 3 1\n2 0\n",  # x >= n_x, below n_y
+            "bipartite 2 3 2\n1 2\n2 2\n",
+            "bipartite 2 2 2\n1 1\n0 0\n",  # unsorted
+            "bipartite 2 3 3\n0 2\n0 1\n1 0\n",
+            "bipartite 2 3 3\n0 1\n0 1\n1 2\n",  # a repeated edge
+            "bipartite 2 2 3\n0 0\n1 1\n1 1\n",
+            "bipartite 2 2 1\n0 10\n",  # a numeral longer than any index
+            "bipartite 2 2 2\n0 0\n123456789012345678901234567890 1\n",
+        ],
+    )
+    def test_canonical_shape_not_canonical_edges(self, text):
+        """Files in the shape of a canonical file whose edges are not
+        canonical: the direct read refuses them, and the general reader
+        gives the first-written reader's graph or error."""
+        head, _, body = text.partition("\n")
+        n_x, n_y, m = map(int, head.split()[1:])
+        assert _read_canonical(n_x, n_y, m, body) is None
+        assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
+
+    @given(bipartite_graphs(max_side=6, min_side=0))
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_read_matches_the_constructor(self, graph):
+        """A canonical file is read straight into the constructor's
+        adjacency."""
+        body = serialize_graph(graph).partition("\n")[2]
+        got = _read_canonical(graph.n_x, graph.n_y, graph.m, body)
+        assert got is not None
+        assert (got.n_x, got.n_y, got.m, got._adj_x, got._adj_y) == (
+            graph.n_x, graph.n_y, graph.m, graph._adj_x, graph._adj_y
+        )
+
+    def test_parsed_dense_graph_holds_its_adjacency_only(self):
+        """A canonical K(400,400) minus a perfect matching, 159,600 edges,
+        holds its two adjacency tuples and no per-edge object: at most
+        4 MB, where a tuple and a set entry per edge took about 23 MB."""
+        n = 400
+        graph = complete_bipartite_minus_matching(n, [(i, i) for i in range(n)])
+        text = serialize_graph(graph)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            parsed = parse_graph(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert parsed == graph
+        assert held <= 4 << 20
+
     def test_list_edges_are_stored_as_tuples(self):
         g = BipartiteGraph(2, 2, [[1, 0], [0, 1]])
         assert g.edge_list == ((0, 1), (1, 0)) and g.has_edge(1, 0)
@@ -450,9 +505,10 @@ def _is_hamilton_cycle(labels: list[str], factor: Factor) -> bool:
     names = [f"X{i}" for i in range(factor.n_x)] + [f"Y{j}" for j in range(factor.n_y)]
     if len(labels) < 4 or sorted(labels) != sorted(names):
         return False
+    edges = factor.edge_set
     for a, b in zip(labels, labels[1:] + labels[:1]):
         x, y = (a, b) if a[0] == "X" else (b, a)
-        if x[0] != "X" or y[0] != "Y" or (int(x[1:]), int(y[1:])) not in factor.edge_set:
+        if x[0] != "X" or y[0] != "Y" or (int(x[1:]), int(y[1:])) not in edges:
             return False
     return True
 
