@@ -406,6 +406,10 @@ def check_factor(
     Y rows or its component labels; raises AssertionError on any breach.
     Pipelines run this before returning a factor.
     """
+    if (factor.n_x, factor.n_y) != (graph.n_x, graph.n_y):
+        raise AssertionError(
+            f"factor on {factor.n_x}x{factor.n_y} vertices, host on {graph.n_x}x{graph.n_y}"
+        )
     rows = factor._adj_x
     stray = _stray_edge(rows, graph._adj_x)
     if stray is not None:

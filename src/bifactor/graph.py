@@ -463,11 +463,10 @@ def parse_graph(text: str) -> BipartiteGraph:
     before anything is allocated for it.  A file as serialize_graph writes
     it, the header on the first line and then lines of two unsigned
     decimal integers, one space apart, each ending in "\\n", is read in
-    bulk, with no list per line, and when its edges are canonical too it
-    is read straight into the adjacency (see _read_canonical).  Every
-    other file is read line by line.  Those edges are validated once, by
-    the BipartiteGraph constructor; only a bad file is read again, line by
-    line, to name its first bad line.
+    bulk, straight into the adjacency, when its edges are canonical too
+    (see _read_canonical).  Every other file is read line by line.  Those
+    edges are validated once, by the BipartiteGraph constructor; only a
+    bad file is read again, line by line, to name its first bad line.
     """
     head, _, body = text.partition("\n")
     # str.splitlines also breaks lines at "\r", "\x0c", "\x85" and the like.
@@ -491,17 +490,14 @@ def parse_graph(text: str) -> BipartiteGraph:
         graph = _read_canonical(n_x, n_y, m, body)
         if graph is not None:
             return graph
+        lines = text.splitlines()
     try:
-        if bulk:
-            ends = map(int, body.split())
-            edges = list(zip(ends, ends))
-        else:
-            edges = [edge for _, edge in _edge_rows(lines, header_line, "#")]
+        edges = [edge for _, edge in _edge_rows(lines, header_line, "#")]
         if len(edges) == m:
             return BipartiteGraph(n_x, n_y, edges)
-    except (ValueError, GraphFormatError):  # int() refuses over 4300 digits
+    except GraphFormatError:
         pass
-    checked = _checked_edges(n_x, n_y, _edge_rows(text.splitlines(), header_line, "#"))
+    checked = _checked_edges(n_x, n_y, _edge_rows(lines, header_line, "#"))
     raise MalformedHeaderError(
         f"header promises {m} edges, file has {len(checked)}", line=header_line
     )

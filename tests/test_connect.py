@@ -521,6 +521,12 @@ class TestConnectedKFactor:
             check_factor(g, Factor(g, [(0, 0), (1, 1)]), 1, connected=True)
         with pytest.raises(AssertionError):
             check_factor(g, whole, 1, connected=False)
+        # a factor whose vertex counts are not the host's
+        big = complete_bipartite(3, 3)
+        with pytest.raises(AssertionError, match="3x3 vertices, host on 2x2"):
+            check_factor(g, Factor(big, [(0, 0), (1, 1), (2, 2)]), 1, connected=False)
+        with pytest.raises(AssertionError, match="2x2 vertices, host on 3x3"):
+            check_factor(big, whole, 2, connected=True)
 
     def test_hypothesis_connected(self):
         g = BipartiteGraph(4, 4, SQUARE_A + SQUARE_B)
