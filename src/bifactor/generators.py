@@ -14,6 +14,16 @@ Bounded draws use plain modulo (documented bias is irrelevant at these
 sizes); shuffles are Fisher-Yates from the top index down.  Models that
 retry draw trial t from sub-seed ``seed + t``.
 
+The j-th output after seeding depends only on seed + (j + 1) * gamma, so a
+stretch of the stream can be computed at once.  ``_draws_below`` does so
+for the Bernoulli draws of min-degree-random: it packs a block of draws
+into 128-bit lanes of one Python integer, runs each xor-shift and
+multiply once over the whole integer, and masks every lane back to 64
+bits after each step, so the products never spill into the next lane.
+It picks out the same draws as ``chance`` called once per draw, bit for
+bit; ``next_u64``, ``below``, ``chance`` and ``shuffle`` stay the scalar
+reference.
+
 The oracles at the bottom are deliberately naive: backtracking over edge
 subsets with remaining-degree pruning, and exhaustive enumeration of all
 small bipartite graphs.  They exist to check the clever code, so they
@@ -22,7 +32,11 @@ share none of it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
+from itertools import repeat
+from operator import eq
 
 from .errors import BudgetExceededError, ParamInvalidError, RetryExhaustedError
 from .graph import (
@@ -42,6 +56,8 @@ _MIX2 = 0x94D049BB133111EB
 
 EDGE_BUDGET = 40
 RETRY_BUDGET = 1000
+
+_BLOCK = 1024  # draws per block in _draws_below; any size gives the same draws
 
 
 class SplitMix64:
@@ -68,7 +84,57 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def chance(self, p: float) -> bool:
-        return self.next_u64() < int(p * 2.0**64)
+        return self.next_u64() < _threshold(p)
+
+
+def _threshold(p: float) -> int:
+    """The bound a draw must stay below to count as a success of chance p."""
+    return int(p * 2.0**64)
+
+
+@cache
+def _lanes() -> tuple[int, int, int]:
+    """Three integers of _BLOCK 128-bit lanes holding, in lane j, 1, the
+    64-bit mask, and (j + 1) * gamma mod 2^64.  Built on first use, not at
+    import."""
+
+    def pack(values) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values), "little")
+
+    ones = pack(repeat(1, _BLOCK))
+    return ones, ones * _MASK, pack((j + 1) * _GAMMA & _MASK for j in range(_BLOCK))
+
+
+def _draws_below(rng: SplitMix64, count: int, threshold: int) -> list[int]:
+    """The indices j, ascending, among ``count`` calls of rng.next_u64()
+    whose draw j is below ``threshold`` (at most 2^64); rng ends where
+    those calls leave it.
+
+    Lane j of ``states`` holds the state that draw start + j mixes.  A
+    lane of ``(2^64 + threshold - 1) - z`` has bit 64 set exactly when
+    z < threshold and never borrows from the next lane, so those bits
+    mark the accepted draws: one byte in sixteen of the block's bytes,
+    found by ``bytes.find``.  The last block runs whole, and its draws
+    past ``count`` are dropped.
+    """
+    ones, mask, steps = _lanes()
+    states = (ones * rng.state + steps) & mask
+    advance = ones * (_BLOCK * _GAMMA & _MASK)
+    bound = ones * ((1 << 64) + threshold - 1)
+    hits: list[int] = []
+    for start in range(0, count, _BLOCK):
+        z = ((states ^ (states >> 30)) & mask) * _MIX1 & mask
+        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+        z = (z ^ (z >> 31)) & mask
+        marks = (((bound - z) >> 64) & ones).to_bytes(16 * _BLOCK, "little")
+        i = marks.find(1)
+        while i >= 0:
+            hits.append(start + i // 16)
+            i = marks.find(1, i + 16)
+        states = (states + advance) & mask
+    rng.state = (rng.state + count * _GAMMA) & _MASK
+    del hits[bisect_left(hits, count) :]
+    return hits
 
 
 MODELS = ("k-minus-matching", "double-cycle", "k-regular-union", "min-degree-random")
@@ -103,23 +169,19 @@ def _permutation(rng: SplitMix64, n: int) -> list[int]:
 def _disjoint_permutations(seed: int, n: int, count: int) -> list[list[int]]:
     """``count`` permutations of [0, n) that pairwise disagree everywhere.
 
-    Each failed attempt moves to the next sub-seed; RetryExhaustedError
-    after RETRY_BUDGET attempts.
+    Each attempt draws from its own sub-seed, so one that collides stops
+    there and the next sub-seed is tried; RetryExhaustedError after
+    RETRY_BUDGET attempts.
     """
     for attempt in range(RETRY_BUDGET):
         rng = SplitMix64(seed + attempt)
-        perms = [_permutation(rng, n) for _ in range(count)]
-        used = set()
-        ok = True
-        for perm in perms:
-            for x, y in enumerate(perm):
-                if (x, y) in used:
-                    ok = False
-                    break
-                used.add((x, y))
-            if not ok:
+        perms: list[list[int]] = []
+        while len(perms) < count:
+            perm = _permutation(rng, n)
+            if any(any(map(eq, perm, other)) for other in perms):
                 break
-        if ok:
+            perms.append(perm)
+        else:
             return perms
     raise RetryExhaustedError(
         f"no collision-free draw of {count} permutations on {n} in {RETRY_BUDGET} tries"
@@ -164,14 +226,20 @@ def generate(spec: GenSpec) -> BipartiteGraph:
     if not 0.0 <= spec.p <= 1.0:
         raise ParamInvalidError("p must lie in [0, 1]")
     perms = _disjoint_permutations(spec.seed, spec.n, delta)
-    base = {(x, perm[x]) for perm in perms for x in range(spec.n)}
-    # sprinkle stream sits past every retry sub-seed
+    # the permutations are disjoint, so each x has exactly delta base y's
+    base = [sorted(ys) for ys in zip(*perms)]
+    edges = [(x, y) for x, ys in enumerate(base) for y in ys]
+    # sprinkle stream sits past every retry sub-seed; x takes draws
+    # [x * width, (x + 1) * width), one per y outside its base, in y order
+    width = spec.n - delta
     rng = SplitMix64(spec.seed + RETRY_BUDGET)
-    edges = sorted(base)
-    for x in range(spec.n):
-        for y in range(spec.n):
-            if (x, y) not in base and rng.chance(spec.p):
-                edges.append((x, y))
+    for d in _draws_below(rng, spec.n * width, _threshold(spec.p)):
+        x, y = divmod(d, width)
+        for b in base[x]:  # step y past the base y's at or below it
+            if b > y:
+                break
+            y += 1
+        edges.append((x, y))
     return BipartiteGraph(spec.n, spec.n, edges)
 
 
@@ -220,8 +288,7 @@ def _search_factor(
     edges = graph.edge_list
     m = len(edges)
     # rem[v] = how many not-yet-decided edges still touch v
-    rem_x = [graph.degree_x(x) for x in range(graph.n_x)]
-    rem_y = [graph.degree_y(y) for y in range(graph.n_y)]
+    rem_x, rem_y = map(list, graph.degrees())
     chosen: list[Edge] = []
     examined = 0
 

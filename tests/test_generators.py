@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifactor import (
     BipartiteGraph,
@@ -16,13 +20,21 @@ from bifactor import (
     enumerate_bipartite_block,
     generate,
     path_graph,
+    serialize_graph,
 )
 from bifactor.errors import (
     BudgetExceededError,
     ParamInvalidError,
     RetryExhaustedError,
 )
-from bifactor.generators import SplitMix64, _disjoint_permutations
+from bifactor.generators import (
+    _BLOCK,
+    RETRY_BUDGET,
+    SplitMix64,
+    _disjoint_permutations,
+    _draws_below,
+    _threshold,
+)
 
 
 def reference_mix(seed: int, count: int) -> list[int]:
@@ -37,6 +49,20 @@ def reference_mix(seed: int, count: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def reference_permutation_attempt(sub_seed: int, n: int, count: int) -> list[list[int]] | None:
+    """One attempt of the disjoint-permutation draw, restated: draw all
+    ``count`` permutations, then check them through a set of (x, y)
+    pairs; None when two of them agree somewhere."""
+    rng = SplitMix64(sub_seed)
+    perms = []
+    for _ in range(count):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        perms.append(perm)
+    pairs = {(x, y) for perm in perms for x, y in enumerate(perm)}
+    return perms if len(pairs) == n * count else None
 
 
 class TestSplitMix:
@@ -73,6 +99,46 @@ class TestSplitMix:
         rng = SplitMix64(3)
         assert all(not rng.chance(0.0) for _ in range(20))
         assert all(rng.chance(1.0) for _ in range(20))
+
+
+class TestBlockDraws:
+    """``_draws_below`` against the recurrence restated from its constants."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+    )
+    def test_matches_recurrence(self, seed, count):
+        draws = reference_mix(seed, count)
+        thresholds = [_threshold(p) for p in (0.0, 1e-6, 1 / 1000, 0.5, 1.0)]
+        if draws:
+            # a draw equal to the threshold is rejected, one below it accepted
+            thresholds += [draws[-1], draws[-1] + 1, draws[count // 2]]
+        stepped = SplitMix64(seed)
+        for _ in range(count):
+            stepped.next_u64()
+        for threshold in thresholds:
+            rng = SplitMix64(seed)
+            hits = _draws_below(rng, count, threshold)
+            assert hits == [j for j, z in enumerate(draws) if z < threshold]
+            assert rng.state == stepped.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        count=st.integers(0, 3 * _BLOCK + 5),
+        p=st.floats(0.0, 1.0),
+    )
+    def test_matches_scalar_chance(self, seed, count, p):
+        scalar = SplitMix64(seed)
+        expected = [j for j in range(count) if scalar.chance(p)]
+        rng = SplitMix64(seed)
+        assert _draws_below(rng, count, _threshold(p)) == expected
+        assert rng.state == scalar.state
+
+    def test_threshold_extremes(self):
+        assert _threshold(0.0) == 0
+        assert _threshold(1.0) == 2**64
 
 
 class TestGenerate:
@@ -135,6 +201,52 @@ class TestGenerate:
         # two disjoint permutations of one element cannot exist
         with pytest.raises(RetryExhaustedError):
             _disjoint_permutations(0, 1, 2)
+
+    def test_disjoint_permutations_match_full_draws(self):
+        """Stopping an attempt at its first collision picks the same
+        permutations as drawing every one and then checking, or fails
+        the same way."""
+        for n in range(1, 13):
+            for count in range(1, 5):
+                # seed s tries sub-seeds s, s + 1, ..., so seeds share attempts
+                attempt = cache(lambda t: reference_permutation_attempt(t, n, count))
+                for seed in range(50):
+                    tries = map(attempt, range(seed, seed + RETRY_BUDGET))
+                    want = next(filter(None, tries), None)
+                    if want is None:
+                        with pytest.raises(RetryExhaustedError):
+                            _disjoint_permutations(seed, n, count)
+                    else:
+                        assert _disjoint_permutations(seed, n, count) == want
+
+
+# SHA-256 of serialize_graph(generate(spec)), recorded with a generator
+# that called ``chance`` once per (x, y) pair, so the block draws must
+# reproduce them.  The six n >= 300 rows are factor-large's host shapes.
+GENERATED_DIGESTS = [
+    (GenSpec("k-minus-matching", 13, seed=7), "ffeaafe93723f66b801a2faf62b11283f515c813959c8249501b0169ac61a734"),
+    (GenSpec("k-minus-matching", 50, seed=3, k=10), "a16529b3bc9ccea2fa212bf43a40840bb23518999b0682a19f59cf381812cc3f"),
+    (GenSpec("double-cycle", 5, seed=1), "79d4d6100541ea00d51d1397e24ea14282c56185a0911e9b72ea23034e213020"),
+    (GenSpec("k-regular-union", 7, seed=11, k=3), "7aa2c44f8797a9b41fa6c34f5c7e9c9349b6e6e9d23950e465ffa4ffa4e2855b"),
+    (GenSpec("k-regular-union", 60, seed=2, k=4), "2e6d838708e3696d58798b4a22d75389a9ba9045370fc0a8b27b5cd58922fa38"),
+    (GenSpec("min-degree-random", 1, seed=0, k=1, p=0.5), "6cbac2a234c4aadc37f39cc996564099323504d768fd01a3e905b59e11b4124f"),
+    (GenSpec("min-degree-random", 9, seed=4, k=2, p=0.2), "1d9da98fbaee93096b7297d877869805e8284d737c503a41f72779010cc2d6e6"),
+    (GenSpec("min-degree-random", 40, seed=8, k=3, p=0.5), "67f440e55b20bd40b203284e838cce1872b161fac58843ff7fb73947e6b49429"),
+    (GenSpec("min-degree-random", 50, seed=5, k=3, p=0.0), "cbff47375f0d4a0770fc5e2b33a27f167075db04d60dab120ea13be1bef692b7"),
+    (GenSpec("min-degree-random", 30, seed=6, k=2, p=1.0), "b43e8bc650a1884c44dfa59a02644608f7962e1c683330f18824e96c3febdf1d"),
+    (GenSpec("min-degree-random", 300, seed=1, k=3, p=1 / 300), "7558d31627dadf0d77136b1bbf975958e044348aad044b2c4dad9ea8bc401ce4"),
+    (GenSpec("min-degree-random", 400, seed=2, k=3, p=1 / 400), "abfd080276ab2756bce3c9480df5128b649e8b9c3ce31e09b9af5c51b644e1f0"),
+    (GenSpec("min-degree-random", 500, seed=3, k=2, p=1 / 500), "87d13522118d8cd4fc9a5b2163596f19a96b6de6a0cfc0945222963db4c1a133"),
+    (GenSpec("min-degree-random", 600, seed=4, k=2, p=1 / 600), "b4225d0794183918fa42b00a30c57aac43428e36545efdd040e33c0c72b9a0fa"),
+    (GenSpec("min-degree-random", 800, seed=5, k=2, p=1 / 800), "826ca69d0cef9cf3910281f28996538ccf7089097addf1b4c262f8178c8dc591"),
+    (GenSpec("min-degree-random", 1000, seed=6, k=2, p=1 / 1000), "5041b981c0ae7e25d32639f5941c8aa136b74a33b6fe9964b4588311caa79a64"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", GENERATED_DIGESTS)
+def test_generated_bytes_pinned(spec, digest):
+    text = serialize_graph(generate(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSearchOracles:
