@@ -13,22 +13,27 @@ sides from scratch.
 
 The flow keeps its residual state per vertex: the y's of each x's used
 edges, the x's holding an edge at each y, and the demand left at each
-vertex.  Everything here is deterministic: augmentation scans every arc
-list lowest index first, so the same input always yields the same factor
-or the same certificate.  The flow's first phase is one greedy pass in that
-same order: each x by index takes its edges to the lowest-indexed y's with
-capacity left, starting its walk at the lowest y that still has any.  A
-later phase searches only the part of its level graph that can still
-reach the sink, found by a walk back from the sink's layer.  A
-saturating flow hands its per-vertex edge lists to the Factor, each x's
-sorted and each y's already ascending, so the factor stores them as its
-adjacency, not sorted and indexed again.
+vertex.  The x's with demand left and the y's with capacity left are
+carried from phase to phase as lists, each phase's head filtering the
+last phase's, so past the first phase a head costs the free vertices and
+no longer scans X.  Everything here is deterministic: augmentation scans
+every arc list lowest index first, so the same input always yields the
+same factor or the same certificate.  The flow's first phase is one
+greedy pass in that same order: each x by index takes its edges to the
+lowest-indexed y's with capacity left, starting its walk at the lowest y
+that still has any.  A later phase searches only the part of its level
+graph that can still reach the sink, found by a walk back from the
+sink's layer.  A saturating flow hands its per-vertex edge lists to the
+Factor, each x's sorted and each y's already ascending, so the factor
+stores them as its adjacency, not sorted and indexed again.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import compress
+from operator import le
 
 from .errors import DemandImbalanceError, FakeCertificateError, TheoremContradictionError
 from .graph import BipartiteGraph, Factor
@@ -50,7 +55,7 @@ class DegreeDemand:
     def validate_for(self, graph: BipartiteGraph) -> None:
         if len(self.f_x) != graph.n_x or len(self.f_y) != graph.n_y:
             raise ValueError("demand vectors do not match graph class sizes")
-        if any(v < 0 for v in self.f_x) or any(v < 0 for v in self.f_y):
+        if min(self.f_x, default=0) < 0 or min(self.f_y, default=0) < 0:
             raise ValueError("demands must be non-negative")
 
 
@@ -79,14 +84,13 @@ def _evaluate_violation(
     graph: BipartiteGraph, demand: DegreeDemand, a: tuple[int, ...]
 ) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """lhs, rhs and the per-vertex rhs terms for a candidate set A."""
-    lhs = sum(demand.f_x[x] for x in a)
     deg_a: dict[int, int] = {}
     for x in a:
         for y in graph.neighbors_x(x):
             deg_a[y] = deg_a.get(y, 0) + 1
-    per_vertex = tuple((y, min(demand.f_y[y], d)) for y, d in sorted(deg_a.items()))
-    rhs = sum(v for _, v in per_vertex)
-    return lhs, rhs, per_vertex
+    ys = sorted(deg_a)
+    terms = list(map(min, map(demand.f_y.__getitem__, ys), map(deg_a.__getitem__, ys)))
+    return sum(map(demand.f_x.__getitem__, a)), sum(terms), tuple(zip(ys, terms))
 
 
 def make_certificate(
@@ -157,10 +161,11 @@ def _shrink(
     """
     f_x, f_y = demand.f_x, demand.f_y
     deg_a = [0] * graph.n_y
+    deg_at, f_at = deg_a.__getitem__, f_y.__getitem__
     for x in a:
         for y in graph.neighbors_x(x):
             deg_a[y] += 1
-    lhs, rhs = sum(f_x[x] for x in a), sum(map(min, f_y, deg_a))
+    lhs, rhs = sum(map(f_x.__getitem__, a)), sum(map(min, f_y, deg_a))
     if not lhs > rhs:
         raise FakeCertificateError(f"no strict violation: lhs {lhs} <= rhs {rhs}")
     slack = lhs - rhs
@@ -172,7 +177,7 @@ def _shrink(
             if len(current) == 1:
                 break
             nbrs = graph.neighbors_x(x)
-            trial = slack - f_x[x] + sum(1 for y in nbrs if deg_a[y] <= f_y[y])
+            trial = slack - f_x[x] + sum(map(le, map(deg_at, nbrs), map(f_at, nbrs)))
             if trial > 0:
                 slack = trial
                 for y in nbrs:
@@ -196,8 +201,12 @@ def _max_flow(
 
     Residual state is kept per vertex, with no per-edge array: ux[x] holds
     the y's of x's used edges, held[y] the x's holding an edge at y in
-    ascending order, rx[x] and ry[y] the demand left, and open_ys the y's
-    with ry[y] > 0 in ascending order, rebuilt at the head of each phase.
+    ascending order, rx[x] and ry[y] the demand left, and free_xs and
+    open_ys the x's with rx[x] > 0 and the y's with ry[y] > 0 in ascending
+    order.  The two lists are carried from phase to phase: since demand
+    only falls, each phase's head filters the last phase's lists and
+    builds the X levels as all -1 with the free x's set to 1.  Past the
+    first phase the head so costs the free vertices and no longer scans X.
     A phase walks paths source, x, y, x, ..., sink with current-arc
     pointers, taking arcs in a fixed order: at the source x by index; at x
     its unused edges by y; at y its used edges by x, then the sink arc.
@@ -290,12 +299,14 @@ def _max_flow(
         rx[x] = need
         while not ry[lo]:
             lo += 1
-    open_ys = range(n_y)
+    free_xs, open_ys = range(n_x), range(n_y)
     while True:
+        free_xs = xs = [x for x in free_xs if rx[x]]
         open_ys = [y for y in open_ys if ry[y]]
         open_deg = sum(map(deg_y.__getitem__, open_ys))
-        lx, ly, lt = [1 if r else -1 for r in rx], [-1] * n_y, -1
-        xs = [x for x in range(n_x) if rx[x]]
+        lx, ly, lt = [-1] * n_x, [-1] * n_y, -1
+        for x in xs:
+            lx[x] = 1
         reach = sum(map(deg_x.__getitem__, xs))  # the frontier's total degree
         layers, reaches = [], []  # each X layer, in level order, and its total degree
         while xs:
@@ -443,7 +454,7 @@ def find_f_factor(
             f"total X demand {sum(demand.f_x)} != total Y demand {sum(demand.f_y)}"
         )
     ux, held, level_x = _max_flow(graph, demand)
-    a = tuple(x for x in range(graph.n_x) if level_x[x] != -1)
+    a = tuple(compress(range(graph.n_x), map((-1).__ne__, level_x)))
     if not a:
         return Factor._from_adjacency(graph, map(sorted, ux), held)
     return _shrink(graph, demand, a)

@@ -35,7 +35,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import add, eq, lt
+from operator import add, eq, itemgetter, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -392,6 +392,37 @@ MAX_CLASS_SIZE = 10_000
 _EDGE_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
 
 
+# Every index spelled as str() writes it, mapped to the index and to the
+# index times MAX_CLASS_SIZE, shared by every direct read of a canonical
+# file.  Grown on demand to the largest class read so far, never past
+# MAX_CLASS_SIZE: about 1.5 MB when full.
+_INDEX: dict[str, int] = {}
+_ROW_KEY: dict[str, int] = {}
+
+
+def _spell(n: int) -> None:
+    """Grow the spelling table to hold every index below ``n``, at most
+    MAX_CLASS_SIZE of them."""
+    have, n = len(_INDEX), min(n, MAX_CLASS_SIZE)
+    if have < n:
+        names = list(map(str, range(have, n)))
+        keys = range(have * MAX_CLASS_SIZE, n * MAX_CLASS_SIZE, MAX_CLASS_SIZE)
+        _ROW_KEY.update(zip(names, keys))
+        _INDEX.update(zip(names, range(have, n)))
+
+
+def _line_runs(body: str, chunk: int = 1 << 16) -> Iterator[tuple[int, int]]:
+    """The (start, stop) of consecutive runs of whole lines of ``body``,
+    each cut after the last newline within ``chunk`` characters of its
+    start (after the first newline past them when there is none).  A tail
+    with no newline is the last run."""
+    pos, end = 0, len(body)
+    while pos < end:
+        stop = body.rfind("\n", pos, pos + chunk) + 1 or body.find("\n", pos + chunk) + 1 or end
+        yield pos, stop
+        pos = stop
+
+
 def _edge_lines(body: str, chunk: int = 1 << 16) -> bool:
     """Whether ``body`` is all edge lines of a canonical graph file.
 
@@ -401,13 +432,7 @@ def _edge_lines(body: str, chunk: int = 1 << 16) -> bool:
     body.  Every edge line ends in its one newline, so the body is edge
     lines exactly when every run cut after a newline is.
     """
-    pos, end = 0, len(body)
-    while pos < end:
-        stop = body.rfind("\n", pos, pos + chunk) + 1 or body.find("\n", pos + chunk) + 1
-        if not stop or _EDGE_LINES.fullmatch(body, pos, stop) is None:
-            return False
-        pos = stop
-    return True
+    return all(_EDGE_LINES.fullmatch(body, *run) is not None for run in _line_runs(body, chunk))
 
 
 def _header(lines: list[str], usage: str) -> tuple[int, str, tuple[int, ...]]:
@@ -504,32 +529,47 @@ def parse_graph(text: str) -> BipartiteGraph:
 
 
 def _read_canonical(n_x: int, n_y: int, m: int, body: str) -> BipartiteGraph | None:
-    """The graph whose edge lines are ``body``, read straight into its
-    adjacency, or None unless the m edges are canonical: each endpoint
-    spelled as str() writes an index in range, and the keys x * n_y + y
-    strictly ascending, so sorted by (x, y) with no repeat.
+    """The graph whose edge lines are ``body`` (as _edge_lines accepts
+    them), read straight into its adjacency, or None unless the m edges
+    are canonical: each endpoint spelled as str() writes an index in
+    range, and the keys x * MAX_CLASS_SIZE + y strictly ascending, so
+    sorted by (x, y) with no repeat.
 
-    Endpoints are converted by dict lookup, not int(), and no per-edge
-    object is made.  A None sends the file to the general reader, which
-    names a bad line.
+    Endpoints are converted by lookup in the module's spelling table, not
+    by int().  The table is shared by every read and grown to the larger
+    class, never past MAX_CLASS_SIZE, so it may spell indices beyond this
+    graph's classes: x < n_x and y < n_y are checked explicitly.  The body
+    is read in the runs of whole lines _edge_lines matches, each converted
+    before the next is split, so only one run's token strings are alive
+    at a time; no per-edge object is kept.  A None sends the file to the
+    general reader, which names a bad line.
     """
-    tokens = body.split()
-    if len(tokens) != 2 * m:
+    _spell(max(n_x, n_y))
+    index, row_key = _INDEX, _ROW_KEY
+    ys: list[int] = []
+    starts = [0]  # where the row of each x up to the last seen begins in ys
+    last, x_end = -1, n_x * MAX_CLASS_SIZE
+    for pos, stop in _line_runs(body):
+        tokens = body[pos:stop].split()
+        try:
+            run_ys = list(map(index.__getitem__, tokens[1::2]))
+            keys = list(map(add, map(row_key.__getitem__, tokens[0::2]), run_ys))
+        except KeyError:  # a leading zero, or no index of any class
+            return None
+        if keys[0] <= last or not all(map(lt, keys, islice(keys, 1, None))):
+            return None
+        last = keys[-1]
+        if last >= x_end:
+            return None
+        row_keys = range(len(starts) * MAX_CLASS_SIZE, last + 1, MAX_CLASS_SIZE)
+        starts += map(len(ys).__add__, map(bisect_left, repeat(keys), row_keys))
+        ys += run_ys
+    if len(ys) != m:
         return None
-    x_keys = {str(x): x * n_y for x in range(n_x)}
-    y_index = {str(y): y for y in range(n_y)}
-    try:
-        ys = list(map(y_index.__getitem__, tokens[1::2]))
-        keys = list(map(add, map(x_keys.__getitem__, tokens[0::2]), ys))
-    except KeyError:  # a leading zero, or no index of its side
+    starts += repeat(m, n_x + 1 - len(starts))
+    adj_x = list(map(ys.__getitem__, map(slice, starts, islice(starts, 1, None))))
+    if max(map(itemgetter(-1), filter(None, adj_x)), default=-1) >= n_y:  # rows ascend
         return None
-    if not all(map(lt, keys, islice(keys, 1, None))):
-        return None
-    adj_x, lo = [], 0
-    for x in range(1, n_x + 1):
-        hi = bisect_left(keys, x * n_y, lo)
-        adj_x.append(ys[lo:hi])
-        lo = hi
     return _stored(BipartiteGraph, n_x, n_y, adj_x, _transpose(adj_x, n_y))
 
 

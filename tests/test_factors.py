@@ -71,6 +71,18 @@ class TestDemand:
         with pytest.raises(ValueError):
             DegreeDemand((1, -1), (0, 0)).validate_for(g)
 
+    @pytest.mark.parametrize(
+        "f_x, f_y",
+        [((-1, 2, 2), (2, 1)), ((2, 2, -1), (2, 1)), ((2, 2, 2), (-1, 2)), ((2, 2, 2), (2, -1))],
+    )
+    def test_negative_entry_at_either_end(self, f_x, f_y):
+        """A negative demand first or last on either side is refused."""
+        with pytest.raises(ValueError, match="demands must be non-negative"):
+            DegreeDemand(f_x, f_y).validate_for(complete_bipartite(3, 2))
+
+    def test_vertexless_host_passes(self):
+        DegreeDemand((), ()).validate_for(BipartiteGraph(0, 0, []))
+
 
 class TestCertificates:
     def test_path_singleton_violator(self, p4):

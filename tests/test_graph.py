@@ -33,7 +33,16 @@ from bifactor.errors import (
     MatchingNotDisjointError,
     NotRegularError,
 )
-from bifactor.graph import _EDGE_LINES, MAX_CLASS_SIZE, _edge_lines, _read_canonical
+import bifactor.graph as graph_module
+from bifactor.graph import (
+    _EDGE_LINES,
+    _INDEX,
+    MAX_CLASS_SIZE,
+    _edge_lines,
+    _line_runs,
+    _read_canonical,
+    _spell,
+)
 
 from conftest import (
     assert_same_factor,
@@ -292,6 +301,32 @@ def edge_inputs(draw):
     return n_x, n_y, lambda: (tuple if kind == "tuple" else list)(edges)
 
 
+# Files in the shape of a canonical file whose edges are not canonical.
+NOT_CANONICAL_EDGES = [
+    "bipartite 1 2 1\n0 01\n",  # a leading zero
+    "bipartite 2 2 2\n0 0\n1 01\n",
+    "bipartite 3 2 1\n0 2\n",  # y >= n_y, below n_x
+    "bipartite 3 2 2\n0 1\n2 2\n",
+    "bipartite 2 3 1\n2 0\n",  # x >= n_x, below n_y
+    "bipartite 2 3 2\n1 2\n2 2\n",
+    "bipartite 2 2 2\n1 1\n0 0\n",  # unsorted
+    "bipartite 2 3 3\n0 2\n0 1\n1 0\n",
+    "bipartite 2 3 3\n0 1\n0 1\n1 2\n",  # a repeated edge
+    "bipartite 2 2 3\n0 0\n1 1\n1 1\n",
+    "bipartite 2 2 1\n0 10\n",  # a numeral longer than any index
+    "bipartite 2 2 2\n0 0\n123456789012345678901234567890 1\n",
+]
+
+
+def _assert_refused_directly(text: str) -> None:
+    """The direct read refuses ``text``'s body, and parse_graph gives the
+    first-written reader's outcome."""
+    head, _, body = text.partition("\n")
+    n_x, n_y, m = map(int, head.split()[1:])
+    assert _read_canonical(n_x, n_y, m, body) is None
+    assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
+
+
 class TestAgainstFirstWritten:
     """The one-pass reader and the bulk-validating constructor give the
     outcome of the versions first written, kept in conftest.py: the same
@@ -388,31 +423,71 @@ class TestAgainstFirstWritten:
             tracemalloc.stop()
         assert peak < 4 << 20
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "bipartite 1 2 1\n0 01\n",  # a leading zero
-            "bipartite 2 2 2\n0 0\n1 01\n",
-            "bipartite 3 2 1\n0 2\n",  # y >= n_y, below n_x
-            "bipartite 3 2 2\n0 1\n2 2\n",
-            "bipartite 2 3 1\n2 0\n",  # x >= n_x, below n_y
-            "bipartite 2 3 2\n1 2\n2 2\n",
-            "bipartite 2 2 2\n1 1\n0 0\n",  # unsorted
-            "bipartite 2 3 3\n0 2\n0 1\n1 0\n",
-            "bipartite 2 3 3\n0 1\n0 1\n1 2\n",  # a repeated edge
-            "bipartite 2 2 3\n0 0\n1 1\n1 1\n",
-            "bipartite 2 2 1\n0 10\n",  # a numeral longer than any index
-            "bipartite 2 2 2\n0 0\n123456789012345678901234567890 1\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", NOT_CANONICAL_EDGES)
     def test_canonical_shape_not_canonical_edges(self, text):
         """Files in the shape of a canonical file whose edges are not
         canonical: the direct read refuses them, and the general reader
         gives the first-written reader's graph or error."""
-        head, _, body = text.partition("\n")
-        n_x, n_y, m = map(int, head.split()[1:])
-        assert _read_canonical(n_x, n_y, m, body) is None
-        assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
+        _assert_refused_directly(text)
+
+    def test_shared_spelling_table_widens_nothing(self):
+        """Once a 1,200 + 1,200 graph is read, the shared spelling table
+        spells every index of the small files above, in range or not: the
+        direct read still refuses each of them, and the general reader
+        gives the first-written reader's outcome."""
+        n = 1200
+        big = BipartiteGraph(n, n, [(i, j) for i in range(n) for j in {i, n - 1 - i}])
+        assert parse_graph(serialize_graph(big)) == big
+        assert n <= len(_INDEX) <= MAX_CLASS_SIZE
+        for text in NOT_CANONICAL_EDGES:
+            _assert_refused_directly(text)
+
+    def test_oversized_header_fails_before_the_table_grows(self, monkeypatch):
+        """A class above MAX_CLASS_SIZE is refused from the header, before
+        the spelling table is asked to grow; asked directly, the table
+        stops at MAX_CLASS_SIZE."""
+
+        def no_growth(n):
+            raise AssertionError(f"spelling table grown to {n}")
+
+        monkeypatch.setattr(graph_module, "_spell", no_growth)
+        for n_x, n_y in [(MAX_CLASS_SIZE + 1, 1), (1, MAX_CLASS_SIZE + 1)]:
+            with pytest.raises(MalformedHeaderError, match="class size above"):
+                parse_graph(f"bipartite {n_x} {n_y} 1\n0 0\n")
+        monkeypatch.undo()
+        _spell(MAX_CLASS_SIZE + 5)
+        assert len(_INDEX) == MAX_CLASS_SIZE and str(MAX_CLASS_SIZE) not in _INDEX
+
+    @pytest.mark.parametrize("change", ["none", "swap-at-cut", "repeat-at-cut", "last-x", "last-y", "swap-last"])
+    def test_direct_read_across_runs(self, change):
+        """A 125 KB canonical file is read in two runs of whole lines, with
+        rows that are empty or cross the cut.  It gives the constructor's
+        adjacency, and an edge unsorted or repeated across the cut, or out
+        of range in the last run, is refused."""
+        n = 3000
+        _spell(n + 1)  # n is spelled, so only the range checks can refuse it
+        edges = [(x, (x * 7 + 11 * j) % n) for x in range(n) if x % 5 for j in range(5)]
+        graph = BipartiteGraph(n, n, edges)
+        body = serialize_graph(graph).partition("\n")[2]
+        cut = next(_line_runs(body))[1]
+        assert 0 < cut < len(body) and len(list(_line_runs(body))) == 2
+        lines = body.splitlines(keepends=True)
+        at = body.count("\n", 0, cut)  # the first line of the second run
+        if change == "swap-at-cut":
+            lines[at - 1], lines[at] = lines[at], lines[at - 1]
+        elif change == "repeat-at-cut":
+            lines[at] = lines[at - 1]
+        elif change == "last-x":
+            lines[-1] = f"{n} 0\n"
+        elif change == "last-y":
+            lines[-1] = f"{n - 1} {n}\n"
+        elif change == "swap-last":
+            lines[-2], lines[-1] = lines[-1], lines[-2]
+        got = _read_canonical(n, n, graph.m, "".join(lines))
+        if change == "none":
+            assert (got.m, got._adj_x, got._adj_y) == (graph.m, graph._adj_x, graph._adj_y)
+        else:
+            assert got is None
 
     @given(bipartite_graphs(max_side=6, min_side=0))
     @settings(max_examples=200, deadline=None)
@@ -442,6 +517,22 @@ class TestAgainstFirstWritten:
             tracemalloc.stop()
         assert parsed == graph
         assert held <= 4 << 20
+
+    def test_dense_parse_peaks_low(self):
+        """The same file is split and converted one run of lines at a
+        time: the parse peaks under 12 MB, where splitting the whole body
+        first held 319,200 token strings and peaked at about 31 MB."""
+        n = 400
+        graph = complete_bipartite_minus_matching(n, [(i, i) for i in range(n)])
+        text = serialize_graph(graph)
+        tracemalloc.start()
+        try:
+            parsed = parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == graph
+        assert peak < 12 << 20
 
     def test_list_edges_are_stored_as_tuples(self):
         g = BipartiteGraph(2, 2, [[1, 0], [0, 1]])
