@@ -2,8 +2,9 @@
 
 Each suite returns per-trial results; a trial is one seeded instance for
 the randomized suites and one exhaustive block (a size/degree combination)
-for the enumeration suites.  Pipeline errors fail the trial instead of
-propagating, so a suite always reports all of its trials.
+for the enumeration suites.  Every trial of every suite runs through one
+guard, ``_trial``: a pipeline error, host generation included, fails the
+trial instead of propagating, so a suite always reports all of its trials.
 """
 
 from __future__ import annotations
@@ -37,33 +38,43 @@ class TrialResult:
     detail: str = ""
 
 
-def _cor_trial(name: str, n: int, seed: int, k: int, l: int) -> TrialResult:
-    graph = generate(GenSpec("k-minus-matching", n=n, seed=seed))
-    if graph.min_degree() != n - 1:
-        return TrialResult(name, False, f"generator broke: min degree {graph.min_degree()}")
+def _trial(name: str, check, *args) -> TrialResult:
+    """``check(*args)`` returns ``(passed, detail)``; an error it raises fails the trial."""
     try:
-        connected_k_factor(graph, k, l)
+        passed, detail = check(*args)
     except (BifactorError, AssertionError) as exc:
         return TrialResult(name, False, f"{type(exc).__name__}: {exc}")
-    return TrialResult(name, True, f"n={n}")
+    return TrialResult(name, passed, detail)
+
+
+def _cycled(lo: int, hi: int, trials: int) -> list[tuple[int, int]]:
+    """Trial indices, each with its host size: sizes cycle through lo..hi."""
+    return [(t, lo + t % (hi - lo + 1)) for t in range(trials)]
+
+
+def _cor(n: int, seed: int, k: int, l: int) -> tuple[bool, str]:
+    graph = generate(GenSpec("k-minus-matching", n=n, seed=seed))
+    if graph.min_degree() != n - 1:
+        return False, f"generator broke: min degree {graph.min_degree()}"
+    connected_k_factor(graph, k, l)
+    return True, f"n={n}"
 
 
 def run_cor4(trials: int = 25, seed: int = 0) -> list[TrialResult]:
     """Hamilton cycles via the (2,3) threshold on dense minus-matching hosts."""
-    lo, hi = 13, 20
-    return [
-        _cor_trial(f"cor4[{t:02d}]", lo + t % (hi - lo + 1), seed + t, 2, 3)
-        for t in range(trials)
-    ]
+    return [_trial(f"cor4[{t:02d}]", _cor, n, seed + t, 2, 3) for t, n in _cycled(13, 20, trials)]
 
 
 def run_cor5(trials: int = 10, seed: int = 0) -> list[TrialResult]:
     """Connected 3-regular factors via the (3,3) threshold."""
-    lo, hi = 19, 24
-    return [
-        _cor_trial(f"cor5[{t:02d}]", lo + t % (hi - lo + 1), seed + t, 3, 3)
-        for t in range(trials)
-    ]
+    return [_trial(f"cor5[{t:02d}]", _cor, n, seed + t, 3, 3) for t, n in _cycled(19, 24, trials)]
+
+
+def _hamilton(build, *args) -> tuple[bool, str]:
+    graph = build(*args)
+    cycle = hamilton_s13(graph)
+    ok = cycle.m == 2 * graph.n_x
+    return ok, "" if ok else f"cycle length {cycle.m} != {2 * graph.n_x}"
 
 
 def run_thm3(trials: int = 10, seed: int = 0) -> list[TrialResult]:
@@ -77,49 +88,41 @@ def run_thm3(trials: int = 10, seed: int = 0) -> list[TrialResult]:
     minus-matching instances, pattern-freeness checked by ``hamilton_s13``
     itself.
     """
-    results = []
-    for m in range(3, 11):
-        name = f"thm3[double m={m}]"
-        graph = double_graph(cycle_graph(m))
-        try:
-            cycle = hamilton_s13(graph)
-            ok = cycle.m == 4 * m
-            results.append(
-                TrialResult(name, ok, "" if ok else f"cycle length {cycle.m} != {4 * m}")
-            )
-        except (BifactorError, AssertionError) as exc:
-            results.append(TrialResult(name, False, f"{type(exc).__name__}: {exc}"))
-    lo, hi = 5, 12
-    for t in range(trials):
-        n = lo + t % (hi - lo + 1)
-        name = f"thm3[seeded n={n}]"
-        graph = generate(GenSpec("k-minus-matching", n=n, seed=seed + t))
-        try:
-            hamilton_s13(graph)
-            results.append(TrialResult(name, True))
-        except (BifactorError, AssertionError) as exc:
-            results.append(TrialResult(name, False, f"{type(exc).__name__}: {exc}"))
-    return results
+    specs = [GenSpec("k-minus-matching", n=n, seed=seed + t) for t, n in _cycled(5, 12, trials)]
+    return [
+        _trial(f"thm3[double m={m}]", _hamilton, double_graph, cycle_graph(m)) for m in range(3, 11)
+    ] + [_trial(f"thm3[seeded n={spec.n}]", _hamilton, generate, spec) for spec in specs]
+
+
+def _sharp(n: int, seed: int) -> tuple[bool, str]:
+    graph = generate(GenSpec("k-regular-union", n=n, k=3, seed=seed))
+    deg_x, deg_y = graph.degrees()
+    if set(deg_x + deg_y) != {3}:
+        return False, "generator output not 3-regular"
+    free = is_skl_free(graph, 1, 3)
+    return free, "" if free else "detector found the pattern"
 
 
 def run_sharp_s13(trials: int = 5, seed: int = 0) -> list[TrialResult]:
     """3-regular instances are always (1,3)-pattern-free; confirm by detector."""
-    results = []
-    for t in range(trials):
-        n = 6 + t % 5
-        name = f"sharp-s13[{t:02d}]"
-        try:
-            graph = generate(GenSpec("k-regular-union", n=n, k=3, seed=seed + t))
-        except BifactorError as exc:
-            results.append(TrialResult(name, False, f"{type(exc).__name__}: {exc}"))
-            continue
-        deg_x, deg_y = graph.degrees()
-        if set(deg_x + deg_y) != {3}:
-            results.append(TrialResult(name, False, "generator output not 3-regular"))
-            continue
-        free = is_skl_free(graph, 1, 3)
-        results.append(TrialResult(name, free, "" if free else "detector found the pattern"))
-    return results
+    return [_trial(f"sharp-s13[{t:02d}]", _sharp, n, seed + t) for t, n in _cycled(6, 10, trials)]
+
+
+def _oracle_block(graphs: list[BipartiteGraph], k: int) -> tuple[bool, str]:
+    for graph in graphs:
+        demand = DegreeDemand.uniform(graph, k)
+        got = find_f_factor(graph, demand)
+        exists = brute_force_f_factor(graph, [k] * graph.n_x, [k] * graph.n_y).exists
+        if isinstance(got, ViolatorCertificate):
+            if exists:
+                return False, f"flow says no, oracle built one ({graph!r})"
+            if not audit_certificate(graph, demand, got):
+                return False, f"certificate failed audit ({graph!r})"
+        elif not exists:
+            return False, f"flow built one, oracle says no ({graph!r})"
+        elif got.regularity() != k:
+            return False, f"flow factor not {k}-regular ({graph!r})"
+    return True, f"{len(graphs)} graphs"
 
 
 def run_oracle_eq(max_n: int = 4) -> list[TrialResult]:
@@ -128,36 +131,33 @@ def run_oracle_eq(max_n: int = 4) -> list[TrialResult]:
     One trial per (side size, k) block; a block passes when every graph in
     it agrees with the oracle and every certificate survives its audit.
     """
-    results = []
-    for size in range(1, max_n + 1):
-        graphs = list(enumerate_bipartite_block(size, size))
-        for k in (1, 2, 3):
-            name = f"oracle-eq[n={size} k={k}]"
-            checked = 0
-            failure = ""
-            for graph in graphs:
-                demand = DegreeDemand.uniform(graph, k)
-                got = find_f_factor(graph, demand)
-                verdict = brute_force_f_factor(graph, [k] * size, [k] * size)
-                if isinstance(got, ViolatorCertificate):
-                    if verdict.exists:
-                        failure = f"flow says no, oracle built one ({graph!r})"
-                        break
-                    if not audit_certificate(graph, demand, got):
-                        failure = f"certificate failed audit ({graph!r})"
-                        break
-                else:
-                    if not verdict.exists:
-                        failure = f"flow built one, oracle says no ({graph!r})"
-                        break
-                    if got.regularity() != k:
-                        failure = f"flow factor not {k}-regular ({graph!r})"
-                        break
-                checked += 1
-            results.append(
-                TrialResult(name, not failure, failure or f"{checked} graphs")
-            )
-    return results
+    return [
+        _trial(f"oracle-eq[n={size} k={k}]", _oracle_block, graphs, k)
+        for size in range(1, max_n + 1)
+        for graphs in [list(enumerate_bipartite_block(size, size))]
+        for k in (1, 2, 3)
+    ]
+
+
+def _prop_block(n_x: int, n_y: int) -> tuple[bool, str]:
+    checked = 0
+    for graph in enumerate_bipartite_block(n_x, n_y):
+        cls = classify_s12_free(graph)
+        free = cls.tag != "not-s12-free"
+        # a not-free verdict carries the detector's witness already; the
+        # detector is the independent check only for the free shapes
+        witness = find_induced_star(graph, 1, 2) if free else cls.witness
+        if free == (witness is not None):
+            return False, f"classifier and detector disagree ({graph!r})"
+        if free:
+            rebuilt = rebuild_classified(graph, cls)
+            if _degree_multiset(rebuilt) != _degree_multiset(graph):
+                return False, f"rebuilt {cls.tag} degree multiset differs ({graph!r})"
+            removed = set(cls.removed_matching or ())
+            if cls.tag == "complete-minus-matching" and removed != _non_edges(rebuilt):
+                return False, f"rebuilt non-edge matching differs ({graph!r})"
+        checked += 1
+    return True, f"{checked} graphs"
 
 
 def run_prop_s12(max_n: int = 4) -> list[TrialResult]:
@@ -167,31 +167,11 @@ def run_prop_s12(max_n: int = 4) -> list[TrialResult]:
     same degree multiset (and the same non-edge matching for the
     minus-matching class).
     """
-    results = []
-    for n_x in range(1, max_n + 1):
-        for n_y in range(1, max_n + 1):
-            name = f"prop-s12[{n_x}x{n_y}]"
-            checked = 0
-            failure = ""
-            for graph in enumerate_bipartite_block(n_x, n_y):
-                cls = classify_s12_free(graph)
-                witness = find_induced_star(graph, 1, 2)
-                if (cls.tag == "not-s12-free") != (witness is not None):
-                    failure = f"classifier and detector disagree ({graph!r})"
-                    break
-                if cls.tag != "not-s12-free":
-                    rebuilt = rebuild_classified(graph, cls)
-                    if _degree_multiset(rebuilt) != _degree_multiset(graph):
-                        failure = f"rebuilt {cls.tag} degree multiset differs ({graph!r})"
-                        break
-                    if cls.tag == "complete-minus-matching" and set(
-                        cls.removed_matching or ()
-                    ) != _non_edges(rebuilt):
-                        failure = f"rebuilt non-edge matching differs ({graph!r})"
-                        break
-                checked += 1
-            results.append(TrialResult(name, not failure, failure or f"{checked} graphs"))
-    return results
+    return [
+        _trial(f"prop-s12[{n_x}x{n_y}]", _prop_block, n_x, n_y)
+        for n_x in range(1, max_n + 1)
+        for n_y in range(1, max_n + 1)
+    ]
 
 
 def _degree_multiset(graph: BipartiteGraph) -> list[list[int]]:

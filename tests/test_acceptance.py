@@ -8,6 +8,8 @@ fixtures and are shared by the criteria that read them.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from bifactor import threshold_c, threshold_c_prime
@@ -63,6 +65,19 @@ def oracle_results():
 @pytest.fixture(scope="module")
 def prop_results():
     return run_prop_s12(max_n=4)
+
+
+# SHA-256 of each module fixture's results, one "name|passed|detail" line
+# per trial; they pin the passing details (n=13, 36317 graphs) that
+# ``bifactor verify`` does not print.
+SUITE_DIGESTS = {
+    "cor4": "bca5c2b31815a211f327904a2b9a94fcf18e8aba8ea4db437d22686cbb1d16bf",
+    "cor5": "394378c1dd0ac50ff0a66495ba6be8746f5fc7f28f7e70ab5d9035002da07eca",
+    "thm3": "c6062b2b8865bb7730bb8933164c5400a2b720101e67a8ef9a53d8b894130b0a",
+    "sharp-s13": "0ec3672cf18ce6f9aaaf6432918b67339ca9d772ff87ec5578c324971ad8d5e0",
+    "oracle-eq": "522b1922a5ba7e86ce469db614aa19cb6cd923851c03d39acbc70472a22794fb",
+    "prop-s12": "69905b2b4111fd2e59874d9820ff378f72c2bf3664e5a37b291c1c9ec30cab2c",
+}
 
 
 def test_criterion_1_threshold_reproduction():
@@ -132,4 +147,25 @@ def test_criterion_7_no_contradictions_anywhere(
         "criterion-7 no-contradictions",
         not tainted and bool(everything),
         f"{len(everything)} trials scanned, {len(tainted)} contradiction(s)",
+    )
+
+
+def test_suite_results_match_recorded_digests(
+    cor4_results, cor5_results, thm3_results, sharp_results, oracle_results, prop_results
+):
+    suites = dict(zip(SUITE_DIGESTS, (
+        cor4_results, cor5_results, thm3_results, sharp_results, oracle_results, prop_results
+    )))
+    changed = [
+        name
+        for name, results in suites.items()
+        if hashlib.sha256(
+            "\n".join(f"{r.name}|{r.passed}|{r.detail}" for r in results).encode()
+        ).hexdigest() != SUITE_DIGESTS[name]
+    ]
+    _verdict(
+        "suite-results-digests",
+        not changed,
+        f"{len(suites) - len(changed)}/{len(suites)} suites match"
+        + (f" (changed: {', '.join(changed)})" if changed else ""),
     )

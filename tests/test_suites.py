@@ -2,17 +2,30 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import bifactor.connect
 import bifactor.suites
 from bifactor import BipartiteGraph
+from bifactor.cli import main
+from bifactor.errors import (
+    ParamInvalidError,
+    RetryExhaustedError,
+    StructureUnrecognizedError,
+    TheoremContradictionError,
+)
 from bifactor.suites import (
     SUITE_NAMES,
     TrialResult,
+    run_cor4,
+    run_cor5,
     run_oracle_eq,
     run_prop_s12,
+    run_sharp_s13,
     run_suite,
+    run_thm3,
 )
 
 
@@ -44,6 +57,63 @@ def test_seed_changes_instances():
 def test_exhaustive_suites_reduced():
     assert all(r.passed for r in run_oracle_eq(max_n=3))
     assert all(r.passed for r in run_prop_s12(max_n=3))
+
+
+def _raise_on_call(monkeypatch, name, nth, exc):
+    """Make the nth call of ``bifactor.suites.<name>`` raise ``exc``."""
+    real = getattr(bifactor.suites, name)
+    calls = itertools.count(1)
+
+    def wrapper(*args, **kwargs):
+        if next(calls) == nth:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bifactor.suites, name, wrapper)
+
+
+@pytest.mark.parametrize(
+    "run, name, nth, exc, count, failing",
+    [
+        # calls 1-3 are the n=1 blocks, 4-8 the five 2+2 hosts at k=1
+        (lambda: run_oracle_eq(max_n=2), "find_f_factor", 5,
+         TheoremContradictionError("injected"), 6, "oracle-eq[n=2 k=1]"),
+        # one host in each of 1x1, 1x2 and 2x1, then the five 2+2 hosts
+        (lambda: run_prop_s12(max_n=2), "classify_s12_free", 5,
+         StructureUnrecognizedError("injected"), 4, "prop-s12[2x2]"),
+        (lambda: run_sharp_s13(3), "is_skl_free", 2,
+         StructureUnrecognizedError("injected"), 3, "sharp-s13[01]"),
+        (lambda: run_sharp_s13(3), "generate", 3,
+         RetryExhaustedError("injected"), 3, "sharp-s13[02]"),
+        (lambda: run_cor4(3), "generate", 2, ParamInvalidError("injected"), 3, "cor4[01]"),
+        # generate builds only the seeded hosts, after the 8 doubled cycles
+        (lambda: run_thm3(2), "generate", 1, ParamInvalidError("injected"), 10, "thm3[seeded n=5]"),
+        (lambda: run_cor5(2), "connected_k_factor", 2, AssertionError("injected"), 2, "cor5[01]"),
+    ],
+    ids=["oracle-eq", "prop-s12", "sharp-s13-detector", "sharp-s13-generate", "cor4-generate",
+         "thm3-generate", "cor5-assertion"],
+)
+def test_raising_pipeline_fails_only_its_trial(monkeypatch, run, name, nth, exc, count, failing):
+    """A suite reports every trial when one call raises inside one of them."""
+    _raise_on_call(monkeypatch, name, nth, exc)
+    results = run()
+    assert len(results) == count
+    assert [r.name for r in results if not r.passed] == [failing]
+    assert next(r.detail for r in results if not r.passed) == f"{type(exc).__name__}: injected"
+
+
+def test_cli_prints_a_raising_trial_as_fail(monkeypatch, capsys):
+    """Each block keeps its first 3 hosts, enough to reach the 5th flow call
+    (the 2nd host of n=2 k=1) without the full 4+4 enumeration."""
+    real = bifactor.suites.enumerate_bipartite_block
+    monkeypatch.setattr(
+        bifactor.suites, "enumerate_bipartite_block", lambda *a: itertools.islice(real(*a), 3)
+    )
+    _raise_on_call(monkeypatch, "find_f_factor", 5, TheoremContradictionError("injected"))
+    assert main(["verify", "oracle-eq"]) == 1
+    out, err = capsys.readouterr()
+    assert "oracle-eq[n=2 k=1] FAIL  TheoremContradictionError: injected\n" in out
+    assert out.endswith("SUITE oracle-eq 11/12\n") and err == ""
 
 
 def _record(log, fn):
