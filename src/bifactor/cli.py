@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="named verification suites")
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -248,14 +248,11 @@ def _max_flow(
 
     Before a later phase's search, the level graph is pruned to the
     vertices that can still reach the sink, walking back from the y's
-    with capacity at level lt - 1: a kept y at level d keeps each x at
-    level d - 1 with an unused edge to it, and a kept x at level c keeps
-    each y of ux[x] at level c - 1.  Each X layer is reached from the
-    cheaper side: the kept y's through N(y) when their total degree is
-    below the layer's, else the layer's own x's through N(x).  So the walk
-    reads no more of the adjacency than the BFS did.  The search then runs
-    on fresh level arrays that hold only the kept vertices, starting from
-    the kept x's at level 1 in index order.  A phase only removes
+    with capacity at level lt - 1: a kept y at level d keeps each x of
+    N(y) at level d - 1 whose edge to it is unused, and a kept x at level
+    c keeps each y of ux[x] at level c - 1.  The search then runs on
+    fresh level arrays that hold only the kept vertices, starting from the
+    kept x's at level 1 in index order.  A phase only removes
     admissible arcs, since the reverse of an arc it augments runs down a
     level, and only lowers capacities.  So a vertex that cannot reach the
     sink when the phase begins never can during it: each time the search
@@ -308,10 +305,7 @@ def _max_flow(
         for x in xs:
             lx[x] = 1
         reach = sum(map(deg_x.__getitem__, xs))  # the frontier's total degree
-        layers, reaches = [], []  # each X layer, in level order, and its total degree
         while xs:
-            layers.append(xs)
-            reaches.append(reach)
             d = lx[xs[0]] + 1
             if open_deg < reach:  # the layer's y's with capacity, from the sink side
                 for y in open_ys:
@@ -341,9 +335,9 @@ def _max_flow(
                         reach += deg_x[x]
         if lt == -1:
             return ux, held, lx
-        starts = layers[0]
+        starts = free_xs
         if lt >= 7 and n_x - lx.count(-1) > lt - 1:  # over 2 x's per X layer
-            lx, ly, starts = _prune(graph, adj, deg_y, ux, lx, ly, lt, open_ys, layers, reaches)
+            lx, ly, starts = _prune(graph, ux, lx, ly, lt, open_ys)
         itx, ity, paths = [0] * n_x, [0] * n_y, 0
         for x0 in starts:
             path = [x0]  # the path's X vertices; y = adj[x][itx[x]]
@@ -390,16 +384,7 @@ def _max_flow(
 
 
 def _prune(
-    graph: BipartiteGraph,
-    adj: list[tuple[int, ...]],
-    deg_y: tuple[int, ...],
-    ux: list,
-    lx: list[int],
-    ly: list[int],
-    lt: int,
-    open_ys: list[int],
-    layers: list[list[int]],
-    reaches: list[int],
+    graph: BipartiteGraph, ux: list, lx: list[int], ly: list[int], lt: int, open_ys: list[int]
 ) -> tuple[list[int], list[int], list[int]]:
     """The X and Y levels of the vertices of a later phase's level graph
     that can still reach the sink (-1 for the others), and the kept x's at
@@ -410,22 +395,12 @@ def _prune(
     for y in ys:
         ky[y] = lt - 1
     for d in range(lt - 1, 1, -2):  # keep the X layer d - 1, then the Y layer d - 2
-        layer = layers[d // 2 - 1]
         kept = []
-        if sum(map(deg_y.__getitem__, ys)) < reaches[d // 2 - 1]:
-            for y in ys:
-                for x in graph.neighbors_y(y):
-                    if lx[x] == d - 1 and kx[x] == -1 and y not in ux[x]:
-                        kx[x] = d - 1
-                        kept.append(x)
-        else:
-            for x in layer:
-                used = ux[x]
-                for y in adj[x]:
-                    if ky[y] == d and y not in used:
-                        kx[x] = d - 1
-                        kept.append(x)
-                        break
+        for y in ys:
+            for x in graph.neighbors_y(y):
+                if lx[x] == d - 1 and kx[x] == -1 and y not in ux[x]:
+                    kx[x] = d - 1
+                    kept.append(x)
         ys = []
         for x in kept:
             for y in ux[x]:

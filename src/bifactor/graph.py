@@ -489,9 +489,9 @@ def parse_graph(text: str) -> BipartiteGraph:
     it, the header on the first line and then lines of two unsigned
     decimal integers, one space apart, each ending in "\\n", is read in
     bulk, straight into the adjacency, when its edges are canonical too
-    (see _read_canonical).  Every other file is read line by line.  Those
-    edges are validated once, by the BipartiteGraph constructor; only a
-    bad file is read again, line by line, to name its first bad line.
+    (see _read_canonical).  Every other file is read line by line, in one
+    pass that raises for its first bad line: a malformed edge line, or an
+    edge out of range or repeated.
     """
     head, _, body = text.partition("\n")
     # str.splitlines also breaks lines at "\r", "\x0c", "\x85" and the like.
@@ -516,16 +516,12 @@ def parse_graph(text: str) -> BipartiteGraph:
         if graph is not None:
             return graph
         lines = text.splitlines()
-    try:
-        edges = [edge for _, edge in _edge_rows(lines, header_line, "#")]
-        if len(edges) == m:
-            return BipartiteGraph(n_x, n_y, edges)
-    except GraphFormatError:
-        pass
-    checked = _checked_edges(n_x, n_y, _edge_rows(lines, header_line, "#"))
-    raise MalformedHeaderError(
-        f"header promises {m} edges, file has {len(checked)}", line=header_line
-    )
+    edges = _checked_edges(n_x, n_y, _edge_rows(lines, header_line, "#"))
+    if len(edges) != m:
+        raise MalformedHeaderError(
+            f"header promises {m} edges, file has {len(edges)}", line=header_line
+        )
+    return BipartiteGraph(n_x, n_y, edges)
 
 
 def _read_canonical(n_x: int, n_y: int, m: int, body: str) -> BipartiteGraph | None:

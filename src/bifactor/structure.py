@@ -21,7 +21,9 @@ time v is the l-center, one "good leaf" mask is built for it over the
 vertices at distance 2 from v, and at every edge the k-leaves are the
 set bits of ``N(u) & good[v]``.  A leaf subset holding a non-good leaf
 would have been abandoned at that leaf, so the first witness is the
-same.
+same.  The leaf search needs only v and those bits: its candidates start
+as N(v), and the first k-leaf drops u from them.  So one loop body, over
+per-side tables held as pairs indexed by side, serves both orientations.
 
 Since |N(v) \\ N(b)| is at most the number of b's non-neighbours, only a
 "thin" b, one with at least l non-neighbours, can be good.  One pass over
@@ -123,30 +125,20 @@ def _good_leaves(
 
 
 def _star_at_edge(
-    masks: tuple[list[int], list[int]],
-    x: int,
-    y: int,
-    k: int,
-    l: int,
-    avail: int,
-    u_on_x: bool,
-) -> StarWitness | None:
-    """Lexicographically first witness anchored at edge (x, y), if any.
+    leaf_mask: list[int], v: int, avail: int, k: int, l: int
+) -> tuple[list[int], list[int]] | None:
+    """The k-leaves and the l picked leaves of the lexicographically first
+    witness with l-center v whose k-leaves come from ``avail``, if any.
 
-    ``u_on_x`` chooses which endpoint carries the k leaves, and ``avail``
-    masks the k-center's neighbours that are good leaves for the other
-    center.  Leaf subsets of ``avail`` are enumerated in lexicographic
-    order; a partial subset is abandoned as soon as fewer than l
-    candidates for the other center remain non-adjacent to it.
-    Candidates are a bitmask over the other center's side, and the l
-    picked leaves are its l lowest bits.
+    ``leaf_mask`` holds the neighbour masks of v's side, and ``avail``
+    masks the k-center's neighbours that are good leaves for v.  Leaf
+    subsets of ``avail`` are enumerated in lexicographic order; a partial
+    subset is abandoned as soon as fewer than l candidates for v remain
+    non-adjacent to it.  Candidates are a bitmask over the k-center's
+    side, and the l picked leaves are its l lowest bits.  They start as
+    N(v), which holds the k-center u; every k-leaf is adjacent to u, so
+    the first leaf already drops it, and the search never needs u.
     """
-    mask_x, mask_y = masks
-    if u_on_x:
-        u_side, u, v_side, v, leaf_mask = "X", x, "Y", y, mask_y
-    else:
-        u_side, u, v_side, v, leaf_mask = "Y", y, "X", x, mask_x
-    cand = leaf_mask[v] & ~(1 << u)
     leaves = []
     while avail:
         low = avail & -avail
@@ -170,7 +162,7 @@ def _star_at_edge(
             chosen.pop()
         return None
 
-    rest = extend(0, cand)
+    rest = extend(0, leaf_mask[v])
     if rest is None:
         return None
     picked = []
@@ -178,14 +170,7 @@ def _star_at_edge(
         low = rest & -rest
         picked.append(low.bit_length() - 1)
         rest ^= low
-    return StarWitness(
-        k,
-        l,
-        VertexRef(u_side, u),
-        VertexRef(v_side, v),
-        tuple(VertexRef(v_side, b) for b in chosen),
-        tuple(VertexRef(u_side, a) for a in picked),
-    )
+    return chosen, picked
 
 
 def find_induced_star(graph: BipartiteGraph, k: int, l: int) -> StarWitness | None:
@@ -204,36 +189,34 @@ def find_induced_star(graph: BipartiteGraph, k: int, l: int) -> StarWitness | No
     """
     if k < 1 or l < 1:
         raise ValueError("both leaf counts must be at least 1")
-    deg_x, deg_y = graph.degrees()
-    thin_x = _thin_mask(deg_x, graph.n_y, l)
-    thin_y = _thin_mask(deg_y, graph.n_x, l)
-    if not thin_y and (k == l or not thin_x):
+    # Per-side tables, indexed 0 for X and 1 for Y.
+    deg = graph.degrees()
+    thin = (_thin_mask(deg[0], graph.n_y, l), _thin_mask(deg[1], graph.n_x, l))
+    centers = (0, 1) if k != l else (0,)  # the k-center's side, X first
+    if not any(thin[1 - s] for s in centers):
         return None
-    masks = _neighbor_masks(graph)
-    mask_x, mask_y = masks
-    good_x: list[int | None] = [None] * graph.n_x
-    good_y: list[int | None] = [None] * graph.n_y
-    for x, ys in enumerate(graph._adj_x):
+    mask = _neighbor_masks(graph)
+    adj = (graph._adj_x, graph._adj_y)
+    good: tuple[list[int | None], ...] = ([None] * graph.n_x, [None] * graph.n_y)
+    for x, ys in enumerate(adj[0]):
         for y in ys:
-            if deg_x[x] > k and deg_y[y] > l:
-                good = good_y[y]
-                if good is None:
-                    nbrs = graph.neighbors_y(y)
-                    good = good_y[y] = _good_leaves(mask_y, mask_x, nbrs, y, l, thin_y)
-                avail = mask_x[x] & good
-                if avail.bit_count() >= k:
-                    w = _star_at_edge(masks, x, y, k, l, avail, u_on_x=True)
-                    if w is not None:
-                        return w
-            if k != l and deg_y[y] > k and deg_x[x] > l:
-                good = good_x[x]
-                if good is None:
-                    good = good_x[x] = _good_leaves(mask_x, mask_y, ys, x, l, thin_x)
-                avail = mask_y[y] & good
-                if avail.bit_count() >= k:
-                    w = _star_at_edge(masks, x, y, k, l, avail, u_on_x=False)
-                    if w is not None:
-                        return w
+            for s in centers:
+                t = 1 - s  # the l-center's side
+                u, v = (y, x) if s else (x, y)
+                if deg[s][u] <= k or deg[t][v] <= l:
+                    continue
+                g = good[t][v]
+                if g is None:
+                    g = good[t][v] = _good_leaves(mask[t], mask[s], adj[t][v], v, l, thin[t])
+                avail = mask[s][u] & g
+                found = _star_at_edge(mask[t], v, avail, k, l) if avail.bit_count() >= k else None
+                if found is not None:
+                    su, sv = "XY"[s], "XY"[t]
+                    return StarWitness(
+                        k, l, VertexRef(su, u), VertexRef(sv, v),
+                        tuple(VertexRef(sv, b) for b in found[0]),
+                        tuple(VertexRef(su, a) for a in found[1]),
+                    )
     return None
 
 

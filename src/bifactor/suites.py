@@ -187,16 +187,20 @@ def _non_edges(graph: BipartiteGraph) -> set[tuple[int, int]]:
     }
 
 
-def run_suite(name: str, trials: int | None = None, seed: int = 0) -> list[TrialResult]:
-    """Run one named suite; ``trials`` (at least 1) overrides the suite's
-    default count and is ignored by the exhaustive suites."""
+def run_suite(name: str, trials: int | None = None, seed: int | None = None) -> list[TrialResult]:
+    """Run one named suite.  For a seeded suite ``trials`` (at least 1)
+    overrides its default count and ``seed`` its first seed, None reading
+    as 0.  The exhaustive suites take neither: ParamInvalidError when
+    either is given."""
     if trials is not None and trials < 1:
         raise ParamInvalidError(f"trials must be at least 1, got {trials}")
     seeded = {"cor4": run_cor4, "cor5": run_cor5, "thm3": run_thm3, "sharp-s13": run_sharp_s13}
     if name in seeded:
+        seed = seed or 0
         return seeded[name](seed=seed) if trials is None else seeded[name](trials, seed)
-    if name == "oracle-eq":
-        return run_oracle_eq()
-    if name == "prop-s12":
-        return run_prop_s12()
+    exhaustive = {"oracle-eq": run_oracle_eq, "prop-s12": run_prop_s12}
+    if name in exhaustive:
+        if trials is not None or seed is not None:
+            raise ParamInvalidError(f"{name} is exhaustive: it takes no --trials or --seed")
+        return exhaustive[name]()
     raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")

@@ -401,6 +401,13 @@ class TestVerifyCommand:
         out, err = capsys.readouterr()
         assert out == "" and "trials must be at least 1" in err
 
+    @pytest.mark.parametrize("suite", ["oracle-eq", "prop-s12"])
+    @pytest.mark.parametrize("option", [["--trials", "2"], ["--seed", "1"]])
+    def test_exhaustive_suite_refuses_trials_and_seed(self, capsys, suite, option):
+        assert main(["verify", suite, *option]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and f"{suite} is exhaustive: it takes no --trials or --seed" in err
+
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit) as err:
             main(["verify", "nope"])

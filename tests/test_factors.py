@@ -761,7 +761,7 @@ class TestFlowGuard:
         than letting it run to the suite's time limit."""
         levels: list[int] = []
 
-        def keep_nothing(graph, adj, deg_y, ux, lx, ly, lt, *rest):
+        def keep_nothing(graph, ux, lx, ly, lt, open_ys):
             assert lt not in levels, f"phase at sink level {lt} repeated"
             levels.append(lt)
             return [-1] * graph.n_x, [-1] * graph.n_y, []

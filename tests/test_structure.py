@@ -88,6 +88,16 @@ def sparse_misses(n_x: int, n_y: int, p: float, rng: random.Random) -> Bipartite
     return BipartiteGraph(n_x, n_y, [c for c in cells if rng.random() >= p])
 
 
+def minus_circulant(n: int, d: int, rng: random.Random) -> BipartiteGraph:
+    """K(n,n) minus the d-regular circulant of non-edges (x, x + j mod n),
+    j < d, with each side relabelled by a random permutation: every
+    vertex misses exactly d vertices."""
+    px, py = rng.sample(range(n), n), rng.sample(range(n), n)
+    missing = {(px[x], py[(x + j) % n]) for x in range(n) for j in range(d)}
+    cells = ((x, y) for x in range(n) for y in range(n))
+    return BipartiteGraph(n, n, [c for c in cells if c not in missing])
+
+
 def non_neighbour_counts(g: BipartiteGraph) -> tuple[set[int], set[int]]:
     deg_x, deg_y = g.degrees()
     return {g.n_y - d for d in deg_x}, {g.n_x - d for d in deg_y}
@@ -228,6 +238,24 @@ class TestThinPrune:
                 w = find_induced_star(g, k, l)
                 assert w == reference_good_leaf_star(g, k, l), (n_x, n_y, k, l)
         assert crossed == {(side, l) for side in (0, 1) for l in (2, 3, 4)}
+
+    def test_minus_circulant_hosts(self):
+        """Seeded corpus, n 12-24, d 2-5: the cliff hosts, on which every
+        vertex is thin once d >= l.  Some hosts are free at d = l = 3 with
+        k = 2 and at d = l = 4 with k = 3, so both orientations search
+        every edge to exhaustion."""
+        rng = random.Random(20184)
+        free = set()
+        for n in (12, 16, 20, 24):
+            for d in range(2, 6):
+                g = minus_circulant(n, d, rng)
+                assert non_neighbour_counts(g) == ({d}, {d})
+                for k, l in PRUNING_ARMS:
+                    w = find_induced_star(g, k, l)
+                    assert w == reference_good_leaf_star(g, k, l), (n, d, k, l)
+                    if w is None:
+                        free.add((d, k, l))
+        assert {(3, 2, 3), (4, 3, 4)} <= free
 
     def test_k400_minus_matching(self):
         g = complete_bipartite_minus_matching(400, [(i, (i + 1) % 400) for i in range(400)])

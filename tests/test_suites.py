@@ -54,6 +54,17 @@ def test_seed_changes_instances():
     assert [r.detail for r in a] != [] and all(r.detail for r in a)
 
 
+@pytest.mark.parametrize("name", ["oracle-eq", "prop-s12"])
+@pytest.mark.parametrize("option", [{"trials": 2}, {"seed": 0}])
+def test_exhaustive_suites_take_no_trials_or_seed(name, option):
+    with pytest.raises(ParamInvalidError, match=f"{name} is exhaustive"):
+        run_suite(name, **option)
+
+
+def test_seeded_suite_reads_no_seed_as_0():
+    assert run_suite("sharp-s13", trials=2) == run_suite("sharp-s13", trials=2, seed=0)
+
+
 def test_exhaustive_suites_reduced():
     assert all(r.passed for r in run_oracle_eq(max_n=3))
     assert all(r.passed for r in run_prop_s12(max_n=3))
