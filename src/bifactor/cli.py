@@ -108,8 +108,8 @@ def cmd_factor(args) -> int:
 def cmd_connect(args) -> int:
     graph = _load_graph(args.graph)
     k, l = args.k, args.l
-    if args.hamilton and k != 2:
-        raise ParamInvalidError("--hamilton needs --k 2")
+    if args.hamilton and (k, l) != (2, 3):
+        raise ParamInvalidError("--hamilton needs --k 2 --l 3")
     try:
         if args.hamilton:
             factor = hamilton_s13(graph)
@@ -128,7 +128,7 @@ def cmd_connect(args) -> int:
             sys.stderr.write(f"error: {exc}\n")
         return EXIT_STUCK
     out = args.out or args.graph + ".connected"
-    cycle = cycle_order(factor) if factor.regularity() == 2 else None
+    cycle = cycle_order(factor) if k == 2 else None
     _write(out, serialize_factor(factor, cycle=cycle))
     print(f"connected {k}-regular factor written to {out}")
     return EXIT_OK
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--hamilton",
         action="store_true",
-        help="use the minimum-degree-4 Hamilton pipeline (k=2 only)",
+        help="use the minimum-degree-4 Hamilton pipeline (needs --k 2 --l 3)",
     )
     p.add_argument("--out")
     p.set_defaults(fn=cmd_connect)
@@ -239,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="minimum-degree thresholds")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--m", type=int, default=None, help="target regularity; switches formula")
-    p.add_argument("--raw", action="store_true", help="evaluate without the parameter gate")
+    formula = p.add_mutually_exclusive_group()
+    formula.add_argument("--m", type=int, default=None, help="target regularity; switches formula")
+    formula.add_argument("--raw", action="store_true", help="evaluate without the parameter gate")
     p.set_defaults(fn=cmd_threshold)
 
     p = sub.add_parser("verify", help="named verification suites")

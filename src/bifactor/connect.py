@@ -432,17 +432,14 @@ def cycle_order(factor: Factor) -> tuple[VertexRef, ...]:
     """
     if factor.regularity() != 2 or not factor.is_connected():
         raise NotRegularError("cycle order needs a connected 2-regular factor")
-    host = factor.host
-    order: list[VertexRef] = [VertexRef("X", 0)]
-    prev: VertexRef | None = None
-    cur = order[0]
-    for _ in range(host.n_x + host.n_y - 1):
-        side = "Y" if cur.side == "X" else "X"
-        # the previous vertex always sits on `side`; skip it to keep moving
-        step = [w for w in factor.neighbors(cur) if prev is None or w != prev.index]
-        prev, cur = cur, VertexRef(side, step[0])
+    rows = (factor._adj_x, factor._adj_y)
+    prev, cur = rows[0][0][1], 0  # as if X0 were entered from its higher neighbour
+    order = [0]
+    for step in range(factor.n_x + factor.n_y - 1):
+        a, b = rows[step & 1][cur]  # each row is the two factor neighbours
+        prev, cur = cur, b if a == prev else a
         order.append(cur)
-    return tuple(order)
+    return tuple(VertexRef("XY"[i & 1], v) for i, v in enumerate(order))
 
 
 def _hypotheses(

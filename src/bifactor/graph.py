@@ -101,9 +101,9 @@ class BipartiteGraph:
 
         Returns False, storing nothing, when an edge repeats or its x is out
         of range, or when some y is negative; a y of n_y or more raises
-        IndexError.  Sorting is linear on the presorted input that
-        canonical files and edge_list slices give, and a repeated edge sits
-        next to its twin in the sorted list.
+        IndexError.  Sorting is linear on presorted input, such as
+        edge_list slices, and a repeated edge sits next to its twin in the
+        sorted list.
         """
         ordered = sorted(edges)
         if any(map(eq, ordered, islice(ordered, 1, None))) or (
@@ -423,18 +423,6 @@ def _line_runs(body: str, chunk: int = 1 << 16) -> Iterator[tuple[int, int]]:
         pos = stop
 
 
-def _edge_lines(body: str, chunk: int = 1 << 16) -> bool:
-    """Whether ``body`` is all edge lines of a canonical graph file.
-
-    The pattern's repeated group keeps about 100 bytes of backtracking
-    state per line while one match runs, so it is matched against runs of
-    whole lines of about ``chunk`` characters each, not against the whole
-    body.  Every edge line ends in its one newline, so the body is edge
-    lines exactly when every run cut after a newline is.
-    """
-    return all(_EDGE_LINES.fullmatch(body, *run) is not None for run in _line_runs(body, chunk))
-
-
 def _header(lines: list[str], usage: str) -> tuple[int, str, tuple[int, ...]]:
     """The header: the first line that is neither blank nor a comment, as
     its line number, its text and its integer fields.
@@ -485,24 +473,18 @@ def parse_graph(text: str) -> BipartiteGraph:
     """Parse the graph text format; errors name the offending line.
 
     A header declaring a class larger than MAX_CLASS_SIZE is rejected
-    before anything is allocated for it.  A file as serialize_graph writes
-    it, the header on the first line and then lines of two unsigned
-    decimal integers, one space apart, each ending in "\\n", is read in
-    bulk, straight into the adjacency, when its edges are canonical too
-    (see _read_canonical).  Every other file is read line by line, in one
-    pass that raises for its first bad line: a malformed edge line, or an
-    edge out of range or repeated.
+    before anything is allocated for it.  A file whose first line is the
+    header is offered to _read_canonical, which reads it in bulk, straight
+    into the adjacency, when it is as serialize_graph writes it.  Every
+    other file is read line by line, in one pass that raises for its first
+    bad line: a malformed edge line, or an edge out of range or repeated.
     """
     head, _, body = text.partition("\n")
     # str.splitlines also breaks lines at "\r", "\x0c", "\x85" and the like.
     # Inside the first line such a break moves the header; at its end it
     # adds at most a blank line, which changes no edge, and line numbers
     # come from the line-by-line read alone.
-    bulk = (
-        head.startswith("bipartite")
-        and len(head.splitlines()) == 1
-        and _edge_lines(body)
-    )
+    bulk = head.startswith("bipartite") and len(head.splitlines()) == 1
     lines = [head] if bulk else text.splitlines()
     header_line, line, (n_x, n_y, m) = _header(lines, "bipartite <nX> <nY> <m>")
     if n_x < 0 or n_y < 0 or m < 0:
@@ -525,19 +507,22 @@ def parse_graph(text: str) -> BipartiteGraph:
 
 
 def _read_canonical(n_x: int, n_y: int, m: int, body: str) -> BipartiteGraph | None:
-    """The graph whose edge lines are ``body`` (as _edge_lines accepts
-    them), read straight into its adjacency, or None unless the m edges
-    are canonical: each endpoint spelled as str() writes an index in
-    range, and the keys x * MAX_CLASS_SIZE + y strictly ascending, so
-    sorted by (x, y) with no repeat.
+    """The graph whose edge lines are ``body``, read straight into its
+    adjacency, or None unless every line is two unsigned decimal integers,
+    one space apart, ending in "\\n", and the m edges are canonical: each
+    endpoint spelled as str() writes an index in range, and the keys
+    x * MAX_CLASS_SIZE + y strictly ascending, so sorted by (x, y) with
+    no repeat.
 
     Endpoints are converted by lookup in the module's spelling table, not
     by int().  The table is shared by every read and grown to the larger
     class, never past MAX_CLASS_SIZE, so it may spell indices beyond this
     graph's classes: x < n_x and y < n_y are checked explicitly.  The body
-    is read in the runs of whole lines _edge_lines matches, each converted
-    before the next is split, so only one run's token strings are alive
-    at a time; no per-edge object is kept.  A None sends the file to the
+    is read in runs of whole lines from _line_runs, each matched against
+    _EDGE_LINES and converted before the next is split: the pattern's
+    repeated group keeps about 100 bytes of backtracking state per line
+    while one match runs, and only one run's token strings are alive at a
+    time; no per-edge object is kept.  A None sends the file to the
     general reader, which names a bad line.
     """
     _spell(max(n_x, n_y))
@@ -546,6 +531,8 @@ def _read_canonical(n_x: int, n_y: int, m: int, body: str) -> BipartiteGraph | N
     starts = [0]  # where the row of each x up to the last seen begins in ys
     last, x_end = -1, n_x * MAX_CLASS_SIZE
     for pos, stop in _line_runs(body):
+        if _EDGE_LINES.fullmatch(body, pos, stop) is None:
+            return None
         tokens = body[pos:stop].split()
         try:
             run_ys = list(map(index.__getitem__, tokens[1::2]))

@@ -38,7 +38,8 @@ k-center has at most k neighbours or the l-center at most l, before any
 good mask is built; then when fewer than k good leaves remain, before
 any leaf search.  Otherwise a dense host costs O(n^2) mask operations:
 O(n) per good mask and one AND per edge.  With g good leaves at an edge
-the search makes at most C(g, 1) + ... + C(g, k) steps.
+the search, which backtracks over explicit stacks and so runs for any k,
+makes at most C(g, 1) + ... + C(g, k) steps.
 """
 
 from __future__ import annotations
@@ -132,45 +133,43 @@ def _star_at_edge(
 
     ``leaf_mask`` holds the neighbour masks of v's side, and ``avail``
     masks the k-center's neighbours that are good leaves for v.  Leaf
-    subsets of ``avail`` are enumerated in lexicographic order; a partial
-    subset is abandoned as soon as fewer than l candidates for v remain
-    non-adjacent to it.  Candidates are a bitmask over the k-center's
-    side, and the l picked leaves are its l lowest bits.  They start as
-    N(v), which holds the k-center u; every k-leaf is adjacent to u, so
-    the first leaf already drops it, and the search never needs u.
+    subsets of ``avail`` are enumerated in lexicographic order, for any k,
+    by backtracking over explicit stacks; a partial subset is abandoned as
+    soon as fewer than l candidates for v remain non-adjacent to it.
+    Candidates are a bitmask over the k-center's side, and the l picked
+    leaves are its l lowest bits.  They start as N(v), which holds the
+    k-center u; every k-leaf is adjacent to u, so the first leaf already
+    drops it, and the search never needs u.
     """
     leaves = []
     while avail:
         low = avail & -avail
         leaves.append(low.bit_length() - 1)
         avail ^= low
-
-    chosen: list[int] = []
-
-    def extend(start: int, cand: int) -> int | None:
-        if len(chosen) == k:
-            return cand
+    chosen: list[int] = []  # positions in leaves
+    cands = [leaf_mask[v]]  # cands[i] is what chosen[:i] leaves
+    start = 0
+    while len(chosen) < k:
+        cand = cands[-1]
         for pos in range(start, len(leaves)):
-            leaf = leaves[pos]
-            remaining = cand & ~leaf_mask[leaf]
-            if remaining.bit_count() < l:
-                continue
-            chosen.append(leaf)
-            got = extend(pos + 1, remaining)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    rest = extend(0, leaf_mask[v])
-    if rest is None:
-        return None
+            remaining = cand & ~leaf_mask[leaves[pos]]
+            if remaining.bit_count() >= l:
+                chosen.append(pos)
+                cands.append(remaining)
+                start = pos + 1
+                break
+        else:
+            if not chosen:
+                return None
+            start = chosen.pop() + 1
+            cands.pop()
+    rest = cands[-1]
     picked = []
     for _ in range(l):
         low = rest & -rest
         picked.append(low.bit_length() - 1)
         rest ^= low
-    return chosen, picked
+    return [leaves[pos] for pos in chosen], picked
 
 
 def find_induced_star(graph: BipartiteGraph, k: int, l: int) -> StarWitness | None:

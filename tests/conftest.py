@@ -21,7 +21,9 @@ loop, the stuck report as first written, which looks up each vertex's
 component through per-vertex accessors and scans its neighbourhood
 again for the inside count, and the Hamilton pipeline's checks on a
 stuck state as first written, which scan every neighbourhood for
-foreign components and probe every pair of components for the weave.
+foreign components and probe every pair of components for the weave,
+and the Hamilton cycle line as first written, which filters a list of
+neighbours and builds a VertexRef at every step.
 
 Every test runs under a time limit: a test that hangs ends the run with
 a traceback of every thread and a nonzero exit instead of stalling it.
@@ -501,6 +503,25 @@ def reference_hamilton_after_stuck(graph: BipartiteGraph, report: StuckReport) -
             "quadrilateral components do not chain into a cycle", report=report
         )
     return woven
+
+
+def reference_cycle_order(factor: Factor) -> tuple[VertexRef, ...]:
+    """cycle_order as first written: from X0 toward its lower-indexed
+    factor neighbour, each step filtering the current vertex's neighbour
+    list for the one it did not come from."""
+    if factor.regularity() != 2 or not factor.is_connected():
+        raise NotRegularError("cycle order needs a connected 2-regular factor")
+    host = factor.host
+    order: list[VertexRef] = [VertexRef("X", 0)]
+    prev: VertexRef | None = None
+    cur = order[0]
+    for _ in range(host.n_x + host.n_y - 1):
+        side = "Y" if cur.side == "X" else "X"
+        # the previous vertex always sits on `side`; skip it to keep moving
+        step = [w for w in factor.neighbors(cur) if prev is None or w != prev.index]
+        prev, cur = cur, VertexRef(side, step[0])
+        order.append(cur)
+    return tuple(order)
 
 
 class _RecursiveFlowNet:

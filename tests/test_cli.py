@@ -209,6 +209,14 @@ class TestConnectCommand:
         path = graph_file(complete_bipartite(5, 5))
         assert main(["connect", path, "--k", "3", "--l", "3", "--hamilton"]) == 64
 
+    def test_hamilton_refuses_other_l(self, graph_file, tmp_path, capsys):
+        """The Hamilton pipeline is fixed at the (1,3) pattern, so an --l
+        other than 3 is refused, not ignored."""
+        path = graph_file(double_graph(cycle_graph(3)))
+        assert main(["connect", path, "--k", "2", "--l", "9", "--hamilton"]) == 64
+        assert "--hamilton needs --k 2 --l 3" in capsys.readouterr().err
+        assert not (tmp_path / "host.graph.connected").exists()
+
     def test_hypothesis_violation(self, graph_file, capsys):
         path = graph_file(complete_bipartite(5, 5))  # min degree too low
         assert main(["connect", path, "--k", "2", "--l", "3"]) == 4
@@ -272,6 +280,15 @@ class TestDetectCommand:
 
     def test_bad_arms(self, graph_file):
         assert main(["detect", graph_file(complete_bipartite(2, 2)), "--k", "0", "--l", "1"]) == 64
+
+    def test_deep_leaf_search(self, graph_file, capsys):
+        """1,200 k-leaves, past the recursion limit, still get a witness."""
+        path = graph_file(star_pair_graph(1200, 1))
+        assert main(["detect", path, "--k", "1200", "--l", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["star 1200 1", "centerU X 0", "centerV Y 0"]
+        assert lines[3:-1] == [f"leafU Y {j}" for j in range(1, 1201)]
+        assert lines[-1] == "leafV X 1"
 
 
 class TestClassifyCommand:
@@ -377,6 +394,13 @@ class TestThresholdCommand:
 
     def test_gate(self, capsys):
         assert main(["threshold", "--k", "1", "--l", "2"]) == 64
+
+    def test_m_and_raw_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["threshold", "--k", "2", "--l", "3", "--m", "2", "--raw"])
+        assert err.value.code == 64
+        out, err_text = capsys.readouterr()
+        assert out == "" and "not allowed with argument" in err_text
 
 
 class TestVerifyCommand:

@@ -57,6 +57,7 @@ from conftest import (
     block_hosts,
     component_count,
     reference_connect,
+    reference_cycle_order,
     reference_hamilton_after_stuck,
     reference_secondary_moves,
     reference_stuck_report,
@@ -503,6 +504,21 @@ class TestCycleOrder:
         g, f = two_squares_in_k44
         with pytest.raises(NotRegularError):
             cycle_order(f)
+
+    def test_matches_first_written_walk(self):
+        """The row walk gives the rotation of the walk as first written on
+        the connected 2-factors of K(n,n) minus a perfect matching, n = 3
+        to 40, and on the doubled cycles' Hamilton cycles."""
+        factors = []
+        for n in range(3, 41):
+            g = complete_bipartite_minus_matching(n, [(i, i) for i in range(n)])
+            f = connect_factor(g, find_f_factor(g, DegreeDemand.uniform(g, 2)))
+            if isinstance(f, Factor) and f.is_connected():
+                factors.append(f)
+        assert len(factors) >= 30
+        factors += [hamilton_s13(double_graph(cycle_graph(half))) for half in (3, 4, 5)]
+        for f in factors:
+            assert cycle_order(f) == reference_cycle_order(f)
 
 
 class TestConnectedKFactor:

@@ -38,7 +38,6 @@ from bifactor.graph import (
     _EDGE_LINES,
     _INDEX,
     MAX_CLASS_SIZE,
-    _edge_lines,
     _line_runs,
     _read_canonical,
     _spell,
@@ -404,20 +403,22 @@ class TestAgainstFirstWritten:
         st.integers(1, 12),
     )
     def test_canonical_check_in_runs_of_lines(self, parts, chunk):
-        """Checked in runs of whole lines, some of them shorter than a line,
-        a body is canonical exactly when one match of all of it says so."""
+        """Matched run by run, as _read_canonical matches it, in runs of
+        whole lines, some of them shorter than a line, a body is canonical
+        exactly when one match of all of it says so."""
         body = "".join(parts)
-        assert _edge_lines(body, chunk) == (_EDGE_LINES.fullmatch(body) is not None)
+        runs_match = all(_EDGE_LINES.fullmatch(body, *run) for run in _line_runs(body, chunk))
+        assert runs_match == (_EDGE_LINES.fullmatch(body) is not None)
 
     @pytest.mark.parametrize("tail", ["", "1 x\n"])
     def test_canonical_check_memory_is_bounded(self, tail):
-        """The check on a 200,000-line body, canonical or bad in its last
-        line, peaks at well under the ~20 MB that one match of the whole
-        body holds."""
+        """The run-by-run match _read_canonical makes, on a 200,000-line
+        body, canonical or bad in its last line, peaks at well under the
+        ~20 MB that one match of the whole body holds."""
         body = "".join(f"{i % 1000} {i % 997}\n" for i in range(200_000)) + tail
         tracemalloc.start()
         try:
-            assert _edge_lines(body) == (not tail)
+            assert all(_EDGE_LINES.fullmatch(body, *run) for run in _line_runs(body)) == (not tail)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

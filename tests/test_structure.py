@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bifactor import (
     BipartiteGraph,
+    VertexRef,
     classify_s12_free,
     complete_bipartite,
     complete_bipartite_minus_matching,
@@ -117,6 +118,17 @@ class TestDetection:
         w = find_induced_star(g, k, l)
         assert w is not None
         assert_star_witness_valid(g, w)
+
+    def test_deep_leaf_search(self):
+        """1,100 k-leaves, past the recursion limit: the search backtracks
+        over explicit stacks.  The reference detectors recurse too, so the
+        witness is checked directly."""
+        k = 1100
+        w = find_induced_star(star_pair_graph(k, 1), k, 1)
+        assert (w.center_u, w.center_v) == (VertexRef("X", 0), VertexRef("Y", 0))
+        assert w.leaves_u == tuple(VertexRef("Y", j) for j in range(1, k + 1))
+        assert w.leaves_v == (VertexRef("X", 1),)
+        assert_star_witness_valid(star_pair_graph(k, 1), w)
 
     def test_complete_bipartite_has_no_induced_copy(self):
         assert find_induced_star(complete_bipartite(4, 4), 1, 2) is None
