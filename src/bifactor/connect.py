@@ -27,11 +27,19 @@ finds a move whenever such a swap would help.
 The loop keeps one working copy of the factor (sorted adjacency,
 component labels, and the members of each label as listed by
 ``_component_vertex_sets``, which the Hamilton weave reads too) and
-updates it in place after each move.  It builds a ``Factor`` once, at the
-end, from that adjacency as it stands, still sorted, so nothing is
-sorted or indexed again.  The result checks its edges against the host
-and labels its components from scratch, so its component count, which
-must equal the tracked one, is an independent recount.
+updates it in place after each move.  It also keeps, per x, a resume
+index: the length of the prefix of N_G(x) whose y's share x's component.
+Each scan first moves that index past the y's that have joined x's
+component since, then reads the row from there, so host edges inside a
+component are skipped once, not once per move.  This is exact because
+components only merge: a y that shares x's component goes on sharing it,
+so the prefix never holds a link, and the first exchangeable link, hence
+every move, is the one a scan from X0 over whole rows would find.  The
+loop builds a ``Factor`` once, at the end, from that adjacency as it
+stands, still sorted, so nothing is sorted or indexed again.  The result
+checks its edges against the host and labels its components from
+scratch, so its component count, which must equal the tracked one, is an
+independent recount.
 
 A factor on which no exchange merges two components is *stuck*.  Stuck
 states are audited, not asserted away: the report carries every link,
@@ -44,7 +52,7 @@ stated hypotheses and the report flags the contradiction.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 
@@ -145,10 +153,11 @@ def _component_vertex_sets(factor: Factor) -> list[tuple[list[int], list[int]]]:
 class _Exchanger:
     """Mutable working copy of a k-regular factor for the connecting loop.
 
-    Holds sorted factor adjacency lists, component labels and the member
-    lists of each label; accepted exchanges update them in place.  Label
-    ids are internal: a merge relabels the smaller component with the
-    larger one's id.
+    Holds sorted factor adjacency lists, component labels, the member
+    lists of each label and, per x, the resume index of its host row (see
+    the module docstring); accepted exchanges update them in place, and
+    the indices only grow.  Label ids are internal: a merge relabels the
+    smaller component with the larger one's id.
     """
 
     def __init__(self, graph: BipartiteGraph, factor: Factor, k: int):
@@ -160,32 +169,43 @@ class _Exchanger:
         self.comp_y = list(factor.comp_y)
         self.members = _component_vertex_sets(factor)
         self.count = factor.n_components
+        self.resume = [0] * graph.n_x
 
     def first_exchange(self, x: int, y: int) -> tuple[int, int] | None:
         """First primary exchange on link (x, y): (u2, v2), or None.
 
         Candidates scan N_F(x) and N_F(y) in index order; the fresh edge
-        v2-u2 must exist in the host.  It runs between the two components,
-        so it is never a factor edge, and for k >= 2 the exchange merges
-        them (see the module docstring).
+        v2-u2 must exist in the host, which a bisection of N_G(v2) tells.
+        It runs between the two components, so it is never a factor edge,
+        and for k >= 2 the exchange merges them (see the module docstring).
         """
-        in_host = self.graph.has_edge
+        host = self.graph._adj_x
         nbrs_y = self.adj_y[y]
         for u2 in self.adj_x[x]:
             for v2 in nbrs_y:
-                if in_host(v2, u2):
+                row = host[v2]
+                i = bisect_left(row, u2)
+                if i < len(row) and row[i] == u2:
                     return u2, v2
         return None
 
     def step(self) -> SwapMove | None:
         """Apply the first exchange over all links, in (x, y) order; None
-        when there is none or k < 2, where no exchange merges anything."""
+        when there is none or k < 2, where no exchange merges anything.
+
+        Each row N_G(x) is read from its resume index on, after first
+        moving that index past the y's that now share x's component.
+        """
         if self.k < 2:
             return None
-        comp_x, comp_y = self.comp_x, self.comp_y
+        comp_x, comp_y, resume = self.comp_x, self.comp_y, self.resume
         for x, ys in enumerate(self.graph._adj_x):
             cx = comp_x[x]
-            for y in ys:
+            start, end = resume[x], len(ys)
+            while start < end and comp_y[ys[start]] == cx:
+                start += 1
+            resume[x] = start
+            for y in ys[start:]:
                 if cx == comp_y[y]:
                     continue
                 found = self.first_exchange(x, y)
@@ -197,14 +217,14 @@ class _Exchanger:
 
     def _apply(self, x: int, u2: int, v2: int, y: int) -> None:
         adj_x, adj_y = self.adj_x, self.adj_y
-        for adj, a, old, new in (
-            (adj_x, x, u2, y),
-            (adj_x, v2, y, u2),
-            (adj_y, y, v2, x),
-            (adj_y, u2, x, v2),
-        ):
-            adj[a].remove(old)
-            insort(adj[a], new)
+        adj_x[x].remove(u2)
+        insort(adj_x[x], y)
+        adj_x[v2].remove(y)
+        insort(adj_x[v2], u2)
+        adj_y[y].remove(v2)
+        insort(adj_y[y], x)
+        adj_y[u2].remove(x)
+        insort(adj_y[u2], v2)
         keep, gone = self.comp_x[x], self.comp_y[y]
         kept, moved = self.members[keep], self.members[gone]
         if len(kept[0]) + len(kept[1]) < len(moved[0]) + len(moved[1]):

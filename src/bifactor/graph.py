@@ -276,10 +276,13 @@ def _component_labels(
     """Component ids by traversal over an adjacency, and their count.
 
     Ids are 0, 1, ... in order of first vertex X0..X(n-1), Y0..Y(n-1);
-    isolated vertices are components of their own.
+    isolated vertices are components of their own.  A layer that labels
+    one side stops once that side has no unlabelled vertex left, and the
+    traversal ends once neither side has one.
     """
     comp_x = [-1] * len(adj_x)
     comp_y = [-1] * len(adj_y)
+    left_x, left_y = len(adj_x), len(adj_y)
     next_id = 0
     for roots, own in ((range(len(adj_x)), comp_x), (range(len(adj_y)), comp_y)):
         for r in roots:
@@ -287,20 +290,29 @@ def _component_labels(
                 continue
             own[r] = next_id
             xs, ys = ([r], []) if own is comp_x else ([], [r])
+            left_x, left_y = left_x - len(xs), left_y - len(ys)
             while xs or ys:
                 for i in xs:
+                    if not left_y:
+                        break
                     for j in adj_x[i]:
                         if comp_y[j] == -1:
                             comp_y[j] = next_id
                             ys.append(j)
+                            left_y -= 1
                 xs = []
                 for j in ys:
+                    if not left_x:
+                        break
                     for i in adj_y[j]:
                         if comp_x[i] == -1:
                             comp_x[i] = next_id
                             xs.append(i)
+                            left_x -= 1
                 ys = []
             next_id += 1
+            if not (left_x or left_y):
+                return tuple(comp_x), tuple(comp_y), next_id
     return tuple(comp_x), tuple(comp_y), next_id
 
 

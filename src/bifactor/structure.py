@@ -141,10 +141,12 @@ def _star_at_edge(
     k-center u; every k-leaf is adjacent to u, so the first leaf already
     drops it, and the search never needs u.
     """
-    leaves = []
+    leaves, keep = [], []  # keep[pos]: the candidates leaves[pos] spares
     while avail:
         low = avail & -avail
-        leaves.append(low.bit_length() - 1)
+        leaf = low.bit_length() - 1
+        leaves.append(leaf)
+        keep.append(~leaf_mask[leaf])
         avail ^= low
     chosen: list[int] = []  # positions in leaves
     cands = [leaf_mask[v]]  # cands[i] is what chosen[:i] leaves
@@ -152,7 +154,7 @@ def _star_at_edge(
     while len(chosen) < k:
         cand = cands[-1]
         for pos in range(start, len(leaves)):
-            remaining = cand & ~leaf_mask[leaves[pos]]
+            remaining = cand & keep[pos]
             if remaining.bit_count() >= l:
                 chosen.append(pos)
                 cands.append(remaining)

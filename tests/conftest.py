@@ -10,7 +10,9 @@ l-center for its good mask, star-pair freeness by scanning vertex
 subsets for the tree profile, violators by evaluating both sides of the
 inequality directly, the connecting loop's moves by
 the loop as first written, which rebuilds the factor after every move
-and recounts every candidate from scratch with union-find, and the flow
+and recounts every candidate from scratch with union-find, the loop's
+scan as first written, which rescans every host row from X0 after every
+move of the loop's own working copy, and the flow
 solver's factor and violator by the flow network as first written, with
 a recursive augmenting search whose phases can also report the vertices
 on a shortest augmenting path, the violator shrink as first written,
@@ -55,7 +57,7 @@ from bifactor import (
     find_links,
     make_certificate,
 )
-from bifactor.connect import DegreeAuditRecord, LinkIsolation
+from bifactor.connect import DegreeAuditRecord, LinkIsolation, _Exchanger
 from bifactor.errors import (
     DuplicateEdgeError,
     FakeCertificateError,
@@ -317,6 +319,28 @@ def reference_connect(
             raise AssertionError("factor labels disagree with the recount")
         trace.append((move, current.n_components))
     return current, trace
+
+
+class RescanExchanger(_Exchanger):
+    """The connecting loop's working copy with its scan as first written:
+    every step rescans every host row from X0, skipping again the y's
+    that share x's component, and tests each fresh edge with
+    ``has_edge``.  Moves are applied by the working copy's own update."""
+
+    def step(self) -> SwapMove | None:
+        if self.k < 2:
+            return None
+        in_host = self.graph.has_edge
+        for x, ys in enumerate(self.graph._adj_x):
+            for y in ys:
+                if self.comp_x[x] == self.comp_y[y]:
+                    continue
+                for u2 in self.adj_x[x]:
+                    for v2 in self.adj_y[y]:
+                        if in_host(v2, u2):
+                            self._apply(x, u2, v2, y)
+                            return SwapMove("primary", ((x, u2), (v2, y)), ((x, y), (v2, u2)))
+        return None
 
 
 def _component_of(factor: Factor, v: VertexRef) -> int:

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bifactor.connect
@@ -50,6 +50,7 @@ from bifactor.errors import (
 )
 
 from conftest import (
+    RescanExchanger,
     apply_swap,
     assert_regular_spanning,
     assert_same_factor,
@@ -384,6 +385,61 @@ class TestMoveTrace:
         for graph, k in hosts:
             start = find_f_factor(graph, DegreeDemand.uniform(graph, k))
             _same_as_reference(graph, start, l=3)
+
+
+def _resumed_as_rescan(graph: BipartiteGraph, factor: Factor, l: int | None) -> int:
+    """Check that the loop, which resumes each host row's scan, makes the
+    moves of the scan as first written and ends in the same factor or
+    stuck report; after every step, check that each y before x's resume
+    index shares x's component.  Return the sum of the resume indices."""
+    k = factor.regularity()
+    trace: list = []
+    got = connect_factor(graph, factor, l=l, trace=trace)
+    state, ref = _Exchanger(graph, factor, k), RescanExchanger(graph, factor, k)
+    want_trace = []
+    while ref.count > 1:
+        move = ref.step()
+        assert state.step() == move
+        for x, ys in enumerate(graph._adj_x):
+            cx = state.comp_x[x]
+            assert all(state.comp_y[y] == cx for y in ys[: state.resume[x]])
+        if move is None:
+            break
+        want_trace.append((move, ref.count))
+    assert trace == want_trace
+    want = ref.factor()
+    if want.n_components > 1:
+        assert isinstance(got, StuckReport)
+        report = _build_stuck_report(graph, want, k, l)
+        assert serialize_stuck_report(got) == serialize_stuck_report(report)
+        assert_same_factor(got.factor, want)
+    else:
+        assert_same_factor(got, want)
+    return sum(state.resume)
+
+
+class TestResumedScan:
+    """Each step resumes every host row where the last one left it; the
+    moves are those of a rescan from X0 after every move."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_minus_matching_hosts(self, k):
+        for n in (40, 70, 100, 130, 160):
+            graph = generate(GenSpec("k-minus-matching", n=n, seed=n + k))
+            start = find_f_factor(graph, DegreeDemand.uniform(graph, k))
+            assert start.n_components > 1
+            assert _resumed_as_rescan(graph, start, l=3) > 0
+
+    @given(block_hosts())
+    @settings(max_examples=100, deadline=None)
+    def test_block_hosts_whose_first_link_has_no_fresh_edge(self, host):
+        graph, factor = host
+        k = factor.regularity()
+        links = find_links(graph, factor)
+        assume(k >= 2 and links)
+        first = links[0]
+        assume(_Exchanger(graph, factor, k).first_exchange(first.u.index, first.v.index) is None)
+        _resumed_as_rescan(graph, factor, l=3)
 
 
 def _secondary_moves_subsumed(graph: BipartiteGraph, factor: Factor) -> int:

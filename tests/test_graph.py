@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 
 from bifactor import (
     BipartiteGraph,
+    DegreeDemand,
     Factor,
+    GenSpec,
     VertexRef,
     complete_bipartite,
     complete_bipartite_minus_matching,
     cycle_graph,
     cycle_order,
     double_graph,
+    find_f_factor,
+    generate,
     parse_factor,
     parse_graph,
     path_graph,
@@ -38,6 +42,7 @@ from bifactor.graph import (
     _EDGE_LINES,
     _INDEX,
     MAX_CLASS_SIZE,
+    _component_labels,
     _line_runs,
     _read_canonical,
     _spell,
@@ -46,6 +51,7 @@ from bifactor.graph import (
 from conftest import (
     assert_same_factor,
     bipartite_graphs,
+    components,
     reference_graph_init,
     reference_parse_factor,
     reference_parse_graph,
@@ -109,6 +115,38 @@ class TestBipartiteGraph:
         b = BipartiteGraph(2, 2, [(1, 1), (0, 0)])
         assert a == b
         assert hash(a) == hash(b)
+
+
+def reference_labels(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Component ids in order of first vertex X0.., Y0.., from union-find."""
+    comp_x, comp_y = [-1] * g.n_x, [-1] * g.n_y
+    comps = components(g.n_x, g.n_y, g.edge_list)
+    for c, (xs, ys) in enumerate(comps):
+        for x in xs:
+            comp_x[x] = c
+        for y in ys:
+            comp_y[y] = c
+    return tuple(comp_x), tuple(comp_y), len(comps)
+
+
+class TestComponentLabels:
+    """Labelling stops once both sides are labelled; ids, labels and the
+    count are those of union-find."""
+
+    @given(bipartite_graphs(max_side=8, min_side=0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_union_find(self, g):
+        assert _component_labels(g._adj_x, g._adj_y) == reference_labels(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 200])
+    def test_minus_matching_hosts_and_their_factors(self, n):
+        for seed in range(3):
+            g = generate(GenSpec("k-minus-matching", n=n, seed=seed))
+            assert _component_labels(g._adj_x, g._adj_y) == reference_labels(g)
+            assert g.is_connected() == (n >= 3)
+            if n >= 3:
+                f = find_f_factor(g, DegreeDemand.uniform(g, 2))
+                assert (f.comp_x, f.comp_y, f.n_components) == reference_labels(f)
 
 
 class TestFactor:
