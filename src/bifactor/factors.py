@@ -270,7 +270,7 @@ def _max_flow(
     raises TheoremContradictionError instead.
     """
     n_x, n_y = graph.n_x, graph.n_y
-    adj = list(map(graph.neighbors_x, range(n_x)))
+    adj, adj_y = list(map(graph.neighbors_x, range(n_x))), graph._adj_y
     deg_x, deg_y = graph.degrees()
     rx, ry = list(demand.f_x), [*demand.f_y, 1]  # ry[n_y] stops the first phase's lo
     ux: list = [frozenset()] * n_x  # an x without demand never holds an edge
@@ -309,7 +309,7 @@ def _max_flow(
             d = lx[xs[0]] + 1
             if open_deg < reach:  # the layer's y's with capacity, from the sink side
                 for y in open_ys:
-                    for x in graph.neighbors_y(y):
+                    for x in adj_y[y]:
                         if lx[x] == d - 1 and x not in held[y]:
                             ly[y], lt = d, d + 1
                             break
@@ -390,14 +390,14 @@ def _prune(
     that can still reach the sink (-1 for the others), and the kept x's at
     level 1 in index order, walking back from the y's with capacity at
     level lt - 1 (see _max_flow)."""
-    kx, ky = [-1] * graph.n_x, [-1] * graph.n_y
+    kx, ky, adj_y = [-1] * graph.n_x, [-1] * graph.n_y, graph._adj_y
     ys = [y for y in open_ys if ly[y] == lt - 1]
     for y in ys:
         ky[y] = lt - 1
     for d in range(lt - 1, 1, -2):  # keep the X layer d - 1, then the Y layer d - 2
         kept = []
         for y in ys:
-            for x in graph.neighbors_y(y):
+            for x in adj_y[y]:
                 if lx[x] == d - 1 and kx[x] == -1 and y not in ux[x]:
                     kx[x] = d - 1
                     kept.append(x)

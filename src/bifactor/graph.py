@@ -276,43 +276,44 @@ def _component_labels(
     """Component ids by traversal over an adjacency, and their count.
 
     Ids are 0, 1, ... in order of first vertex X0..X(n-1), Y0..Y(n-1);
-    isolated vertices are components of their own.  A layer that labels
-    one side stops once that side has no unlabelled vertex left, and the
-    traversal ends once neither side has one.
+    isolated vertices are components of their own.  Each component with
+    an x is walked depth first from its lowest x over one stack of x's:
+    a popped x's row labels its unlabelled y's, and each such y's row
+    labels and pushes its unlabelled x's.  A y's row is read only while
+    some x is unlabelled, and a component's walk stops once every y is
+    labelled; the roots stop once every x is, and the y's left unlabelled
+    have no edge and take the next ids in Y order.  So on a dense
+    connected host a few rows label every vertex.
     """
     comp_x = [-1] * len(adj_x)
     comp_y = [-1] * len(adj_y)
     left_x, left_y = len(adj_x), len(adj_y)
     next_id = 0
-    for roots, own in ((range(len(adj_x)), comp_x), (range(len(adj_y)), comp_y)):
-        for r in roots:
-            if own[r] != -1:
-                continue
-            own[r] = next_id
-            xs, ys = ([r], []) if own is comp_x else ([], [r])
-            left_x, left_y = left_x - len(xs), left_y - len(ys)
-            while xs or ys:
-                for i in xs:
-                    if not left_y:
-                        break
-                    for j in adj_x[i]:
-                        if comp_y[j] == -1:
-                            comp_y[j] = next_id
-                            ys.append(j)
-                            left_y -= 1
-                xs = []
-                for j in ys:
-                    if not left_x:
-                        break
-                    for i in adj_y[j]:
-                        if comp_x[i] == -1:
-                            comp_x[i] = next_id
-                            xs.append(i)
-                            left_x -= 1
-                ys = []
-            next_id += 1
-            if not (left_x or left_y):
-                return tuple(comp_x), tuple(comp_y), next_id
+    for r in range(len(adj_x)):
+        if not left_x:
+            break
+        if comp_x[r] != -1:
+            continue
+        comp_x[r] = next_id
+        left_x -= 1
+        stack = [r]
+        while stack and left_y:
+            for y in adj_x[stack.pop()]:
+                if comp_y[y] == -1:
+                    comp_y[y] = next_id
+                    left_y -= 1
+                    if left_x:
+                        for x in adj_y[y]:
+                            if comp_x[x] == -1:
+                                comp_x[x] = next_id
+                                left_x -= 1
+                                stack.append(x)
+        next_id += 1
+    if left_y:
+        for y, c in enumerate(comp_y):
+            if c == -1:
+                comp_y[y] = next_id
+                next_id += 1
     return tuple(comp_x), tuple(comp_y), next_id
 
 

@@ -314,7 +314,7 @@ class _CountingGraph(BipartiteGraph):
 class _Logged(tuple):
     """N(x) for one x, which appends x to ``log`` when read by index (the
     first phase and the later phases' search) and None when iterated (the
-    BFS and the pruning walk)."""
+    BFS)."""
 
     log: list[int | None] = []
     x = -1
@@ -329,8 +329,7 @@ class _Logged(tuple):
 
 
 class _LoggingGraph(BipartiteGraph):
-    """A host whose N(x) lists log the reads of the flow, and whose N(y)
-    lookups, made by the BFS and the pruning walk only, log None."""
+    """A host whose N(x) lists log the reads of the flow."""
 
     __slots__ = ()
 
@@ -338,10 +337,6 @@ class _LoggingGraph(BipartiteGraph):
         got = _Logged(self._adj_x[x])
         got.x = x
         return got
-
-    def neighbors_y(self, y: int) -> tuple[int, ...]:
-        _Logged.log.append(None)
-        return self._adj_y[y]
 
 
 def _searched_per_phase(log: list[int | None]) -> list[set[int]]:

@@ -51,6 +51,7 @@ from bifactor.graph import (
 from conftest import (
     assert_same_factor,
     bipartite_graphs,
+    chain_host,
     components,
     reference_graph_init,
     reference_parse_factor,
@@ -129,9 +130,56 @@ def reference_labels(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...
     return tuple(comp_x), tuple(comp_y), len(comps)
 
 
+class _Rows(tuple):
+    """An adjacency that counts, in ``reads``, the rows read from it."""
+
+    reads = [0]
+
+    def __getitem__(self, i):
+        _Rows.reads[0] += 1
+        return tuple.__getitem__(self, i)
+
+
+def _interleaved_host(n: int) -> BipartiteGraph:
+    """Blocks of 3 + 3 vertices, each X(3b)..X(3b+1) and Y(3b+1)..Y(3b+2)
+    joined completely, so X(3b+2) and Y(3b) are isolated between them."""
+    edges = [(x, y) for x in range(n) for y in range(n) if x % 3 < 2 and y % 3]
+    return BipartiteGraph(n, n, [(x, y) for x, y in edges if x // 3 == y // 3])
+
+
 class TestComponentLabels:
     """Labelling stops once both sides are labelled; ids, labels and the
     count are those of union-find."""
+
+    @pytest.mark.parametrize("n", [3, 40, 200, 800])
+    def test_dense_host_reads_four_rows(self, n):
+        """On K(n,n) minus a perfect matching the walk reads N(X0), two
+        N(y)'s, which label every x, and one N(x) for the last y."""
+        for seed in range(3):
+            g = generate(GenSpec("k-minus-matching", n=n, seed=seed))
+            _Rows.reads[0] = 0
+            got = _component_labels(_Rows(g._adj_x), _Rows(g._adj_y))
+            assert got == ((0,) * n, (0,) * n, 1)
+            assert _Rows.reads[0] <= 4
+
+    def test_deep_and_degenerate_shapes(self):
+        """A 4,000-vertex path, far deeper than the recursion limit, and its
+        perfect matching; graphs with no edge or no vertex on one side; a
+        star pair; isolated vertices between components on both sides."""
+        chain = chain_host(2000)
+        graphs = [
+            chain,
+            find_f_factor(chain, DegreeDemand.uniform(chain, 1)),
+            BipartiteGraph(1000, 1000, []),
+            BipartiteGraph(0, 5, []),
+            BipartiteGraph(5, 0, []),
+            star_pair_graph(1200, 1),
+            _interleaved_host(30),
+            BipartiteGraph(9, 9, [(x, y) for x in range(1, 9, 2) for y in range(0, 9, 3)]),
+        ]
+        got = [_component_labels(g._adj_x, g._adj_y) for g in graphs]
+        assert got == list(map(reference_labels, graphs))
+        assert (got[0][2], got[1][2]) == (1, 2000)
 
     @given(bipartite_graphs(max_side=8, min_side=0))
     @settings(max_examples=300, deadline=None)
