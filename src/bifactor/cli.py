@@ -116,7 +116,7 @@ def cmd_connect(args) -> int:
         else:
             factor = connected_k_factor(graph, k, l)
     except (TheoremContradictionError, StructureUnrecognizedError) as exc:
-        report = getattr(exc, "report", None)
+        report = exc.report
         out = args.out or args.graph + ".stuck"
         if isinstance(report, StuckReport):
             _write(out, serialize_stuck_report(report))

@@ -74,7 +74,7 @@ from .graph import (
     _stray_edge,
     _transpose,
 )
-from .structure import is_skl_free
+from .structure import find_induced_star
 
 
 # -- minimum-degree thresholds -------------------------------------------------
@@ -134,10 +134,6 @@ def find_links(graph: BipartiteGraph, factor: Factor) -> tuple[Link, ...]:
             if cu != cv:
                 links.append(Link(VertexRef("X", x), VertexRef("Y", y), cu, cv))
     return tuple(links)
-
-
-def _primary(x: int, u2: int, v2: int, y: int) -> SwapMove:
-    return SwapMove("primary", ((x, u2), (v2, y)), ((x, y), (v2, u2)))
 
 
 def _component_vertex_sets(factor: Factor) -> list[tuple[list[int], list[int]]]:
@@ -212,7 +208,7 @@ class _Exchanger:
                 if found is not None:
                     u2, v2 = found
                     self._apply(x, u2, v2, y)
-                    return _primary(x, u2, v2, y)
+                    return SwapMove("primary", ((x, u2), (v2, y)), ((x, y), (v2, u2)))
         return None
 
     def _apply(self, x: int, u2: int, v2: int, y: int) -> None:
@@ -474,25 +470,25 @@ def _hypotheses(
     delta = graph.min_degree()
     if delta < min_degree:
         raise HypothesisViolatedError("min_degree", f"minimum degree {delta} < {min_degree}")
-    if not is_skl_free(graph, k, l):
+    witness = find_induced_star(graph, k, l)
+    if witness is not None:
         raise HypothesisViolatedError(
-            "skl_free", f"graph contains an induced ({k},{l}) star pair"
+            "skl_free", f"graph contains an induced ({k},{l}) star pair", report=witness
         )
 
 
 def _regular_factor_connected(
-    graph: BipartiteGraph, k: int, l: int, min_degree: int, degree: int, name: str
+    graph: BipartiteGraph, k: int, l: int, min_degree: int, degree: int
 ) -> Factor | StuckReport:
     """The head both pipelines share: check the hypotheses (connected,
     balanced, minimum degree at least ``min_degree``, no induced (k, l)
     star pair), find a ``degree``-regular factor by flow and run the
-    connecting loop on it.  ``name`` names the degree in the message of the
-    TheoremContradictionError a certificate raises."""
+    connecting loop on it."""
     _hypotheses(graph, k, l, min_degree)
     got = find_f_factor(graph, DegreeDemand.uniform(graph, degree))
     if isinstance(got, ViolatorCertificate):
         raise TheoremContradictionError(
-            f"no {name}-regular factor despite satisfied hypotheses", report=got
+            f"no {degree}-regular factor despite satisfied hypotheses", report=got
         )
     return connect_factor(graph, got, l=l)
 
@@ -505,7 +501,7 @@ def connected_k_factor(graph: BipartiteGraph, k: int, l: int) -> Factor:
     a stuck state under these hypotheses is impossible, so either raises
     TheoremContradictionError and the caller should treat it as a bug.
     """
-    result = _regular_factor_connected(graph, k, l, threshold_c(k, l), k, "k")
+    result = _regular_factor_connected(graph, k, l, threshold_c(k, l), k)
     if isinstance(result, StuckReport):
         raise TheoremContradictionError(
             "connectivity search stuck despite satisfied hypotheses", report=result
@@ -565,27 +561,25 @@ def hamilton_s13(graph: BipartiteGraph) -> Factor:
     quotient is a cycle, and the explicit Hamilton cycle is woven from it.
     StructureUnrecognizedError (carrying the stuck report) otherwise.
     """
-    result = _regular_factor_connected(graph, 1, 3, 4, 2, "2")
-    if isinstance(result, Factor):
-        check_factor(graph, result, 2, connected=True)
-        return result
-    report = result
-    comps = _component_vertex_sets(report.factor)
-    if any(len(xs) != 2 or len(ys) != 2 for xs, ys in comps):
-        raise StructureUnrecognizedError(
-            "stuck with a component larger than a quadrilateral", report=report
-        )
-    # every vertex may see at most one foreign component
-    for v, labels in _far_labels(graph, report.links).items():
-        seen = len(set(labels)) + 1
-        if seen > 2:
+    result = _regular_factor_connected(graph, 1, 3, 4, 2)
+    if isinstance(result, StuckReport):
+        report = result
+        comps = _component_vertex_sets(report.factor)
+        if any(len(xs) != 2 or len(ys) != 2 for xs, ys in comps):
             raise StructureUnrecognizedError(
-                f"vertex {v.label} sees {seen} components", report=report
+                "stuck with a component larger than a quadrilateral", report=report
             )
-    woven = _weave_quotient_cycle(report, comps)
-    if woven is None:
-        raise StructureUnrecognizedError(
-            "quadrilateral components do not chain into a cycle", report=report
-        )
-    check_factor(graph, woven, 2, connected=True)
-    return woven
+        # every vertex may see at most one foreign component
+        for v, labels in _far_labels(graph, report.links).items():
+            seen = len(set(labels)) + 1
+            if seen > 2:
+                raise StructureUnrecognizedError(
+                    f"vertex {v.label} sees {seen} components", report=report
+                )
+        result = _weave_quotient_cycle(report, comps)
+        if result is None:
+            raise StructureUnrecognizedError(
+                "quadrilateral components do not chain into a cycle", report=report
+            )
+    check_factor(graph, result, 2, connected=True)
+    return result

@@ -2,7 +2,15 @@
 
 
 class BifactorError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``report`` is None, or the certificate, stuck report or star witness
+    behind the error.
+    """
+
+    def __init__(self, *args, report=None):
+        super().__init__(*args)
+        self.report = report
 
 
 class GraphFormatError(BifactorError):
@@ -81,12 +89,12 @@ class HypothesisViolatedError(BifactorError):
     ``balance``, ``min_degree``, ``skl_free``.
     """
 
-    def __init__(self, hypothesis: str, detail: str = ""):
+    def __init__(self, hypothesis: str, detail: str = "", report=None):
         self.hypothesis = hypothesis
         msg = f"hypothesis violated: {hypothesis}"
         if detail:
             msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(msg, report=report)
 
 
 class TheoremContradictionError(BifactorError):
@@ -96,14 +104,6 @@ class TheoremContradictionError(BifactorError):
     can inspect what happened.  Test suites treat this as a hard failure.
     """
 
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class StructureUnrecognizedError(BifactorError):
     """A stuck state lacks the structure the recognizer needs."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report

@@ -271,7 +271,6 @@ def _max_flow(
     """
     n_x, n_y = graph.n_x, graph.n_y
     adj, adj_y = list(map(graph.neighbors_x, range(n_x))), graph._adj_y
-    deg_x, deg_y = graph.degrees()
     rx, ry = list(demand.f_x), [*demand.f_y, 1]  # ry[n_y] stops the first phase's lo
     ux: list = [frozenset()] * n_x  # an x without demand never holds an edge
     held: list[list[int]] = [[] for _ in range(n_y)]
@@ -300,11 +299,11 @@ def _max_flow(
     while True:
         free_xs = xs = [x for x in free_xs if rx[x]]
         open_ys = [y for y in open_ys if ry[y]]
-        open_deg = sum(map(deg_y.__getitem__, open_ys))
+        open_deg = sum(map(len, map(adj_y.__getitem__, open_ys)))
         lx, ly, lt = [-1] * n_x, [-1] * n_y, -1
         for x in xs:
             lx[x] = 1
-        reach = sum(map(deg_x.__getitem__, xs))  # the frontier's total degree
+        reach = sum(map(len, map(adj.__getitem__, xs)))  # the frontier's total degree
         while xs:
             d = lx[xs[0]] + 1
             if open_deg < reach:  # the layer's y's with capacity, from the sink side
@@ -332,7 +331,7 @@ def _max_flow(
                     if lx[x] == -1:
                         lx[x] = d + 1
                         xs.append(x)
-                        reach += deg_x[x]
+                        reach += len(adj[x])
         if lt == -1:
             return ux, held, lx
         starts = free_xs

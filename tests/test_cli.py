@@ -29,7 +29,7 @@ from bifactor import (
 )
 from bifactor.cli import main
 from bifactor.connect import _build_stuck_report, check_factor
-from bifactor.errors import TheoremContradictionError
+from bifactor.errors import StructureUnrecognizedError, TheoremContradictionError
 from bifactor.factors import DegreeDemand, audit_certificate
 from bifactor.generators import MODELS
 from bifactor.graph import MAX_CLASS_SIZE, BipartiteGraph, Factor, parse_factor
@@ -222,6 +222,25 @@ class TestConnectCommand:
         assert main(["connect", path, "--k", "2", "--l", "3"]) == 4
         assert "minimum degree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "generated, extra, pair",
+        [
+            (["--n", "24", "--seed", "1", "--k", "2", "--p", "0.7"], [], "(2,3)"),
+            (["--n", "20", "--seed", "4", "--k", "4", "--p", "0.5"], ["--hamilton"], "(1,3)"),
+        ],
+    )
+    def test_star_pair_refusal(self, tmp_path, capsys, generated, extra, pair):
+        """Dense random hosts that pass every other hypothesis: the refusal
+        exits 4 with one stderr line and writes no file."""
+        path = str(tmp_path / "host.txt")
+        assert main(["generate", "--model", "min-degree-random", *generated, "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["connect", path, "--k", "2", "--l", "3", *extra]) == 4
+        assert capsys.readouterr().err == (
+            f"error: hypothesis violated: skl_free (graph contains an induced {pair} star pair)\n"
+        )
+        assert os.listdir(tmp_path) == ["host.txt"]
+
     def test_parameter_gate(self, graph_file):
         path = graph_file(complete_bipartite(5, 5))
         assert main(["connect", path, "--k", "1", "--l", "2"]) == 64
@@ -251,6 +270,24 @@ class TestConnectCommand:
         text = (tmp_path / "host.graph.stuck").read_text()
         assert "EQ10 ALL HOLDS" in text
         assert "report written" in capsys.readouterr().err
+
+    def test_unrecognized_stuck_report_written(self, graph_file, tmp_path, monkeypatch, capsys):
+        """The Hamilton pipeline's refusal carries its stuck report too."""
+        g = BipartiteGraph(
+            4, 4, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (0, 2)]
+        )
+        f = Factor(g, [e for e in g.edge_list if e != (0, 2)])
+        report = _build_stuck_report(g, f, 2, 3)
+
+        def boom(graph):
+            raise StructureUnrecognizedError("not chained", report=report)
+
+        monkeypatch.setattr(cli, "hamilton_s13", boom)
+        path = graph_file(g)
+        assert main(["connect", path, "--k", "2", "--l", "3", "--hamilton"]) == 3
+        text = (tmp_path / "host.graph.stuck").read_text()
+        assert "EQ10 ALL HOLDS" in text
+        assert capsys.readouterr().err == f"error: not chained; report written to {path}.stuck\n"
 
     def test_contradicting_certificate_written(self, graph_file, tmp_path, monkeypatch):
         g = complete_bipartite(4, 4)

@@ -29,6 +29,7 @@ from bifactor import (
     find_links,
     generate,
     hamilton_s13,
+    make_certificate,
     path_graph,
     serialize_stuck_report,
     threshold_c,
@@ -47,13 +48,17 @@ from bifactor.errors import (
     NotRegularError,
     ParamOrderError,
     StructureUnrecognizedError,
+    TheoremContradictionError,
 )
+from bifactor.graph import VertexRef
+from bifactor.structure import find_induced_star
 
 from conftest import (
     RescanExchanger,
     apply_swap,
     assert_regular_spanning,
     assert_same_factor,
+    assert_star_witness_valid,
     block_host,
     block_hosts,
     component_count,
@@ -628,6 +633,33 @@ class TestConnectedKFactor:
             connected_k_factor(g, 2, 3)
         assert err.value.hypothesis == "skl_free"
 
+    def test_star_refusal_carries_its_witness(self):
+        """The refusal keeps the star pair the check found: on this dense
+        random host it is centred at X0 and Y0."""
+        g = generate(GenSpec("min-degree-random", 24, seed=1, k=2, p=0.7))
+        assert (g.m, g.min_degree()) == (412, 13) and g.is_connected()
+        with pytest.raises(HypothesisViolatedError) as err:
+            connected_k_factor(g, 2, 3)
+        witness = err.value.report
+        assert err.value.hypothesis == "skl_free"
+        assert witness == find_induced_star(g, 2, 3)
+        assert (witness.center_u, witness.center_v) == (VertexRef("X", 0), VertexRef("Y", 0))
+        assert [v.label for v in witness.leaves_u] == ["Y1", "Y3"]
+        assert [v.label for v in witness.leaves_v] == ["X2", "X17", "X21"]
+        assert_star_witness_valid(g, witness)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_certificate_names_the_degree(self, monkeypatch, k):
+        """A flow certificate despite the hypotheses (a solver fault, so the
+        flow is stubbed) states the degree it was asked for."""
+        g = complete_bipartite_minus_matching(19, [(i, i) for i in range(19)])
+        cert = make_certificate(path_graph(4), DegreeDemand((2, 2), (2, 2)), (0,))
+        monkeypatch.setattr(bifactor.connect, "find_f_factor", lambda *args: cert)
+        message = f"^no {k}-regular factor despite satisfied hypotheses$"
+        with pytest.raises(TheoremContradictionError, match=message) as err:
+            connected_k_factor(g, k, 3)
+        assert err.value.report is cert
+
 
 def quadrilateral_state(rng: random.Random) -> tuple[BipartiteGraph, Factor]:
     """1-6 quadrilaterals under a random relabelling, as the factor, plus
@@ -722,6 +754,15 @@ class TestHamilton:
         with pytest.raises(HypothesisViolatedError) as err:
             hamilton_s13(g)
         assert err.value.hypothesis == "skl_free"
+
+    def test_star_refusal_carries_its_witness(self):
+        g = generate(GenSpec("min-degree-random", 20, seed=4, k=4, p=0.5))
+        with pytest.raises(HypothesisViolatedError, match=r"induced \(1,3\) star pair") as err:
+            hamilton_s13(g)
+        witness = err.value.report
+        assert witness == find_induced_star(g, 1, 3)
+        assert [v.label for v in witness.vertices()] == ["X0", "Y1", "Y6", "X6", "X11", "X13"]
+        assert_star_witness_valid(g, witness)
 
     @staticmethod
     def _assert_unrecognized(monkeypatch, g, factor_edges, message):
