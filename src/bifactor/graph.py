@@ -35,7 +35,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import add, eq, itemgetter, lt
+from operator import add, eq, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -401,9 +401,7 @@ class Factor(BipartiteGraph):
 # could otherwise ask for gigabytes.
 MAX_CLASS_SIZE = 10_000
 
-# The edge lines of a canonical graph file, as serialize_graph writes them.
-_EDGE_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
-
+_DIGITS = str.maketrans("", "", "0123456789")
 
 # Every index spelled as str() writes it, mapped to the index and to the
 # index times MAX_CLASS_SIZE, shared by every direct read of a canonical
@@ -434,6 +432,16 @@ def _line_runs(body: str, chunk: int = 1 << 16) -> Iterator[tuple[int, int]]:
         stop = body.rfind("\n", pos, pos + chunk) + 1 or body.find("\n", pos + chunk) + 1 or end
         yield pos, stop
         pos = stop
+
+
+def _edge_tokens(run: str) -> list[str] | None:
+    """The numerals of ``run`` if it is whole "<x> <y>\\n" lines of ASCII
+    digits, else None: only such a run ends in "\\n" and, its digits
+    deleted, leaves " \\n" once per two numerals."""
+    tokens = run.split()
+    if run[-1:] == "\n" and run.translate(_DIGITS) == " \n" * (len(tokens) >> 1):
+        return tokens
+    return None
 
 
 def _header(lines: list[str], usage: str) -> tuple[int, str, tuple[int, ...]]:
@@ -521,22 +529,15 @@ def parse_graph(text: str) -> BipartiteGraph:
 
 def _read_canonical(n_x: int, n_y: int, m: int, body: str) -> BipartiteGraph | None:
     """The graph whose edge lines are ``body``, read straight into its
-    adjacency, or None unless every line is two unsigned decimal integers,
-    one space apart, ending in "\\n", and the m edges are canonical: each
-    endpoint spelled as str() writes an index in range, and the keys
-    x * MAX_CLASS_SIZE + y strictly ascending, so sorted by (x, y) with
-    no repeat.
+    adjacency, or None unless each run of lines from _line_runs passes
+    _edge_tokens and the m edges are canonical: each endpoint spelled as
+    str() writes an index in range, and the keys x * MAX_CLASS_SIZE + y
+    strictly ascending, so sorted by (x, y) with no repeat.
 
-    Endpoints are converted by lookup in the module's spelling table, not
-    by int().  The table is shared by every read and grown to the larger
-    class, never past MAX_CLASS_SIZE, so it may spell indices beyond this
-    graph's classes: x < n_x and y < n_y are checked explicitly.  The body
-    is read in runs of whole lines from _line_runs, each matched against
-    _EDGE_LINES and converted before the next is split: the pattern's
-    repeated group keeps about 100 bytes of backtracking state per line
-    while one match runs, and only one run's token strings are alive at a
-    time; no per-edge object is kept.  A None sends the file to the
-    general reader, which names a bad line.
+    One run's numerals at a time are converted by lookup in the shared
+    spelling table, which may spell indices past this graph's classes:
+    x < n_x is checked on the last key, y < n_y by the transpose's indexing.
+    The X rows are slices of one tuple of all y's, which _stored keeps.
     """
     _spell(max(n_x, n_y))
     index, row_key = _INDEX, _ROW_KEY
@@ -544,9 +545,8 @@ def _read_canonical(n_x: int, n_y: int, m: int, body: str) -> BipartiteGraph | N
     starts = [0]  # where the row of each x up to the last seen begins in ys
     last, x_end = -1, n_x * MAX_CLASS_SIZE
     for pos, stop in _line_runs(body):
-        if _EDGE_LINES.fullmatch(body, pos, stop) is None:
+        if (tokens := _edge_tokens(body[pos:stop])) is None:
             return None
-        tokens = body[pos:stop].split()
         try:
             run_ys = list(map(index.__getitem__, tokens[1::2]))
             keys = list(map(add, map(row_key.__getitem__, tokens[0::2]), run_ys))
@@ -555,18 +555,18 @@ def _read_canonical(n_x: int, n_y: int, m: int, body: str) -> BipartiteGraph | N
         if keys[0] <= last or not all(map(lt, keys, islice(keys, 1, None))):
             return None
         last = keys[-1]
-        if last >= x_end:
-            return None
         row_keys = range(len(starts) * MAX_CLASS_SIZE, last + 1, MAX_CLASS_SIZE)
         starts += map(len(ys).__add__, map(bisect_left, repeat(keys), row_keys))
         ys += run_ys
-    if len(ys) != m:
+    if len(ys) != m or last >= x_end:
         return None
     starts += repeat(m, n_x + 1 - len(starts))
-    adj_x = list(map(ys.__getitem__, map(slice, starts, islice(starts, 1, None))))
-    if max(map(itemgetter(-1), filter(None, adj_x)), default=-1) >= n_y:  # rows ascend
+    adj_x = list(map(tuple(ys).__getitem__, map(slice, starts, islice(starts, 1, None))))
+    try:
+        adj_y = _transpose(adj_x, n_y)
+    except IndexError:  # a y of n_y or more
         return None
-    return _stored(BipartiteGraph, n_x, n_y, adj_x, _transpose(adj_x, n_y))
+    return _stored(BipartiteGraph, n_x, n_y, adj_x, adj_y)
 
 
 def _edge_text(graph: BipartiteGraph) -> list[str]:

@@ -18,6 +18,7 @@ a recursive augmenting search whose phases can also report the vertices
 on a shortest augmenting path, the violator shrink as first written,
 which re-evaluates every trial set from scratch, the graph reader
 and constructor as first written, which check every edge line by line,
+the canonical edge-line layout as the pattern first written to check it,
 the factor reader as first written, with its own header and edge-line
 loop, the stuck report as first written, which looks up each vertex's
 component through per-vertex accessors and scans its neighbourhood
@@ -36,6 +37,7 @@ from __future__ import annotations
 import faulthandler
 import os
 import random
+import re
 import sys
 from collections.abc import Iterator
 from itertools import combinations
@@ -69,6 +71,11 @@ from bifactor.errors import (
 )
 from bifactor.factors import _evaluate_violation
 from bifactor.graph import MAX_CLASS_SIZE
+
+# The edge lines of a canonical graph file, as serialize_graph writes them:
+# the pattern the bulk reader matched each run of lines against when it
+# was first written.
+REFERENCE_EDGE_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
 
 # Seconds one test may run, from the setup of the fixtures it needs, of
 # every scope, to its teardown; the slowest, test_criterion_5's module

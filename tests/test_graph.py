@@ -5,7 +5,7 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifactor import (
@@ -39,16 +39,17 @@ from bifactor.errors import (
 )
 import bifactor.graph as graph_module
 from bifactor.graph import (
-    _EDGE_LINES,
     _INDEX,
     MAX_CLASS_SIZE,
     _component_labels,
+    _edge_tokens,
     _line_runs,
     _read_canonical,
     _spell,
 )
 
 from conftest import (
+    REFERENCE_EDGE_LINES,
     assert_same_factor,
     bipartite_graphs,
     chain_host,
@@ -402,6 +403,30 @@ NOT_CANONICAL_EDGES = [
     "bipartite 2 2 2\n0 0\n123456789012345678901234567890 1\n",
 ]
 
+# Files whose edge lines the bulk read must refuse although str.split()
+# finds two numerals on each: another separator, a CRLF body, and a digit
+# that int() reads but the ASCII-only layout refuses.
+NOT_CANONICAL_LAYOUT = [
+    "bipartite 2 2 2\n0\x0b0\n1 1\n",
+    "bipartite 2 2 2\n0\x1c0\n1 1\n",
+    "bipartite 2 2 2\n0 0\r\n1 1\r\n",
+    "bipartite 2 2 2\n0 0\n\u0661 1\n",
+]
+
+# Canonical files at the edges of what the bulk read must take: empty X
+# rows at the start, in the middle and at the end, no edges in nonempty
+# classes, and a y of n_y - 1.
+CANONICAL_EDGE_CASES = [
+    "bipartite 3 2 2\n1 0\n2 1\n",
+    "bipartite 3 2 2\n0 0\n2 1\n",
+    "bipartite 3 2 2\n0 0\n1 1\n",
+    "bipartite 4 2 2\n1 1\n2 0\n",
+    "bipartite 3 2 0\n",
+    "bipartite 3 2 0",
+    "bipartite 2 3 1\n1 2\n",
+    "bipartite 2 3 2\n0 2\n1 2\n",
+]
+
 
 def _assert_refused_directly(text: str) -> None:
     """The direct read refuses ``text``'s body, and parse_graph gives the
@@ -485,37 +510,63 @@ class TestAgainstFirstWritten:
         assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
 
     @given(
-        st.lists(st.sampled_from(["0 0\n", "12 345\n", "7 7\n", "1  2\n", "1 2", "\n", " 1 2\n", "1 x\n"])),
+        st.lists(
+            st.sampled_from(
+                ["0 0\n", "12 345\n", "7 7\n", "1  2\n", "1 2", "\n", " 1 2\n", "1 x\n", "7", " 1\n"]
+                + [f"1{c}2\n" for c in "\t\x0b\x0c\x1c\x85\xa0\u3000"]
+                + ["1 2\r\n", "\u0663 1\n", "1 \uff10\n", "+1 2\n", "1 -1\n"]
+            )
+        ),
         st.integers(1, 12),
     )
+    @example([" 1\n", "7"], 12)  # two numerals and " \n" once, but one numeral is the tail
+    @settings(max_examples=400, deadline=None)
     def test_canonical_check_in_runs_of_lines(self, parts, chunk):
-        """Matched run by run, as _read_canonical matches it, in runs of
+        """Checked run by run, as _read_canonical checks it, in runs of
         whole lines, some of them shorter than a line, a body is canonical
-        exactly when one match of all of it says so."""
+        exactly when the reference pattern matches all of it; a body
+        checked as one run, whatever its last line, is too, and its
+        numerals are those str.split() finds."""
         body = "".join(parts)
-        runs_match = all(_EDGE_LINES.fullmatch(body, *run) for run in _line_runs(body, chunk))
-        assert runs_match == (_EDGE_LINES.fullmatch(body) is not None)
+        canonical = REFERENCE_EDGE_LINES.fullmatch(body) is not None
+        runs = [body[start:stop] for start, stop in _line_runs(body, chunk)]
+        assert all(_edge_tokens(run) is not None for run in runs) == canonical
+        if body:
+            assert _edge_tokens(body) == (body.split() if canonical else None)
 
     @pytest.mark.parametrize("tail", ["", "1 x\n"])
     def test_canonical_check_memory_is_bounded(self, tail):
-        """The run-by-run match _read_canonical makes, on a 200,000-line
+        """The run-by-run check _read_canonical makes, on a 200,000-line
         body, canonical or bad in its last line, peaks at well under the
-        ~20 MB that one match of the whole body holds."""
+        ~20 MB that one match of the whole body by the reference pattern
+        holds."""
         body = "".join(f"{i % 1000} {i % 997}\n" for i in range(200_000)) + tail
         tracemalloc.start()
         try:
-            assert all(_EDGE_LINES.fullmatch(body, *run) for run in _line_runs(body)) == (not tail)
+            checked = (_edge_tokens(body[start:stop]) for start, stop in _line_runs(body))
+            assert all(tokens is not None for tokens in checked) == (not tail)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
 
-    @pytest.mark.parametrize("text", NOT_CANONICAL_EDGES)
+    @pytest.mark.parametrize("text", NOT_CANONICAL_EDGES + NOT_CANONICAL_LAYOUT)
     def test_canonical_shape_not_canonical_edges(self, text):
         """Files in the shape of a canonical file whose edges are not
-        canonical: the direct read refuses them, and the general reader
-        gives the first-written reader's graph or error."""
+        canonical, and files whose edge lines split into two numerals each
+        but are not laid out as serialize_graph writes them: the direct
+        read refuses them, and the general reader gives the first-written
+        reader's graph or error."""
         _assert_refused_directly(text)
+
+    @pytest.mark.parametrize("text", CANONICAL_EDGE_CASES)
+    def test_canonical_edge_cases_read_directly(self, text):
+        """Canonical files with empty rows, no edges or a last y of
+        n_y - 1 are read directly, into the first-written reader's graph."""
+        head, _, body = text.partition("\n")
+        n_x, n_y, m = map(int, head.split()[1:])
+        assert _read_canonical(n_x, n_y, m, body) is not None
+        assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
 
     def test_shared_spelling_table_widens_nothing(self):
         """Once a 1,200 + 1,200 graph is read, the shared spelling table
