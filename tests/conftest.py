@@ -25,8 +25,10 @@ component through per-vertex accessors and scans its neighbourhood
 again for the inside count, and the Hamilton pipeline's checks on a
 stuck state as first written, which scan every neighbourhood for
 foreign components and probe every pair of components for the weave,
-and the Hamilton cycle line as first written, which filters a list of
-neighbours and builds a VertexRef at every step.
+the Hamilton cycle line as first written, which filters a list of
+neighbours and builds a VertexRef at every step, and the small-host
+enumerator as first written, which walks every edge mask cell by cell and
+tests connectivity by union-find.
 
 Every test runs under a time limit: a test that hangs ends the run with
 a traceback of every thread and a nonzero exit instead of stalling it.
@@ -40,7 +42,7 @@ import random
 import re
 import sys
 from collections.abc import Iterator
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import TextIO
 
 import pytest
@@ -56,6 +58,7 @@ from bifactor import (
     VertexRef,
     ViolatorCertificate,
     audit_certificate,
+    enumerate_bipartite_block,
     find_links,
     make_certificate,
 )
@@ -236,6 +239,39 @@ def components(n_x: int, n_y: int, edges) -> list[tuple[list[int], list[int]]]:
         xs, ys = out.setdefault(r, ([], []))
         (xs if a < n_x else ys).append(a if a < n_x else a - n_x)
     return list(out.values())
+
+
+def reference_enumerate_bipartite_block(n_x: int, n_y: int) -> Iterator[BipartiteGraph]:
+    """enumerate_bipartite_block as first written: every edge mask in
+    ascending order, cell (x, y) at bit x * n_y + y, its edges picked cell
+    by cell and kept when union-find finds them spanning and connected."""
+    cells = [(x, y) for x in range(n_x) for y in range(n_y)]
+    for mask in range(1 << len(cells)):
+        edges = [cells[i] for i in range(len(cells)) if mask >> i & 1]
+        if len(edges) < n_x + n_y - 1:
+            continue
+        if component_count(n_x, n_y, edges) == 1:
+            yield BipartiteGraph(n_x, n_y, edges)
+
+
+def assert_same_block(n_x: int, n_y: int) -> int:
+    """Check that enumerate_bipartite_block yields the reference's graphs in
+    the reference's order, both adjacency sides compared (graph equality
+    reads only N(x)); returns how many there are."""
+    count = 0
+    for got, want in zip_longest(
+        enumerate_bipartite_block(n_x, n_y), reference_enumerate_bipartite_block(n_x, n_y)
+    ):
+        assert got is not None and want is not None, f"{n_x}x{n_y}: lengths differ after {count}"
+        assert (got.n_x, got.n_y, got.m, got._adj_x, got._adj_y) == (
+            want.n_x,
+            want.n_y,
+            want.m,
+            want._adj_x,
+            want._adj_y,
+        ), f"{n_x}x{n_y}: graph {count} differs"
+        count += 1
+    return count
 
 
 def _count_after(graph: BipartiteGraph, factor: Factor, removed, added) -> int:

@@ -36,6 +36,8 @@ from bifactor.generators import (
     _threshold,
 )
 
+from conftest import assert_same_block
+
 
 def reference_mix(seed: int, count: int) -> list[int]:
     """The documented recurrence, restated here from its constants."""
@@ -325,6 +327,19 @@ class TestEnumeration:
                 for g in enumerate_bipartite_block(n_x, n_y):
                     assert g.is_connected()
                     assert g.m >= g.n_vertices - 1
+
+    @pytest.mark.parametrize(
+        "n_x, n_y",
+        [(a, b) for a in range(1, 5) for b in range(1, 5)]
+        + [(5, b) for b in (1, 2, 3)]
+        + [(a, 5) for a in (1, 2, 3)],
+    )
+    def test_same_graphs_in_same_order_as_reference(self, n_x, n_y):
+        """The row-mask walk yields the cell-by-cell walk's graphs, in its
+        ascending edge-mask order; 4x5 and 5x4 (2^20 masks) run in CI."""
+        count = assert_same_block(n_x, n_y)
+        if (n_x, n_y) == (4, 4):
+            assert count == 36317
 
     @pytest.mark.parametrize("bad", [0, 6, -1])
     def test_size_gate(self, bad):
