@@ -325,40 +325,21 @@ class Factor(BipartiteGraph):
     Component ids are assigned in discovery order scanning X0..X(n-1),
     Y0..Y(n-1), so they are stable across runs.
 
-    ``Factor(host, edges)`` takes edges in any order and validates them
-    as the BipartiteGraph constructor does.  The flow and the connecting
-    loop, which already hold the factor's sorted adjacency, build their
-    results with ``_from_adjacency`` instead; both ways check every edge
-    against the host, each factor row against its host row by a merge
-    walk, and label the components from scratch.  Like the graph, a factor
-    stores its adjacency only.
+    ``Factor(host, edges)`` takes edges in any order, validates them as
+    the BipartiteGraph constructor does, checks every edge against the
+    host, each factor row against its host row by a merge walk, and labels
+    the components afresh.  The flow and the connecting loop, which
+    already hold the factor's sorted adjacency and take their edges from
+    host rows, build their results with ``_from_adjacency`` instead: no
+    host walk, and the loop hands over the labels it tracks.
+    ``connect.check_factor`` is the independent check of a pipeline's
+    answer.  Like the graph, a factor stores its adjacency only.
     """
 
     __slots__ = ("host", "comp_x", "comp_y", "n_components")
 
     def __init__(self, host: BipartiteGraph, edges: Iterable[Edge]):
         super().__init__(host.n_x, host.n_y, edges)
-        self._attach(host)
-
-    @classmethod
-    def _from_adjacency(
-        cls,
-        host: BipartiteGraph,
-        adj_x: Iterable[Sequence[int]],
-        adj_y: Iterable[Sequence[int]],
-    ) -> "Factor":
-        """The factor with the given adjacency on the host's vertices.
-
-        One list per X and per Y vertex, each ascending, the two sides
-        listing the same edges: they are stored as they are, with no sort
-        and no duplicate or range pass.
-        """
-        self = _stored(cls, host.n_x, host.n_y, adj_x, adj_y)
-        self._attach(host)
-        return self
-
-    def _attach(self, host: BipartiteGraph) -> None:
-        """Check every edge against the host, then label the components."""
         stray = _stray_edge(self._adj_x, host._adj_x)
         if stray is not None:
             raise IndexOutOfRangeError(f"factor edge {stray} not in host graph")
@@ -366,6 +347,31 @@ class Factor(BipartiteGraph):
         self.comp_x, self.comp_y, self.n_components = _component_labels(
             self._adj_x, self._adj_y
         )
+
+    @classmethod
+    def _from_adjacency(
+        cls,
+        host: BipartiteGraph,
+        adj_x: Iterable[Sequence[int]],
+        adj_y: Iterable[Sequence[int]],
+        labels: tuple[tuple[int, ...], tuple[int, ...], int] | None = None,
+    ) -> "Factor":
+        """The factor with the given adjacency on the host's vertices, from
+        a producer whose edges are host edges.
+
+        One list per X and per Y vertex, each ascending, the two sides
+        listing the same edges: they are stored as they are, with no sort,
+        no duplicate or range pass and no walk of the host.  ``labels``,
+        when given, is (comp_x, comp_y, n_components) in the discovery
+        order _component_labels gives; otherwise the components are
+        labelled afresh.
+        """
+        self = _stored(cls, host.n_x, host.n_y, adj_x, adj_y)
+        self.host = host
+        if labels is None:
+            labels = _component_labels(self._adj_x, self._adj_y)
+        self.comp_x, self.comp_y, self.n_components = labels
+        return self
 
     def regularity(self) -> int | None:
         """Common degree when the factor is regular, else None."""

@@ -28,7 +28,9 @@ foreign components and probe every pair of components for the weave,
 the Hamilton cycle line as first written, which filters a list of
 neighbours and builds a VertexRef at every step, and the small-host
 enumerator as first written, which walks every edge mask cell by cell and
-tests connectivity by union-find.
+tests connectivity by union-find.  The flow's and the connecting loop's
+factors, which skip the host walk, are compared with the validating build
+Factor(host, edge_list), which walks the host and labels afresh.
 
 Every test runs under a time limit: a test that hangs ends the run with
 a traceback of every thread and a nonzero exit instead of stalling it.
@@ -58,11 +60,15 @@ from bifactor import (
     VertexRef,
     ViolatorCertificate,
     audit_certificate,
+    check_factor,
+    connect_factor,
     enumerate_bipartite_block,
+    find_f_factor,
     find_links,
     make_certificate,
+    serialize_stuck_report,
 )
-from bifactor.connect import DegreeAuditRecord, LinkIsolation, _Exchanger
+from bifactor.connect import DegreeAuditRecord, LinkIsolation, _build_stuck_report, _Exchanger
 from bifactor.errors import (
     DuplicateEdgeError,
     FakeCertificateError,
@@ -1266,6 +1272,48 @@ def assert_same_factor(got: Factor, want: Factor) -> None:
         want.comp_x, want.comp_y, want.n_components
     )
     assert got == want and hash(got) == hash(want)
+
+
+def assert_pipeline_as_rebuilt(
+    host: BipartiteGraph, k: int, l: int | None = None
+) -> Factor | StuckReport:
+    """The flow's k-factor of ``host`` and connect_factor's result on it
+    each equal the validating build Factor(host, edge_list), which walks
+    the host and labels afresh, and pass check_factor.  A stuck
+    result's factor is compared too, and its report's bytes must equal
+    those of the report on the rebuilt factor.  Returns
+    connect_factor's result.
+    """
+    start = find_f_factor(host, DegreeDemand.uniform(host, k))
+    assert isinstance(start, Factor), start
+    assert_same_factor(start, Factor(host, start.edge_list))
+    check_factor(host, start, k, connected=False)
+    result = connect_factor(host, start, l=l)
+    stuck = isinstance(result, StuckReport)
+    end = result.factor if stuck else result
+    rebuilt = Factor(host, end.edge_list)
+    assert_same_factor(end, rebuilt)
+    check_factor(host, end, k, connected=not stuck)
+    if stuck:
+        want = _build_stuck_report(host, rebuilt, k, l)
+        assert serialize_stuck_report(result) == serialize_stuck_report(want)
+    return result
+
+
+def linked_quadrilateral_host(n: int) -> BipartiteGraph:
+    """K(n, n) minus the perfect matching x = y on X0.. and Y0.., and the
+    quadrilateral Xn, X(n+1), Yn, Y(n+1) joined to it by the one edge
+    Xn-Y(n-1).
+
+    That edge is a bridge, so every 2-factor holds the quadrilateral and
+    no exchange merges it: at k = 2 the connecting loop merges the rest
+    and sticks with two components.  When the flow's 2-factor of the rest
+    has several components, the quadrilateral's id in the loop's tracking
+    is not 1, its id in discovery order.
+    """
+    dense = [(x, y) for x in range(n) for y in range(n) if x != y]
+    square = [(x, y) for x in (n, n + 1) for y in (n, n + 1)]
+    return BipartiteGraph(n + 2, n + 2, dense + square + [(n, n - 1)])
 
 
 @pytest.fixture

@@ -57,11 +57,14 @@ from conftest import (
     RescanExchanger,
     apply_swap,
     assert_regular_spanning,
+    assert_pipeline_as_rebuilt,
     assert_same_factor,
     assert_star_witness_valid,
     block_host,
     block_hosts,
     component_count,
+    components,
+    linked_quadrilateral_host,
     reference_connect,
     reference_cycle_order,
     reference_hamilton_after_stuck,
@@ -343,6 +346,133 @@ class TestConnectLoop:
             got = connect_factor(g, find_f_factor(g, DegreeDemand.uniform(g, k)))
             assert got.n_components == 1
             assert_same_factor(got, Factor(g, reversed(got.edge_list)))
+
+
+def connect_loop_hosts(seed: int):
+    """(host, k) for each host of the connect-loop workload at ``seed``,
+    built as its set-up builds them: K(n, n) minus a perfect matching, n
+    40 to 100 in steps of 4, k = 2, and k = 3 too up to n = 56."""
+    rng = random.Random(seed)
+    for n in range(40, 101, 4):
+        for k in (2, 3) if n <= 56 else (2,):
+            yield generate(GenSpec("k-minus-matching", n, seed=rng.getrandbits(32))), k
+
+
+def cycle_union_host(choose) -> BipartiteGraph:
+    """A connected host on 4+4 to 8+8 vertices with a 2-factor.
+
+    Disjoint 2-regular blocks of 2 or more vertices a side (even cycles)
+    under a random relabelling, up to n random extra cells, and one edge
+    between consecutive components.  With few extra cells the connecting
+    loop often merges some blocks and sticks with several components
+    left.  ``choose(lo, hi)`` makes every random choice, bounds inclusive.
+    """
+    n = left = choose(4, 8)
+    factor_edges, start = [], 0
+    while left:
+        size = choose(2, left)
+        if left - size < 2:
+            size = left
+        factor_edges += [(start + i, start + (i + t) % size) for i in range(size) for t in (0, 1)]
+        start, left = start + size, left - size
+    perm_x, perm_y = list(range(n)), list(range(n))
+    for perm in (perm_x, perm_y):
+        for i in range(n - 1, 0, -1):
+            j = choose(0, i)
+            perm[i], perm[j] = perm[j], perm[i]
+    edges = {(perm_x[x], perm_y[y]) for x, y in factor_edges}
+    for _ in range(choose(0, n)):
+        edges.add((choose(0, n - 1), choose(0, n - 1)))
+    comps = components(n, n, edges)
+    for (xs, _), (_, ys) in zip(comps, comps[1:]):
+        edges.add((xs[choose(0, len(xs) - 1)], ys[choose(0, len(ys) - 1)]))
+    return BipartiteGraph(n, n, edges)
+
+
+@st.composite
+def cycle_union_hosts(draw):
+    return cycle_union_host(lambda lo, hi: draw(st.integers(lo, hi)))
+
+
+def _renumbered_when_stuck(host: BipartiteGraph) -> bool:
+    """Whether the connecting loop at k = 2 sticks with labels that its
+    result must renumber: its tracked ids differ from discovery order."""
+    state = _Exchanger(host, find_f_factor(host, DegreeDemand.uniform(host, 2)), 2)
+    while state.count > 1 and state.step() is not None:
+        pass
+    got = state.factor()
+    return got.n_components > 1 and (got.comp_x, got.comp_y) != (
+        tuple(state.comp_x), tuple(state.comp_y)
+    )
+
+
+class TestFactorsBuiltOnce:
+    """The flow's and the loop's factors skip the host walk, and the loop's
+    hands over its tracked labels; each must still equal the validating
+    build Factor(host, edge_list), and stuck reports keep every byte."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_connect_loop_hosts(self, seed):
+        outcomes = [assert_pipeline_as_rebuilt(host, k) for host, k in connect_loop_hosts(seed)]
+        assert len(outcomes) == 21
+        assert all(isinstance(got, Factor) for got in outcomes)
+
+    @given(cycle_union_hosts())
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_hosts(self, host):
+        assert_pipeline_as_rebuilt(host, 2, l=3)
+
+    def test_seeded_hosts_reach_renumbered_stuck_states(self):
+        """The drawn family does reach stuck states whose tracked labels are
+        not in discovery order, and each of them, with every other
+        outcome, equals the validating rebuild."""
+        outcomes = Counter()
+        for seed in range(300):
+            host = cycle_union_host(random.Random(seed).randint)
+            got = assert_pipeline_as_rebuilt(host, 2, l=3)
+            if isinstance(got, Factor):
+                outcomes["connected"] += 1
+            else:
+                outcomes["renumbered" if _renumbered_when_stuck(host) else "stuck"] += 1
+        assert set(outcomes) == {"connected", "stuck", "renumbered"}, outcomes
+
+    def test_linked_quadrilateral_host(self):
+        host = linked_quadrilateral_host(40)
+        report = assert_pipeline_as_rebuilt(host, 2, l=3)
+        assert isinstance(report, StuckReport) and report.factor.n_components == 2
+        assert _renumbered_when_stuck(host)
+
+    def test_pipelines_check_their_answer(self, monkeypatch):
+        """connected_k_factor and hamilton_s13 run check_factor on what they
+        return, on the loop's path and on the woven-cycle path: the check
+        of every edge against the host rests on that call."""
+        calls = []
+        real = bifactor.connect.check_factor
+
+        def recorder(graph, factor, k, connected):
+            calls.append((graph, factor, k, connected))
+            real(graph, factor, k, connected)
+
+        monkeypatch.setattr(bifactor.connect, "check_factor", recorder)
+        dense = {n: complete_bipartite_minus_matching(n, [(i, i) for i in range(n)]) for n in (13, 19)}
+        quads = []
+        for i in range(3):
+            j = (i + 1) % 3
+            quads += [(2 * i + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
+            quads += [(2 * j + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
+        woven = BipartiteGraph(6, 6, quads)
+        start = find_f_factor(woven, DegreeDemand.uniform(woven, 2))
+        assert isinstance(connect_factor(woven, start), StuckReport)  # so the answer is woven
+        for graph, run, k in (
+            (dense[13], lambda g: connected_k_factor(g, 2, 3), 2),
+            (dense[19], lambda g: connected_k_factor(g, 3, 3), 3),
+            (complete_bipartite(5, 5), hamilton_s13, 2),
+            (woven, hamilton_s13, 2),
+        ):
+            got = run(graph)
+            assert calls[-1] == (graph, got, k, True)
+            assert calls[-1][1] is got
+        assert len(calls) == 4
 
 
 def _same_as_reference(graph: BipartiteGraph, factor: Factor, l: int | None) -> str:

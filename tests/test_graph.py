@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import pytest
@@ -14,6 +15,7 @@ from bifactor import (
     Factor,
     GenSpec,
     VertexRef,
+    check_factor,
     complete_bipartite,
     complete_bipartite_minus_matching,
     cycle_graph,
@@ -237,14 +239,22 @@ class TestFactor:
         edges = data.draw(st.lists(st.sampled_from(host.edge_list), unique=True)) if host.m else []
         assert_same_factor(_via_adjacency(host, edges), Factor(host, edges))
 
-    def test_from_adjacency_rejects_edge_missing_from_host(self):
+    def test_check_factor_catches_a_stray_edge_handed_over(self):
+        """_from_adjacency trusts its producer and does not walk the host;
+        check_factor, which every pipeline runs on its answer, names the
+        first edge the host lacks, as the constructor does."""
         g = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
-        for edges in ([(0, 0), (0, 1)], [(1, 0)], [(0, 1), (1, 0)]):
-            with pytest.raises(IndexOutOfRangeError) as err:
-                _via_adjacency(g, edges)
-            with pytest.raises(IndexOutOfRangeError) as want:
+        for edges, stray in (
+            ([(0, 0), (0, 1)], (0, 1)),
+            ([(1, 0)], (1, 0)),
+            ([(0, 1), (1, 0)], (0, 1)),
+        ):
+            f = _via_adjacency(g, edges)
+            with pytest.raises(AssertionError) as err:
+                check_factor(g, f, 1, connected=False)
+            assert str(err.value) == f"edge {stray} not in host"
+            with pytest.raises(IndexOutOfRangeError, match=re.escape(f"factor edge {stray} not")):
                 Factor(g, edges)
-            assert str(err.value) == str(want.value)
 
 
 def _via_adjacency(host: BipartiteGraph, edges) -> Factor:
