@@ -7,7 +7,9 @@ Exit codes are part of the contract:
     2   certified non-existence (violator written)
     3   connectivity search stuck (report written)
     4   pipeline hypothesis violated
-    64  usage or parse error, or out of memory
+    64  usage or parse error, out of memory, or a contradiction in
+        ``factor``: a flow that stalls, or a factor failing check_factor
+        (no file written)
 
 Status goes to stdout; factors, certificates and reports go to files.
 """
@@ -21,6 +23,7 @@ from pathlib import Path
 
 from .connect import (
     StuckReport,
+    check_factor,
     connected_k_factor,
     cycle_order,
     hamilton_s13,
@@ -99,6 +102,10 @@ def cmd_factor(args) -> int:
         _write(out, serialize_certificate(got))
         print(f"no {args.k}-regular factor: violator written to {out}")
         return EXIT_NO_FACTOR
+    try:
+        check_factor(graph, got, args.k, connected=False)
+    except AssertionError as exc:
+        raise TheoremContradictionError(f"flow factor failed its check: {exc}") from None
     out = args.out or args.graph + ".factor"
     _write(out, serialize_factor(got))
     print(f"factor written to {out} ({got.n_components} components)")

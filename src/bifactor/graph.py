@@ -89,39 +89,31 @@ class BipartiteGraph:
         self.n_y = n_y
         if iter(edges) is edges:
             edges = list(edges)  # one pass only: keep the input order for _checked_edges
+        # One sort, linear on presorted input, puts a repeat next to its twin;
+        # a fault raises, and only then is the input walked to name it.
         try:
-            if self._index(edges):
-                return
-        except (TypeError, ValueError, IndexError):
-            pass
-        self._index(_checked_edges(n_x, n_y, zip(repeat(None), edges)))
-
-    def _index(self, edges: Iterable[Edge]) -> bool:
-        """Store the edge count and the sorted adjacency lists.
-
-        Returns False, storing nothing, when an edge repeats or its x is out
-        of range, or when some y is negative; a y of n_y or more raises
-        IndexError.  Sorting is linear on presorted input, such as
-        edge_list slices, and a repeated edge sits next to its twin in the
-        sorted list.
-        """
-        ordered = sorted(edges)
-        if any(map(eq, ordered, islice(ordered, 1, None))) or (
-            ordered and not (0 <= ordered[0][0] and ordered[-1][0] < self.n_x)
-        ):
-            return False
-        adj_x: list[list[int]] = [[] for _ in range(self.n_x)]
-        adj_y: list[list[int]] = [[] for _ in range(self.n_y)]
-        for x, y in ordered:
-            adj_x[x].append(y)
-            adj_y[y].append(x)
-        # Each adj_x list is ascending, so a negative y heads its list.
-        if any(a[0] < 0 for a in adj_x if a):
-            return False
-        self.m = len(ordered)
-        self._adj_x = tuple(map(tuple, adj_x))
-        self._adj_y = tuple(map(tuple, adj_y))
-        return True
+            ordered = sorted(edges)
+            if any(map(eq, ordered, islice(ordered, 1, None))) or (
+                ordered and not (0 <= ordered[0][0] and ordered[-1][0] < n_x)
+            ):
+                raise IndexError
+            adj_x: list[list[int]] = [[] for _ in range(n_x)]
+            adj_y: list[list[int]] = [[] for _ in range(n_y)]
+            for x, y in ordered:
+                adj_x[x].append(y)
+                adj_y[y].append(x)  # IndexError for a y of n_y or more
+            if any(a[0] < 0 for a in adj_x if a):  # a negative y heads its row
+                raise IndexError
+            self.m = len(ordered)
+            self._adj_x = tuple(map(tuple, adj_x))
+            self._adj_y = tuple(map(tuple, adj_y))
+            return
+        except (TypeError, ValueError, IndexError) as exc:
+            fault = exc
+        checked = _checked_edges(n_x, n_y, zip(repeat(None), edges))
+        if all(type(e) is tuple for e in edges):  # no fault to name: an endpoint is no int
+            raise fault
+        BipartiteGraph.__init__(self, n_x, n_y, checked)  # pairs that sort only as tuples
 
     # -- basic accessors ---------------------------------------------------
 

@@ -784,6 +784,42 @@ def reference_graph_init(n_x: int, n_y: int, edges) -> _ReferenceGraph:
     return self
 
 
+def _graph_outcome(build, n_x: int, n_y: int, edges):
+    """The adjacency ``build`` stores, or the class and text of what it raised."""
+    try:
+        g = build(n_x, n_y, edges)
+    except Exception as exc:  # the reference's outcome may be any exception
+        return type(exc).__name__, str(exc)
+    return "graph", (g.n_x, g.n_y, g._adj_x, g._adj_y)
+
+
+def assert_constructor_as_reference(cases: int, seed: int) -> dict[str, int]:
+    """Check BipartiteGraph against reference_graph_init on ``cases`` seeded
+    random edge lists: classes of 0-40 vertices, up to 200 edges, distinct
+    and in range in about half the lists, each endpoint from -1 to its
+    class size + 1 in the others, an extra copy of one edge in half of
+    them, handed over as a list, a tuple or a generator.  Returns how many
+    lists gave each outcome."""
+    rng = random.Random(seed)
+    counts: dict[str, int] = {}
+    for case in range(cases):
+        n_x, n_y = rng.randint(0, 40), rng.randint(0, 40)
+        size = rng.randint(0, 200)
+        if n_x and n_y and rng.random() < 0.5:
+            cells = rng.sample(range(n_x * n_y), min(size, n_x * n_y))
+            edges = [divmod(c, n_y) for c in cells]
+        else:
+            edges = [(rng.randint(-1, n_x + 1), rng.randint(-1, n_y + 1)) for _ in range(size)]
+        if edges and rng.random() < 0.5:
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+        kind = rng.choice((list, tuple, iter))
+        got = _graph_outcome(BipartiteGraph, n_x, n_y, kind(edges))
+        want = _graph_outcome(reference_graph_init, n_x, n_y, kind(edges))
+        assert got == want, f"case {case}: {n_x}x{n_y} {kind.__name__} {edges}"
+        counts[got[0]] = counts.get(got[0], 0) + 1
+    return counts
+
+
 def reference_parse_graph(text: str) -> _ReferenceGraph:
     """parse_graph as first written: one loop over the lines that checks
     each edge's range and repeats itself, then hands the edges to

@@ -68,6 +68,30 @@ class TestFactorCommand:
         assert main(["factor", path, "--k", "1", "--out", target]) == 0
         assert (tmp_path / "m.factor").exists()
 
+    @pytest.mark.parametrize(
+        "adj_x, adj_y, problem",
+        [
+            # (0, 1) is the one non-edge of the host
+            ([[1], [0]], [[1], [0]], "edge (0, 1) not in host"),
+            ([[0], []], [[0], []], "X degrees [1, 0] != 1"),
+        ],
+        ids=["non-host-edge", "wrong-degree"],
+    )
+    def test_factor_failing_its_check_is_not_written(
+        self, graph_file, tmp_path, monkeypatch, capsys, adj_x, adj_y, problem
+    ):
+        """The flow's factor is checked against the host and k before it is
+        written; a wrong one is a contradiction, reported on one line."""
+        host = BipartiteGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
+        monkeypatch.setattr(
+            cli, "find_f_factor", lambda graph, demand: Factor._from_adjacency(graph, adj_x, adj_y)
+        )
+        path = graph_file(host)
+        assert main(["factor", path, "--k", "1"]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: flow factor failed its check: {problem}\n"
+        assert os.listdir(tmp_path) == ["host.graph"]
+
     def test_negative_k_is_usage_error(self, graph_file):
         assert main(["factor", graph_file(complete_bipartite(2, 2)), "--k", "-1"]) == 64
 
@@ -288,6 +312,19 @@ class TestConnectCommand:
         text = (tmp_path / "host.graph.stuck").read_text()
         assert "EQ10 ALL HOLDS" in text
         assert capsys.readouterr().err == f"error: not chained; report written to {path}.stuck\n"
+
+    def test_contradiction_without_report(self, graph_file, tmp_path, monkeypatch, capsys):
+        """A contradiction that carries no report exits 3 with its message
+        and writes no file."""
+
+        def boom(graph, k, l):
+            raise TheoremContradictionError("injected")
+
+        monkeypatch.setattr(cli, "connected_k_factor", boom)
+        path = graph_file(complete_bipartite(4, 4))
+        assert main(["connect", path, "--k", "2", "--l", "3"]) == 3
+        assert capsys.readouterr() == ("", "error: injected\n")
+        assert os.listdir(tmp_path) == ["host.graph"]
 
     def test_contradicting_certificate_written(self, graph_file, tmp_path, monkeypatch):
         g = complete_bipartite(4, 4)

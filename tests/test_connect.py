@@ -734,6 +734,10 @@ class TestConnectedKFactor:
             check_factor(g, Factor(big, [(0, 0), (1, 1), (2, 2)]), 1, connected=False)
         with pytest.raises(AssertionError, match="2x2 vertices, host on 3x3"):
             check_factor(big, whole, 2, connected=True)
+        # every X vertex has degree k, one Y vertex has not
+        fork = BipartiteGraph(1, 2, [(0, 0), (0, 1)])
+        with pytest.raises(AssertionError, match=r"^Y degrees \[1, 0\] != 1$"):
+            check_factor(fork, Factor(fork, [(0, 0)]), 1, connected=False)
 
     def test_hypothesis_connected(self):
         g = BipartiteGraph(4, 4, SQUARE_A + SQUARE_B)
@@ -777,6 +781,22 @@ class TestConnectedKFactor:
         assert [v.label for v in witness.leaves_u] == ["Y1", "Y3"]
         assert [v.label for v in witness.leaves_v] == ["X2", "X17", "X21"]
         assert_star_witness_valid(g, witness)
+
+    def test_stuck_loop_is_a_contradiction(self, monkeypatch):
+        """A stuck state despite the hypotheses (a loop fault, so the loop
+        is stubbed) raises with the stuck report attached."""
+        g = complete_bipartite_minus_matching(13, [(i, i) for i in range(13)])
+        reports = []
+
+        def stuck(graph, factor, l=None):
+            reports.append(_build_stuck_report(graph, factor, 2, l))
+            return reports[-1]
+
+        monkeypatch.setattr(bifactor.connect, "connect_factor", stuck)
+        message = "^connectivity search stuck despite satisfied hypotheses$"
+        with pytest.raises(TheoremContradictionError, match=message) as err:
+            connected_k_factor(g, 2, 3)
+        assert len(reports) == 1 and err.value.report is reports[0]
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_certificate_names_the_degree(self, monkeypatch, k):

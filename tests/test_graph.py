@@ -52,6 +52,7 @@ from bifactor.graph import (
 
 from conftest import (
     REFERENCE_EDGE_LINES,
+    assert_constructor_as_reference,
     assert_same_factor,
     bipartite_graphs,
     chain_host,
@@ -463,6 +464,44 @@ class TestAgainstFirstWritten:
         n_x, n_y, make = case
         assert _outcome(BipartiteGraph, n_x, n_y, make()) == _outcome(
             reference_graph_init, n_x, n_y, make()
+        )
+
+    def test_constructor_matches_reference_on_seeded_lists(self):
+        """The CI sweep's check, on fewer lists."""
+        counts = assert_constructor_as_reference(500, 2)
+        assert sorted(counts) == ["DuplicateEdgeError", "IndexOutOfRangeError", "graph"]
+
+    @pytest.mark.parametrize(
+        "n_x, n_y, make, error, message",
+        [
+            (-1, 0, list, ValueError, "class sizes must be non-negative"),
+            (0, -1, list, ValueError, "class sizes must be non-negative"),
+            (2, 2, lambda: [(5, 0), ("a", 0)], IndexOutOfRangeError, "edge (5, 0) outside 2x2"),
+            (1, 1, lambda: [(0.5, 0)], TypeError,
+             "list indices must be integers or slices, not float"),
+            (2, 2, lambda: [(1,)], ValueError, "not enough values to unpack (expected 2, got 1)"),
+            (2, 2, lambda: iter([(1, 1), (1, 1)]), DuplicateEdgeError, "edge (1, 1) repeated"),
+            (2, 2, lambda: ((0, 1), [0, 1]), DuplicateEdgeError, "edge (0, 1) repeated"),
+        ],
+    )
+    def test_fault_outcomes(self, n_x, n_y, make, error, message):
+        """Each fault raises as the reference does, with no exception of
+        the sorted pass chained onto it."""
+        with pytest.raises(error) as err:
+            BipartiteGraph(n_x, n_y, make())
+        assert type(err.value) is error and str(err.value) == message
+        assert err.value.__context__ is None
+        assert _outcome(BipartiteGraph, n_x, n_y, make()) == _outcome(
+            reference_graph_init, n_x, n_y, make()
+        )
+
+    def test_pairs_that_sort_only_as_tuples(self):
+        """Lists mixed with tuples do not sort, but name no fault: the
+        edges are indexed as tuples."""
+        g = BipartiteGraph(2, 2, [[1, 1], (0, 0)])
+        assert g._adj_x == ((0,), (1,)) and g._adj_y == ((0,), (1,))
+        assert _outcome(BipartiteGraph, 2, 2, [[1, 1], (0, 0)]) == _outcome(
+            reference_graph_init, 2, 2, [[1, 1], (0, 0)]
         )
 
     @pytest.mark.parametrize(

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 
 import pytest
 
 import bifactor.connect
 import bifactor.suites
-from bifactor import BipartiteGraph
+from bifactor import BipartiteGraph, Factor
 from bifactor.cli import main
 from bifactor.errors import (
     ParamInvalidError,
@@ -125,6 +127,68 @@ def test_cli_prints_a_raising_trial_as_fail(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "oracle-eq[n=2 k=1] FAIL  TheoremContradictionError: injected\n" in out
     assert out.endswith("SUITE oracle-eq 11/12\n") and err == ""
+
+
+def _claims(exists):
+    """brute_force_f_factor with its verdict replaced by ``exists``."""
+    return lambda real: lambda *args: dataclasses.replace(real(*args), exists=exists)
+
+
+def _empty_factor(real):
+    """find_f_factor with every factor it builds replaced by the empty one."""
+
+    def solve(graph, demand):
+        got = real(graph, demand)
+        return Factor(graph, []) if isinstance(got, Factor) else got
+
+    return solve
+
+
+def _x_reversed(real):
+    """rebuild_classified with the X side relabelled in reverse: the same
+    degree multiset, another non-edge matching."""
+
+    def rebuild(graph, cls):
+        r = real(graph, cls)
+        return BipartiteGraph(r.n_x, r.n_y, [(r.n_x - 1 - x, y) for x, y in r.edge_list])
+
+    return rebuild
+
+
+@pytest.mark.parametrize(
+    "suite, max_n, name, wrong, trial, detail",
+    [
+        ("oracle-eq", 1, "brute_force_f_factor", _claims(True),
+         "oracle-eq[n=1 k=2]", "flow says no, oracle built one (BipartiteGraph(1, 1, m=1))"),
+        ("oracle-eq", 1, "audit_certificate", lambda real: lambda *args: False,
+         "oracle-eq[n=1 k=2]", "certificate failed audit (BipartiteGraph(1, 1, m=1))"),
+        ("oracle-eq", 1, "brute_force_f_factor", _claims(False),
+         "oracle-eq[n=1 k=1]", "flow built one, oracle says no (BipartiteGraph(1, 1, m=1))"),
+        ("oracle-eq", 1, "find_f_factor", _empty_factor,
+         "oracle-eq[n=1 k=1]", "flow factor not 1-regular (BipartiteGraph(1, 1, m=1))"),
+        ("prop-s12", 1, "find_induced_star", lambda real: lambda *args: "witness",
+         "prop-s12[1x1]", "classifier and detector disagree (BipartiteGraph(1, 1, m=1))"),
+        ("prop-s12", 1, "rebuild_classified", lambda real: lambda graph, cls: BipartiteGraph(1, 1, []),
+         "prop-s12[1x1]", "rebuilt path degree multiset differs (BipartiteGraph(1, 1, m=1))"),
+        ("prop-s12", 3, "rebuild_classified", _x_reversed,
+         "prop-s12[2x3]", "rebuilt non-edge matching differs (BipartiteGraph(2, 3, m=5))"),
+    ],
+    ids=["flow-says-no", "audit", "oracle-says-no", "not-regular", "disagree", "degrees",
+         "non-edges"],
+)
+def test_wrong_answer_fails_its_trial(monkeypatch, capsys, suite, max_n, name, wrong, trial, detail):
+    """An exhaustive suite that gets a wrong answer prints the trial as FAIL
+    with what went wrong, and verify exits 1.  The suite runs on classes
+    up to ``max_n``."""
+    runner = {"oracle-eq": "run_oracle_eq", "prop-s12": "run_prop_s12"}[suite]
+    monkeypatch.setattr(
+        bifactor.suites, runner, functools.partial(getattr(bifactor.suites, runner), max_n=max_n)
+    )
+    monkeypatch.setattr(bifactor.suites, name, wrong(getattr(bifactor.suites, name)))
+    assert main(["verify", suite]) == 1
+    out, err = capsys.readouterr()
+    assert [line for line in out.splitlines() if " FAIL " in line][0] == f"{trial} FAIL  {detail}"
+    assert err == ""
 
 
 def _record(log, fn):
