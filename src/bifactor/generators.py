@@ -45,6 +45,7 @@ from .graph import (
     BipartiteGraph,
     Edge,
     Factor,
+    _stored,
     complete_bipartite_minus_matching,
     cycle_graph,
     double_graph,
@@ -358,17 +359,16 @@ def enumerate_bipartite_block(n_x: int, n_y: int):
     x * n_y + y: X(n_x - 1)'s row is the most significant digit.  What
     ``verify oracle-eq`` and ``verify prop-s12`` print, and which host each
     of exhaustive-small's shuffled operation labels names, depend on it.
-    Every graph comes from the validated constructor
-    ``BipartiteGraph(n_x, n_y, edges)``.
+    Each graph is stored straight from its masks: rows_x[r] lists the y's
+    of row mask r and rows_y[c] the x's of column mask c, ascending and
+    free of repeats by construction, so every host shares the tables'
+    row tuples and no edge list is built or checked.
     """
     if not (1 <= n_x <= 5 and 1 <= n_y <= 5):
         raise ParamInvalidError("class sizes must lie in [1, 5]")
     full = (1 << n_y) - 1
-    # edges_of[x][r]: the edges of X x when its neighbour mask is r, y ascending
-    edges_of = [
-        [[(x, y) for y in range(n_y) if r >> y & 1] for r in range(full + 1)]
-        for x in range(n_x)
-    ]
+    rows_x = [tuple(y for y in range(n_y) if r >> y & 1) for r in range(full + 1)]
+    rows_y = [tuple(x for x in range(n_x) if c >> x & 1) for c in range(1 << n_x)]
     # A connected host gives every x an edge, so no row mask is 0.  product
     # varies its last digit fastest; reversed, that digit is X0's row.
     for masks in product(range(1, full + 1), repeat=n_x):
@@ -388,7 +388,10 @@ def enumerate_bipartite_block(n_x: int, n_y: int):
             left = rest
         if left or reach != full:
             continue
-        edges: list[Edge] = []
-        for table, row in zip(edges_of, masks):
-            edges += table[row]
-        yield BipartiteGraph(n_x, n_y, edges)
+        cols = [0] * n_y
+        for x, row in enumerate(masks):
+            for y in rows_x[row]:
+                cols[y] |= 1 << x
+        yield _stored(
+            BipartiteGraph, n_x, n_y, [rows_x[r] for r in masks], [rows_y[c] for c in cols]
+        )

@@ -204,7 +204,14 @@ class BipartiteGraph:
 def _stored(
     cls: type, n_x: int, n_y: int, adj_x: Iterable[Sequence[int]], adj_y: Iterable[Sequence[int]]
 ):
-    """A ``cls`` holding the given sorted adjacency as tuples, unchecked."""
+    """A ``cls`` holding the given sorted adjacency as tuples, unchecked.
+
+    Rows that are already tuples are kept as the same objects, so hosts
+    built from shared rows share them.  Its callers hold rows already
+    known sorted, repeat-free and in range: the canonical graph reader,
+    ``Factor._from_adjacency``, ``complete_bipartite_minus_matching`` and
+    ``generators.enumerate_bipartite_block``.
+    """
     self = cls.__new__(cls)
     self.n_x, self.n_y = n_x, n_y
     self._adj_x = tuple(map(tuple, adj_x))
@@ -659,20 +666,26 @@ def complete_bipartite_minus_matching(n: int, matching: Iterable[Edge]) -> Bipar
     """K_{n,n} minus a (not necessarily perfect) matching.
 
     The removed pairs must be vertex-disjoint; MatchingNotDisjointError
-    otherwise.
+    otherwise.  A pair with an endpoint that is no int in [0, n) raises
+    IndexOutOfRangeError.  Each row is [0, n) less the one vertex its
+    pair removes, if any; unmatched rows share one tuple.
     """
     pairs = list(matching)
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise MatchingNotDisjointError("removed pairs share a vertex")
-    removed = set()
     for x, y in pairs:
-        if not (0 <= x < n and 0 <= y < n):
+        if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < n and 0 <= y < n):
             raise IndexOutOfRangeError(f"matching pair ({x}, {y}) outside {n}x{n}")
-        removed.add((x, y))
-    edges = [(x, y) for x in range(n) for y in range(n) if (x, y) not in removed]
-    return BipartiteGraph(n, n, edges)
+    if n < 0:
+        raise ValueError("class sizes must be non-negative")
+    row = tuple(range(n))
+    adj_x, adj_y = [row] * n, [row] * n
+    for x, y in pairs:
+        adj_x[x] = row[:y] + row[y + 1 :]
+        adj_y[y] = row[:x] + row[x + 1 :]
+    return _stored(BipartiteGraph, n, n, adj_x, adj_y)
 
 
 def double_graph(base: BipartiteGraph) -> BipartiteGraph:

@@ -61,6 +61,7 @@ from bifactor import (
     ViolatorCertificate,
     audit_certificate,
     check_factor,
+    complete_bipartite_minus_matching,
     connect_factor,
     enumerate_bipartite_block,
     find_f_factor,
@@ -818,6 +819,30 @@ def assert_constructor_as_reference(cases: int, seed: int) -> dict[str, int]:
         assert got == want, f"case {case}: {n_x}x{n_y} {kind.__name__} {edges}"
         counts[got[0]] = counts.get(got[0], 0) + 1
     return counts
+
+
+def assert_minus_matching_as_constructed(n: int, seed: int, size: int | None = None) -> None:
+    """Check complete_bipartite_minus_matching(n, pairs) against
+    BipartiteGraph(n, n, edges) on the edges of K(n,n) less the same
+    pairs: ``size`` (n when None) seeded vertex-disjoint pairs, handed
+    over in seeded order.  Both adjacency sides, m, == and hash agree."""
+    rng = random.Random(seed)
+    size = n if size is None else size
+    ys = rng.sample(range(n), n)
+    pairs = [(x, ys[x]) for x in rng.sample(range(n), size)]
+    removed = set(pairs)
+    got = complete_bipartite_minus_matching(n, pairs)
+    want = BipartiteGraph(
+        n, n, [(x, y) for x in range(n) for y in range(n) if (x, y) not in removed]
+    )
+    assert (got.n_x, got.n_y, got.m, got._adj_x, got._adj_y) == (
+        want.n_x,
+        want.n_y,
+        want.m,
+        want._adj_x,
+        want._adj_y,
+    ), f"n={n} seed={seed} size={size}"
+    assert got == want and hash(got) == hash(want)
 
 
 def reference_parse_graph(text: str) -> _ReferenceGraph:

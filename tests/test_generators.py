@@ -341,6 +341,14 @@ class TestEnumeration:
         if (n_x, n_y) == (4, 4):
             assert count == 36317
 
+    def test_hosts_share_row_tuples(self):
+        """All 36,317 4+4 hosts, held at once, share the 15 nonempty rows
+        of each side: one tuple object per row mask, not one per host."""
+        hosts = list(enumerate_bipartite_block(4, 4))
+        assert len(hosts) == 36317
+        assert len({id(row) for g in hosts for row in g._adj_x}) <= 15
+        assert len({id(row) for g in hosts for row in g._adj_y}) <= 15
+
     @pytest.mark.parametrize("bad", [0, 6, -1])
     def test_size_gate(self, bad):
         """A class size outside [1, 5] on either side is refused."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 import tracemalloc
 
@@ -53,6 +54,7 @@ from bifactor.graph import (
 from conftest import (
     REFERENCE_EDGE_LINES,
     assert_constructor_as_reference,
+    assert_minus_matching_as_constructed,
     assert_same_factor,
     bipartite_graphs,
     chain_host,
@@ -989,6 +991,34 @@ class TestConstructions:
     def test_minus_matching_rejects_shared_vertex(self):
         with pytest.raises(MatchingNotDisjointError):
             complete_bipartite_minus_matching(3, [(0, 0), (0, 1)])
+
+    @pytest.mark.parametrize(
+        "n, pairs, error, message",
+        [
+            (3, [(1.5, 2)], IndexOutOfRangeError, "matching pair (1.5, 2) outside 3x3"),
+            (3, [(0, "1")], IndexOutOfRangeError, "matching pair (0, 1) outside 3x3"),
+            (3, [(0, 3)], IndexOutOfRangeError, "matching pair (0, 3) outside 3x3"),
+            # a shared vertex is named before a pair out of range ...
+            (3, [(0, 5), (0, 6)], MatchingNotDisjointError, "removed pairs share a vertex"),
+            # ... and a pair out of range before a negative n
+            (-1, [(0, 0)], IndexOutOfRangeError, "matching pair (0, 0) outside -1x-1"),
+            (-1, [], ValueError, "class sizes must be non-negative"),
+        ],
+    )
+    def test_minus_matching_faults_in_order(self, n, pairs, error, message):
+        """A pair that names no vertex, a float among them, is refused as
+        out of range rather than matching no edge."""
+        with pytest.raises(error) as err:
+            complete_bipartite_minus_matching(n, pairs)
+        assert type(err.value) is error and str(err.value) == message
+
+    @pytest.mark.parametrize("n", range(41))
+    def test_minus_matching_as_constructed(self, n):
+        """Rows built straight from the pairs equal the validated
+        constructor's, for perfect and partial seeded matchings."""
+        for seed in range(3):
+            assert_minus_matching_as_constructed(n, seed)
+            assert_minus_matching_as_constructed(n, seed, random.Random(seed).randint(0, n))
 
     def test_cycle(self):
         g = cycle_graph(3)
