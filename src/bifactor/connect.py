@@ -36,10 +36,11 @@ components only merge: a y that shares x's component goes on sharing it,
 so the prefix never holds a link, and the first exchangeable link, hence
 every move, is the one a scan from X0 over whole rows would find.  The
 loop builds a ``Factor`` once, at the end, from that adjacency as it
-stands, still sorted, so nothing is sorted or indexed again, and hands
-it the tracked labels, renumbered into discovery order in one pass.  The
-result does not walk the host: every edge the loop adds was found by
-bisecting a host row.  ``check_factor``, which both pipelines run on
+stands, still sorted, so nothing is sorted or indexed again.  The
+loop's ids stay internal: it tells a connected result by its component
+count, and the result labels itself on first read, as a stuck report
+reads it.  It does not walk the host: every edge the loop adds was found
+by bisecting a host row.  ``check_factor``, which both pipelines run on
 their answer, is the independent check of its edges and components.
 
 A factor on which no exchange merges two components is *stuck*.  Stuck
@@ -236,15 +237,8 @@ class _Exchanger:
         self.count -= 1
 
     def factor(self) -> Factor:
-        """The factor as it stands, its labels renumbered in one pass into
-        the discovery order of _component_labels: ids by first appearance
-        over X0..X(n-1), then Y0..Y(n-1)."""
-        ids: dict[int, int] = {}
-        comp_x = tuple([ids.setdefault(c, len(ids)) for c in self.comp_x])
-        comp_y = tuple([ids.setdefault(c, len(ids)) for c in self.comp_y])
-        return Factor._from_adjacency(
-            self.graph, self.adj_x, self.adj_y, (comp_x, comp_y, len(ids))
-        )
+        """The factor as it stands, labelled afresh on its first read."""
+        return Factor._from_adjacency(self.graph, self.adj_x, self.adj_y)
 
 
 # -- stuck-state reporting -----------------------------------------------------
@@ -406,7 +400,7 @@ def connect_factor(
             if trace is not None:
                 trace.append((move, state.count))
         current = state.factor()
-        if current.n_components <= 1:
+        if state.count <= 1:
             return current
     if not graph.is_connected():
         raise NotConnectedError("host graph is disconnected; no factor can connect it")

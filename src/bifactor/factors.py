@@ -27,8 +27,8 @@ sink's layer.  A saturating flow hands its per-vertex edge lists to the
 Factor, each x's sorted and each y's already ascending, so the factor
 stores them as its adjacency, not sorted and indexed again.  The flow
 only moves along host arcs, so the factor does not walk the host to
-check its edges; it labels its components afresh, which the
-connecting loop and ``bifactor factor`` read.  ``connect.check_factor``
+check its edges; it labels its components on first read, as the
+connecting loop and ``bifactor factor`` do.  ``connect.check_factor``
 is the independent check of a pipeline's answer.
 """
 

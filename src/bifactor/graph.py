@@ -322,17 +322,17 @@ class Factor(BipartiteGraph):
     A factor is a bipartite graph on the host's vertices whose edges are
     host edges; vertices without factor edges sit in singleton components.
     Component ids are assigned in discovery order scanning X0..X(n-1),
-    Y0..Y(n-1), so they are stable across runs.
+    Y0..Y(n-1), so they are stable across runs, by _component_labels on
+    the first read of ``comp_x``, ``comp_y`` or ``n_components``.
 
     ``Factor(host, edges)`` takes edges in any order, validates them as
-    the BipartiteGraph constructor does, checks every edge against the
-    host, each factor row against its host row by a merge walk, and labels
-    the components afresh.  The flow and the connecting loop, which
-    already hold the factor's sorted adjacency and take their edges from
-    host rows, build their results with ``_from_adjacency`` instead: no
-    host walk, and the loop hands over the labels it tracks.
-    ``connect.check_factor`` is the independent check of a pipeline's
-    answer.  Like the graph, a factor stores its adjacency only.
+    the BipartiteGraph constructor does, and checks each factor row
+    against its host row by a merge walk.  The flow and the connecting
+    loop, which already hold the factor's sorted adjacency and take their
+    edges from host rows, build their results with ``_from_adjacency``
+    instead, with no host walk.  ``connect.check_factor`` is the
+    independent check of a pipeline's answer.  Like the graph, a factor
+    stores its adjacency, and its labels once read.
     """
 
     __slots__ = ("host", "comp_x", "comp_y", "n_components")
@@ -343,9 +343,6 @@ class Factor(BipartiteGraph):
         if stray is not None:
             raise IndexOutOfRangeError(f"factor edge {stray} not in host graph")
         self.host = host
-        self.comp_x, self.comp_y, self.n_components = _component_labels(
-            self._adj_x, self._adj_y
-        )
 
     @classmethod
     def _from_adjacency(
@@ -353,24 +350,24 @@ class Factor(BipartiteGraph):
         host: BipartiteGraph,
         adj_x: Iterable[Sequence[int]],
         adj_y: Iterable[Sequence[int]],
-        labels: tuple[tuple[int, ...], tuple[int, ...], int] | None = None,
     ) -> "Factor":
         """The factor with the given adjacency on the host's vertices, from
         a producer whose edges are host edges.
 
         One list per X and per Y vertex, each ascending, the two sides
         listing the same edges: they are stored as they are, with no sort,
-        no duplicate or range pass and no walk of the host.  ``labels``,
-        when given, is (comp_x, comp_y, n_components) in the discovery
-        order _component_labels gives; otherwise the components are
-        labelled afresh.
+        no duplicate or range pass and no walk of the host.
         """
         self = _stored(cls, host.n_x, host.n_y, adj_x, adj_y)
         self.host = host
-        if labels is None:
-            labels = _component_labels(self._adj_x, self._adj_y)
-        self.comp_x, self.comp_y, self.n_components = labels
         return self
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot or a missing name: label on first read.
+        if name not in ("comp_x", "comp_y", "n_components"):
+            raise AttributeError(f"'Factor' object has no attribute {name!r}")
+        self.comp_x, self.comp_y, self.n_components = _component_labels(self._adj_x, self._adj_y)
+        return getattr(self, name)
 
     def regularity(self) -> int | None:
         """Common degree when the factor is regular, else None."""

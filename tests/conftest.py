@@ -30,7 +30,8 @@ neighbours and builds a VertexRef at every step, and the small-host
 enumerator as first written, which walks every edge mask cell by cell and
 tests connectivity by union-find.  The flow's and the connecting loop's
 factors, which skip the host walk, are compared with the validating build
-Factor(host, edge_list), which walks the host and labels afresh.
+Factor(host, edge_list), which walks the host, and the labels every
+factor computes on first read with union-find's.
 
 Every test runs under a time limit: a test that hangs ends the run with
 a traceback of every thread and a nonzero exit instead of stalling it.
@@ -60,6 +61,7 @@ from bifactor import (
     VertexRef,
     ViolatorCertificate,
     audit_certificate,
+    brute_force_f_factor,
     check_factor,
     complete_bipartite_minus_matching,
     connect_factor,
@@ -67,6 +69,7 @@ from bifactor import (
     find_f_factor,
     find_links,
     make_certificate,
+    serialize_factor,
     serialize_stuck_report,
 )
 from bifactor.connect import DegreeAuditRecord, LinkIsolation, _build_stuck_report, _Exchanger
@@ -246,6 +249,18 @@ def components(n_x: int, n_y: int, edges) -> list[tuple[list[int], list[int]]]:
         xs, ys = out.setdefault(r, ([], []))
         (xs if a < n_x else ys).append(a if a < n_x else a - n_x)
     return list(out.values())
+
+
+def reference_labels(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Component ids in order of first vertex X0.., Y0.., from union-find."""
+    comp_x, comp_y = [-1] * g.n_x, [-1] * g.n_y
+    comps = components(g.n_x, g.n_y, g.edge_list)
+    for c, (xs, ys) in enumerate(comps):
+        for x in xs:
+            comp_x[x] = c
+        for y in ys:
+            comp_y[y] = c
+    return tuple(comp_x), tuple(comp_y), len(comps)
 
 
 def reference_enumerate_bipartite_block(n_x: int, n_y: int) -> Iterator[BipartiteGraph]:
@@ -1335,12 +1350,54 @@ def assert_same_factor(got: Factor, want: Factor) -> None:
     assert got == want and hash(got) == hash(want)
 
 
+def labelled(factor: Factor) -> bool:
+    """Whether ``factor`` holds its component labels yet; reads none, so
+    labels nothing."""
+    try:
+        Factor.comp_x.__get__(factor, Factor)
+    except AttributeError:
+        return False
+    return True
+
+
+def assert_labels_on_read(build, read_by_build: bool = False) -> None:
+    """``build()`` twice: one factor has its labels read at once, the
+    other only after ==, hash and serialize_factor, which must not label
+    it.  Both give the same answers, and both read the labels of
+    reference_labels.  ``read_by_build`` is whether ``build`` itself reads
+    them, as a stuck report does.
+    """
+    first = build()
+    labels = (first.comp_x, first.comp_y, first.n_components)
+    late = build()
+    assert labelled(late) == read_by_build
+    assert late == first and first == late and hash(late) == hash(first)
+    if late.regularity() is not None:
+        assert serialize_factor(late) == serialize_factor(first)
+    assert labelled(late) == read_by_build
+    assert labels == (late.comp_x, late.comp_y, late.n_components) == reference_labels(late)
+
+
+def assert_flow_and_oracle_labels_on_read(host: BipartiteGraph, k: int) -> int:
+    """assert_labels_on_read on the flow's k-factor of ``host`` and on the
+    oracle's k-factor witness, where they exist; how many were checked."""
+    demand = DegreeDemand.uniform(host, k)
+    checked = 0
+    if isinstance(find_f_factor(host, demand), Factor):
+        assert_labels_on_read(lambda: find_f_factor(host, demand))
+        checked += 1
+    if brute_force_f_factor(host, demand.f_x, demand.f_y).exists:
+        assert_labels_on_read(lambda: brute_force_f_factor(host, demand.f_x, demand.f_y).witness)
+        checked += 1
+    return checked
+
+
 def assert_pipeline_as_rebuilt(
     host: BipartiteGraph, k: int, l: int | None = None
 ) -> Factor | StuckReport:
     """The flow's k-factor of ``host`` and connect_factor's result on it
     each equal the validating build Factor(host, edge_list), which walks
-    the host and labels afresh, and pass check_factor.  A stuck
+    the host, and pass check_factor.  A stuck
     result's factor is compared too, and its report's bytes must equal
     those of the report on the rebuilt factor.  Returns
     connect_factor's result.

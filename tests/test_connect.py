@@ -25,12 +25,15 @@ from bifactor import (
     cycle_graph,
     cycle_order,
     double_graph,
+    enumerate_bipartite_block,
     find_f_factor,
     find_links,
     generate,
     hamilton_s13,
     make_certificate,
+    parse_factor,
     path_graph,
+    serialize_factor,
     serialize_stuck_report,
     threshold_c,
     threshold_c_prime,
@@ -56,6 +59,8 @@ from bifactor.structure import find_induced_star
 from conftest import (
     RescanExchanger,
     apply_swap,
+    assert_flow_and_oracle_labels_on_read,
+    assert_labels_on_read,
     assert_regular_spanning,
     assert_pipeline_as_rebuilt,
     assert_same_factor,
@@ -64,6 +69,7 @@ from conftest import (
     block_hosts,
     component_count,
     components,
+    labelled,
     linked_quadrilateral_host,
     reference_connect,
     reference_cycle_order,
@@ -395,8 +401,8 @@ def cycle_union_hosts(draw):
 
 
 def _renumbered_when_stuck(host: BipartiteGraph) -> bool:
-    """Whether the connecting loop at k = 2 sticks with labels that its
-    result must renumber: its tracked ids differ from discovery order."""
+    """Whether the connecting loop at k = 2 sticks with tracked ids that
+    differ from the discovery-order labels its result reads."""
     state = _Exchanger(host, find_f_factor(host, DegreeDemand.uniform(host, 2)), 2)
     while state.count > 1 and state.step() is not None:
         pass
@@ -408,7 +414,7 @@ def _renumbered_when_stuck(host: BipartiteGraph) -> bool:
 
 class TestFactorsBuiltOnce:
     """The flow's and the loop's factors skip the host walk, and the loop's
-    hands over its tracked labels; each must still equal the validating
+    tracked ids stay inside it; each must still equal the validating
     build Factor(host, edge_list), and stuck reports keep every byte."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -423,9 +429,9 @@ class TestFactorsBuiltOnce:
         assert_pipeline_as_rebuilt(host, 2, l=3)
 
     def test_seeded_hosts_reach_renumbered_stuck_states(self):
-        """The drawn family does reach stuck states whose tracked labels are
-        not in discovery order, and each of them, with every other
-        outcome, equals the validating rebuild."""
+        """The drawn family does reach stuck states whose tracked ids are
+        not in discovery order, and the factor of each, labelled on read,
+        with every other outcome, equals the validating rebuild."""
         outcomes = Counter()
         for seed in range(300):
             host = cycle_union_host(random.Random(seed).randint)
@@ -473,6 +479,66 @@ class TestFactorsBuiltOnce:
             assert calls[-1] == (graph, got, k, True)
             assert calls[-1][1] is got
         assert len(calls) == 4
+
+
+@pytest.fixture(scope="module")
+def hosts_4x4() -> list[BipartiteGraph]:
+    return list(enumerate_bipartite_block(4, 4))
+
+
+class TestLabelsOnRead:
+    """Every way of building a factor leaves its labels to its first read,
+    which labels by _component_labels: the ids are union-find's in
+    discovery order, and ==, hash and serialize_factor neither label a
+    factor nor answer otherwise for one labelled first.  Only a stuck
+    result is labelled when handed over: its report reads the labels."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sample_of_4x4_hosts(self, hosts_4x4, k):
+        outcomes = Counter()
+        with_room = [host for host in hosts_4x4 if host.m >= 4 * k]
+        for host in random.Random(k).sample(with_room, 300):
+            demand = DegreeDemand.uniform(host, k)
+            checked = assert_flow_and_oracle_labels_on_read(host, k)
+            assert checked in (0, 2)
+            if not checked:
+                continue
+            flow = find_f_factor(host, demand)
+            assert_labels_on_read(lambda: Factor(host, reversed(flow.edge_list)))
+            assert_labels_on_read(lambda: parse_factor(serialize_factor(flow), host))
+            stuck = isinstance(connect_factor(host, flow), StuckReport)
+            assert_labels_on_read(lambda: _loop_factor(host, demand), read_by_build=stuck)
+            outcomes["stuck" if stuck else "connected"] += 1
+        assert outcomes["stuck"] + outcomes["connected"] > 20, outcomes
+        assert outcomes["connected"] == 0 if k == 1 else outcomes["connected"] > 0
+
+    def test_stuck_results_of_drawn_hosts(self):
+        """Some cycle-union hosts stick, some with loop ids out of discovery
+        order; the stuck factor's labels are still union-find's."""
+        outcomes = Counter()
+        for seed in range(200):
+            host = cycle_union_host(random.Random(seed).randint)
+            demand = DegreeDemand.uniform(host, 2)
+            stuck = isinstance(connect_factor(host, find_f_factor(host, demand)), StuckReport)
+            assert_labels_on_read(lambda: _loop_factor(host, demand), read_by_build=stuck)
+            if stuck:
+                outcomes["out of order" if _renumbered_when_stuck(host) else "stuck"] += 1
+        assert set(outcomes) == {"stuck", "out of order"}, outcomes
+
+    def test_unknown_attribute_is_still_missing(self):
+        f = Factor(complete_bipartite(2, 2), [(0, 0), (1, 1)])
+        assert not hasattr(f, "nope") and not hasattr(f, "__dict__")
+        with pytest.raises(AttributeError, match="'nope'"):
+            f.nope
+        assert not labelled(f)
+        assert f.n_components == 2 and labelled(f)
+        assert (f.comp_x, f.comp_y) == ((0, 1), (0, 1))
+
+
+def _loop_factor(host: BipartiteGraph, demand: DegreeDemand) -> Factor:
+    """The factor connect_factor ends with, from the flow's factor."""
+    result = connect_factor(host, find_f_factor(host, demand), l=3)
+    return result.factor if isinstance(result, StuckReport) else result
 
 
 def _same_as_reference(graph: BipartiteGraph, factor: Factor, l: int | None) -> str:

@@ -58,8 +58,8 @@ from conftest import (
     assert_same_factor,
     bipartite_graphs,
     chain_host,
-    components,
     reference_graph_init,
+    reference_labels,
     reference_parse_factor,
     reference_parse_graph,
 )
@@ -122,18 +122,6 @@ class TestBipartiteGraph:
         b = BipartiteGraph(2, 2, [(1, 1), (0, 0)])
         assert a == b
         assert hash(a) == hash(b)
-
-
-def reference_labels(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Component ids in order of first vertex X0.., Y0.., from union-find."""
-    comp_x, comp_y = [-1] * g.n_x, [-1] * g.n_y
-    comps = components(g.n_x, g.n_y, g.edge_list)
-    for c, (xs, ys) in enumerate(comps):
-        for x in xs:
-            comp_x[x] = c
-        for y in ys:
-            comp_y[y] = c
-    return tuple(comp_x), tuple(comp_y), len(comps)
 
 
 class _Rows(tuple):
