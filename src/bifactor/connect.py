@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     HypothesisViolatedError,
@@ -107,8 +107,7 @@ def threshold_c_prime(k: int, l: int, m: int) -> int:
 # -- links and swaps -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """A host edge joining two distinct factor components."""
 
     u: VertexRef  # X endpoint
@@ -117,8 +116,7 @@ class Link:
     component_v: int
 
 
-@dataclass(frozen=True)
-class SwapMove:
+class SwapMove(NamedTuple):
     """A degree-preserving exchange: drop ``removed``, add ``added``."""
 
     kind: str  # always 'primary'
@@ -244,8 +242,7 @@ class _Exchanger:
 # -- stuck-state reporting -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinkIsolation:
+class LinkIsolation(NamedTuple):
     """Whether the factor neighborhoods at a link are mutually non-adjacent."""
 
     link: Link
@@ -256,8 +253,7 @@ class LinkIsolation:
         return not self.joining_edges
 
 
-@dataclass(frozen=True)
-class DegreeAuditRecord:
+class DegreeAuditRecord(NamedTuple):
     """One measured degree against one bound; ok is None when no bound applies."""
 
     name: str  # 'outside-own-component' | 'inside-own-component'
@@ -267,8 +263,7 @@ class DegreeAuditRecord:
     ok: bool | None
 
 
-@dataclass(frozen=True)
-class StuckReport:
+class StuckReport(NamedTuple):
     factor: Factor
     links: tuple[Link, ...]
     isolation: tuple[LinkIsolation, ...]

@@ -35,16 +35,15 @@ is the independent check of a pipeline's answer.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from itertools import compress
 from operator import le
+from typing import NamedTuple
 
 from .errors import DemandImbalanceError, FakeCertificateError, TheoremContradictionError
 from .graph import BipartiteGraph, Factor
 
 
-@dataclass(frozen=True)
-class DegreeDemand:
+class DegreeDemand(NamedTuple):
     """Required degree for every vertex, one entry per X and Y index."""
 
     f_x: tuple[int, ...]
@@ -63,8 +62,7 @@ class DegreeDemand:
             raise ValueError("demands must be non-negative")
 
 
-@dataclass(frozen=True)
-class ViolatorCertificate:
+class ViolatorCertificate(NamedTuple):
     """A set A of X-indices whose demand outstrips its neighborhood.
 
     ``per_vertex_rhs`` lists (y, min(f(y), deg_A(y))) for exactly the
@@ -274,7 +272,7 @@ def _max_flow(
     raises TheoremContradictionError instead.
     """
     n_x, n_y = graph.n_x, graph.n_y
-    adj, adj_y = list(map(graph.neighbors_x, range(n_x))), graph._adj_y
+    adj, adj_y = graph._adj_x, graph._adj_y
     rx, ry = list(demand.f_x), [*demand.f_y, 1]  # ry[n_y] stops the first phase's lo
     ux: list = [frozenset()] * n_x  # an x without demand never holds an edge
     held: list[list[int]] = [[] for _ in range(n_y)]

@@ -34,10 +34,10 @@ masks and all, still shares nothing with the solver.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
 from itertools import product, repeat
 from operator import eq
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, ParamInvalidError, RetryExhaustedError
 from .graph import (
@@ -142,8 +142,7 @@ def _draws_below(rng: SplitMix64, count: int, threshold: int) -> list[int]:
 MODELS = ("k-minus-matching", "double-cycle", "k-regular-union", "min-degree-random")
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     """Everything that determines a generated graph, bit for bit.
 
     model: one of MODELS.
@@ -248,8 +247,7 @@ def generate(spec: GenSpec) -> BipartiteGraph:
 # -- brute-force oracles --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     """Outcome of an exhaustive search.
 
     exists=True comes with a witness; exists=False means the whole pruned

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import add, eq, lt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -51,19 +50,28 @@ from .errors import (
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True, order=True)
-class VertexRef:
+class _VertexFields(NamedTuple):
+    side: str
+    index: int
+
+
+class VertexRef(_VertexFields):
     """A vertex named by its side ('X' or 'Y') and 0-based index.
 
     Vertices order X before Y, then by index.
     """
 
-    side: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side not in ("X", "Y"):
-            raise ValueError(f"side must be 'X' or 'Y', got {self.side!r}")
+    def __new__(cls, side: str, index: int):
+        if side not in ("X", "Y"):
+            raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
+        return tuple.__new__(cls, (side, index))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> VertexRef:
+        """Build through ``__new__``, so ``_replace`` checks the side too."""
+        return cls(*iterable)
 
     @property
     def label(self) -> str:

@@ -44,14 +44,13 @@ makes at most C(g, 1) + ... + C(g, k) steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyGraphError, NotBipartiteError, NotConnectedError
 from .graph import BipartiteGraph, VertexRef, cycle_graph, path_graph
 
 
-@dataclass(frozen=True)
-class StarWitness:
+class StarWitness(NamedTuple):
     """An induced copy of the joined pair of stars.
 
     center_u carries leaves_u (k of them), center_v carries leaves_v
@@ -228,8 +227,7 @@ def is_skl_free(graph: BipartiteGraph, k: int, l: int) -> bool:
 # -- classification of graphs free of the (1,2)-pattern ------------------------
 
 
-@dataclass(frozen=True)
-class StructureClass:
+class StructureClass(NamedTuple):
     """Classification outcome; exactly one payload matches the tag.
 
     tag is one of 'path', 'even-cycle', 'complete-minus-matching',

@@ -9,7 +9,7 @@ trial instead of propagating, so a suite always reports all of its trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .connect import connected_k_factor, hamilton_s13
 from .errors import BifactorError, ParamInvalidError
@@ -31,8 +31,7 @@ from .structure import classify_s12_free, find_induced_star, is_skl_free, rebuil
 SUITE_NAMES = ("cor4", "cor5", "thm3", "oracle-eq", "prop-s12", "sharp-s13")
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -307,8 +307,9 @@ class _CountingGraph(BipartiteGraph):
 
     __slots__ = ()
 
-    def neighbors_x(self, x: int) -> tuple[int, ...]:
-        return _Counted(self._adj_x[x])
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._adj_x = tuple(map(_Counted, self._adj_x))
 
 
 class _Logged(tuple):
@@ -333,10 +334,12 @@ class _LoggingGraph(BipartiteGraph):
 
     __slots__ = ()
 
-    def neighbors_x(self, x: int) -> tuple[int, ...]:
-        got = _Logged(self._adj_x[x])
-        got.x = x
-        return got
+    def __init__(self, *args):
+        super().__init__(*args)
+        rows = tuple(map(_Logged, self._adj_x))
+        for x, row in enumerate(rows):
+            row.x = x
+        self._adj_x = rows
 
 
 def _searched_per_phase(log: list[int | None]) -> list[set[int]]:
@@ -660,7 +663,7 @@ class TestFlowIdentity:
         assert got.edge_list == tuple(
             (x, y) for x in range(n) for y in range(x - x % k, x - x % k + k)
         )
-        assert _Counted.reads[0] <= n * (k + n.bit_length() + 1)
+        assert 0 < _Counted.reads[0] <= n * (k + n.bit_length() + 1)
 
     @given(st.integers(2, 9), st.integers(2, 9), st.data())
     @settings(max_examples=200, deadline=None)

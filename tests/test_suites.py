@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 
@@ -131,7 +130,7 @@ def test_cli_prints_a_raising_trial_as_fail(monkeypatch, capsys):
 
 def _claims(exists):
     """brute_force_f_factor with its verdict replaced by ``exists``."""
-    return lambda real: lambda *args: dataclasses.replace(real(*args), exists=exists)
+    return lambda real: lambda *args: real(*args)._replace(exists=exists)
 
 
 def _empty_factor(real):
