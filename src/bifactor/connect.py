@@ -438,18 +438,21 @@ def check_factor(
 def cycle_order(factor: Factor) -> tuple[VertexRef, ...]:
     """Vertex rotation of a connected 2-regular factor.
 
-    Starts at X0 and moves toward its lower-indexed factor neighbor.
+    Starts at X0 and moves toward its lower-indexed factor neighbor.  The
+    factor is connected exactly when that walk does not come back to X0
+    before it has taken n_x + n_y steps, so no component labels are read.
     """
-    if factor.regularity() != 2 or not factor.is_connected():
-        raise NotRegularError("cycle order needs a connected 2-regular factor")
-    rows = (factor._adj_x, factor._adj_y)
-    prev, cur = rows[0][0][1], 0  # as if X0 were entered from its higher neighbour
-    order = [0]
-    for step in range(factor.n_x + factor.n_y - 1):
-        a, b = rows[step & 1][cur]  # each row is the two factor neighbours
-        prev, cur = cur, b if a == prev else a
-        order.append(cur)
-    return tuple(VertexRef("XY"[i & 1], v) for i, v in enumerate(order))
+    if factor.regularity() == 2:
+        rows = (factor._adj_x, factor._adj_y)
+        prev, cur = rows[0][0][1], 0  # as if X0 were entered from its higher neighbour
+        order = [0]
+        for step in range(factor.n_x + factor.n_y - 1):
+            a, b = rows[step & 1][cur]  # each row is the two factor neighbours
+            prev, cur = cur, b if a == prev else a
+            order.append(cur)
+        if 0 not in order[2::2]:  # the X positions after the start
+            return tuple(VertexRef("XY"[i & 1], v) for i, v in enumerate(order))
+    raise NotRegularError("cycle order needs a connected 2-regular factor")
 
 
 def _hypotheses(

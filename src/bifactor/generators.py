@@ -26,9 +26,13 @@ reference.
 
 The oracles at the bottom are deliberately naive: backtracking over edge
 subsets with remaining-degree pruning, and exhaustive enumeration of all
-small bipartite graphs, whose X rows are n_y-bit masks.  They exist to
-check the clever code, so they share none of it; the enumerator, bit
-masks and all, still shares nothing with the solver.
+small bipartite graphs, whose X rows are n_y-bit masks.  The enumerator
+nests X0's row inside a walk over the other rows: the other rows' merged
+components are found once per outer step, and X0's row closes a
+connected host exactly when it covers the y's they miss and meets each
+of those components.  The oracles exist to check the clever code, so they
+share none of it; the enumerator, bit masks and all, still shares nothing
+with the solver.
 """
 
 from __future__ import annotations
@@ -357,39 +361,46 @@ def enumerate_bipartite_block(n_x: int, n_y: int):
     x * n_y + y: X(n_x - 1)'s row is the most significant digit.  What
     ``verify oracle-eq`` and ``verify prop-s12`` print, and which host each
     of exhaustive-small's shuffled operation labels names, depend on it.
+    The walk is two nested loops: the outer one over the row masks of
+    X1..X(n_x - 1), the inner one over X0's, so X0 still varies fastest.
+    Once per outer tuple its rows are merged into components, each held
+    as the mask of its y's.  A connected host gives every x an edge, so
+    no row mask is 0, and X0's row m0 closes the host exactly when it
+    covers every y the other rows miss and meets every component.
+
     Each graph is stored straight from its masks: rows_x[r] lists the y's
     of row mask r and rows_y[c] the x's of column mask c, ascending and
     free of repeats by construction, so every host shares the tables'
-    row tuples and no edge list is built or checked.
+    row tuples and no edge list is built or checked.  ``spread[r]`` sets
+    bit y * n_x for each y of row r, so the shifted spreads of all rows
+    OR into every column at once, column y in bits y * n_x onward.
     """
     if not (1 <= n_x <= 5 and 1 <= n_y <= 5):
         raise ParamInvalidError("class sizes must lie in [1, 5]")
-    full = (1 << n_y) - 1
+    full, col_full = (1 << n_y) - 1, (1 << n_x) - 1
     rows_x = [tuple(y for y in range(n_y) if r >> y & 1) for r in range(full + 1)]
-    rows_y = [tuple(x for x in range(n_x) if c >> x & 1) for c in range(1 << n_x)]
-    # A connected host gives every x an edge, so no row mask is 0.  product
-    # varies its last digit fastest; reversed, that digit is X0's row.
-    for masks in product(range(1, full + 1), repeat=n_x):
-        masks = masks[::-1]
-        # OR each row that meets the Y's reached from X0 into them, until
-        # a pass over the rows left reaches none of them.
-        reach, left = masks[0], masks[1:]
-        while left:
-            rest = []
-            for row in left:
-                if row & reach:
-                    reach |= row
-                else:
-                    rest.append(row)
-            if len(rest) == len(left):
-                break
-            left = rest
-        if left or reach != full:
-            continue
-        cols = [0] * n_y
-        for x, row in enumerate(masks):
-            for y in rows_x[row]:
-                cols[y] |= 1 << x
-        yield _stored(
-            BipartiteGraph, n_x, n_y, [rows_x[r] for r in masks], [rows_y[c] for c in cols]
-        )
+    rows_y = [tuple(x for x in range(n_x) if c >> x & 1) for c in range(col_full + 1)]
+    spread = [sum(1 << y * n_x for y in row) for row in rows_x]
+    shifts = range(0, n_x * n_y, n_x)
+    # product varies its last digit fastest; reversed, that digit is X1's row.
+    for outer in product(range(1, full + 1), repeat=n_x - 1):
+        outer = outer[::-1]
+        comps: list[int] = []
+        for row in outer:
+            joined = [c for c in comps if c & row]
+            comps = [c for c in comps if not c & row]
+            comps.append(row | sum(joined))  # the joined masks are disjoint
+        union = sum(comps)
+        cols_rest = sum(spread[row] << x for x, row in enumerate(outer, 1))
+        adj_rest = [rows_x[row] for row in outer]
+        for m0 in range(1, full + 1):
+            if m0 | union != full or not all(m0 & c for c in comps):
+                continue
+            cols = cols_rest | spread[m0]
+            yield _stored(
+                BipartiteGraph,
+                n_x,
+                n_y,
+                [rows_x[m0], *adj_rest],
+                [rows_y[cols >> s & col_full] for s in shifts],
+            )

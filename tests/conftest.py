@@ -28,7 +28,8 @@ foreign components and probe every pair of components for the weave,
 the Hamilton cycle line as first written, which filters a list of
 neighbours and builds a VertexRef at every step, and the small-host
 enumerator as first written, which walks every edge mask cell by cell and
-tests connectivity by union-find.  The flow's and the connecting loop's
+tests connectivity by union-find, and its host counts by inclusion-exclusion
+over X0's component.  The flow's and the connecting loop's
 factors, which skip the host walk, are compared with the validating build
 Factor(host, edge_list), which walks the host, and the labels every
 factor computes on first read with union-find's.
@@ -45,7 +46,9 @@ import random
 import re
 import sys
 from collections.abc import Iterator
+from functools import cache
 from itertools import combinations, zip_longest
+from math import comb
 from typing import TextIO
 
 import pytest
@@ -294,6 +297,24 @@ def assert_same_block(n_x: int, n_y: int) -> int:
         ), f"{n_x}x{n_y}: graph {count} differs"
         count += 1
     return count
+
+
+@cache
+def connected_bipartite_count(a: int, b: int) -> int:
+    """How many connected labelled bipartite graphs have class sizes a >= 1
+    and b, by inclusion-exclusion over X0's component: of the 2^(ab) graphs,
+    those in which X0's component has i X's (X0 among them) and j Y's
+    number C(a-1, i-1) C(b, j) c(i, j) 2^((a-i)(b-j)), and the connected
+    ones are the rest once (i, j) = (a, b) is left out.  A lone X0 is
+    connected; i >= 2 X's with no Y are not."""
+    if b == 0:
+        return int(a == 1)
+    return 2 ** (a * b) - sum(
+        comb(a - 1, i - 1) * comb(b, j) * connected_bipartite_count(i, j) * 2 ** ((a - i) * (b - j))
+        for i in range(1, a + 1)
+        for j in range(b + 1)
+        if (i, j) != (a, b)
+    )
 
 
 def _count_after(graph: BipartiteGraph, factor: Factor, removed, added) -> int:
@@ -1351,13 +1372,15 @@ def assert_same_factor(got: Factor, want: Factor) -> None:
 
 
 def labelled(factor: Factor) -> bool:
-    """Whether ``factor`` holds its component labels yet; reads none, so
-    labels nothing."""
-    try:
-        Factor.comp_x.__get__(factor, Factor)
-    except AttributeError:
-        return False
-    return True
+    """Whether ``factor`` holds any of its component labels (comp_x, comp_y,
+    n_components) yet; reads none, so labels nothing."""
+    for slot in (Factor.comp_x, Factor.comp_y, Factor.n_components):
+        try:
+            slot.__get__(factor, Factor)
+        except AttributeError:
+            continue
+        return True
+    return False
 
 
 def assert_labels_on_read(build, read_by_build: bool = False) -> None:

@@ -746,11 +746,13 @@ class TestCycleOrder:
         g = complete_bipartite(2, 2)
         f = Factor(g, list(g.edge_list))
         assert [v.label for v in cycle_order(f)] == ["X0", "Y0", "X1", "Y1"]
+        assert not labelled(f)
 
     def test_longer_cycle_visits_everything_once(self):
         g = cycle_graph(5)
         f = Factor(g, list(g.edge_list))
         order = cycle_order(f)
+        assert not labelled(f)
         assert len(order) == 10
         assert len(set(order)) == 10
         for a, b in zip(order, order[1:] + order[:1]):
@@ -758,9 +760,12 @@ class TestCycleOrder:
             assert f.host.has_edge(x, y)
 
     def test_rejects_disconnected_or_irregular(self, two_squares_in_k44):
+        """The walk from X0 closes after 4 of 8 steps: the factor is not
+        connected, which the walk alone decides, with no labels read."""
         g, f = two_squares_in_k44
-        with pytest.raises(NotRegularError):
+        with pytest.raises(NotRegularError, match="^cycle order needs a connected 2-regular factor$"):
             cycle_order(f)
+        assert not labelled(f)
 
     def test_matches_first_written_walk(self):
         """The row walk gives the rotation of the walk as first written on

@@ -36,7 +36,7 @@ from bifactor.generators import (
     _threshold,
 )
 
-from conftest import assert_same_block
+from conftest import assert_same_block, connected_bipartite_count
 
 
 def reference_mix(seed: int, count: int) -> list[int]:
@@ -295,6 +295,14 @@ class TestSearchOracles:
                 gc.enable()
 
 
+# Every class-size pair the tier-1 enumeration checks cover.
+_SIZES = (
+    [(a, b) for a in range(1, 5) for b in range(1, 5)]
+    + [(5, b) for b in (1, 2, 3)]
+    + [(a, 5) for a in (1, 2, 3)]
+)
+
+
 class TestEnumeration:
     def test_single_block(self):
         gs = list(enumerate_bipartite_block(1, 1))
@@ -328,18 +336,25 @@ class TestEnumeration:
                     assert g.is_connected()
                     assert g.m >= g.n_vertices - 1
 
-    @pytest.mark.parametrize(
-        "n_x, n_y",
-        [(a, b) for a in range(1, 5) for b in range(1, 5)]
-        + [(5, b) for b in (1, 2, 3)]
-        + [(a, 5) for a in (1, 2, 3)],
-    )
+    @pytest.mark.parametrize("n_x, n_y", _SIZES)
     def test_same_graphs_in_same_order_as_reference(self, n_x, n_y):
-        """The row-mask walk yields the cell-by-cell walk's graphs, in its
-        ascending edge-mask order; 4x5 and 5x4 (2^20 masks) run in CI."""
+        """The nested walk, X0's row innermost, yields the cell-by-cell
+        walk's graphs, in its ascending edge-mask order; 4x5 and 5x4 (2^20
+        masks) run under the ``scale`` marker, in tests/test_scale.py."""
         count = assert_same_block(n_x, n_y)
         if (n_x, n_y) == (4, 4):
             assert count == 36317
+
+    @pytest.mark.parametrize("n_x, n_y", _SIZES)
+    def test_count_by_inclusion_exclusion(self, n_x, n_y):
+        """The walk yields as many hosts as inclusion-exclusion over X0's
+        component counts; 4x5, 5x4 and 5x5 run under the ``scale`` marker."""
+        count = sum(1 for _ in enumerate_bipartite_block(n_x, n_y))
+        assert count == connected_bipartite_count(n_x, n_y)
+        if (n_x, n_y) == (4, 4):
+            assert count == 36317
+        if (n_x, n_y) == (3, 5):
+            assert count == 14221
 
     def test_hosts_share_row_tuples(self):
         """All 36,317 4+4 hosts, held at once, share the 15 nonempty rows
