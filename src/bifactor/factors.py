@@ -15,8 +15,8 @@ The flow keeps its residual state per vertex: the y's of each x's used
 edges, the x's holding an edge at each y, and the demand left at each
 vertex.  The x's with demand left and the y's with capacity left are
 carried from phase to phase as lists, each phase's head filtering the
-last phase's, so past the first phase a head costs the free vertices and
-no longer scans X.  Everything here is deterministic: augmentation scans
+last phase's, so past the first phase a head costs one pass over the
+free vertices.  Everything here is deterministic: augmentation scans
 every arc list lowest index first, so the same input always yields the
 same factor or the same certificate.  The flow's first phase is one
 greedy pass in that same order: each x by index takes its edges to the
@@ -208,7 +208,7 @@ def _max_flow(
     order.  The two lists are carried from phase to phase: since demand
     only falls, each phase's head filters the last phase's lists and
     builds the X levels as all -1 with the free x's set to 1.  Past the
-    first phase the head so costs the free vertices and no longer scans X.
+    first phase the head so costs one pass over the free vertices.
     A phase walks paths source, x, y, x, ..., sink with current-arc
     pointers, taking arcs in a fixed order: at the source x by index; at x
     its unused edges by y; at y its used edges by x, then the sink arc.
@@ -236,8 +236,8 @@ def _max_flow(
     fills (or had no demand to begin with).  Capacity only falls during
     the pass, so the y's of N(x) an x skips are ones its walk would have
     passed over, and it takes the same edges.  Where the y's fill in
-    index order, as on K(n,n) minus a perfect matching, an x no longer
-    walks past the filled part of N(x), half of it on average.
+    index order, as on K(n,n) minus a perfect matching, an x starts its
+    walk past the filled part of N(x), half of it on average.
 
     Before it scans Y layer d from the X frontier, the BFS tests the y's
     of open_ys for an unused edge to the frontier when their total degree

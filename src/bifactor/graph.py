@@ -217,7 +217,8 @@ def _stored(
     Rows that are already tuples are kept as the same objects, so hosts
     built from shared rows share them.  Its callers hold rows already
     known sorted, repeat-free and in range: the canonical graph reader,
-    ``Factor._from_adjacency``, ``complete_bipartite_minus_matching`` and
+    ``Factor._from_adjacency``, ``complete_bipartite_minus_matching``,
+    ``double_graph``, ``structure.rebuild_classified`` and
     ``generators.enumerate_bipartite_block``.
     """
     self = cls.__new__(cls)
@@ -696,19 +697,13 @@ def complete_bipartite_minus_matching(n: int, matching: Iterable[Edge]) -> Bipar
 def double_graph(base: BipartiteGraph) -> BipartiteGraph:
     """Two copies of ``base``; every edge uv contributes uv, u'v', uv', u'v.
 
-    Degrees double, balance and connectivity are preserved.
+    Degrees double, balance and connectivity are preserved.  Vertex i and
+    its copy i' share one stored row: N(i), then N(i) shifted by the other
+    class size, so it is ascending with no edge list to sort or check.
     """
-    edges: list[Edge] = []
-    for x, y in base.edge_list:
-        edges.extend(
-            [
-                (x, y),
-                (x + base.n_x, y + base.n_y),
-                (x, y + base.n_y),
-                (x + base.n_x, y),
-            ]
-        )
-    return BipartiteGraph(2 * base.n_x, 2 * base.n_y, edges)
+    adj_x = [ys + tuple([y + base.n_y for y in ys]) for ys in base._adj_x]
+    adj_y = [xs + tuple([x + base.n_x for x in xs]) for xs in base._adj_y]
+    return _stored(BipartiteGraph, 2 * base.n_x, 2 * base.n_y, adj_x * 2, adj_y * 2)
 
 
 def cycle_graph(half: int) -> BipartiteGraph:

@@ -47,7 +47,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import EmptyGraphError, NotBipartiteError, NotConnectedError
-from .graph import BipartiteGraph, VertexRef, cycle_graph, path_graph
+from .graph import BipartiteGraph, VertexRef, _stored, cycle_graph, path_graph
 
 
 class StarWitness(NamedTuple):
@@ -296,18 +296,16 @@ def classify_s12_free(graph: BipartiteGraph) -> StructureClass:
 def rebuild_classified(graph: BipartiteGraph, cls: StructureClass) -> BipartiteGraph:
     """Re-instantiate the classified shape at the same class sizes.
 
-    Used to confirm a classification: the rebuilt graph must match the
-    original in degree multiset (and in non-edge matching for the third
-    class).
+    Used to confirm a classification: a rebuilt path or even cycle has the
+    host's degree multiset, and a complete-minus-matching host rebuilt from
+    its claimed matching equals the host exactly when the claim is right.
+    A path with more vertices in Y is built from X, then its rows swapped.
     """
     if cls.tag == "path":
-        rebuilt = path_graph(graph.n_vertices)
-        if (rebuilt.n_x, rebuilt.n_y) != (graph.n_x, graph.n_y):
-            # path starting on the Y side: swap roles, then swap back
-            rebuilt = BipartiteGraph(
-                rebuilt.n_y, rebuilt.n_x, [(y, x) for x, y in rebuilt.edge_list]
-            )
-        return rebuilt
+        path = path_graph(graph.n_vertices)
+        if (path.n_x, path.n_y) == (graph.n_x, graph.n_y):
+            return path
+        return _stored(BipartiteGraph, path.n_y, path.n_x, path._adj_y, path._adj_x)
     if cls.tag == "even-cycle":
         return cycle_graph(graph.n_x)
     if cls.tag == "complete-minus-matching":

@@ -70,10 +70,8 @@ def run_cor5(trials: int = 10, seed: int = 0) -> list[TrialResult]:
 
 
 def _hamilton(build, *args) -> tuple[bool, str]:
-    graph = build(*args)
-    cycle = hamilton_s13(graph)
-    ok = cycle.m == 2 * graph.n_x
-    return ok, "" if ok else f"cycle length {cycle.m} != {2 * graph.n_x}"
+    hamilton_s13(build(*args))
+    return True, ""
 
 
 def run_thm3(trials: int = 10, seed: int = 0) -> list[TrialResult]:
@@ -84,8 +82,8 @@ def run_thm3(trials: int = 10, seed: int = 0) -> list[TrialResult]:
     ``connect_factor`` merges them.  The woven-cycle branch is exercised by
     ``test_woven_cycle_is_checked`` in ``tests/test_suites.py``, on doubled
     cycles labelled quadrilateral by quadrilateral.  Seeded part: dense
-    minus-matching instances, pattern-freeness checked by ``hamilton_s13``
-    itself.
+    minus-matching instances.  ``hamilton_s13`` itself checks the host's
+    pattern-freeness and, by ``check_factor``, its cycle: a fault raises.
     """
     specs = [GenSpec("k-minus-matching", n=n, seed=seed + t) for t, n in _cycled(5, 12, trials)]
     return [
@@ -152,8 +150,7 @@ def _prop_block(n_x: int, n_y: int) -> tuple[bool, str]:
             rebuilt = rebuild_classified(graph, cls)
             if _degree_multiset(rebuilt) != _degree_multiset(graph):
                 return False, f"rebuilt {cls.tag} degree multiset differs ({graph!r})"
-            removed = set(cls.removed_matching or ())
-            if cls.tag == "complete-minus-matching" and removed != _non_edges(rebuilt):
+            if cls.tag == "complete-minus-matching" and rebuilt != graph:
                 return False, f"rebuilt non-edge matching differs ({graph!r})"
         checked += 1
     return True, f"{checked} graphs"
@@ -163,8 +160,8 @@ def run_prop_s12(max_n: int = 4) -> list[TrialResult]:
     """Classifier versus detector on every small connected host.
 
     One trial per class-size pair.  Free shapes must also rebuild to the
-    same degree multiset (and the same non-edge matching for the
-    minus-matching class).
+    same degree multiset, and a minus-matching host, rebuilt from its
+    claimed matching, must be the host itself.
     """
     return [
         _trial(f"prop-s12[{n_x}x{n_y}]", _prop_block, n_x, n_y)
@@ -175,15 +172,6 @@ def run_prop_s12(max_n: int = 4) -> list[TrialResult]:
 
 def _degree_multiset(graph: BipartiteGraph) -> list[list[int]]:
     return [sorted(degrees) for degrees in graph.degrees()]
-
-
-def _non_edges(graph: BipartiteGraph) -> set[tuple[int, int]]:
-    return {
-        (x, y)
-        for x in range(graph.n_x)
-        for y in range(graph.n_y)
-        if not graph.has_edge(x, y)
-    }
 
 
 def run_suite(name: str, trials: int | None = None, seed: int | None = None) -> list[TrialResult]:

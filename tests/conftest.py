@@ -871,14 +871,21 @@ def assert_minus_matching_as_constructed(n: int, seed: int, size: int | None = N
     want = BipartiteGraph(
         n, n, [(x, y) for x in range(n) for y in range(n) if (x, y) not in removed]
     )
+    assert_stored_as_constructed(got, want, f"n={n} seed={seed} size={size}")
+
+
+def assert_stored_as_constructed(got: BipartiteGraph, want: BipartiteGraph, label: str) -> None:
+    """Check a graph whose rows were stored unchecked against ``want``, the
+    same graph built by the validating constructor: class sizes, both
+    adjacency sides (graph equality reads only N(x)), m, == and hash."""
     assert (got.n_x, got.n_y, got.m, got._adj_x, got._adj_y) == (
         want.n_x,
         want.n_y,
         want.m,
         want._adj_x,
         want._adj_y,
-    ), f"n={n} seed={seed} size={size}"
-    assert got == want and hash(got) == hash(want)
+    ), label
+    assert got == want and hash(got) == hash(want), label
 
 
 def reference_parse_graph(text: str) -> _ReferenceGraph:

@@ -8,7 +8,7 @@
 #
 #   bifactor() { python -m bifactor.cli "$@"; }; export -f bifactor
 #   PYTHONPATH=/path/to/repo/src bash /path/to/repo/tests/console_script.sh
-set -e
+set -euo pipefail
 bifactor threshold --k 2 --l 3
 bifactor generate --model k-minus-matching --n 12 --seed 1 --out g.txt
 bifactor factor g.txt --k 2

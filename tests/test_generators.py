@@ -35,6 +35,7 @@ from bifactor.generators import (
     _draws_below,
     _threshold,
 )
+from bifactor.graph import MAX_CLASS_SIZE
 
 from conftest import assert_same_block, connected_bipartite_count
 
@@ -89,6 +90,9 @@ class TestSplitMix:
         draws = [rng.below(10) for _ in range(8)]
         assert draws == [7, 4, 6, 3, 4, 5, 8, 2]
         assert all(0 <= d < 10 for d in draws)
+        with pytest.raises(ValueError) as err:
+            rng.below(0)
+        assert type(err.value) is ValueError and str(err.value) == "bound must be positive"
 
     def test_shuffle(self):
         rng = SplitMix64(7)
@@ -143,6 +147,21 @@ class TestBlockDraws:
         assert _threshold(1.0) == 2**64
 
 
+BAD_SPECS = [
+    (GenSpec("no-such-model", n=4), "unknown model 'no-such-model'"),
+    (GenSpec("k-minus-matching", n=0, k=0), "n must be positive"),
+    (GenSpec("k-minus-matching", n=4, k=5), "matching size cannot exceed n"),
+    (GenSpec("k-regular-union", n=4, k=0), "k-regular-union needs 1 <= k <= n"),
+    (GenSpec("min-degree-random", n=4, k=2, p=1.5), "p must lie in [0, 1]"),
+    (GenSpec("double-cycle", n=1), "double-cycle needs n >= 2"),
+    (GenSpec("min-degree-random", n=4, k=0), "min-degree-random needs 1 <= k <= n"),
+    (GenSpec("min-degree-random", n=4, k=5), "min-degree-random needs 1 <= k <= n"),
+    (GenSpec("k-regular-union", n=MAX_CLASS_SIZE + 1, k=2), f"n must not exceed {MAX_CLASS_SIZE}"),
+    (GenSpec("double-cycle", n=MAX_CLASS_SIZE // 2 + 1),
+     f"double-cycle needs n <= {MAX_CLASS_SIZE // 2}"),
+]
+
+
 class TestGenerate:
     def test_model_names(self):
         assert MODELS == (
@@ -185,19 +204,15 @@ class TestGenerate:
         assert g.min_degree() >= 2
 
     @pytest.mark.parametrize(
-        "spec",
-        [
-            GenSpec("no-such-model", n=4),
-            GenSpec("k-minus-matching", n=0, k=0),
-            GenSpec("k-minus-matching", n=4, k=5),
-            GenSpec("k-regular-union", n=4, k=0),
-            GenSpec("min-degree-random", n=4, k=2, p=1.5),
-            GenSpec("double-cycle", n=1),
-        ],
+        "spec, message",
+        BAD_SPECS,
+        ids=[f"spec{i}" for i in range(len(BAD_SPECS))],
     )
-    def test_rejects_bad_parameters(self, spec):
-        with pytest.raises(ParamInvalidError):
+    def test_rejects_bad_parameters(self, spec, message):
+        """Each bad spec raises ParamInvalidError naming what is wrong."""
+        with pytest.raises(ParamInvalidError) as err:
             generate(spec)
+        assert type(err.value) is ParamInvalidError and str(err.value) == message
 
     def test_disjoint_permutations_retry_exhaustion(self):
         # two disjoint permutations of one element cannot exist
@@ -275,6 +290,10 @@ class TestSearchOracles:
         assert verdict.exists
         assert verdict.witness.regularity() == 2
         assert verdict.witness.is_connected()
+        with pytest.raises(ParamInvalidError) as err:
+            brute_force_connected_k_factor(k33, 0)
+        assert type(err.value) is ParamInvalidError
+        assert str(err.value) == "connected search needs k >= 1"
 
     def test_edge_budget(self):
         with pytest.raises(BudgetExceededError):

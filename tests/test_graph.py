@@ -56,6 +56,7 @@ from conftest import (
     assert_constructor_as_reference,
     assert_minus_matching_as_constructed,
     assert_same_factor,
+    assert_stored_as_constructed,
     bipartite_graphs,
     chain_host,
     reference_graph_init,
@@ -97,6 +98,9 @@ class TestBipartiteGraph:
             BipartiteGraph(2, 2, [(2, 0)])
         with pytest.raises(IndexOutOfRangeError):
             BipartiteGraph(2, 2, [(0, -1)])
+        # an x outside X has no row: has_edge answers False, not IndexError
+        g = complete_bipartite(2, 2)
+        assert not g.has_edge(-1, 0) and not g.has_edge(2, 0) and g.has_edge(1, 0)
 
     def test_vertices_enumerates_x_side_first(self):
         g = BipartiteGraph(2, 1, [])
@@ -964,6 +968,15 @@ class TestFactorReader:
         assert parse_factor(text, K44_LESS_MATCHING).edge_list == K44_LESS_MATCHING.edge_list
 
 
+def _four_copies(base: BipartiteGraph) -> list[tuple[int, int]]:
+    """The edges of base's double by the rule: uv, u'v', uv', u'v per edge uv."""
+    return [
+        edge
+        for x, y in base.edge_list
+        for edge in [(x, y), (x + base.n_x, y + base.n_y), (x, y + base.n_y), (x + base.n_x, y)]
+    ]
+
+
 class TestConstructions:
     def test_complete_bipartite(self):
         g = complete_bipartite(3, 2)
@@ -1022,34 +1035,49 @@ class TestConstructions:
         assert g.is_connected()
         degs = sorted([g.degree_x(x) for x in range(3)] + [g.degree_y(y) for y in range(2)])
         assert degs == [1, 1, 2, 2, 2]
+        with pytest.raises(ValueError) as err:
+            path_graph(0)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "a path needs at least one vertex"
 
     def test_star_pair_shape(self):
         g = star_pair_graph(2, 3)
         assert (g.n_x, g.n_y, g.m) == (4, 3, 6)
         degs = sorted([g.degree_x(x) for x in range(4)] + [g.degree_y(y) for y in range(3)])
         assert degs == [1, 1, 1, 1, 1, 3, 4]
+        for k, l in [(0, 1), (1, 0)]:
+            with pytest.raises(ValueError) as err:
+                star_pair_graph(k, l)
+            assert type(err.value) is ValueError
+            assert str(err.value) == "both stars need at least one leaf"
 
     def test_double_of_path_matches_rule(self):
         """Doubling replaces each edge by the four copies across both halves.
 
         Expected edge set built here from that rule, independent of the
-        implementation.
+        implementation.  The stored rows of the double of a path, and of
+        cycles, K(n,n) minus matchings, unbalanced and seeded bases, equal
+        those the validating constructor builds from the same rule.
         """
         base = path_graph(4)
-        expected = set()
-        for x, y in base.edge_list:
-            expected |= {
-                (x, y),
-                (x + base.n_x, y + base.n_y),
-                (x, y + base.n_y),
-                (x + base.n_x, y),
-            }
         g = double_graph(base)
         assert (g.n_x, g.n_y) == (4, 4)
-        assert set(g.edge_list) == expected
+        assert set(g.edge_list) == set(_four_copies(base))
         assert g.m == 12
         degs = sorted([g.degree_x(x) for x in range(4)] + [g.degree_y(y) for y in range(4)])
         assert degs == [2, 2, 2, 2, 4, 4, 4, 4]
+        bases = [BipartiteGraph(0, 0, []), BipartiteGraph(2, 1, []), star_pair_graph(2, 3)]
+        bases += [path_graph(n) for n in range(1, 8)] + [cycle_graph(n) for n in range(2, 8)]
+        bases += [
+            complete_bipartite_minus_matching(n, [(i, n - 1 - i) for i in range(m)])
+            for n in range(1, 7)
+            for m in (0, n // 2, n)
+        ]
+        bases += [generate(GenSpec("min-degree-random", n, n, 2, 0.3)) for n in range(2, 9)]
+        bases += [generate(GenSpec("k-regular-union", n, n, 3)) for n in range(3, 9)]
+        for base in bases:
+            want = BipartiteGraph(2 * base.n_x, 2 * base.n_y, _four_copies(base))
+            assert_stored_as_constructed(double_graph(base), want, repr(base))
 
     def test_double_doubles_every_degree(self):
         base = complete_bipartite_minus_matching(3, [(0, 0)])

@@ -26,6 +26,7 @@ from bifactor.errors import EmptyGraphError, NotConnectedError
 
 from conftest import (
     assert_star_witness_valid,
+    assert_stored_as_constructed,
     bipartite_graphs,
     chain_host,
     contains_star_pair,
@@ -310,6 +311,10 @@ class TestClassify:
         cls = classify_s12_free(g)
         assert cls.tag == "not-s12-free"
         assert_star_witness_valid(g, cls.witness)
+        with pytest.raises(ValueError) as err:
+            rebuild_classified(g, cls)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "cannot rebuild class 'not-s12-free'"
 
     def test_requires_connected_input(self):
         with pytest.raises(NotConnectedError):
@@ -341,6 +346,20 @@ class TestClassify:
             [rebuilt.degree_x(x) for x in range(g.n_x)]
             + [rebuilt.degree_y(y) for y in range(g.n_y)]
         )
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 8, 9])
+    def test_rebuild_path_starting_in_y(self, n):
+        """A path with more vertices in Y is rebuilt as path_graph with its
+        two sides' rows swapped: stored rows, m, == and hash equal those of
+        the host built by the constructor from the swapped edges.  A path
+        with as many vertices on each side starts in X and is not swapped."""
+        path = path_graph(n)
+        if path.n_x == path.n_y:
+            host = path
+        else:
+            host = BipartiteGraph(path.n_y, path.n_x, [(y, x) for x, y in path.edge_list])
+        rebuilt = rebuild_classified(host, classify_s12_free(host))
+        assert_stored_as_constructed(rebuilt, host, f"n={n}")
 
     def test_rebuild_near_complete_is_exact(self):
         # the non-edge set pins the graph down completely

@@ -154,6 +154,22 @@ def _x_reversed(real):
     return rebuild
 
 
+def _matching_swapped(real):
+    """classify_s12_free naming, for a minus-matching host with two or more
+    removed pairs, the y's of its first two pairs swapped: another matching
+    with the same degree multisets."""
+
+    def classify(graph):
+        cls = real(graph)
+        pairs = cls.removed_matching
+        if cls.tag != "complete-minus-matching" or len(pairs) < 2:
+            return cls
+        (x0, y0), (x1, y1) = pairs[:2]
+        return cls._replace(removed_matching=((x0, y1), (x1, y0)) + pairs[2:])
+
+    return classify
+
+
 @pytest.mark.parametrize(
     "suite, max_n, name, wrong, trial, detail",
     [
@@ -171,9 +187,11 @@ def _x_reversed(real):
          "prop-s12[1x1]", "rebuilt path degree multiset differs (BipartiteGraph(1, 1, m=1))"),
         ("prop-s12", 3, "rebuild_classified", _x_reversed,
          "prop-s12[2x3]", "rebuilt non-edge matching differs (BipartiteGraph(2, 3, m=5))"),
+        ("prop-s12", 3, "classify_s12_free", _matching_swapped,
+         "prop-s12[3x3]", "rebuilt non-edge matching differs (BipartiteGraph(3, 3, m=7))"),
     ],
     ids=["flow-says-no", "audit", "oracle-says-no", "not-regular", "disagree", "degrees",
-         "non-edges"],
+         "non-edges", "swapped-matching"],
 )
 def test_wrong_answer_fails_its_trial(monkeypatch, capsys, suite, max_n, name, wrong, trial, detail):
     """An exhaustive suite that gets a wrong answer prints the trial as FAIL
