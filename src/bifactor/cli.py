@@ -5,13 +5,15 @@ Exit codes are part of the contract:
     0   success
     1   verification suite failure
     2   certified non-existence (violator written)
-    3   connectivity search stuck (report written)
+    3   connectivity search stuck (report written), or a contradiction in
+        ``connect``: an answer failing check_factor (no file written)
     4   pipeline hypothesis violated
     64  usage or parse error, out of memory, or a contradiction in
         ``factor``: a flow that stalls, or a factor failing check_factor
         (no file written)
 
 Status goes to stdout; factors, certificates and reports go to files.
+``main`` returns every exit code; only ``--help`` exits from inside argparse.
 """
 
 from __future__ import annotations
@@ -63,33 +65,26 @@ EXIT_USAGE = 64
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
+        raise ParamInvalidError(message)
 
 
 def _load_graph(path: str) -> BipartiteGraph:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return parse_graph(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        sys.stderr.write(f"error: cannot read {path}: {exc}\n")
-        raise SystemExit(EXIT_USAGE) from None
+        raise ParamInvalidError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         line = exc.object[: exc.start].count(b"\n") + 1
-        sys.stderr.write(f"error: {path}: line {line}: file is not UTF-8 text\n")
-        raise SystemExit(EXIT_USAGE) from None
-    try:
-        return parse_graph(text)
+        raise GraphFormatError(f"{path}: line {line}: file is not UTF-8 text") from exc
     except GraphFormatError as exc:
-        sys.stderr.write(f"error: {path}: {exc}\n")
-        raise SystemExit(EXIT_USAGE) from None
+        raise GraphFormatError(f"{path}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        sys.stderr.write(f"error: cannot write {path}: {exc}\n")
-        raise SystemExit(EXIT_USAGE) from None
+        raise ParamInvalidError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_factor(args) -> int:
@@ -118,10 +113,7 @@ def cmd_connect(args) -> int:
     if args.hamilton and (k, l) != (2, 3):
         raise ParamInvalidError("--hamilton needs --k 2 --l 3")
     try:
-        if args.hamilton:
-            factor = hamilton_s13(graph)
-        else:
-            factor = connected_k_factor(graph, k, l)
+        factor = hamilton_s13(graph) if args.hamilton else connected_k_factor(graph, k, l)
     except (TheoremContradictionError, StructureUnrecognizedError) as exc:
         report = exc.report
         out = args.out or args.graph + ".stuck"
@@ -133,6 +125,9 @@ def cmd_connect(args) -> int:
             sys.stderr.write(f"error: {exc}; violator written to {out}\n")
         else:
             sys.stderr.write(f"error: {exc}\n")
+        return EXIT_STUCK
+    except AssertionError as exc:
+        sys.stderr.write(f"error: connected factor failed its check: {exc}\n")
         return EXIT_STUCK
     out = args.out or args.graph + ".connected"
     cycle = cycle_order(factor) if k == 2 else None
@@ -261,17 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a violated hypothesis exits 4, and any other
-    package error, ValueError or MemoryError exits 64."""
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code: 4 for a violated hypothesis,
+    and 64 for a usage error, an unreadable, undecodable or malformed file, an
+    unwritable output, any other package error, ValueError or MemoryError."""
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except HypothesisViolatedError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_HYPOTHESIS
     except (BifactorError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        return EXIT_HYPOTHESIS if isinstance(exc, HypothesisViolatedError) else EXIT_USAGE
     except MemoryError:
         sys.stderr.write("error: out of memory\n")
         return EXIT_USAGE

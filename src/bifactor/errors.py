@@ -67,7 +67,8 @@ class NotBipartiteError(BifactorError):
 
 
 class ParamOrderError(BifactorError):
-    """Threshold parameters outside the admissible range 2 <= k <= l."""
+    """Threshold parameters outside their admissible range: 2 <= k <= l
+    for threshold_c, and k, l, m >= 1 for threshold_c_prime."""
 
 
 class ParamInvalidError(BifactorError):

@@ -43,6 +43,17 @@ printf 'bipartite 3 2 1\n0 2\n' > range.txt
 rc=0; bifactor factor range.txt --k 1 2> range-err.txt || rc=$?; test "$rc" -eq 64
 grep -q 'line 2: edge (0, 2) outside 3x2' range-err.txt
 rc=0; bifactor factor g.txt --k 2 --out missing/x || rc=$?; test "$rc" -eq 64
+rc=0; bifactor factor no-such.txt --k 1 2> nofile-err.txt || rc=$?; test "$rc" -eq 64
+printf '%s\n' "error: cannot read no-such.txt: [Errno 2] No such file or directory: 'no-such.txt'" > nofile.want
+cmp nofile-err.txt nofile.want
+printf 'bipartite 2 2 1\n0 \xff\n' > latin1.txt
+rc=0; bifactor factor latin1.txt --k 1 2> latin1-err.txt || rc=$?; test "$rc" -eq 64
+printf 'error: latin1.txt: line 2: file is not UTF-8 text\n' > latin1.want
+cmp latin1-err.txt latin1.want
+# the choice list's quoting differs between Python versions
+rc=0; bifactor generate --model nope --n 3 2> model-err.txt || rc=$?; test "$rc" -eq 64
+head -1 model-err.txt | grep -q '^usage: bifactor generate '
+tail -1 model-err.txt | grep -qx "error: argument --model: invalid choice: 'nope' (choose from .*)"
 bifactor generate --model k-minus-matching --n 60 --seed 1 --out big.txt
 bifactor factor big.txt --k 3 --out f3.txt
 test -s f3.txt

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bifactor.connect
 from bifactor import (
     StuckReport,
     cli,
@@ -95,25 +96,20 @@ class TestFactorCommand:
     def test_negative_k_is_usage_error(self, graph_file):
         assert main(["factor", graph_file(complete_bipartite(2, 2)), "--k", "-1"]) == 64
 
-    def test_missing_file(self):
-        with pytest.raises(SystemExit) as err:
-            main(["factor", "/no/such/file", "--k", "1"])
-        assert err.value.code == 64
+    def test_missing_file(self, capsys):
+        assert main(["factor", "/no/such/file", "--k", "1"]) == 64
+        assert capsys.readouterr().err.startswith("error: cannot read /no/such/file: ")
 
     def test_malformed_file_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"
         bad.write_text("bipartite 2 2 1\n9 9\n")
-        with pytest.raises(SystemExit) as err:
-            main(["factor", str(bad), "--k", "1"])
-        assert err.value.code == 64
+        assert main(["factor", str(bad), "--k", "1"]) == 64
         assert "line 2" in capsys.readouterr().err
 
     def test_non_utf8_file_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"
         bad.write_bytes(b"bipartite 2 2 1\n0 \xff\n")
-        with pytest.raises(SystemExit) as err:
-            main(["factor", str(bad), "--k", "1"])
-        assert err.value.code == 64
+        assert main(["factor", str(bad), "--k", "1"]) == 64
         assert "line 2: file is not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", ["0", "1"])
@@ -326,6 +322,31 @@ class TestConnectCommand:
         assert capsys.readouterr() == ("", "error: injected\n")
         assert os.listdir(tmp_path) == ["host.graph"]
 
+    @pytest.mark.parametrize(
+        "host, extra",
+        [
+            (complete_bipartite_minus_matching(13, [(i, i) for i in range(13)]), []),
+            (double_graph(cycle_graph(3)), ["--hamilton"]),
+        ],
+        ids=["connected-k-factor", "hamilton"],
+    )
+    def test_answer_failing_its_check_is_not_written(
+        self, graph_file, tmp_path, monkeypatch, capsys, host, extra
+    ):
+        """Both pipelines check their answer before returning it; a failed
+        check is a contradiction, reported on one line with exit 3."""
+
+        def failing(graph, factor, k, connected):
+            raise AssertionError("factor is not connected")
+
+        monkeypatch.setattr(bifactor.connect, "check_factor", failing)
+        path = graph_file(host)
+        assert main(["connect", path, "--k", "2", "--l", "3", *extra]) == 3
+        assert capsys.readouterr() == (
+            "", "error: connected factor failed its check: factor is not connected\n"
+        )
+        assert os.listdir(tmp_path) == ["host.graph"]
+
     def test_contradicting_certificate_written(self, graph_file, tmp_path, monkeypatch):
         g = complete_bipartite(4, 4)
         cert = make_certificate(path_graph(4), DegreeDemand((2, 2), (2, 2)), (0,))
@@ -409,10 +430,9 @@ class TestGenerateCommand:
         assert parse_graph((tmp_path / "g.graph").read_text()).m == 34
         assert "graph written" in capsys.readouterr().out
 
-    def test_unknown_model_rejected_by_parser(self):
-        with pytest.raises(SystemExit) as err:
-            main(["generate", "--model", "erdos", "--n", "4"])
-        assert err.value.code == 64
+    def test_unknown_model_rejected_by_parser(self, capsys):
+        assert main(["generate", "--model", "erdos", "--n", "4"]) == 64
+        assert "error: argument --model: invalid choice: 'erdos'" in capsys.readouterr().err
 
     def test_invalid_parameters(self):
         assert main(["generate", "--model", "k-regular-union", "--n", "3", "--k", "9"]) == 64
@@ -470,9 +490,7 @@ class TestThresholdCommand:
         assert main(["threshold", "--k", "1", "--l", "2"]) == 64
 
     def test_m_and_raw_are_exclusive(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["threshold", "--k", "2", "--l", "3", "--m", "2", "--raw"])
-        assert err.value.code == 64
+        assert main(["threshold", "--k", "2", "--l", "3", "--m", "2", "--raw"]) == 64
         out, err_text = capsys.readouterr()
         assert out == "" and "not allowed with argument" in err_text
 
@@ -506,10 +524,9 @@ class TestVerifyCommand:
         out, err = capsys.readouterr()
         assert out == "" and f"{suite} is exhaustive: it takes no --trials or --seed" in err
 
-    def test_unknown_suite_rejected_by_parser(self):
-        with pytest.raises(SystemExit) as err:
-            main(["verify", "nope"])
-        assert err.value.code == 64
+    def test_unknown_suite_rejected_by_parser(self, capsys):
+        assert main(["verify", "nope"]) == 64
+        assert "error: argument suite: invalid choice: 'nope'" in capsys.readouterr().err
 
 
 class TestUnwritableOut:
@@ -517,9 +534,7 @@ class TestUnwritableOut:
     on stderr like an unreadable graph file, not a traceback."""
 
     def _assert_cannot_write(self, argv, target, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 64
+        assert main(argv) == 64
         out, errtext = capsys.readouterr()
         assert errtext.startswith(f"error: cannot write {target}: ")
         assert "Traceback" not in out + errtext
@@ -568,10 +583,7 @@ def _run_main(argv):
     """Exit code, stdout and stderr of one in-process main call."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
+        rc = main(argv)
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -603,10 +615,11 @@ class TestParserReuse:
 
 
 class TestUsage:
-    def test_no_command(self):
-        with pytest.raises(SystemExit) as err:
-            main([])
-        assert err.value.code == 64
+    def test_no_command(self, capsys):
+        assert main([]) == 64
+        assert capsys.readouterr().err.endswith(
+            "error: the following arguments are required: command\n"
+        )
 
     def test_installed_entry_point(self):
         proc = subprocess.run(
@@ -721,9 +734,8 @@ class TestFuzz:
     @given(data=mutated_files(), argv=command_lines())
     def test_every_outcome_is_an_exit_code(self, data, argv):
         """Mutated graph files, extreme arguments and --out paths in a
-        missing directory end in a documented exit code; only the
-        SystemExit(64) of argparse, the loader and the writer leave main,
-        and only verify exits 1."""
+        missing directory end in an exit code that main returns, one of
+        0/1/2/3/4/64, and only verify returns 1: no exception leaves main."""
         assume(not _declares_big_class(data))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "host.graph")
@@ -732,10 +744,6 @@ class TestFuzz:
             missing = os.path.join(tmp, "missing", "out")
             argv = [path if a is None else missing if a == MISSING_DIR_OUT else a for a in argv]
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                try:
-                    rc = main(argv)
-                except SystemExit as exc:
-                    assert exc.code == 64
-                    rc = 64
+                rc = main(argv)
         assert rc in (0, 1, 2, 3, 4, 64)
         assert rc != 1 or argv[0] == "verify"

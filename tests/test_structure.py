@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bifactor.structure
 from bifactor import (
     BipartiteGraph,
     VertexRef,
@@ -22,7 +23,7 @@ from bifactor import (
     serialize_star_witness,
     star_pair_graph,
 )
-from bifactor.errors import EmptyGraphError, NotConnectedError
+from bifactor.errors import EmptyGraphError, NotBipartiteError, NotConnectedError
 
 from conftest import (
     assert_star_witness_valid,
@@ -325,6 +326,17 @@ class TestClassify:
         complete-minus-matching host."""
         with pytest.raises(EmptyGraphError):
             classify_s12_free(BipartiteGraph(0, 0, []))
+
+    def test_shapeless_host_without_witness_is_refused(self, monkeypatch):
+        """A host that fits no free shape must hold an induced (1,2) star
+        pair; a detector that finds none puts it outside the domain."""
+        monkeypatch.setattr(bifactor.structure, "find_induced_star", lambda graph, k, l: None)
+        with pytest.raises(NotBipartiteError) as err:
+            classify_s12_free(star_pair_graph(1, 2))
+        assert str(err.value) == (
+            "graph fits no free shape yet no induced copy was found; "
+            "input is outside the classifier's domain"
+        )
 
     @pytest.mark.parametrize(
         "g",

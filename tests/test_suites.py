@@ -9,7 +9,7 @@ import pytest
 
 import bifactor.connect
 import bifactor.suites
-from bifactor import BipartiteGraph, Factor
+from bifactor import BipartiteGraph, Factor, complete_bipartite, cycle_graph
 from bifactor.cli import main
 from bifactor.errors import (
     ParamInvalidError,
@@ -257,6 +257,21 @@ def test_woven_cycle_is_checked(monkeypatch, m):
     cycle = bifactor.connect.hamilton_s13(BipartiteGraph(2 * m, 2 * m, edges))
     assert [out for out, _, _ in woven] == [cycle]
     _assert_checked(checked, cycle, 2)
+
+
+@pytest.mark.parametrize(
+    "run, host, expected",
+    [
+        (run_cor4, complete_bipartite(13, 13), ("cor4[00]", False, "generator broke: min degree 13")),
+        (run_sharp_s13, cycle_graph(6), ("sharp-s13[00]", False, "generator output not 3-regular")),
+    ],
+    ids=["cor4", "sharp-s13"],
+)
+def test_broken_generator_fails_its_trial(monkeypatch, run, host, expected):
+    """A generated host without the degrees its suite relies on fails the
+    trial with a named detail before any pipeline runs."""
+    monkeypatch.setattr(bifactor.suites, "generate", lambda spec: host)
+    assert run(1) == [TrialResult(*expected)]
 
 
 def test_unknown_suite():
