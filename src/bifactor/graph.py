@@ -23,10 +23,11 @@ Factor text format, read against its host graph::
     <x> <y>          (m lines, host edges; every vertex has degree k)
     cycle X0 Y1 ...  (optional, a Hamilton cycle's vertex order; checked)
 
-In both, blank lines and lines starting with '#' may appear anywhere.
-Canonical serialization sorts edges by (x, y); parse/serialize round-trips
-are exact on canonical files.  Graph files may declare at most
-MAX_CLASS_SIZE (10,000) vertices per class.
+In both, blank lines and lines starting with '#' may appear anywhere,
+and the first bad edge line, edge out of range or repeated edge raises,
+naming its line.  Canonical serialization sorts edges by (x, y);
+parse/serialize round-trips are exact on canonical files.  Graph files
+may declare at most MAX_CLASS_SIZE (10,000) vertices per class.
 """
 
 from __future__ import annotations
@@ -217,8 +218,8 @@ def _stored(
     Rows that are already tuples are kept as the same objects, so hosts
     built from shared rows share them.  Its callers hold rows already
     known sorted, repeat-free and in range: the canonical graph reader,
-    ``Factor._from_adjacency``, ``complete_bipartite_minus_matching``,
-    ``double_graph``, ``structure.rebuild_classified`` and
+    ``Factor._from_adjacency``, ``_complete_minus``, ``double_graph``,
+    ``structure.rebuild_classified`` (for its path swap) and
     ``generators.enumerate_bipartite_block``.
     """
     self = cls.__new__(cls)
@@ -385,9 +386,6 @@ class Factor(BipartiteGraph):
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def is_connected(self) -> bool:
-        return self.n_components == 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -596,16 +594,20 @@ def serialize_graph(graph: BipartiteGraph) -> str:
 def parse_factor(text: str, host: BipartiteGraph) -> Factor:
     """Parse a factor file against its host graph.
 
-    Header is ``factor <k> <m>``.  A ``cycle ...`` line, as written for
-    Hamilton cycles, is checked last, once the factor is built: it must
-    list every vertex once, sides alternating, and each step, the one from
-    the last vertex back to the first included, must be a factor edge.
+    Header is ``factor <k> <m>``.  The edge lines are read as parse_graph
+    reads a file line by line, against the host's class sizes; then come
+    the edge count, host membership and regularity.  A ``cycle ...`` line,
+    as written for Hamilton cycles, is checked last: it must list every
+    vertex once, sides alternating, and each step, the one from the last
+    vertex back to the first included, must be a factor edge.
     """
     lines = text.splitlines()
     header_line, _, (k, m) = _header(lines, "factor <k> <m>")
-    edges = [edge for _, edge in _edge_rows(lines, header_line, ("#", "cycle "))]
+    edges = _checked_edges(host.n_x, host.n_y, _edge_rows(lines, header_line, ("#", "cycle ")))
     if len(edges) != m:
-        raise MalformedHeaderError(f"header promises {m} edges, file has {len(edges)}")
+        raise MalformedHeaderError(
+            f"header promises {m} edges, file has {len(edges)}", line=header_line
+        )
     factor = Factor(host, edges)
     if factor.regularity() != k:
         raise NotRegularError(f"factor file claims {k}-regular but degrees differ")
@@ -664,34 +666,38 @@ def serialize_factor(factor: Factor, cycle: tuple[VertexRef, ...] | None = None)
 # -- constructions -----------------------------------------------------------
 
 
-def complete_bipartite(n_x: int, n_y: int) -> BipartiteGraph:
-    return BipartiteGraph(n_x, n_y, [(x, y) for x in range(n_x) for y in range(n_y)])
-
-
-def complete_bipartite_minus_matching(n: int, matching: Iterable[Edge]) -> BipartiteGraph:
-    """K_{n,n} minus a (not necessarily perfect) matching.
-
-    The removed pairs must be vertex-disjoint; MatchingNotDisjointError
-    otherwise.  A pair with an endpoint that is no int in [0, n) raises
-    IndexOutOfRangeError.  Each row is [0, n) less the one vertex its
-    pair removes, if any; unmatched rows share one tuple.
-    """
-    pairs = list(matching)
+def _complete_minus(n_x: int, n_y: int, pairs: Iterable[Edge]) -> BipartiteGraph:
+    """K(n_x, n_y) less ``pairs``, which must be vertex-disjoint
+    (MatchingNotDisjointError) and ints in range (IndexOutOfRangeError).
+    Each row is the other class less the one vertex its pair removes, if
+    any; the unmatched rows of a side share one tuple."""
+    pairs = list(pairs)
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise MatchingNotDisjointError("removed pairs share a vertex")
     for x, y in pairs:
-        if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < n and 0 <= y < n):
-            raise IndexOutOfRangeError(f"matching pair ({x}, {y}) outside {n}x{n}")
-    if n < 0:
+        if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < n_x and 0 <= y < n_y):
+            raise IndexOutOfRangeError(f"matching pair ({x}, {y}) outside {n_x}x{n_y}")
+    if n_x < 0 or n_y < 0:
         raise ValueError("class sizes must be non-negative")
-    row = tuple(range(n))
-    adj_x, adj_y = [row] * n, [row] * n
+    row_x, row_y = tuple(range(n_y)), tuple(range(n_x))
+    adj_x, adj_y = [row_x] * n_x, [row_y] * n_y
     for x, y in pairs:
-        adj_x[x] = row[:y] + row[y + 1 :]
-        adj_y[y] = row[:x] + row[x + 1 :]
-    return _stored(BipartiteGraph, n, n, adj_x, adj_y)
+        adj_x[x] = row_x[:y] + row_x[y + 1 :]
+        adj_y[y] = row_y[:x] + row_y[x + 1 :]
+    return _stored(BipartiteGraph, n_x, n_y, adj_x, adj_y)
+
+
+def complete_bipartite(n_x: int, n_y: int) -> BipartiteGraph:
+    return _complete_minus(n_x, n_y, ())
+
+
+def complete_bipartite_minus_matching(n: int, matching: Iterable[Edge]) -> BipartiteGraph:
+    """K_{n,n} minus a (not necessarily perfect) matching: its pairs must be
+    vertex-disjoint (MatchingNotDisjointError) and ints in [0, n)
+    (IndexOutOfRangeError)."""
+    return _complete_minus(n, n, matching)
 
 
 def double_graph(base: BipartiteGraph) -> BipartiteGraph:

@@ -47,7 +47,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import EmptyGraphError, NotBipartiteError, NotConnectedError
-from .graph import BipartiteGraph, VertexRef, _stored, cycle_graph, path_graph
+from .graph import BipartiteGraph, VertexRef, _complete_minus, _stored, cycle_graph, path_graph
 
 
 class StarWitness(NamedTuple):
@@ -298,7 +298,8 @@ def rebuild_classified(graph: BipartiteGraph, cls: StructureClass) -> BipartiteG
 
     Used to confirm a classification: a rebuilt path or even cycle has the
     host's degree multiset, and a complete-minus-matching host rebuilt from
-    its claimed matching equals the host exactly when the claim is right.
+    its claimed matching equals the host exactly when the claim is right;
+    a claim that is no matching of the host's classes raises instead.
     A path with more vertices in Y is built from X, then its rows swapped.
     """
     if cls.tag == "path":
@@ -309,12 +310,5 @@ def rebuild_classified(graph: BipartiteGraph, cls: StructureClass) -> BipartiteG
     if cls.tag == "even-cycle":
         return cycle_graph(graph.n_x)
     if cls.tag == "complete-minus-matching":
-        removed = set(cls.removed_matching or ())
-        edges = [
-            (x, y)
-            for x in range(graph.n_x)
-            for y in range(graph.n_y)
-            if (x, y) not in removed
-        ]
-        return BipartiteGraph(graph.n_x, graph.n_y, edges)
+        return _complete_minus(graph.n_x, graph.n_y, cls.removed_matching or ())
     raise ValueError(f"cannot rebuild class {cls.tag!r}")

@@ -948,11 +948,15 @@ def reference_parse_graph(text: str) -> _ReferenceGraph:
 
 
 def reference_parse_factor(text: str, host: BipartiteGraph) -> Factor:
-    """parse_factor as first written: one loop that reads the header, then
-    the edge lines, skipping ``cycle`` lines, before the edge count,
-    the host and the regularity are checked."""
+    """parse_factor as one loop that reads the header, then the edge lines,
+    skipping ``cycle`` lines and checking each edge's range against the
+    host's class sizes and its repeats on its line, as reference_parse_graph
+    does; then the edge count, naming the header line, the host and the
+    regularity are checked."""
     header: tuple[int, int] | None = None
+    header_line = 0
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -969,6 +973,7 @@ def reference_parse_factor(text: str, host: BipartiteGraph) -> Factor:
                 raise MalformedHeaderError(
                     f"non-integer field in header {line!r}", line=lineno
                 ) from None
+            header_line = lineno
             continue
         if line.startswith("cycle "):
             continue
@@ -976,14 +981,24 @@ def reference_parse_factor(text: str, host: BipartiteGraph) -> Factor:
         if len(parts) != 2:
             raise GraphFormatError(f"expected '<x> <y>', got {line!r}", line=lineno)
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            x, y = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError(f"non-integer endpoint in {line!r}", line=lineno) from None
+        if not (0 <= x < host.n_x and 0 <= y < host.n_y):
+            raise IndexOutOfRangeError(
+                f"edge ({x}, {y}) outside {host.n_x}x{host.n_y}", line=lineno
+            )
+        if (x, y) in seen:
+            raise DuplicateEdgeError(f"edge ({x}, {y}) repeated", line=lineno)
+        seen.add((x, y))
+        edges.append((x, y))
     if header is None:
         raise MalformedHeaderError("missing 'factor' header line")
     k, m = header
     if len(edges) != m:
-        raise MalformedHeaderError(f"header promises {m} edges, file has {len(edges)}")
+        raise MalformedHeaderError(
+            f"header promises {m} edges, file has {len(edges)}", line=header_line
+        )
     factor = Factor(host, edges)
     if factor.regularity() != k:
         raise NotRegularError(f"factor file claims {k}-regular but degrees differ")

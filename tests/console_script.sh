@@ -16,6 +16,9 @@ python -c 'from bifactor.graph import parse_factor, parse_graph; parse_factor(op
 printf 'factor 2 1\na b\n' > bad.factor
 rc=0; python -c 'from bifactor.graph import parse_factor, parse_graph; parse_factor(open("bad.factor").read(), parse_graph(open("g.txt").read()))' 2> bad-err.txt || rc=$?; test "$rc" -eq 1
 grep -q 'line 2: non-integer endpoint' bad-err.txt
+printf 'factor 2 2\n0 0\n0 99\n' > range.factor
+rc=0; python -c 'from bifactor.graph import parse_factor, parse_graph; parse_factor(open("range.factor").read(), parse_graph(open("g.txt").read()))' 2> range-factor-err.txt || rc=$?; test "$rc" -eq 1
+grep -qF 'line 3: edge (0, 99) outside 12x12' range-factor-err.txt
 bifactor detect g.txt --k 2 --l 3
 rc=0; bifactor threshold --k 3 --l 2 || rc=$?; test "$rc" -eq 64
 rc=0; bifactor factor g.txt --k 12 || rc=$?; test "$rc" -eq 2

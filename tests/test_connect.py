@@ -810,6 +810,22 @@ class TestConnectedKFactor:
         with pytest.raises(AssertionError, match=r"^Y degrees \[1, 0\] != 1$"):
             check_factor(fork, Factor(fork, [(0, 0)]), 1, connected=False)
 
+    def test_vertexless_factor_is_connected(self):
+        """A factor answers connectivity as its graph does: the vertexless
+        host, its flow 1-factor and check_factor all count it as connected,
+        while a factor of two components still fails the check."""
+        g = BipartiteGraph(0, 0, [])
+        factor = find_f_factor(g, DegreeDemand.uniform(g, 1))
+        assert isinstance(factor, Factor)
+        assert g.is_connected() and factor.is_connected()
+        check_factor(g, factor, 1, connected=True)
+        host = complete_bipartite(2, 2)
+        split = Factor(host, [(0, 0), (1, 1)])
+        assert not split.is_connected()
+        with pytest.raises(AssertionError) as err:
+            check_factor(host, split, 1, connected=True)
+        assert str(err.value) == "factor is not connected"
+
     def test_hypothesis_connected(self):
         g = BipartiteGraph(4, 4, SQUARE_A + SQUARE_B)
         with pytest.raises(HypothesisViolatedError) as err:

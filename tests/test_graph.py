@@ -794,11 +794,12 @@ def _first_bad_cycle_line(text: str, factor: Factor) -> int | None:
 
 
 class TestFactorReader:
-    """parse_factor gives the outcome of the reader first written, kept in
-    conftest.py, and each of its errors has the text and line it had.  The
-    one exception is a cycle line, which that reader ignored: on a file it
-    accepts, a cycle line that is not a Hamilton cycle of the factor is a
-    GraphFormatError naming that line."""
+    """parse_factor gives the outcome of the reference reader kept in
+    conftest.py, which faults edge lines as the graph reader does, and each
+    of its errors has that reader's text and line.  The one exception is a
+    cycle line, which that reader ignores: on a file it accepts, a cycle
+    line that is not a Hamilton cycle of the factor is a GraphFormatError
+    naming that line."""
 
     @given(mutated_factor_files())
     @settings(max_examples=600, deadline=None)
@@ -852,10 +853,15 @@ class TestFactorReader:
                 K22,
                 "factor 1 3\n0 0\n1 1\n",
                 MalformedHeaderError,
-                "header promises 3 edges, file has 2",
+                "line 1: header promises 3 edges, file has 2",
             ),
-            (K22, "factor 1 2\n0 0\n2 1\n", IndexOutOfRangeError, "edge (2, 1) outside 2x2"),
-            (K22, "factor 1 2\n1 1\n1 1\n", DuplicateEdgeError, "edge (1, 1) repeated"),
+            (
+                K22,
+                "factor 1 2\n0 0\n2 1\n",
+                IndexOutOfRangeError,
+                "line 3: edge (2, 1) outside 2x2",
+            ),
+            (K22, "factor 1 2\n1 1\n1 1\n", DuplicateEdgeError, "line 3: edge (1, 1) repeated"),
             (
                 K22_LESS_01,
                 "factor 1 2\n0 1\n1 0\n",
@@ -868,14 +874,45 @@ class TestFactorReader:
                 NotRegularError,
                 "factor file claims 2-regular but degrees differ",
             ),
-            # A bad line is named before an out-of-range edge above it and
-            # before the edge count; the edge count before the edges' range.
-            (K22, "factor 1 9\n5 5\nq\n", GraphFormatError, "line 3: expected '<x> <y>', got 'q'"),
+            # The first fault in file order is named, as in a graph file:
+            # an out-of-range edge before a bad line below it and before
+            # the edge count.
+            (
+                K22,
+                "factor 1 9\n5 5\nq\n",
+                IndexOutOfRangeError,
+                "line 2: edge (5, 5) outside 2x2",
+            ),
             (
                 K22,
                 "factor 1 1\n5 5\n0 0\n",
+                IndexOutOfRangeError,
+                "line 2: edge (5, 5) outside 2x2",
+            ),
+            # Blank and comment lines count toward the line named.
+            (
+                K33,
+                "factor 2 6\n0 0\n0 1\n\n1 3\n1 1\n",
+                IndexOutOfRangeError,
+                "line 5: edge (1, 3) outside 3x3",
+            ),
+            (
+                K33,
+                "factor 2 6\n0 0\n# c\n1 1\n0 0\n",
+                DuplicateEdgeError,
+                "line 5: edge (0, 0) repeated",
+            ),
+            (
+                K33,
+                "factor 2 6\n0 0\n3 0\n1 1\nq 1\n",
+                IndexOutOfRangeError,
+                "line 3: edge (3, 0) outside 3x3",
+            ),
+            (
+                K33,
+                "\nfactor 2 6\n0 0\n1 1\ncycle X0\n",
                 MalformedHeaderError,
-                "header promises 1 edges, file has 2",
+                "line 2: header promises 6 edges, file has 2",
             ),
         ],
     )
@@ -884,6 +921,35 @@ class TestFactorReader:
             parse_factor(text, host)
         assert type(err.value) is error and str(err.value) == message
         assert _outcome(parse_factor, text, host) == _outcome(reference_parse_factor, text, host)
+
+    @given(mutated_factor_files())
+    @settings(max_examples=300, deadline=None)
+    def test_edge_faults_match_the_graph_reader(self, case):
+        """A factor file's edge lines fault as a graph file's do: under a
+        ``bipartite <nX> <nY> <m>`` header with the host's class sizes and
+        the factor header's m, its cycle lines blanked so that every line
+        keeps its number, the graph reader raises the class, text and line
+        that parse_factor raises.  Where the graph reader accepts the
+        lines, parse_factor fails, if at all, on the host, the degrees or
+        a cycle line."""
+        host, text = case
+        lines = text.splitlines()
+        heads = [i for i, raw in enumerate(lines) if raw.strip() and raw.strip()[0] != "#"]
+        try:
+            keyword, k, m = lines[heads[0]].split()
+            k, m = int(k), int(m)
+        except (IndexError, ValueError):  # the factor header itself is at fault
+            return
+        if keyword != "factor" or m < 0:
+            return
+        lines[heads[0]] = f"bipartite {host.n_x} {host.n_y} {m}"
+        blanked = ["" if raw.strip().startswith("cycle ") else raw for raw in lines]
+        want = _outcome(parse_graph, "\n".join(blanked))
+        got = _outcome(parse_factor, text, host)
+        if isinstance(want[0], type):
+            assert got == want
+        elif isinstance(got[0], type):
+            assert got[2] is None or blanked[got[2] - 1] == "", got
 
     @pytest.mark.parametrize("where", ["before", "after"])
     def test_cycle_line_before_or_after_the_edges(self, where):
@@ -982,6 +1048,22 @@ class TestConstructions:
         g = complete_bipartite(3, 2)
         assert g.m == 6
         assert g.min_degree() == 2
+
+    @pytest.mark.parametrize("n_x", range(7))
+    def test_complete_bipartite_as_constructed(self, n_x):
+        """Rows built straight from the class sizes equal the validated
+        constructor's, each side's rows one shared tuple, and a negative
+        size is refused as the constructor refuses it."""
+        for n_y in range(7):
+            g = complete_bipartite(n_x, n_y)
+            want = BipartiteGraph(n_x, n_y, [(x, y) for x in range(n_x) for y in range(n_y)])
+            assert_stored_as_constructed(g, want, f"{n_x}x{n_y}")
+            assert len(set(map(id, g._adj_x))) <= 1 and len(set(map(id, g._adj_y))) <= 1
+        for sizes in [(-1, n_x), (n_x, -1)]:
+            with pytest.raises(ValueError) as err:
+                complete_bipartite(*sizes)
+            assert type(err.value) is ValueError
+            assert str(err.value) == "class sizes must be non-negative"
 
     def test_minus_matching(self):
         g = complete_bipartite_minus_matching(4, [(0, 0), (1, 1)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import bifactor.structure
 from bifactor import (
     BipartiteGraph,
+    StructureClass,
     VertexRef,
     classify_s12_free,
     complete_bipartite,
@@ -23,7 +25,13 @@ from bifactor import (
     serialize_star_witness,
     star_pair_graph,
 )
-from bifactor.errors import EmptyGraphError, NotBipartiteError, NotConnectedError
+from bifactor.errors import (
+    EmptyGraphError,
+    IndexOutOfRangeError,
+    MatchingNotDisjointError,
+    NotBipartiteError,
+    NotConnectedError,
+)
 
 from conftest import (
     assert_star_witness_valid,
@@ -377,6 +385,41 @@ class TestClassify:
         # the non-edge set pins the graph down completely
         g = complete_bipartite_minus_matching(5, [(0, 1), (1, 0), (3, 3)])
         assert rebuild_classified(g, classify_s12_free(g)) == g
+
+    @pytest.mark.parametrize("n_x, n_y", [(3, 5), (5, 3)])
+    def test_rebuild_unbalanced_near_complete_is_exact(self, n_x, n_y):
+        """K(n_x, n_y) less every matching of 0 to 3 pairs is rebuilt as
+        the host itself: its stored rows, m, == and hash are those of the
+        host built by the constructor."""
+        for size in range(4):
+            for xs in itertools.combinations(range(n_x), size):
+                for ys in itertools.permutations(range(n_y), size):
+                    removed = set(zip(xs, ys))
+                    host = BipartiteGraph(
+                        n_x,
+                        n_y,
+                        [(x, y) for x in range(n_x) for y in range(n_y) if (x, y) not in removed],
+                    )
+                    cls = classify_s12_free(host)
+                    assert cls.removed_matching == tuple(sorted(removed)), removed
+                    rebuilt = rebuild_classified(host, cls)
+                    assert_stored_as_constructed(rebuilt, host, f"{n_x}x{n_y} less {removed}")
+
+    @pytest.mark.parametrize(
+        "pairs, error, message",
+        [
+            (((0, 0), (0, 1)), MatchingNotDisjointError, "removed pairs share a vertex"),
+            (((0, -1),), IndexOutOfRangeError, "matching pair (0, -1) outside 3x5"),
+            (((3, 0),), IndexOutOfRangeError, "matching pair (3, 0) outside 3x5"),
+        ],
+    )
+    def test_rebuild_refuses_a_claim_that_is_no_matching(self, pairs, error, message):
+        """A hand-made record whose pairs share a vertex or leave the host's
+        classes raises as complete_bipartite_minus_matching does."""
+        cls = StructureClass("complete-minus-matching", removed_matching=pairs)
+        with pytest.raises(error) as err:
+            rebuild_classified(complete_bipartite(3, 5), cls)
+        assert type(err.value) is error and str(err.value) == message
 
     @given(bipartite_graphs(max_side=4))
     @settings(max_examples=60, deadline=None)
