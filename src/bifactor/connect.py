@@ -26,7 +26,7 @@ finds a move whenever such a swap would help.
 
 The loop keeps one working copy of the factor (sorted adjacency,
 component labels, and the members of each label as listed by
-``_component_vertex_sets``, which the Hamilton weave reads too) and
+``_component_vertex_sets``) and
 updates it in place after each move.  It also keeps, per x, a resume
 index: the length of the prefix of N_G(x) whose y's share x's component.
 Each scan first moves that index past the y's that have joined x's
@@ -55,7 +55,6 @@ stated hypotheses and the report flags the contradiction.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter
 from typing import NamedTuple
 
 from .errors import (
@@ -276,17 +275,6 @@ class StuckReport(NamedTuple):
     contradiction_vertices: tuple[VertexRef, ...]
 
 
-def _far_labels(graph: BipartiteGraph, links: tuple[Link, ...]) -> dict[VertexRef, list[int]]:
-    """Per vertex, X0.. then Y0..: the component label at the far end of
-    each of its links.  Every host edge leaving a vertex's component is a
-    link, so these are the labels of its neighbours outside it."""
-    far: dict[VertexRef, list[int]] = {v: [] for v in graph.vertices()}
-    for link in links:
-        far[link.u].append(link.component_v)
-        far[link.v].append(link.component_u)
-    return far
-
-
 def _build_stuck_report(
     graph: BipartiteGraph, factor: Factor, k: int, l: int | None
 ) -> StuckReport:
@@ -305,11 +293,14 @@ def _build_stuck_report(
     def audit(name: str, v: VertexRef, value: int, bound: int | None) -> DegreeAuditRecord:
         return DegreeAuditRecord(name, v, value, bound, None if bound is None else value <= bound)
 
-    far = _far_labels(graph, links)
+    outside = dict.fromkeys(graph.vertices(), 0)  # X0.. then Y0..
+    for link in links:  # the host edges that leave a vertex's component
+        outside[link.u] += 1
+        outside[link.v] += 1
     endpoints = dict.fromkeys(v for link in links for v in (link.u, link.v))
-    audits = [audit("outside-own-component", v, len(far[v]), bound_out) for v in far]
+    audits = [audit("outside-own-component", v, n, bound_out) for v, n in outside.items()]
     audits += [
-        audit("inside-own-component", v, len(graph.neighbors(v)) - len(far[v]), bound_in)
+        audit("inside-own-component", v, len(graph.neighbors(v)) - outside[v], bound_in)
         for v in endpoints
     ]
 
@@ -507,76 +498,70 @@ def connected_k_factor(graph: BipartiteGraph, k: int, l: int) -> Factor:
     return result
 
 
-def _weave_quotient_cycle(
-    report: StuckReport, comps: list[tuple[list[int], list[int]]]
+def _swap_alternating_cycle(
+    graph: BipartiteGraph, factor: Factor, x: int, y: int
 ) -> Factor | None:
-    """Hamilton cycle of a stuck all-quadrilateral state, if the shape fits.
+    """``factor`` with a shortest alternating cycle through the host edge
+    x-y outside it swapped, or None when there is none.
 
-    ``comps`` lists the components of ``report.factor`` as
-    ``_component_vertex_sets`` does, and each must have two vertices a side
-    (the caller checks).  An arc i -> j is a link from the Y half of
-    component i to the X half of component j; every host edge between two
-    components is a link.  Requirements checked here: each arc is the full
-    2x2 pattern, each component has one arc out and one arc in, and the
-    quotient under these arcs is a single directed cycle.  Walking that
-    cycle and traversing each quadrilateral in full yields the Hamilton
-    cycle.
+    The cycle is x-y and a path from y back to x, found by breadth-first
+    search in index order, that leaves each Y vertex by a factor edge and
+    each X vertex by a host edge outside the factor: swapping its edges in
+    and out keeps every degree.
     """
-    n = len(comps)
-    succ = [-1] * n
-    arcs = Counter((link.component_v, link.component_u) for link in report.links)
-    for (i, j), count in arcs.items():
-        if count != 4 or succ[i] != -1:
-            return None
-        succ[i] = j
-    # the quotient is one cycle exactly when the walk from component 0
-    # first returns to 0 after n steps
-    order = [0]
-    for _ in range(n - 1):
-        order.append(succ[order[-1]])
-        if order[-1] <= 0:
-            return None
-    if succ[order[-1]] != 0:
-        return None
-    edges: list[Edge] = []
-    for pos, ci in enumerate(order):
-        xs, ys = comps[ci]
-        edges.append((xs[0], ys[0]))
-        edges.append((xs[1], ys[0]))
-        edges.append((xs[1], ys[1]))
-        nxt_xs, _ = comps[order[(pos + 1) % n]]
-        edges.append((nxt_xs[0], ys[1]))
-    return Factor(report.factor.host, edges)
+    via_x: dict[int, int] = {}  # X vertex -> the Y vertex before it
+    via_y = {y: x}  # Y vertex -> the X vertex before it
+    queue = [y]
+    for b in queue:  # grows as the search goes
+        for a in factor._adj_y[b]:
+            if a == x:
+                cycle = {(x, y), (x, b)}
+                while b != y:
+                    a = via_y[b]
+                    cycle |= {(a, b), (a, via_x[a])}
+                    b = via_x[a]
+                return Factor(graph, factor.edge_set ^ cycle)
+            if a not in via_x:
+                via_x[a] = b
+                for b2 in graph._adj_x[a]:
+                    if b2 not in via_y and b2 not in factor._adj_x[a]:
+                        via_y[b2] = a
+                        queue.append(b2)
+    return None
+
+
+def _exchange_stage(graph: BipartiteGraph, result: Factor | StuckReport) -> Factor:
+    """The factor of ``result`` connected by alternating-cycle exchanges.
+
+    Two k-factors differ by alternating cycles, so a stuck factor may
+    still connect by a longer exchange than the loop's.  Each link of a
+    stuck state, in (x, y) order, is tried once: the first exchange of its
+    shortest alternating cycle that lowers the component count is kept,
+    and the connecting loop resumes from it.  StructureUnrecognizedError,
+    carrying the stuck report, when no link's cycle merges two components.
+    """
+    while isinstance(result, StuckReport):
+        stuck = result.factor
+        for link in result.links:
+            swapped = _swap_alternating_cycle(graph, stuck, link.u.index, link.v.index)
+            if swapped is not None and swapped.n_components < stuck.n_components:
+                break
+        else:
+            raise StructureUnrecognizedError(
+                "no alternating cycle through a link merges two components", report=result
+            )
+        result = connect_factor(graph, swapped, l=result.l)
+    return result
 
 
 def hamilton_s13(graph: BipartiteGraph) -> Factor:
     """Hamilton cycle of a connected balanced (1,3)-star-pair-free graph
     with minimum degree at least 4.
 
-    Pipeline: 2-regular factor by flow, then the connecting loop; if that
-    sticks, the stuck state must consist of quadrilateral components whose
-    quotient is a cycle, and the explicit Hamilton cycle is woven from it.
-    StructureUnrecognizedError (carrying the stuck report) otherwise.
+    Pipeline: 2-regular factor by flow, then the connecting loop and, if
+    that sticks, the exchange stage; StructureUnrecognizedError (carrying
+    the stuck report) when the stage cannot merge two components either.
     """
-    result = _regular_factor_connected(graph, 1, 3, 4, 2)
-    if isinstance(result, StuckReport):
-        report = result
-        comps = _component_vertex_sets(report.factor)
-        if any(len(xs) != 2 or len(ys) != 2 for xs, ys in comps):
-            raise StructureUnrecognizedError(
-                "stuck with a component larger than a quadrilateral", report=report
-            )
-        # every vertex may see at most one foreign component
-        for v, labels in _far_labels(graph, report.links).items():
-            seen = len(set(labels)) + 1
-            if seen > 2:
-                raise StructureUnrecognizedError(
-                    f"vertex {v.label} sees {seen} components", report=report
-                )
-        result = _weave_quotient_cycle(report, comps)
-        if result is None:
-            raise StructureUnrecognizedError(
-                "quadrilateral components do not chain into a cycle", report=report
-            )
+    result = _exchange_stage(graph, _regular_factor_connected(graph, 1, 3, 4, 2))
     check_factor(graph, result, 2, connected=True)
     return result

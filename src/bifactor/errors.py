@@ -107,4 +107,4 @@ class TheoremContradictionError(BifactorError):
 
 
 class StructureUnrecognizedError(BifactorError):
-    """A stuck state lacks the structure the recognizer needs."""
+    """No alternating-cycle exchange merges a stuck factor's components."""

@@ -596,18 +596,24 @@ def parse_factor(text: str, host: BipartiteGraph) -> Factor:
 
     Header is ``factor <k> <m>``.  The edge lines are read as parse_graph
     reads a file line by line, against the host's class sizes; then come
-    the edge count, host membership and regularity.  A ``cycle ...`` line,
-    as written for Hamilton cycles, is checked last: it must list every
-    vertex once, sides alternating, and each step, the one from the last
-    vertex back to the first included, must be a factor edge.
+    the edge count, host membership, naming the line of the first edge the
+    host lacks, and regularity.  A ``cycle ...`` line, as written for
+    Hamilton cycles, is checked last: it must list every vertex once,
+    sides alternating, and each step, the one from the last vertex back to
+    the first included, must be a factor edge.
     """
     lines = text.splitlines()
     header_line, _, (k, m) = _header(lines, "factor <k> <m>")
-    edges = _checked_edges(host.n_x, host.n_y, _edge_rows(lines, header_line, ("#", "cycle ")))
+    skip = ("#", "cycle ")
+    edges = _checked_edges(host.n_x, host.n_y, _edge_rows(lines, header_line, skip))
     if len(edges) != m:
         raise MalformedHeaderError(
             f"header promises {m} edges, file has {len(edges)}", line=header_line
         )
+    for i, edge in enumerate(edges):  # in file order: edge i is on the i-th edge row
+        if not host.has_edge(*edge):
+            lineno, _ = next(islice(_edge_rows(lines, header_line, skip), i, None))
+            raise IndexOutOfRangeError(f"factor edge {edge} not in host graph", line=lineno)
     factor = Factor(host, edges)
     if factor.regularity() != k:
         raise NotRegularError(f"factor file claims {k}-regular but degrees differ")

@@ -243,20 +243,20 @@ class StructureClass(NamedTuple):
 def _removed_matching(graph: BipartiteGraph) -> tuple[tuple[int, int], ...] | None:
     """The non-edges in (x, y) order when they form a matching, else None.
 
-    Each X vertex's non-neighbours are the complement of its neighbour
-    mask; the scan stops at the first vertex with a second non-edge.
+    An X row of n_y - 1 neighbours misses exactly the y by which its sum
+    falls short of 0 + 1 + ... + (n_y - 1).  The scan stops at the first
+    row with a second non-edge or a y that an earlier row misses too.
     """
-    full = (1 << graph.n_y) - 1
-    hit_y = 0
+    n_y = graph.n_y
+    hit_y = [False] * n_y
     pairs = []
-    for x, mask in enumerate(_neighbor_masks(graph)[0]):
-        missing = full ^ mask
-        if not missing:
-            continue
-        if missing & (missing - 1) or missing & hit_y:
-            return None
-        hit_y |= missing
-        pairs.append((x, missing.bit_length() - 1))
+    for x, ys in enumerate(graph._adj_x):
+        if len(ys) < n_y:
+            y = n_y * (n_y - 1) // 2 - sum(ys)
+            if len(ys) < n_y - 1 or hit_y[y]:
+                return None
+            hit_y[y] = True
+            pairs.append((x, y))
     return tuple(pairs)
 
 

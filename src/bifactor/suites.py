@@ -28,9 +28,6 @@ from .generators import (
 from .graph import BipartiteGraph, double_graph, cycle_graph
 from .structure import classify_s12_free, find_induced_star, is_skl_free, rebuild_classified
 
-SUITE_NAMES = ("cor4", "cor5", "thm3", "oracle-eq", "prop-s12", "sharp-s13")
-
-
 class TrialResult(NamedTuple):
     name: str
     passed: bool
@@ -77,9 +74,9 @@ def _hamilton(build, *args) -> tuple[bool, str]:
 def run_thm3(trials: int = 10, seed: int = 0) -> list[TrialResult]:
     """Hamilton cycles in (1,3)-pattern-free hosts of minimum degree 4.
 
-    Fixed part: doubled cycles m = 3..10.  They never reach the stuck-state
-    weave: the flow's 2-factor of each has two components, and
-    ``connect_factor`` merges them.  The woven-cycle branch is exercised by
+    Fixed part: doubled cycles m = 3..10.  They never reach the exchange
+    stage: the flow's 2-factor of each has two components, and
+    ``connect_factor`` merges them.  The stage is exercised by
     ``test_woven_cycle_is_checked`` in ``tests/test_suites.py``, on doubled
     cycles labelled quadrilateral by quadrilateral.  Seeded part: dense
     minus-matching instances.  ``hamilton_s13`` itself checks the host's
@@ -174,6 +171,18 @@ def _degree_multiset(graph: BipartiteGraph) -> list[list[int]]:
     return [sorted(degrees) for degrees in graph.degrees()]
 
 
+# Every suite, in the CLI's order: its runner, and whether it takes a seed.
+_SUITES = {
+    "cor4": (run_cor4, True),
+    "cor5": (run_cor5, True),
+    "thm3": (run_thm3, True),
+    "oracle-eq": (run_oracle_eq, False),
+    "prop-s12": (run_prop_s12, False),
+    "sharp-s13": (run_sharp_s13, True),
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, trials: int | None = None, seed: int | None = None) -> list[TrialResult]:
     """Run one named suite.  For a seeded suite ``trials`` (at least 1)
     overrides its default count and ``seed`` its first seed, None reading
@@ -181,13 +190,11 @@ def run_suite(name: str, trials: int | None = None, seed: int | None = None) -> 
     either is given."""
     if trials is not None and trials < 1:
         raise ParamInvalidError(f"trials must be at least 1, got {trials}")
-    seeded = {"cor4": run_cor4, "cor5": run_cor5, "thm3": run_thm3, "sharp-s13": run_sharp_s13}
-    if name in seeded:
-        seed = seed or 0
-        return seeded[name](seed=seed) if trials is None else seeded[name](trials, seed)
-    exhaustive = {"oracle-eq": run_oracle_eq, "prop-s12": run_prop_s12}
-    if name in exhaustive:
-        if trials is not None or seed is not None:
-            raise ParamInvalidError(f"{name} is exhaustive: it takes no --trials or --seed")
-        return exhaustive[name]()
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    run, seeded = _SUITES[name]
+    if seeded:
+        return run(seed=seed or 0) if trials is None else run(trials, seed or 0)
+    if trials is not None or seed is not None:
+        raise ParamInvalidError(f"{name} is exhaustive: it takes no --trials or --seed")
+    return run()

@@ -951,11 +951,13 @@ def reference_parse_factor(text: str, host: BipartiteGraph) -> Factor:
     """parse_factor as one loop that reads the header, then the edge lines,
     skipping ``cycle`` lines and checking each edge's range against the
     host's class sizes and its repeats on its line, as reference_parse_graph
-    does; then the edge count, naming the header line, the host and the
-    regularity are checked."""
+    does; then the edge count, naming the header line, each edge's
+    membership of the host's edge set in file order, naming its line, and
+    the regularity are checked."""
     header: tuple[int, int] | None = None
     header_line = 0
     edges: list[tuple[int, int]] = []
+    edge_lines: list[int] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -992,6 +994,7 @@ def reference_parse_factor(text: str, host: BipartiteGraph) -> Factor:
             raise DuplicateEdgeError(f"edge ({x}, {y}) repeated", line=lineno)
         seen.add((x, y))
         edges.append((x, y))
+        edge_lines.append(lineno)
     if header is None:
         raise MalformedHeaderError("missing 'factor' header line")
     k, m = header
@@ -999,6 +1002,10 @@ def reference_parse_factor(text: str, host: BipartiteGraph) -> Factor:
         raise MalformedHeaderError(
             f"header promises {m} edges, file has {len(edges)}", line=header_line
         )
+    host_edges = host.edge_set
+    for lineno, edge in zip(edge_lines, edges):
+        if edge not in host_edges:
+            raise IndexOutOfRangeError(f"factor edge {edge} not in host graph", line=lineno)
     factor = Factor(host, edges)
     if factor.regularity() != k:
         raise NotRegularError(f"factor file claims {k}-regular but degrees differ")
@@ -1477,6 +1484,20 @@ def linked_quadrilateral_host(n: int) -> BipartiteGraph:
     dense = [(x, y) for x in range(n) for y in range(n) if x != y]
     square = [(x, y) for x in (n, n + 1) for y in (n, n + 1)]
     return BipartiteGraph(n + 2, n + 2, dense + square + [(n, n - 1)])
+
+
+def quadrilateral_chain_host(m: int) -> BipartiteGraph:
+    """A doubled 2m-cycle labelled quadrilateral by quadrilateral: the
+    Y half of each block X(2i), X(2i+1), Y(2i), Y(2i+1) is joined
+    completely to its own X half and to the X half of block i + 1, mod m.
+    The flow's 2-factor is the m quadrilaterals, and no primary exchange
+    merges them."""
+    edges = []
+    for i in range(m):
+        j = (i + 1) % m
+        edges += [(2 * i + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
+        edges += [(2 * j + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
+    return BipartiteGraph(2 * m, 2 * m, edges)
 
 
 @pytest.fixture

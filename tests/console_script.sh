@@ -19,6 +19,9 @@ grep -q 'line 2: non-integer endpoint' bad-err.txt
 printf 'factor 2 2\n0 0\n0 99\n' > range.factor
 rc=0; python -c 'from bifactor.graph import parse_factor, parse_graph; parse_factor(open("range.factor").read(), parse_graph(open("g.txt").read()))' 2> range-factor-err.txt || rc=$?; test "$rc" -eq 1
 grep -qF 'line 3: edge (0, 99) outside 12x12' range-factor-err.txt
+printf 'factor 2 2\n0 0\n0 4\n' > nonhost.factor
+rc=0; python -c 'from bifactor.graph import parse_factor, parse_graph; parse_factor(open("nonhost.factor").read(), parse_graph(open("g.txt").read()))' 2> nonhost-factor-err.txt || rc=$?; test "$rc" -eq 1
+grep -qF 'line 3: factor edge (0, 4) not in host graph' nonhost-factor-err.txt
 bifactor detect g.txt --k 2 --l 3
 rc=0; bifactor threshold --k 3 --l 2 || rc=$?; test "$rc" -eq 64
 rc=0; bifactor factor g.txt --k 12 || rc=$?; test "$rc" -eq 2
@@ -145,7 +148,7 @@ bifactor connect h.txt --k 2 --l 3 --hamilton --out h.cyc
 grep -q '^cycle ' h.cyc
 printf 'bipartite 6 6 24\n0 0\n0 1\n0 4\n0 5\n1 0\n1 1\n1 4\n1 5\n2 0\n2 1\n2 2\n2 3\n3 0\n3 1\n3 2\n3 3\n4 2\n4 3\n4 4\n4 5\n5 2\n5 3\n5 4\n5 5\n' > w.txt
 bifactor connect w.txt --k 2 --l 3 --hamilton --out w.cyc
-grep -qx 'cycle X0 Y0 X1 Y1 X2 Y2 X3 Y3 X4 Y4 X5 Y5' w.cyc
+grep -qx 'cycle X0 Y1 X1 Y0 X2 Y3 X3 Y2 X4 Y5 X5 Y4' w.cyc
 python -c 'from bifactor.graph import parse_factor, parse_graph; [parse_factor(open(f + ".cyc").read(), parse_graph(open(f + ".txt").read())) for f in "hw"]'
 rc=0; bifactor connect h.txt --k 2 --l 9 --hamilton || rc=$?; test "$rc" -eq 64
 rc=0; bifactor threshold --k 2 --l 3 --m 2 --raw || rc=$?; test "$rc" -eq 64

@@ -36,7 +36,7 @@ from bifactor.generators import MODELS
 from bifactor.graph import MAX_CLASS_SIZE, BipartiteGraph, Factor, parse_factor
 from bifactor.suites import SUITE_NAMES, TrialResult
 
-from conftest import chain_host
+from conftest import chain_host, quadrilateral_chain_host
 
 
 @pytest.fixture
@@ -207,21 +207,16 @@ class TestConnectCommand:
 
     def test_hamilton_weave(self, graph_file, tmp_path, capsys):
         """A doubled 6-cycle labelled quadrilateral by quadrilateral: the
-        flow's 2-factor is three quadrilaterals, no exchange merges them,
-        and the written cycle is the one woven from the stuck state."""
-        edges = []
-        for i in range(3):
-            j = (i + 1) % 3
-            edges += [(2 * i + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
-            edges += [(2 * j + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
-        host = BipartiteGraph(6, 6, edges)
+        flow's 2-factor is three quadrilaterals, no primary exchange merges
+        them, and the written cycle is the one the exchange stage leaves."""
+        host = quadrilateral_chain_host(3)
         path = graph_file(host)
         assert main(["factor", path, "--k", "2"]) == 0
         assert "(3 components)" in capsys.readouterr().out
         assert main(["connect", path, "--k", "2", "--l", "3", "--hamilton"]) == 0
         assert (tmp_path / "host.graph.connected").read_text() == (
-            "factor 2 12\n0 0\n0 5\n1 0\n1 1\n2 1\n2 2\n3 2\n3 3\n4 3\n4 4\n5 4\n5 5\n"
-            "cycle X0 Y0 X1 Y1 X2 Y2 X3 Y3 X4 Y4 X5 Y5\n"
+            "factor 2 12\n0 1\n0 4\n1 0\n1 1\n2 0\n2 3\n3 2\n3 3\n4 2\n4 5\n5 4\n5 5\n"
+            "cycle X0 Y1 X1 Y0 X2 Y3 X3 Y2 X4 Y5 X5 Y4\n"
         )
         parse_factor((tmp_path / "host.graph.connected").read_text(), host)
 

@@ -42,8 +42,8 @@ from bifactor import (
 from bifactor.connect import (
     _build_stuck_report,
     _component_vertex_sets,
+    _exchange_stage,
     _Exchanger,
-    _weave_quotient_cycle,
 )
 from bifactor.errors import (
     HypothesisViolatedError,
@@ -71,6 +71,7 @@ from conftest import (
     components,
     labelled,
     linked_quadrilateral_host,
+    quadrilateral_chain_host,
     reference_connect,
     reference_cycle_order,
     reference_hamilton_after_stuck,
@@ -80,6 +81,7 @@ from conftest import (
 
 SQUARE_A = [(0, 0), (0, 1), (1, 0), (1, 1)]
 SQUARE_B = [(2, 2), (2, 3), (3, 2), (3, 3)]
+STUCK_MESSAGE = "^no alternating cycle through a link merges two components$"
 
 
 @pytest.fixture
@@ -450,7 +452,7 @@ class TestFactorsBuiltOnce:
 
     def test_pipelines_check_their_answer(self, monkeypatch):
         """connected_k_factor and hamilton_s13 run check_factor on what they
-        return, on the loop's path and on the woven-cycle path: the check
+        return, on the loop's path and on the exchange stage's: the check
         of every edge against the host rests on that call."""
         calls = []
         real = bifactor.connect.check_factor
@@ -461,14 +463,9 @@ class TestFactorsBuiltOnce:
 
         monkeypatch.setattr(bifactor.connect, "check_factor", recorder)
         dense = {n: complete_bipartite_minus_matching(n, [(i, i) for i in range(n)]) for n in (13, 19)}
-        quads = []
-        for i in range(3):
-            j = (i + 1) % 3
-            quads += [(2 * i + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
-            quads += [(2 * j + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
-        woven = BipartiteGraph(6, 6, quads)
+        woven = quadrilateral_chain_host(3)
         start = find_f_factor(woven, DegreeDemand.uniform(woven, 2))
-        assert isinstance(connect_factor(woven, start), StuckReport)  # so the answer is woven
+        assert isinstance(connect_factor(woven, start), StuckReport)  # so the stage answers
         for graph, run, k in (
             (dense[13], lambda g: connected_k_factor(g, 2, 3), 2),
             (dense[19], lambda g: connected_k_factor(g, 3, 3), 3),
@@ -939,8 +936,8 @@ class TestHamilton:
 
     def test_weave_on_canonical_stuck_state(self):
         """Doubling a 6-cycle and taking the squares over a perfect
-        matching leaves three 4-cycle components no swap can merge; the
-        quotient weave must close them into one rotation."""
+        matching leaves three 4-cycle components no primary exchange can
+        merge; the exchange stage must close them into one rotation."""
         base = cycle_graph(3)
         g = double_graph(base)
         squares = []
@@ -952,18 +949,18 @@ class TestHamilton:
         report = connect_factor(g, f, l=3)
         assert isinstance(report, StuckReport) and report.factor == f
         assert report.neighborhoods_isolated
-        woven = _weave_quotient_cycle(report, _component_vertex_sets(f))
-        assert woven is not None
-        assert_regular_spanning(g, woven, 2, connected=True)
+        assert_regular_spanning(g, _exchange_stage(g, report), 2, connected=True)
 
     @pytest.mark.parametrize(
         "arcs", [[(0, 1), (1, 2), (2, 1)], [(0, 1), (1, 0), (2, 3), (3, 2)]]
     )
-    def test_weave_rejects_a_quotient_that_is_not_one_cycle(self, arcs):
-        """Quadrilaterals with full arcs, one out of each component: either
-        the walk from component 0 enters the cycle 1 -> 2 -> 1 and never
-        comes back to 0, or it comes back to 0 before it has seen every
-        component."""
+    def test_stage_on_a_quotient_that_is_not_one_cycle(self, arcs):
+        """Quadrilaterals with full arcs, one out of each component, whose
+        quotient is no single cycle.  With no arc into component 0, its X
+        half has only factor edges, so no alternating cycle enters it: the
+        stage merges 1 and 2 and then refuses.  The other host is two
+        pieces: the stage merges inside them, and the loop on the result
+        finds the host disconnected."""
         c = 1 + max(j for _, j in arcs)
         quads = [([2 * i, 2 * i + 1], [2 * i, 2 * i + 1]) for i in range(c)]
         factor_edges = [(x, y) for xs, ys in quads for x in xs for y in ys]
@@ -975,7 +972,14 @@ class TestHamilton:
         assert Counter((link.component_v, link.component_u) for link in report.links) == {
             arc: 4 for arc in arcs
         }
-        assert _weave_quotient_cycle(report, quads) is None
+        if g.is_connected():
+            with pytest.raises(StructureUnrecognizedError, match=STUCK_MESSAGE) as err:
+                _exchange_stage(g, report)
+            merged = ([2, 3, 4, 5], [2, 3, 4, 5])
+            assert _component_vertex_sets(err.value.report.factor) == [quads[0], merged]
+        else:
+            with pytest.raises(NotConnectedError):
+                _exchange_stage(g, report)
 
     def test_hypothesis_min_degree(self):
         with pytest.raises(HypothesisViolatedError) as err:
@@ -1001,75 +1005,107 @@ class TestHamilton:
         assert [v.label for v in witness.vertices()] == ["X0", "Y1", "Y6", "X6", "X11", "X13"]
         assert_star_witness_valid(g, witness)
 
-    @staticmethod
-    def _assert_unrecognized(monkeypatch, g, factor_edges, message):
-        """hamilton_s13 on ``g`` when the connecting loop reports the factor
-        of ``factor_edges`` as stuck, whatever factor the flow found."""
-        f = Factor(g, factor_edges)
-
-        def stuck(graph, factor, l=None):
-            return _build_stuck_report(graph, f, 2, l)
-
-        monkeypatch.setattr(bifactor.connect, "connect_factor", stuck)
-        with pytest.raises(StructureUnrecognizedError, match=message) as err:
-            hamilton_s13(g)
-        assert isinstance(err.value.report, StuckReport) and err.value.report.factor == f
-
-    def test_stuck_component_larger_than_quadrilateral(self, monkeypatch):
+    def test_stuck_component_larger_than_quadrilateral(self):
+        """The stage takes stuck states of any shape: two hexagons of
+        K(6, 6), handed to it as stuck, come back as one Hamilton cycle."""
         g = complete_bipartite(6, 6)
         hexagons = [(c + x, c + y) for c in (0, 3) for x in range(3) for y in (x, (x + 1) % 3)]
-        self._assert_unrecognized(
-            monkeypatch, g, hexagons, "^stuck with a component larger than a quadrilateral$"
-        )
+        cycle = _exchange_stage(g, _build_stuck_report(g, Factor(g, hexagons), 2, 3))
+        assert_regular_spanning(g, cycle, 2, connected=True)
 
-    def test_stuck_vertex_sees_three_components(self, monkeypatch):
+    def test_stuck_vertex_sees_three_components(self):
+        """Three squares of K(6, 6), handed to the stage as stuck, where X0
+        sees both other squares, come back as one Hamilton cycle."""
         g = complete_bipartite(6, 6)
         squares = [(c + x, c + y) for c in (0, 2, 4) for x in (0, 1) for y in (0, 1)]
-        self._assert_unrecognized(monkeypatch, g, squares, "^vertex X0 sees 3 components$")
+        cycle = _exchange_stage(g, _build_stuck_report(g, Factor(g, squares), 2, 3))
+        assert_regular_spanning(g, cycle, 2, connected=True)
 
-    def test_stuck_quadrilaterals_not_chained(self, monkeypatch):
-        """Two quadrilaterals joined by one edge: each vertex sees at most
-        one foreign component, but no full 2x2 pattern joins them.  The
-        host's minimum degree is 2, so the hypotheses are stubbed out."""
+    def test_stuck_quadrilaterals_not_chained(self):
+        """Two quadrilaterals joined by one edge: that link is a bridge, so
+        no alternating cycle runs through it, and the stage refuses with
+        the stuck report it was handed."""
         g = BipartiteGraph(4, 4, SQUARE_A + SQUARE_B + [(2, 0)])
-        monkeypatch.setattr(bifactor.connect, "_hypotheses", lambda *args: None)
-        self._assert_unrecognized(
-            monkeypatch,
-            g,
-            SQUARE_A + SQUARE_B,
-            "^quadrilateral components do not chain into a cycle$",
-        )
+        report = _build_stuck_report(g, Factor(g, SQUARE_A + SQUARE_B), 2, 3)
+        with pytest.raises(StructureUnrecognizedError, match=STUCK_MESSAGE) as err:
+            _exchange_stage(g, report)
+        assert err.value.report is report
 
-    def test_stuck_quadrilaterals_match_reference(self, monkeypatch):
-        """On seeded all-quadrilateral stuck states, hamilton_s13 weaves the
-        same cycle, or raises the same error, as its checks as first
-        written, and the report it attaches is the stuck report as first
-        written.  The hypotheses are stubbed out, and the connecting loop
-        reports the quadrilaterals as stuck."""
-        state = {}
-
-        def stuck(graph, factor, l=None):
-            return _build_stuck_report(graph, state["factor"], 2, l)
-
-        monkeypatch.setattr(bifactor.connect, "_hypotheses", lambda *args: None)
-        monkeypatch.setattr(bifactor.connect, "connect_factor", stuck)
+    def test_stuck_quadrilaterals_match_reference(self):
+        """On seeded all-quadrilateral states handed to the stage as stuck,
+        every state that the weave as first written weaves comes back
+        connected, and every refusal carries the stuck report as first
+        written for the factor it stuck on.  The hosts that are not
+        connected, which the hypotheses rule out, may instead end in
+        NotConnectedError from the connecting loop."""
         outcomes = Counter()
         for seed in range(3000):
             g, f = quadrilateral_state(random.Random(seed))
-            state["factor"] = f
-            want_report = reference_stuck_report(g, f, 2, 3)
             try:
-                want = reference_hamilton_after_stuck(g, want_report).edge_list
-            except StructureUnrecognizedError as exc:
-                want = str(exc)
+                reference_hamilton_after_stuck(g, reference_stuck_report(g, f, 2, 3))
+                woven = True
+            except StructureUnrecognizedError:
+                woven = False
             try:
-                got = hamilton_s13(g).edge_list
+                cycle = _exchange_stage(g, _build_stuck_report(g, f, 2, 3))
             except StructureUnrecognizedError as exc:
-                assert serialize_stuck_report(exc.report) == serialize_stuck_report(want_report)
-                got = str(exc)
-            assert got == want, seed
-            if isinstance(got, tuple):
-                outcomes["woven"] += 1
+                assert not woven, seed
+                want = reference_stuck_report(g, exc.report.factor, 2, 3)
+                assert serialize_stuck_report(exc.report) == serialize_stuck_report(want), seed
+                outcomes["refused"] += 1
+            except NotConnectedError:
+                assert not woven and not g.is_connected(), seed
+                outcomes["disconnected"] += 1
             else:
-                outcomes["chain" if "chain" in got else "sees"] += 1
-        assert set(outcomes) == {"woven", "chain", "sees"}, outcomes
+                check_factor(g, cycle, 2, connected=True)
+                outcomes["woven" if woven else "connected"] += 1
+        assert outcomes["woven"] == 552
+        assert set(outcomes) == {"woven", "connected", "refused", "disconnected"}, outcomes
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_quadrilateral_chains_connect_in_one_exchange(self, monkeypatch, m):
+        """A doubled 2m-cycle labelled quadrilateral by quadrilateral: the
+        flow's 2-factor is the m quadrilaterals and the loop sticks on
+        them.  One exchange, on the first link, leaves the loop a state it
+        connects."""
+        g = quadrilateral_chain_host(m)
+        stuck = connect_factor(g, find_f_factor(g, DegreeDemand.uniform(g, 2)), l=3)
+        assert isinstance(stuck, StuckReport) and stuck.factor.n_components == m
+        tried = []
+        real = bifactor.connect._swap_alternating_cycle
+
+        def recorder(graph, factor, x, y):
+            tried.append((x, y))
+            return real(graph, factor, x, y)
+
+        monkeypatch.setattr(bifactor.connect, "_swap_alternating_cycle", recorder)
+        cycle = hamilton_s13(g)
+        assert tried == [(stuck.links[0].u.index, stuck.links[0].v.index)]
+        assert len(cycle_order(cycle)) == 4 * m
+
+    def test_pinned_5x5_host_connects(self):
+        """A (2,3)-star-pair-free 5+5 host of minimum degree 3, below the
+        Hamilton pipeline's: its flow 2-factor sticks at two components,
+        and one exchange connects it."""
+        g = BipartiteGraph(5, 5, [
+            (0, 2), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0),
+            (2, 1), (2, 4), (3, 2), (3, 3), (3, 4), (4, 0), (4, 1), (4, 4),
+        ])
+        assert g.min_degree() == 3 and find_induced_star(g, 2, 3) is None
+        stuck = connect_factor(g, find_f_factor(g, DegreeDemand.uniform(g, 2)), l=3)
+        assert isinstance(stuck, StuckReport) and stuck.factor.n_components == 2
+        cycle = _exchange_stage(g, stuck)
+        check_factor(g, cycle, 2, connected=True)
+        assert cycle.edge_list == (
+            (0, 3), (0, 4), (1, 1), (1, 2), (2, 0), (2, 1), (3, 2), (3, 3), (4, 0), (4, 4)
+        )
+
+    def test_linked_quadrilateral_stays_stuck(self):
+        """The quadrilateral's only link is a bridge, so no alternating
+        cycle runs through it: the stage refuses with the loop's report."""
+        g = linked_quadrilateral_host(4)
+        stuck = connect_factor(g, find_f_factor(g, DegreeDemand.uniform(g, 2)), l=3)
+        assert isinstance(stuck, StuckReport) and stuck.factor.n_components == 2
+        with pytest.raises(StructureUnrecognizedError, match=STUCK_MESSAGE) as err:
+            _exchange_stage(g, stuck)
+        assert err.value.report is stuck

@@ -866,7 +866,7 @@ class TestFactorReader:
                 K22_LESS_01,
                 "factor 1 2\n0 1\n1 0\n",
                 IndexOutOfRangeError,
-                "factor edge (0, 1) not in host graph",
+                "line 2: factor edge (0, 1) not in host graph",
             ),
             (
                 K22,
@@ -914,6 +914,26 @@ class TestFactorReader:
                 MalformedHeaderError,
                 "line 2: header promises 6 edges, file has 2",
             ),
+            # The first edge the host lacks in file order is named, after
+            # every fault the graph reader would raise.
+            (
+                K55_LESS_MATCHING,
+                "factor 1 2\n3 3\n0 0\n",
+                IndexOutOfRangeError,
+                "line 2: factor edge (3, 3) not in host graph",
+            ),
+            (
+                K55_LESS_MATCHING,
+                "factor 1 2\n3 3\n0 5\n",
+                IndexOutOfRangeError,
+                "line 3: edge (0, 5) outside 5x5",
+            ),
+            (
+                K55_LESS_MATCHING,
+                "factor 1 3\n3 3\n0 1\n",
+                MalformedHeaderError,
+                "line 1: header promises 3 edges, file has 2",
+            ),
         ],
     )
     def test_each_error(self, host, text, error, message):
@@ -930,8 +950,8 @@ class TestFactorReader:
         the factor header's m, its cycle lines blanked so that every line
         keeps its number, the graph reader raises the class, text and line
         that parse_factor raises.  Where the graph reader accepts the
-        lines, parse_factor fails, if at all, on the host, the degrees or
-        a cycle line."""
+        lines, parse_factor fails, if at all, on the host, naming the line
+        of an edge it lacks, on the degrees, or on a cycle line."""
         host, text = case
         lines = text.splitlines()
         heads = [i for i, raw in enumerate(lines) if raw.strip() and raw.strip()[0] != "#"]
@@ -948,6 +968,8 @@ class TestFactorReader:
         got = _outcome(parse_factor, text, host)
         if isinstance(want[0], type):
             assert got == want
+        elif isinstance(got[0], type) and got[1].endswith("not in host graph"):
+            assert not host.has_edge(*map(int, blanked[got[2] - 1].split())), got
         elif isinstance(got[0], type):
             assert got[2] is None or blanked[got[2] - 1] == "", got
 

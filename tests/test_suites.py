@@ -9,7 +9,7 @@ import pytest
 
 import bifactor.connect
 import bifactor.suites
-from bifactor import BipartiteGraph, Factor, complete_bipartite, cycle_graph
+from bifactor import BipartiteGraph, Factor, StuckReport, complete_bipartite, cycle_graph
 from bifactor.cli import main
 from bifactor.errors import (
     ParamInvalidError,
@@ -28,6 +28,8 @@ from bifactor.suites import (
     run_suite,
     run_thm3,
 )
+
+from conftest import quadrilateral_chain_host
 
 
 def test_suite_names_stable():
@@ -197,10 +199,9 @@ def test_wrong_answer_fails_its_trial(monkeypatch, capsys, suite, max_n, name, w
     """An exhaustive suite that gets a wrong answer prints the trial as FAIL
     with what went wrong, and verify exits 1.  The suite runs on classes
     up to ``max_n``."""
-    runner = {"oracle-eq": "run_oracle_eq", "prop-s12": "run_prop_s12"}[suite]
-    monkeypatch.setattr(
-        bifactor.suites, runner, functools.partial(getattr(bifactor.suites, runner), max_n=max_n)
-    )
+    run, seeded = bifactor.suites._SUITES[suite]
+    limited = functools.partial(run, max_n=max_n)
+    monkeypatch.setitem(bifactor.suites._SUITES, suite, (limited, seeded))
     monkeypatch.setattr(bifactor.suites, name, wrong(getattr(bifactor.suites, name)))
     assert main(["verify", suite]) == 1
     out, err = capsys.readouterr()
@@ -241,21 +242,18 @@ def test_pipelines_check_what_the_suites_receive(monkeypatch, seed):
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_woven_cycle_is_checked(monkeypatch, m):
     """A doubled 2m-cycle labelled quadrilateral by quadrilateral: the
-    flow's 2-factor is the m quadrilaterals, no exchange merges them, and
-    hamilton_s13 returns the woven cycle, which must be checked too.  (The
-    suite's doubled cycles never get here: their flow 2-factor connects.)"""
-    edges = []
-    for i in range(m):
-        j = (i + 1) % m
-        edges += [(2 * i + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
-        edges += [(2 * j + a, 2 * i + b) for a in (0, 1) for b in (0, 1)]
+    flow's 2-factor is the m quadrilaterals, no primary exchange merges
+    them, and hamilton_s13 returns the cycle the exchange stage leaves,
+    which must be checked too.  (The suite's doubled cycles never get
+    here: their flow 2-factor connects.)"""
     checked, woven = [], []
     monkeypatch.setattr(bifactor.connect, "check_factor", _record(checked, bifactor.connect.check_factor))
     monkeypatch.setattr(
-        bifactor.connect, "_weave_quotient_cycle", _record(woven, bifactor.connect._weave_quotient_cycle)
+        bifactor.connect, "_exchange_stage", _record(woven, bifactor.connect._exchange_stage)
     )
-    cycle = bifactor.connect.hamilton_s13(BipartiteGraph(2 * m, 2 * m, edges))
+    cycle = bifactor.connect.hamilton_s13(quadrilateral_chain_host(m))
     assert [out for out, _, _ in woven] == [cycle]
+    assert isinstance(woven[0][1][1], StuckReport)  # the stage had a stuck state to connect
     _assert_checked(checked, cycle, 2)
 
 
