@@ -12,9 +12,10 @@ edges from each part gives k|P| - 1 = k|Q|, impossible for k >= 2.  So
 dropping x-u2 and v2-y leaves the components A of x and B of y each
 connected, and adding x-y and v2-u2 joins them.  The fresh edge v2-u2
 runs between A and B, so it is never a factor edge.  For k <= 1 no
-exchange merges anything: a 1-factor's edges are all bridges.
+exchange of any kind merges anything, since all k-factors then have the
+same number of components, and none is tried.
 
-The connecting loop tries primary moves only.  The other natural
+The connecting loop tries primary moves first.  The other natural
 exchange, swapping the factor neighbors of two same-side vertices in
 different components, is always a primary candidate.  Swapping X
 vertices i1 and i2 (factor neighbors w1 and w2) drops i1-w1 and i2-w2
@@ -22,7 +23,12 @@ and adds i1-w2 and i2-w1.  The added edge i1-w2 joins two components, so
 it is a link; w1 is a factor neighbor of i1 and i2 one of w2; so the
 primary candidate on link i1-w2 with fresh edge i2-w1 removes and adds
 the same four edges.  The Y side is symmetric.  So the primary scan
-finds a move whenever such a swap would help.
+finds a move whenever such a swap would help.  A primary move swaps an
+alternating 4-cycle through a link, and any two k-factors differ by
+alternating cycles.  So when no primary move applies, each link in
+(x, y) order is tried for its shortest alternating cycle; the first swap
+that lowers the component count is kept, and the loop starts afresh from
+it, as such a swap may also split a component.
 
 The loop keeps one working copy of the factor (sorted adjacency,
 component labels, and the members of each label as listed by
@@ -35,7 +41,7 @@ component are skipped once, not once per move.  This is exact because
 components only merge: a y that shares x's component goes on sharing it,
 so the prefix never holds a link, and the first exchangeable link, hence
 every move, is the one a scan from X0 over whole rows would find.  The
-loop builds a ``Factor`` once, at the end, from that adjacency as it
+loop builds a ``Factor`` only when it stops, from that adjacency as it
 stands, still sorted, so nothing is sorted or indexed again.  The
 loop's ids stay internal: it tells a connected result by its component
 count, and the result labels itself on first read, as a stuck report
@@ -43,13 +49,14 @@ reads it.  It does not walk the host: every edge the loop adds was found
 by bisecting a host row.  ``check_factor``, which both pipelines run on
 their answer, is the independent check of its edges and components.
 
-A factor on which no exchange merges two components is *stuck*.  Stuck
-states are audited, not asserted away: the report carries every link,
-whether the factor neighborhoods of each link are fully non-adjacent, and
-per-vertex degree tallies against the bounds that hold in a genuinely
-stuck state of a pattern-free graph.  When those bounds together cap a vertex's degree
-below the host's minimum degree, the stuck state is impossible under the
-stated hypotheses and the report flags the contradiction.
+A factor on which no primary move or cycle swap merges two components
+is *stuck*.  Stuck states are audited, not asserted away: the report
+carries every link, whether the factor neighborhoods of each link are
+fully non-adjacent, and per-vertex degree tallies against the bounds
+that hold in a genuinely stuck state of a pattern-free graph.  When
+those bounds together cap a vertex's degree below the host's minimum
+degree, the stuck state is impossible under the stated hypotheses and
+the report flags the contradiction.
 """
 
 from __future__ import annotations
@@ -81,9 +88,16 @@ from .structure import find_induced_star
 # -- minimum-degree thresholds -------------------------------------------------
 
 
+def _stuck_bounds(k: int, l: int) -> tuple[int, int]:
+    """A stuck link endpoint's bounds on its host edges leaving and inside
+    its component; one past their sum is the first term of c(k, l)."""
+    outside = (k * k - k + 1) * (2 * l - 2 * k - 1)
+    return outside, k * outside + l - 1
+
+
 def threshold_c_raw(k: int, l: int) -> int:
     """The connectivity threshold formula with no parameter gate."""
-    return max((k**3 + 1) * (2 * l - 2 * k - 1) + l, 2 * (k * k - k + l))
+    return max(sum(_stuck_bounds(k, l)) + 1, 2 * (k * k - k + l))
 
 
 def threshold_c(k: int, l: int) -> int:
@@ -118,9 +132,9 @@ class Link(NamedTuple):
 class SwapMove(NamedTuple):
     """A degree-preserving exchange: drop ``removed``, add ``added``."""
 
-    kind: str  # always 'primary'
-    removed: tuple[Edge, Edge]
-    added: tuple[Edge, Edge]
+    kind: str  # 'primary' (a 4-cycle) or 'cycle' (a longer alternating cycle)
+    removed: tuple[Edge, ...]
+    added: tuple[Edge, ...]
 
 
 def find_links(graph: BipartiteGraph, factor: Factor) -> tuple[Link, ...]:
@@ -287,8 +301,7 @@ def _build_stuck_report(
             (a, b) for a in n_v for b in n_u if graph.has_edge(a, b)
         )
         isolation.append(LinkIsolation(link, joining))
-    bound_out = None if l is None else (k * k - k + 1) * (2 * l - 2 * k - 1)
-    bound_in = None if l is None else k * bound_out + l - 1
+    bound_out, bound_in = (None, None) if l is None else _stuck_bounds(k, l)
 
     def audit(name: str, v: VertexRef, value: int, bound: int | None) -> DegreeAuditRecord:
         return DegreeAuditRecord(name, v, value, bound, None if bound is None else value <= bound)
@@ -305,13 +318,10 @@ def _build_stuck_report(
     ]
 
     delta = graph.min_degree()
-    contradiction_vertices: tuple[VertexRef, ...] = ()
-    if l is not None and links:
-        # In a genuinely stuck pattern-free state both bounds apply, so a
-        # link endpoint's degree is capped by their sum; a cap under the
-        # minimum degree is impossible.
-        if bound_out + bound_in < delta:
-            contradiction_vertices = tuple(sorted(endpoints))
+    # Both bounds hold at a link endpoint of a genuinely stuck pattern-free
+    # state: a minimum degree reaching the first term of c(k, l) rules it out.
+    impossible = l is not None and bound_out + bound_in + 1 <= delta
+    contradiction_vertices = tuple(sorted(endpoints)) if impossible else ()
     return StuckReport(
         factor=factor,
         links=links,
@@ -365,34 +375,77 @@ def connect_factor(
     """Drive a regular factor to one component, or report the stuck state.
 
     Links are scanned in (x, y) order; the first primary move with a fresh
-    host edge is applied and the scan restarts.  ``l`` only feeds the stuck
-    report's degree bounds.  ``trace`` (when a list) collects (move, count)
-    pairs as moves are accepted.
+    host edge is applied, else the first cycle swap that merges components
+    (see the module docstring), and the scan restarts.  ``l`` only feeds
+    the stuck report's degree bounds.  ``trace`` (when a list) collects
+    (move, count) pairs as moves are accepted.
 
     The host's connectivity is checked only when the factor is not regular
-    or the loop ends with more than one component, so NotConnectedError
+    or the loop sticks, before any cycle is sought, so NotConnectedError
     still comes before NotRegularError.  A spanning factor of a
     disconnected host can never reach one component, so such a host always
     raises NotConnectedError, but ``trace`` may by then hold the moves the
     loop made inside the host's components.
     """
     k = factor.regularity()
-    if k is not None:
-        state = _Exchanger(graph, factor, k)
-        while state.count > 1:
-            move = state.step()
-            if move is None:
+    current = factor
+    while True:
+        if k is not None:
+            state = _Exchanger(graph, current, k)
+            while state.count > 1 and (move := state.step()) is not None:
+                if trace is not None:
+                    trace.append((move, state.count))
+            current = state.factor()
+            if state.count <= 1:
+                return current
+        if not graph.is_connected():
+            raise NotConnectedError("host graph is disconnected; no factor can connect it")
+        if k is None:
+            raise NotRegularError("connectivity search expects a regular factor")
+        for link in find_links(graph, current) if k >= 2 else ():
+            found = _swap_alternating_cycle(graph, current, link.u.index, link.v.index)
+            if found is not None and found[1].n_components < current.n_components:
                 break
-            if trace is not None:
-                trace.append((move, state.count))
-        current = state.factor()
-        if state.count <= 1:
-            return current
-    if not graph.is_connected():
-        raise NotConnectedError("host graph is disconnected; no factor can connect it")
-    if k is None:
-        raise NotRegularError("connectivity search expects a regular factor")
-    return _build_stuck_report(graph, current, k, l)
+        else:
+            return _build_stuck_report(graph, current, k, l)
+        move, current = found
+        if trace is not None:
+            trace.append((move, current.n_components))
+
+
+def _swap_alternating_cycle(
+    graph: BipartiteGraph, factor: Factor, x: int, y: int
+) -> tuple[SwapMove, Factor] | None:
+    """The exchange of a shortest alternating cycle through the host edge
+    x-y outside ``factor``, and ``factor`` with it swapped; None when there
+    is none.
+
+    The cycle is x-y and a path from y back to x, found by breadth-first
+    search in index order, that leaves each Y vertex by a factor edge and
+    each X vertex by a host edge outside the factor: swapping its edges in
+    and out keeps every degree.  The move lists each half sorted.
+    """
+    via_x: dict[int, int] = {}  # X vertex -> the Y vertex before it
+    via_y = {y: x}  # Y vertex -> the X vertex before it
+    queue = [y]
+    for b in queue:  # grows as the search goes
+        for a in factor._adj_y[b]:
+            if a == x:
+                removed, added = [(x, b)], [(x, y)]
+                while b != y:
+                    a = via_y[b]
+                    added.append((a, b))
+                    b = via_x[a]
+                    removed.append((a, b))
+                move = SwapMove("cycle", tuple(sorted(removed)), tuple(sorted(added)))
+                return move, Factor(graph, factor.edge_set ^ {*removed, *added})
+            if a not in via_x:
+                via_x[a] = b
+                for b2 in graph._adj_x[a]:
+                    if b2 not in via_y and b2 not in factor._adj_x[a]:
+                        via_y[b2] = a
+                        queue.append(b2)
+    return None
 
 
 # -- pipelines -----------------------------------------------------------------
@@ -498,70 +551,18 @@ def connected_k_factor(graph: BipartiteGraph, k: int, l: int) -> Factor:
     return result
 
 
-def _swap_alternating_cycle(
-    graph: BipartiteGraph, factor: Factor, x: int, y: int
-) -> Factor | None:
-    """``factor`` with a shortest alternating cycle through the host edge
-    x-y outside it swapped, or None when there is none.
-
-    The cycle is x-y and a path from y back to x, found by breadth-first
-    search in index order, that leaves each Y vertex by a factor edge and
-    each X vertex by a host edge outside the factor: swapping its edges in
-    and out keeps every degree.
-    """
-    via_x: dict[int, int] = {}  # X vertex -> the Y vertex before it
-    via_y = {y: x}  # Y vertex -> the X vertex before it
-    queue = [y]
-    for b in queue:  # grows as the search goes
-        for a in factor._adj_y[b]:
-            if a == x:
-                cycle = {(x, y), (x, b)}
-                while b != y:
-                    a = via_y[b]
-                    cycle |= {(a, b), (a, via_x[a])}
-                    b = via_x[a]
-                return Factor(graph, factor.edge_set ^ cycle)
-            if a not in via_x:
-                via_x[a] = b
-                for b2 in graph._adj_x[a]:
-                    if b2 not in via_y and b2 not in factor._adj_x[a]:
-                        via_y[b2] = a
-                        queue.append(b2)
-    return None
-
-
-def _exchange_stage(graph: BipartiteGraph, result: Factor | StuckReport) -> Factor:
-    """The factor of ``result`` connected by alternating-cycle exchanges.
-
-    Two k-factors differ by alternating cycles, so a stuck factor may
-    still connect by a longer exchange than the loop's.  Each link of a
-    stuck state, in (x, y) order, is tried once: the first exchange of its
-    shortest alternating cycle that lowers the component count is kept,
-    and the connecting loop resumes from it.  StructureUnrecognizedError,
-    carrying the stuck report, when no link's cycle merges two components.
-    """
-    while isinstance(result, StuckReport):
-        stuck = result.factor
-        for link in result.links:
-            swapped = _swap_alternating_cycle(graph, stuck, link.u.index, link.v.index)
-            if swapped is not None and swapped.n_components < stuck.n_components:
-                break
-        else:
-            raise StructureUnrecognizedError(
-                "no alternating cycle through a link merges two components", report=result
-            )
-        result = connect_factor(graph, swapped, l=result.l)
-    return result
-
-
 def hamilton_s13(graph: BipartiteGraph) -> Factor:
     """Hamilton cycle of a connected balanced (1,3)-star-pair-free graph
     with minimum degree at least 4.
 
-    Pipeline: 2-regular factor by flow, then the connecting loop and, if
-    that sticks, the exchange stage; StructureUnrecognizedError (carrying
-    the stuck report) when the stage cannot merge two components either.
+    Pipeline: 2-regular factor by flow, then the connecting loop with its
+    alternating-cycle exchanges; StructureUnrecognizedError (carrying the
+    stuck report) when those cannot merge two components either.
     """
-    result = _exchange_stage(graph, _regular_factor_connected(graph, 1, 3, 4, 2))
+    result = _regular_factor_connected(graph, 1, 3, 4, 2)
+    if isinstance(result, StuckReport):
+        raise StructureUnrecognizedError(
+            "no alternating cycle through a link merges two components", report=result
+        )
     check_factor(graph, result, 2, connected=True)
     return result

@@ -107,4 +107,4 @@ class TheoremContradictionError(BifactorError):
 
 
 class StructureUnrecognizedError(BifactorError):
-    """No alternating-cycle exchange merges a stuck factor's components."""
+    """hamilton_s13's refusal: no move or cycle swap merges the stuck 2-factor."""

@@ -97,7 +97,7 @@ class BipartiteGraph:
         self.n_x = n_x
         self.n_y = n_y
         if iter(edges) is edges:
-            edges = list(edges)  # one pass only: keep the input order for _checked_edges
+            edges = list(edges)  # one pass only: keep the input order for _checked_rows
         # One sort, linear on presorted input, puts a repeat next to its twin;
         # a fault raises, and only then is the input walked to name it.
         try:
@@ -119,7 +119,7 @@ class BipartiteGraph:
             return
         except (TypeError, ValueError, IndexError) as exc:
             fault = exc
-        checked = _checked_edges(n_x, n_y, zip(repeat(None), edges))
+        checked = [edge for _, edge in _checked_rows(n_x, n_y, zip(repeat(None), edges))]
         if all(type(e) is tuple for e in edges):  # no fault to name: an endpoint is no int
             raise fault
         BipartiteGraph.__init__(self, n_x, n_y, checked)  # pairs that sort only as tuples
@@ -230,22 +230,20 @@ def _stored(
     return self
 
 
-def _checked_edges(
+def _checked_rows(
     n_x: int, n_y: int, rows: Iterable[tuple[int | None, Edge]]
-) -> list[Edge]:
-    """The edges of (line number, edge) rows as tuples, in input order;
-    raises for the first edge out of range or repeated, naming its line
-    when it has one."""
+) -> Iterator[tuple[int | None, Edge]]:
+    """The (line number, edge) rows, each edge as a tuple, lazily and in
+    input order; raises for the first edge out of range or repeated,
+    naming its line when it has one."""
     seen: set[Edge] = set()
-    checked: list[Edge] = []
     for line, (x, y) in rows:
         if not (0 <= x < n_x and 0 <= y < n_y):
             raise IndexOutOfRangeError(f"edge ({x}, {y}) outside {n_x}x{n_y}", line=line)
         if (x, y) in seen:
             raise DuplicateEdgeError(f"edge ({x}, {y}) repeated", line=line)
         seen.add((x, y))
-        checked.append((x, y))
-    return checked
+        yield line, (x, y)
 
 
 def _stray_edge(
@@ -528,7 +526,7 @@ def parse_graph(text: str) -> BipartiteGraph:
         if graph is not None:
             return graph
         lines = text.splitlines()
-    edges = _checked_edges(n_x, n_y, _edge_rows(lines, header_line, "#"))
+    edges = [edge for _, edge in _checked_rows(n_x, n_y, _edge_rows(lines, header_line, "#"))]
     if len(edges) != m:
         raise MalformedHeaderError(
             f"header promises {m} edges, file has {len(edges)}", line=header_line
@@ -604,17 +602,15 @@ def parse_factor(text: str, host: BipartiteGraph) -> Factor:
     """
     lines = text.splitlines()
     header_line, _, (k, m) = _header(lines, "factor <k> <m>")
-    skip = ("#", "cycle ")
-    edges = _checked_edges(host.n_x, host.n_y, _edge_rows(lines, header_line, skip))
-    if len(edges) != m:
+    rows = list(_checked_rows(host.n_x, host.n_y, _edge_rows(lines, header_line, ("#", "cycle "))))
+    if len(rows) != m:
         raise MalformedHeaderError(
-            f"header promises {m} edges, file has {len(edges)}", line=header_line
+            f"header promises {m} edges, file has {len(rows)}", line=header_line
         )
-    for i, edge in enumerate(edges):  # in file order: edge i is on the i-th edge row
+    for lineno, edge in rows:  # in file order
         if not host.has_edge(*edge):
-            lineno, _ = next(islice(_edge_rows(lines, header_line, skip), i, None))
             raise IndexOutOfRangeError(f"factor edge {edge} not in host graph", line=lineno)
-    factor = Factor(host, edges)
+    factor = Factor(host, [edge for _, edge in rows])
     if factor.regularity() != k:
         raise NotRegularError(f"factor file claims {k}-regular but degrees differ")
     for lineno, raw in enumerate(islice(lines, header_line, None), start=header_line + 1):

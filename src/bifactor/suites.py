@@ -74,13 +74,13 @@ def _hamilton(build, *args) -> tuple[bool, str]:
 def run_thm3(trials: int = 10, seed: int = 0) -> list[TrialResult]:
     """Hamilton cycles in (1,3)-pattern-free hosts of minimum degree 4.
 
-    Fixed part: doubled cycles m = 3..10.  They never reach the exchange
-    stage: the flow's 2-factor of each has two components, and
-    ``connect_factor`` merges them.  The stage is exercised by
-    ``test_woven_cycle_is_checked`` in ``tests/test_suites.py``, on doubled
-    cycles labelled quadrilateral by quadrilateral.  Seeded part: dense
-    minus-matching instances.  ``hamilton_s13`` itself checks the host's
-    pattern-freeness and, by ``check_factor``, its cycle: a fault raises.
+    Fixed part: doubled cycles m = 3..10.  The flow's 2-factor of each has
+    two components, which a primary move merges; the alternating-cycle
+    swap is exercised by ``test_woven_cycle_is_checked`` in
+    ``tests/test_suites.py``, on doubled cycles labelled quadrilateral by
+    quadrilateral.  Seeded part: dense minus-matching instances.
+    ``hamilton_s13`` itself checks the host's pattern-freeness and, by
+    ``check_factor``, its cycle: a fault raises.
     """
     specs = [GenSpec("k-minus-matching", n=n, seed=seed + t) for t, n in _cycled(5, 12, trials)]
     return [

@@ -381,22 +381,78 @@ def apply_swap(factor: Factor, move: SwapMove) -> Factor:
     return Factor(factor.host, edges)
 
 
+def _reference_cycle_move(graph: BipartiteGraph, factor: Factor) -> SwapMove | None:
+    """The first alternating-cycle exchange that lowers the component
+    count, from edge sets alone, each candidate recounted from scratch.
+
+    Links are the host edges x-y, in (x, y) order, whose ends lie in
+    distinct union-find components of the factor.  A link's cycle is x-y
+    and a shortest path from y back to x, found by a plain breadth-first
+    search over (side, index) vertices, neighbours in index order, that
+    steps from Y to X along factor edges and from X to Y along host edges
+    outside the factor.
+    """
+    factor_edges = factor.edge_set
+    host_edges = sorted(graph.edge_set)
+    roots = _union_find(graph.n_x, graph.n_y, factor_edges)
+    base = len(set(roots))
+
+    def steps(side: str, v: int) -> list[tuple[str, int]]:
+        if side == "Y":
+            return [("X", a) for a, b in sorted(factor_edges) if b == v]
+        return [("Y", b) for a, b in host_edges if a == v and (a, b) not in factor_edges]
+
+    for x, y in host_edges:
+        if roots[x] == roots[graph.n_x + y]:
+            continue
+        before = {("Y", y): None}
+        queue, last = [("Y", y)], None
+        for vertex in queue:  # grows as the search goes
+            nxt = steps(*vertex)
+            if ("X", x) in nxt:
+                last = vertex
+                break
+            for w in nxt:
+                if w not in before:
+                    before[w] = vertex
+                    queue.append(w)
+        if last is None:
+            continue
+        path = [("X", x)]  # x, then back from the last Y to y, then x again
+        while last is not None:
+            path.append(last)
+            last = before[last]
+        path.append(("X", x))
+        cycle = {(a, b) if sa == "X" else (b, a) for (sa, a), (_, b) in zip(path, path[1:])}
+        move = SwapMove(
+            "cycle", tuple(sorted(cycle & factor_edges)), tuple(sorted(cycle - factor_edges))
+        )
+        after = apply_swap(factor, move)
+        if component_count(graph.n_x, graph.n_y, after.edge_list) < base:
+            return move
+    return None
+
+
 def reference_connect(
     graph: BipartiteGraph, factor: Factor, l: int | None = None
 ) -> tuple[Factor | StuckReport, list]:
-    """The connecting loop as first written: (result, trace).
+    """The connecting loop as first written, with its alternating-cycle
+    exchanges on a connected host: (result, trace).
 
     After every move all links are re-created from a rebuilt factor;
     primary moves over all links come first, then secondary moves over all
-    same-side pairs in distinct components, each candidate recounted from
-    scratch over a copy of the edge set.
+    same-side pairs in distinct components, then alternating-cycle
+    exchanges, each candidate recounted from scratch over a copy of the
+    edge set.
     """
     k = factor.regularity()
     trace = []
     current = factor
     while current.n_components > 1:
-        move = _reference_primary(graph, current) or next(
-            reference_secondary_moves(graph, current), None
+        move = (
+            _reference_primary(graph, current)
+            or next(reference_secondary_moves(graph, current), None)
+            or _reference_cycle_move(graph, current)
         )
         if move is None:
             return reference_stuck_report(graph, current, k, l), trace

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import takewhile
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,8 +43,8 @@ from bifactor import (
 from bifactor.connect import (
     _build_stuck_report,
     _component_vertex_sets,
-    _exchange_stage,
     _Exchanger,
+    _stuck_bounds,
 )
 from bifactor.errors import (
     HypothesisViolatedError,
@@ -115,6 +116,18 @@ class TestThresholds:
 
     def test_ungated_formula_still_computes(self):
         assert threshold_c_raw(3, 2) == 2 * (9 - 3 + 2)
+
+    def test_first_term_is_one_past_the_stuck_bounds(self):
+        """The stuck report's two degree bounds sum to one less than the
+        first term of c(k, l), over the gated and the --raw ranges."""
+        for k in range(1, 15):
+            for l in range(1, 15):
+                bound_out, bound_in = _stuck_bounds(k, l)
+                assert bound_out == (k * k - k + 1) * (2 * l - 2 * k - 1)
+                assert bound_in == k * bound_out + l - 1
+                first = (k**3 + 1) * (2 * l - 2 * k - 1) + l
+                assert bound_out + bound_in + 1 == first
+                assert threshold_c_raw(k, l) == max(first, 2 * (k * k - k + l))
 
     def test_regular_variant(self):
         assert threshold_c_prime(3, 3, 2) == 18
@@ -452,8 +465,9 @@ class TestFactorsBuiltOnce:
 
     def test_pipelines_check_their_answer(self, monkeypatch):
         """connected_k_factor and hamilton_s13 run check_factor on what they
-        return, on the loop's path and on the exchange stage's: the check
-        of every edge against the host rests on that call."""
+        return, on the primary moves' path and on the path through an
+        alternating-cycle exchange: the check of every edge against the
+        host rests on that call."""
         calls = []
         real = bifactor.connect.check_factor
 
@@ -465,7 +479,9 @@ class TestFactorsBuiltOnce:
         dense = {n: complete_bipartite_minus_matching(n, [(i, i) for i in range(n)]) for n in (13, 19)}
         woven = quadrilateral_chain_host(3)
         start = find_f_factor(woven, DegreeDemand.uniform(woven, 2))
-        assert isinstance(connect_factor(woven, start), StuckReport)  # so the stage answers
+        trace: list = []
+        connect_factor(woven, start, trace=trace)
+        assert trace[0][0].kind == "cycle"  # the loop sticks on the flow's factor at once
         for graph, run, k in (
             (dense[13], lambda g: connected_k_factor(g, 2, 3), 2),
             (dense[19], lambda g: connected_k_factor(g, 3, 3), 3),
@@ -481,6 +497,55 @@ class TestFactorsBuiltOnce:
 @pytest.fixture(scope="module")
 def hosts_4x4() -> list[BipartiteGraph]:
     return list(enumerate_bipartite_block(4, 4))
+
+
+class TestStuckAfterCycles:
+    """connect_factor gives up at k >= 2 only when no link has a host edge
+    between N_F(x) and N_F(y), the primary move's fresh edge, and no
+    link's alternating cycle merges anything; below k = 2 it seeks no
+    cycle, and a disconnected host is refused before any is sought."""
+
+    def test_stuck_reports_hold_eq10_from_k2(self):
+        """Every stuck report at k >= 2 over seeded block and cycle-union
+        hosts and linked quadrilaterals has EQ10 at every link; at k = 1,
+        where no move is tried, some do not."""
+        isolated = Counter()
+        hosts = [block_host(random.Random(seed).randint) for seed in range(3000)]
+        for graph in [cycle_union_host(random.Random(seed).randint) for seed in range(300)] + [
+            linked_quadrilateral_host(n) for n in (4, 10, 40)
+        ]:
+            hosts.append((graph, find_f_factor(graph, DegreeDemand.uniform(graph, 2))))
+        for graph, factor in hosts:
+            got = connect_factor(graph, factor, l=3)
+            if isinstance(got, StuckReport):
+                isolated[got.k >= 2, got.neighborhoods_isolated] += 1
+                assert ("EQ10 ALL HOLDS" in serialize_stuck_report(got)) == got.neighborhoods_isolated
+        assert isolated == {(True, True): 619, (False, True): 692, (False, False): 324}
+
+    def test_no_cycle_sought_below_k2_or_on_a_disconnected_host(self, monkeypatch):
+        """Seeded 1-factors and the empty factor come back stuck, a factor
+        of a disconnected host raises NotConnectedError and an irregular
+        one NotRegularError, all without a cycle search."""
+
+        def refuse(*args):
+            raise AssertionError("alternating cycle sought")
+
+        monkeypatch.setattr(bifactor.connect, "_swap_alternating_cycle", refuse)
+        ones = [block_host(random.Random(seed).randint) for seed in range(100)]
+        ones = [(g, f) for g, f in ones if f.regularity() == 1]
+        assert ones
+        g = complete_bipartite(3, 3)
+        for graph, factor in ones + [(g, Factor(g, []))]:
+            assert isinstance(connect_factor(graph, factor, l=3), StuckReport)
+        # a quadrilateral chain, which one cycle would connect, beside a square
+        chain = quadrilateral_chain_host(3).edge_list
+        square = [(x, y) for x in (6, 7) for y in (6, 7)]
+        apart = BipartiteGraph(8, 8, chain + tuple(square))
+        start = find_f_factor(apart, DegreeDemand.uniform(apart, 2))
+        with pytest.raises(NotConnectedError):
+            connect_factor(apart, start)
+        with pytest.raises(NotRegularError):
+            connect_factor(g, Factor(g, [(0, 0)]))
 
 
 class TestLabelsOnRead:
@@ -538,24 +603,26 @@ def _loop_factor(host: BipartiteGraph, demand: DegreeDemand) -> Factor:
     return result.factor if isinstance(result, StuckReport) else result
 
 
-def _same_as_reference(graph: BipartiteGraph, factor: Factor, l: int | None) -> str:
+def _same_as_reference(graph: BipartiteGraph, factor: Factor, l: int | None) -> tuple[str, bool]:
+    """The outcome, and whether the trace holds an alternating-cycle exchange."""
     trace: list = []
     got = connect_factor(graph, factor, l=l, trace=trace)
     want, want_trace = reference_connect(graph, factor, l=l)
     assert trace == want_trace
+    cycled = any(move.kind == "cycle" for move, _ in trace)
     if isinstance(want, StuckReport):
         assert isinstance(got, StuckReport)
         assert serialize_stuck_report(got) == serialize_stuck_report(want)
         assert_same_factor(got.factor, want.factor)
-        return "stuck"
+        return "stuck", cycled
     assert_same_factor(got, want)
-    return "connected"
+    return "connected", cycled
 
 
 class TestMoveTrace:
     """The connecting loop makes exactly the moves of the loop as first
     written, which rebuilt the factor after every move and recounted every
-    candidate from scratch."""
+    candidate from scratch, its alternating-cycle exchanges included."""
 
     @given(block_hosts(), st.sampled_from([None, 3]))
     @settings(max_examples=150, deadline=None)
@@ -563,13 +630,15 @@ class TestMoveTrace:
         _same_as_reference(*host, l=l)
 
     def test_seeded_corpus_reaches_both_outcomes(self):
-        outcomes = Counter()
+        outcomes, cycles = Counter(), Counter()
         for seed in range(300):
             graph, factor = block_host(random.Random(seed).randint)
-            outcome = _same_as_reference(graph, factor, l=3)
+            outcome, cycled = _same_as_reference(graph, factor, l=3)
             outcomes[outcome, factor.regularity()] += 1
+            cycles[outcome] += cycled
         # a 1-factor never merges; every other (outcome, k) must occur
         assert set(outcomes) == {("stuck", 1), ("stuck", 2), ("stuck", 3), ("connected", 2), ("connected", 3)}
+        assert cycles["stuck"] and cycles["connected"], cycles
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_suite_hosts(self, seed):
@@ -587,9 +656,10 @@ class TestMoveTrace:
 
 def _resumed_as_rescan(graph: BipartiteGraph, factor: Factor, l: int | None) -> int:
     """Check that the loop, which resumes each host row's scan, makes the
-    moves of the scan as first written and ends in the same factor or
-    stuck report; after every step, check that each y before x's resume
-    index shares x's component.  Return the sum of the resume indices."""
+    moves of the scan as first written, up to its first alternating-cycle
+    exchange, and when it makes none ends in the same factor or stuck
+    report; after every step, check that each y before x's resume index
+    shares x's component.  Return the sum of the resume indices."""
     k = factor.regularity()
     trace: list = []
     got = connect_factor(graph, factor, l=l, trace=trace)
@@ -604,9 +674,12 @@ def _resumed_as_rescan(graph: BipartiteGraph, factor: Factor, l: int | None) -> 
         if move is None:
             break
         want_trace.append((move, ref.count))
-    assert trace == want_trace
+    primary = list(takewhile(lambda entry: entry[0].kind == "primary", trace))
+    assert primary == want_trace
     want = ref.factor()
-    if want.n_components > 1:
+    if len(primary) < len(trace):  # a cycle exchange took over where the scan stuck
+        assert want.n_components > 1
+    elif want.n_components > 1:
         assert isinstance(got, StuckReport)
         report = _build_stuck_report(graph, want, k, l)
         assert serialize_stuck_report(got) == serialize_stuck_report(report)
@@ -937,7 +1010,8 @@ class TestHamilton:
     def test_weave_on_canonical_stuck_state(self):
         """Doubling a 6-cycle and taking the squares over a perfect
         matching leaves three 4-cycle components no primary exchange can
-        merge; the exchange stage must close them into one rotation."""
+        merge; connect_factor's alternating-cycle exchanges must close
+        them into one rotation."""
         base = cycle_graph(3)
         g = double_graph(base)
         squares = []
@@ -945,22 +1019,24 @@ class TestHamilton:
             squares += [(x, x), (x + 3, x + 3), (x, x + 3), (x + 3, x)]
         f = Factor(g, squares)
         assert f.n_components == 3
-        # sanity: the state really offers no move, so the loop reports it
-        report = connect_factor(g, f, l=3)
-        assert isinstance(report, StuckReport) and report.factor == f
-        assert report.neighborhoods_isolated
-        assert_regular_spanning(g, _exchange_stage(g, report), 2, connected=True)
+        # sanity: the state really offers no primary move
+        assert _Exchanger(g, f, 2).step() is None
+        assert _build_stuck_report(g, f, 2, 3).neighborhoods_isolated
+        trace: list = []
+        got = connect_factor(g, f, l=3, trace=trace)
+        assert_regular_spanning(g, got, 2, connected=True)
+        assert trace[0][0].kind == "cycle"
 
     @pytest.mark.parametrize(
         "arcs", [[(0, 1), (1, 2), (2, 1)], [(0, 1), (1, 0), (2, 3), (3, 2)]]
     )
     def test_stage_on_a_quotient_that_is_not_one_cycle(self, arcs):
         """Quadrilaterals with full arcs, one out of each component, whose
-        quotient is no single cycle.  With no arc into component 0, its X
-        half has only factor edges, so no alternating cycle enters it: the
-        stage merges 1 and 2 and then refuses.  The other host is two
-        pieces: the stage merges inside them, and the loop on the result
-        finds the host disconnected."""
+        quotient is no single cycle.  A primary move merges 1 and 2; with
+        no arc into component 0, its X half has only factor edges, so no
+        alternating cycle enters it, and connect_factor reports the state
+        stuck.  The other host is two pieces: the loop merges inside them
+        and then finds the host disconnected, before any cycle is sought."""
         c = 1 + max(j for _, j in arcs)
         quads = [([2 * i, 2 * i + 1], [2 * i, 2 * i + 1]) for i in range(c)]
         factor_edges = [(x, y) for xs, ys in quads for x in xs for y in ys]
@@ -973,13 +1049,13 @@ class TestHamilton:
             arc: 4 for arc in arcs
         }
         if g.is_connected():
-            with pytest.raises(StructureUnrecognizedError, match=STUCK_MESSAGE) as err:
-                _exchange_stage(g, report)
+            got = connect_factor(g, f, l=3)
+            assert isinstance(got, StuckReport)
             merged = ([2, 3, 4, 5], [2, 3, 4, 5])
-            assert _component_vertex_sets(err.value.report.factor) == [quads[0], merged]
+            assert _component_vertex_sets(got.factor) == [quads[0], merged]
         else:
             with pytest.raises(NotConnectedError):
-                _exchange_stage(g, report)
+                connect_factor(g, f, l=3)
 
     def test_hypothesis_min_degree(self):
         with pytest.raises(HypothesisViolatedError) as err:
@@ -1005,39 +1081,48 @@ class TestHamilton:
         assert [v.label for v in witness.vertices()] == ["X0", "Y1", "Y6", "X6", "X11", "X13"]
         assert_star_witness_valid(g, witness)
 
-    def test_stuck_component_larger_than_quadrilateral(self):
-        """The stage takes stuck states of any shape: two hexagons of
-        K(6, 6), handed to it as stuck, come back as one Hamilton cycle."""
+    def test_stuck_component_larger_than_quadrilateral(self, monkeypatch):
+        """Alternating-cycle exchanges take stuck states of any shape: two
+        hexagons of K(6, 6), with the primary moves stubbed out, come back
+        as one Hamilton cycle."""
+        monkeypatch.setattr(_Exchanger, "step", lambda self: None)
         g = complete_bipartite(6, 6)
         hexagons = [(c + x, c + y) for c in (0, 3) for x in range(3) for y in (x, (x + 1) % 3)]
-        cycle = _exchange_stage(g, _build_stuck_report(g, Factor(g, hexagons), 2, 3))
+        trace: list = []
+        cycle = connect_factor(g, Factor(g, hexagons), l=3, trace=trace)
         assert_regular_spanning(g, cycle, 2, connected=True)
+        assert [(move.kind, count) for move, count in trace] == [("cycle", 1)]
 
-    def test_stuck_vertex_sees_three_components(self):
-        """Three squares of K(6, 6), handed to the stage as stuck, where X0
-        sees both other squares, come back as one Hamilton cycle."""
+    def test_stuck_vertex_sees_three_components(self, monkeypatch):
+        """Three squares of K(6, 6), where X0 sees both other squares, with
+        the primary moves stubbed out, come back as one Hamilton cycle."""
+        monkeypatch.setattr(_Exchanger, "step", lambda self: None)
         g = complete_bipartite(6, 6)
         squares = [(c + x, c + y) for c in (0, 2, 4) for x in (0, 1) for y in (0, 1)]
-        cycle = _exchange_stage(g, _build_stuck_report(g, Factor(g, squares), 2, 3))
+        trace: list = []
+        cycle = connect_factor(g, Factor(g, squares), l=3, trace=trace)
         assert_regular_spanning(g, cycle, 2, connected=True)
+        assert [(move.kind, count) for move, count in trace] == [("cycle", 2), ("cycle", 1)]
 
     def test_stuck_quadrilaterals_not_chained(self):
         """Two quadrilaterals joined by one edge: that link is a bridge, so
-        no alternating cycle runs through it, and the stage refuses with
-        the stuck report it was handed."""
+        no alternating cycle runs through it, and connect_factor reports
+        the state it was handed."""
         g = BipartiteGraph(4, 4, SQUARE_A + SQUARE_B + [(2, 0)])
-        report = _build_stuck_report(g, Factor(g, SQUARE_A + SQUARE_B), 2, 3)
-        with pytest.raises(StructureUnrecognizedError, match=STUCK_MESSAGE) as err:
-            _exchange_stage(g, report)
-        assert err.value.report is report
+        f = Factor(g, SQUARE_A + SQUARE_B)
+        trace: list = []
+        report = connect_factor(g, f, l=3, trace=trace)
+        assert isinstance(report, StuckReport) and trace == []
+        assert serialize_stuck_report(report) == serialize_stuck_report(
+            _build_stuck_report(g, f, 2, 3)
+        )
 
     def test_stuck_quadrilaterals_match_reference(self):
-        """On seeded all-quadrilateral states handed to the stage as stuck,
-        every state that the weave as first written weaves comes back
-        connected, and every refusal carries the stuck report as first
-        written for the factor it stuck on.  The hosts that are not
-        connected, which the hypotheses rule out, may instead end in
-        NotConnectedError from the connecting loop."""
+        """On seeded all-quadrilateral states, every state that the weave
+        as first written weaves comes back connected from connect_factor,
+        and every stuck report is the stuck report as first written for
+        its factor.  The hosts that are not connected, which the
+        hypotheses rule out, may instead end in NotConnectedError."""
         outcomes = Counter()
         for seed in range(3000):
             g, f = quadrilateral_state(random.Random(seed))
@@ -1047,30 +1132,31 @@ class TestHamilton:
             except StructureUnrecognizedError:
                 woven = False
             try:
-                cycle = _exchange_stage(g, _build_stuck_report(g, f, 2, 3))
-            except StructureUnrecognizedError as exc:
-                assert not woven, seed
-                want = reference_stuck_report(g, exc.report.factor, 2, 3)
-                assert serialize_stuck_report(exc.report) == serialize_stuck_report(want), seed
-                outcomes["refused"] += 1
+                got = connect_factor(g, f, l=3)
             except NotConnectedError:
                 assert not woven and not g.is_connected(), seed
                 outcomes["disconnected"] += 1
+                continue
+            if isinstance(got, StuckReport):
+                assert not woven, seed
+                want = reference_stuck_report(g, got.factor, 2, 3)
+                assert serialize_stuck_report(got) == serialize_stuck_report(want), seed
+                outcomes["stuck"] += 1
             else:
-                check_factor(g, cycle, 2, connected=True)
+                check_factor(g, got, 2, connected=True)
                 outcomes["woven" if woven else "connected"] += 1
         assert outcomes["woven"] == 552
-        assert set(outcomes) == {"woven", "connected", "refused", "disconnected"}, outcomes
+        assert set(outcomes) == {"woven", "connected", "stuck", "disconnected"}, outcomes
 
     @pytest.mark.parametrize("m", range(3, 13))
     def test_quadrilateral_chains_connect_in_one_exchange(self, monkeypatch, m):
         """A doubled 2m-cycle labelled quadrilateral by quadrilateral: the
-        flow's 2-factor is the m quadrilaterals and the loop sticks on
-        them.  One exchange, on the first link, leaves the loop a state it
-        connects."""
+        flow's 2-factor is the m quadrilaterals and no primary move merges
+        them.  One alternating-cycle exchange, on the first link, leaves
+        the loop a state it connects, and hamilton_s13 answers with it."""
         g = quadrilateral_chain_host(m)
-        stuck = connect_factor(g, find_f_factor(g, DegreeDemand.uniform(g, 2)), l=3)
-        assert isinstance(stuck, StuckReport) and stuck.factor.n_components == m
+        start = find_f_factor(g, DegreeDemand.uniform(g, 2))
+        assert start.n_components == m and _Exchanger(g, start, 2).step() is None
         tried = []
         real = bifactor.connect._swap_alternating_cycle
 
@@ -1079,33 +1165,62 @@ class TestHamilton:
             return real(graph, factor, x, y)
 
         monkeypatch.setattr(bifactor.connect, "_swap_alternating_cycle", recorder)
+        trace: list = []
+        got = connect_factor(g, start, l=3, trace=trace)
+        first = find_links(g, start)[0]
+        assert tried == [(first.u.index, first.v.index)]
+        kinds = [move.kind for move, _ in trace]
+        assert kinds[0] == "cycle" and kinds.count("cycle") == 1
+        check_factor(g, got, 2, connected=True)
         cycle = hamilton_s13(g)
-        assert tried == [(stuck.links[0].u.index, stuck.links[0].v.index)]
-        assert len(cycle_order(cycle)) == 4 * m
+        assert cycle == got and len(cycle_order(cycle)) == 4 * m
 
     def test_pinned_5x5_host_connects(self):
         """A (2,3)-star-pair-free 5+5 host of minimum degree 3, below the
-        Hamilton pipeline's: its flow 2-factor sticks at two components,
-        and one exchange connects it."""
+        Hamilton pipeline's: the loop sticks at two components on its flow
+        2-factor, and one alternating-cycle exchange connects it."""
         g = BipartiteGraph(5, 5, [
             (0, 2), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0),
             (2, 1), (2, 4), (3, 2), (3, 3), (3, 4), (4, 0), (4, 1), (4, 4),
         ])
         assert g.min_degree() == 3 and find_induced_star(g, 2, 3) is None
-        stuck = connect_factor(g, find_f_factor(g, DegreeDemand.uniform(g, 2)), l=3)
-        assert isinstance(stuck, StuckReport) and stuck.factor.n_components == 2
-        cycle = _exchange_stage(g, stuck)
+        start = find_f_factor(g, DegreeDemand.uniform(g, 2))
+        trace: list = []
+        cycle = connect_factor(g, start, l=3, trace=trace)
+        counts = [start.n_components] + [count for _, count in trace]
+        assert [move.kind for move, _ in trace][-1] == "cycle" and counts[-2:] == [2, 1]
         check_factor(g, cycle, 2, connected=True)
         assert cycle.edge_list == (
             (0, 3), (0, 4), (1, 1), (1, 2), (2, 0), (2, 1), (3, 2), (3, 3), (4, 0), (4, 4)
         )
 
-    def test_linked_quadrilateral_stays_stuck(self):
-        """The quadrilateral's only link is a bridge, so no alternating
-        cycle runs through it: the stage refuses with the loop's report."""
-        g = linked_quadrilateral_host(4)
-        stuck = connect_factor(g, find_f_factor(g, DegreeDemand.uniform(g, 2)), l=3)
-        assert isinstance(stuck, StuckReport) and stuck.factor.n_components == 2
+    def test_stuck_state_is_refused(self, monkeypatch):
+        """With no alternating cycle to swap (the search is stubbed), a
+        quadrilateral chain stays stuck, and hamilton_s13 refuses with the
+        stuck report connect_factor returns."""
+        monkeypatch.setattr(bifactor.connect, "_swap_alternating_cycle", lambda *args: None)
+        g = quadrilateral_chain_host(3)
+        want = connect_factor(g, find_f_factor(g, DegreeDemand.uniform(g, 2)), l=3)
+        assert isinstance(want, StuckReport) and want.factor.n_components == 3
         with pytest.raises(StructureUnrecognizedError, match=STUCK_MESSAGE) as err:
-            _exchange_stage(g, stuck)
-        assert err.value.report is stuck
+            hamilton_s13(g)
+        assert serialize_stuck_report(err.value.report) == serialize_stuck_report(want)
+
+    def test_linked_quadrilateral_stays_stuck(self, monkeypatch):
+        """The quadrilateral's only link is a bridge, so no alternating
+        cycle runs through it: connect_factor tries that link and returns
+        the loop's stuck report."""
+        g = linked_quadrilateral_host(4)
+        tried = []
+        real = bifactor.connect._swap_alternating_cycle
+
+        def recorder(graph, factor, x, y):
+            tried.append(real(graph, factor, x, y))
+            return tried[-1]
+
+        monkeypatch.setattr(bifactor.connect, "_swap_alternating_cycle", recorder)
+        trace: list = []
+        stuck = connect_factor(g, find_f_factor(g, DegreeDemand.uniform(g, 2)), l=3, trace=trace)
+        assert isinstance(stuck, StuckReport) and stuck.factor.n_components == 2
+        assert len(stuck.links) == 1 and tried == [None]
+        assert all(move.kind == "primary" for move, _ in trace)

@@ -9,7 +9,7 @@ import pytest
 
 import bifactor.connect
 import bifactor.suites
-from bifactor import BipartiteGraph, Factor, StuckReport, complete_bipartite, cycle_graph
+from bifactor import BipartiteGraph, Factor, complete_bipartite, cycle_graph
 from bifactor.cli import main
 from bifactor.errors import (
     ParamInvalidError,
@@ -243,17 +243,17 @@ def test_pipelines_check_what_the_suites_receive(monkeypatch, seed):
 def test_woven_cycle_is_checked(monkeypatch, m):
     """A doubled 2m-cycle labelled quadrilateral by quadrilateral: the
     flow's 2-factor is the m quadrilaterals, no primary exchange merges
-    them, and hamilton_s13 returns the cycle the exchange stage leaves,
-    which must be checked too.  (The suite's doubled cycles never get
-    here: their flow 2-factor connects.)"""
-    checked, woven = [], []
+    them, and hamilton_s13 returns the cycle that connect_factor leaves
+    after an alternating-cycle exchange, which must be checked too.  (The
+    suite's doubled cycles never get there: their flow 2-factor connects
+    by primary moves.)"""
+    checked, connected, swapped = [], [], []
     monkeypatch.setattr(bifactor.connect, "check_factor", _record(checked, bifactor.connect.check_factor))
-    monkeypatch.setattr(
-        bifactor.connect, "_exchange_stage", _record(woven, bifactor.connect._exchange_stage)
-    )
+    for name, log in (("connect_factor", connected), ("_swap_alternating_cycle", swapped)):
+        monkeypatch.setattr(bifactor.connect, name, _record(log, getattr(bifactor.connect, name)))
     cycle = bifactor.connect.hamilton_s13(quadrilateral_chain_host(m))
-    assert [out for out, _, _ in woven] == [cycle]
-    assert isinstance(woven[0][1][1], StuckReport)  # the stage had a stuck state to connect
+    assert [out for out, _, _ in connected] == [cycle]
+    assert any(out is not None for out, _, _ in swapped)  # the loop stuck, and a cycle was swapped
     _assert_checked(checked, cycle, 2)
 
 
