@@ -380,15 +380,17 @@ def connect_factor(
     the stuck report's degree bounds.  ``trace`` (when a list) collects
     (move, count) pairs as moves are accepted.
 
-    The host's connectivity is checked only when the factor is not regular
-    or the loop sticks, before any cycle is sought, so NotConnectedError
-    still comes before NotRegularError.  A spanning factor of a
-    disconnected host can never reach one component, so such a host always
-    raises NotConnectedError, but ``trace`` may by then hold the moves the
-    loop made inside the host's components.
+    The host's connectivity is checked when the factor is not regular or
+    the loop first sticks, before any cycle is sought, so NotConnectedError
+    still comes before NotRegularError; the host does not change, so it
+    is checked at most once.  A spanning factor of a disconnected host can
+    never reach one component, so such a host always raises
+    NotConnectedError, but ``trace`` may by then hold the moves the loop
+    made inside the host's components.
     """
     k = factor.regularity()
     current = factor
+    host_connected = False
     while True:
         if k is not None:
             state = _Exchanger(graph, current, k)
@@ -398,7 +400,8 @@ def connect_factor(
             current = state.factor()
             if state.count <= 1:
                 return current
-        if not graph.is_connected():
+        host_connected = host_connected or graph.is_connected()
+        if not host_connected:
             raise NotConnectedError("host graph is disconnected; no factor can connect it")
         if k is None:
             raise NotRegularError("connectivity search expects a regular factor")
@@ -423,7 +426,10 @@ def _swap_alternating_cycle(
     The cycle is x-y and a path from y back to x, found by breadth-first
     search in index order, that leaves each Y vertex by a factor edge and
     each X vertex by a host edge outside the factor: swapping its edges in
-    and out keeps every degree.  The move lists each half sorted.
+    and out keeps every degree.  The move lists each half sorted.  Every
+    vertex of the cycle loses one factor edge and gains one host edge, so
+    the swapped factor is built from ``factor``'s rows with only the
+    cycle's rows rebuilt.
     """
     via_x: dict[int, int] = {}  # X vertex -> the Y vertex before it
     via_y = {y: x}  # Y vertex -> the X vertex before it
@@ -438,7 +444,14 @@ def _swap_alternating_cycle(
                     b = via_x[a]
                     removed.append((a, b))
                 move = SwapMove("cycle", tuple(sorted(removed)), tuple(sorted(added)))
-                return move, Factor(graph, factor.edge_set ^ {*removed, *added})
+                adj_x, adj_y = list(factor._adj_x), list(factor._adj_y)
+                for a, b in removed:
+                    adj_x[a] = [v for v in adj_x[a] if v != b]
+                    adj_y[b] = [u for u in adj_y[b] if u != a]
+                for a, b in added:
+                    insort(adj_x[a], b)
+                    insort(adj_y[b], a)
+                return move, Factor._from_adjacency(graph, adj_x, adj_y)
             if a not in via_x:
                 via_x[a] = b
                 for b2 in graph._adj_x[a]:

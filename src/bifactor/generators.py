@@ -15,14 +15,19 @@ sizes); shuffles are Fisher-Yates from the top index down.  Models that
 retry draw trial t from sub-seed ``seed + t``.
 
 The j-th output after seeding depends only on seed + (j + 1) * gamma, so a
-stretch of the stream can be computed at once.  ``_draws_below`` does so
-for the Bernoulli draws of min-degree-random: it packs a block of draws
-into 128-bit lanes of one Python integer, runs each xor-shift and
-multiply once over the whole integer, and masks every lane back to 64
-bits after each step, so the products never spill into the next lane.
-It picks out the same draws as ``chance`` called once per draw, bit for
-bit; ``next_u64``, ``below``, ``chance`` and ``shuffle`` stay the scalar
-reference.
+stretch of the stream can be computed at once.  ``_mixed_runs`` packs up
+to _BLOCK draws into 128-bit lanes of one Python integer, as many lanes
+as the count needs, runs each xor-shift and multiply once over the whole
+integer, and masks every lane back to 64 bits after each step, so the
+products never spill into the next lane; it stops before the last step.
+``_draws_below``, for the Bernoulli draws of min-degree-random, reads
+only each lane's top byte, which the last step z ^ (z >> 31) leaves as
+it is, and finishes just the few lanes whose top byte allows a hit.
+``_permutation``, for every model's shuffles, finishes all its lanes at
+once and takes its n - 1 swap indices from them.  Both leave the draws
+and the rng state of the scalar calls, bit for bit; ``next_u64``,
+``below``, ``chance`` and ``shuffle`` stay the scalar reference that the
+tests compare them against.
 
 The oracles at the bottom are deliberately naive: backtracking over edge
 subsets with remaining-degree pruning, and exhaustive enumeration of all
@@ -37,11 +42,11 @@ with the solver.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import struct
 from functools import cache
 from itertools import product, repeat
 from operator import eq
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceededError, ParamInvalidError, RetryExhaustedError
 from .graph import (
@@ -63,7 +68,7 @@ _MIX2 = 0x94D049BB133111EB
 EDGE_BUDGET = 40
 RETRY_BUDGET = 1000
 
-_BLOCK = 1024  # draws per block in _draws_below; any size gives the same draws
+_BLOCK = 1024  # most draws per run of _mixed_runs; any size gives the same draws
 
 
 class SplitMix64:
@@ -111,35 +116,66 @@ def _lanes() -> tuple[int, int, int]:
     return ones, ones * _MASK, pack((j + 1) * _GAMMA & _MASK for j in range(_BLOCK))
 
 
+def _mixed_runs(rng: SplitMix64, count: int) -> Iterator[tuple[int, int, int]]:
+    """The next ``count`` draws of rng, two mixing steps in, in runs of at
+    most _BLOCK: (start, lanes, z) for each run, where 128-bit lane j of z
+    holds draw start + j's z after next_u64's second multiply, mod 2^64.
+
+    The lanes are sized to the count: fewer than _BLOCK draws make one run
+    of exactly that many lanes, and a last short run drops its unused
+    lanes.  rng moves past all ``count`` draws when iteration begins.
+    """
+    if count <= 0:
+        return
+    state = rng.state
+    rng.state = (state + count * _GAMMA) & _MASK
+    ones, mask, steps = _lanes()
+    lanes = min(count, _BLOCK)
+    cut = (1 << 128 * lanes) - 1
+    ones, steps = ones & cut, steps & cut
+    states = (ones * state + steps) & mask
+    advance = ones * (lanes * _GAMMA & _MASK)
+    for start in range(0, count, lanes):
+        if count - start < lanes:
+            lanes = count - start
+            states &= (1 << 128 * lanes) - 1
+        z = ((states ^ (states >> 30)) & mask) * _MIX1 & mask
+        yield start, lanes, ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+        states = (states + advance) & mask
+
+
 def _draws_below(rng: SplitMix64, count: int, threshold: int) -> list[int]:
     """The indices j, ascending, among ``count`` calls of rng.next_u64()
-    whose draw j is below ``threshold`` (at most 2^64); rng ends where
-    those calls leave it.
+    whose draw j is below ``threshold``; rng ends where those calls leave
+    it.
 
-    Lane j of ``states`` holds the state that draw start + j mixes.  A
-    lane of ``(2^64 + threshold - 1) - z`` has bit 64 set exactly when
-    z < threshold and never borrows from the next lane, so those bits
-    mark the accepted draws: one byte in sixteen of the block's bytes,
-    found by ``bytes.find``.  The last block runs whole, and its draws
-    past ``count`` are dropped.
+    The last step, z ^ (z >> 31), leaves bits 33-63 as they are, so a
+    draw's top byte is its z's top byte, and only a lane whose top byte
+    is at most top = (threshold - 1) >> 56 can hold a hit.  Those lanes
+    are found by ``bytes.find`` in the lanes' top bytes, translated to 0
+    for the candidates; one below top is a hit outright, one equal to it
+    is finished and compared exactly.  Thresholds of 0 and 2^64 or more
+    decide every draw unmixed.
     """
-    ones, mask, steps = _lanes()
-    states = (ones * rng.state + steps) & mask
-    advance = ones * (_BLOCK * _GAMMA & _MASK)
-    bound = ones * ((1 << 64) + threshold - 1)
+    if not 0 < threshold < 1 << 64:
+        rng.state = (rng.state + count * _GAMMA) & _MASK
+        return list(range(count)) if threshold > 0 else []
+    top = (threshold - 1) >> 56
+    far = bytes(b > top for b in range(256))
     hits: list[int] = []
-    for start in range(0, count, _BLOCK):
-        z = ((states ^ (states >> 30)) & mask) * _MIX1 & mask
-        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
-        z = (z ^ (z >> 31)) & mask
-        marks = (((bound - z) >> 64) & ones).to_bytes(16 * _BLOCK, "little")
-        i = marks.find(1)
+    for start, lanes, z in _mixed_runs(rng, count):
+        words = z.to_bytes(16 * lanes, "little")
+        tops = words[7::16]
+        marks = tops.translate(far)
+        i = marks.find(0)
         while i >= 0:
-            hits.append(start + i // 16)
-            i = marks.find(1, i + 16)
-        states = (states + advance) & mask
-    rng.state = (rng.state + count * _GAMMA) & _MASK
-    del hits[bisect_left(hits, count) :]
+            if tops[i] < top:
+                hits.append(start + i)
+            else:
+                z = int.from_bytes(words[16 * i : 16 * i + 8], "little")
+                if z ^ (z >> 31) < threshold:
+                    hits.append(start + i)
+            i = marks.find(0, i + 1)
     return hits
 
 
@@ -166,8 +202,15 @@ class GenSpec(NamedTuple):
 
 
 def _permutation(rng: SplitMix64, n: int) -> list[int]:
+    """``rng.shuffle`` applied to list(range(n)), its n - 1 draws mixed in
+    bulk: draw t swaps index i = n - 1 - t with index draw mod (i + 1)."""
     perm = list(range(n))
-    rng.shuffle(perm)
+    for start, lanes, z in _mixed_runs(rng, n - 1):
+        # each lane's low word is its draw; the 8 bytes above it are skipped
+        draws = struct.unpack("<" + "Q8x" * lanes, (z ^ (z >> 31)).to_bytes(16 * lanes, "little"))
+        for i, draw in zip(range(n - 1 - start, 0, -1), draws):
+            j = draw % (i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
     return perm
 
 
@@ -366,7 +409,9 @@ def enumerate_bipartite_block(n_x: int, n_y: int):
     Once per outer tuple its rows are merged into components, each held
     as the mask of its y's.  A connected host gives every x an edge, so
     no row mask is 0, and X0's row m0 closes the host exactly when it
-    covers every y the other rows miss and meets every component.
+    covers every y the other rows miss and meets every component; the
+    closing masks are listed once per component list, which many outer
+    tuples share.
 
     Each graph is stored straight from its masks: rows_x[r] lists the y's
     of row mask r and rows_y[c] the x's of column mask c, ascending and
@@ -382,6 +427,7 @@ def enumerate_bipartite_block(n_x: int, n_y: int):
     rows_y = [tuple(x for x in range(n_x) if c >> x & 1) for c in range(col_full + 1)]
     spread = [sum(1 << y * n_x for y in row) for row in rows_x]
     shifts = range(0, n_x * n_y, n_x)
+    closing: dict[tuple[int, ...], list[int]] = {}  # X0 rows closing each component set
     # product varies its last digit fastest; reversed, that digit is X1's row.
     for outer in product(range(1, full + 1), repeat=n_x - 1):
         outer = outer[::-1]
@@ -390,12 +436,16 @@ def enumerate_bipartite_block(n_x: int, n_y: int):
             joined = [c for c in comps if c & row]
             comps = [c for c in comps if not c & row]
             comps.append(row | sum(joined))  # the joined masks are disjoint
-        union = sum(comps)
+        key = tuple(comps)
+        if key not in closing:
+            union = sum(comps)
+            closing[key] = [
+                m0 for m0 in range(1, full + 1)
+                if m0 | union == full and all(m0 & c for c in comps)
+            ]
         cols_rest = sum(spread[row] << x for x, row in enumerate(outer, 1))
         adj_rest = [rows_x[row] for row in outer]
-        for m0 in range(1, full + 1):
-            if m0 | union != full or not all(m0 & c for c in comps):
-                continue
+        for m0 in closing[key]:
             cols = cols_rest | spread[m0]
             yield _stored(
                 BipartiteGraph,

@@ -577,9 +577,14 @@ def _read_canonical(n_x: int, n_y: int, m: int, body: str) -> BipartiteGraph | N
 
 
 def _edge_text(graph: BipartiteGraph) -> list[str]:
-    """The line "x y" of each edge, in (x, y) order; each index is
-    spelled once."""
-    names = list(map(str, range(max(graph.n_x, graph.n_y))))
+    """The line "x y" of each edge, in (x, y) order.  The index names come
+    from the shared spelling table, which a write grows as a read does;
+    indices past MAX_CLASS_SIZE, which it never holds, are spelled by
+    str() on each call."""
+    n = max(graph.n_x, graph.n_y)
+    _spell(n)
+    names = list(islice(_INDEX, n))
+    names += map(str, range(len(names), n))
     return [f"{x} {names[y]}" for x, ys in zip(names, graph._adj_x) for y in ys]
 
 

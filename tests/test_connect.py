@@ -457,6 +457,28 @@ class TestFactorsBuiltOnce:
                 outcomes["renumbered" if _renumbered_when_stuck(host) else "stuck"] += 1
         assert set(outcomes) == {"connected", "stuck", "renumbered"}, outcomes
 
+    def test_cycle_swaps_as_rebuilt(self, monkeypatch):
+        """Each factor a cycle swap builds from its factor's rows, whether
+        connect_factor keeps it or not, equals the validating build of the
+        swapped edge set; the seeded hosts lead to swaps of both kinds."""
+        real = bifactor.connect._swap_alternating_cycle
+        kept = Counter()
+
+        def rebuilt(graph, factor, x, y):
+            found = real(graph, factor, x, y)
+            if found is not None:
+                move, swapped = found
+                want = Factor(graph, factor.edge_set ^ {*move.removed, *move.added})
+                assert_same_factor(swapped, want)
+                kept[swapped.n_components < factor.n_components] += 1
+            return found
+
+        monkeypatch.setattr(bifactor.connect, "_swap_alternating_cycle", rebuilt)
+        for seed in range(300):
+            host = cycle_union_host(random.Random(seed).randint)
+            connect_factor(host, find_f_factor(host, DegreeDemand.uniform(host, 2)), l=3)
+        assert kept[True] and kept[False], kept
+
     def test_linked_quadrilateral_host(self):
         host = linked_quadrilateral_host(40)
         report = assert_pipeline_as_rebuilt(host, 2, l=3)
@@ -521,6 +543,28 @@ class TestStuckAfterCycles:
                 isolated[got.k >= 2, got.neighborhoods_isolated] += 1
                 assert ("EQ10 ALL HOLDS" in serialize_stuck_report(got)) == got.neighborhoods_isolated
         assert isolated == {(True, True): 619, (False, True): 692, (False, False): 324}
+
+    def test_host_checked_once_per_call(self, monkeypatch):
+        """The host does not change, so connect_factor checks that it is
+        connected once per call, though the loop sticks again after each
+        cycle swap: block host 44 is stuck after one swap, and block host
+        783 connects after two."""
+        checked = []
+        real = BipartiteGraph.is_connected
+
+        def counted(graph):
+            checked.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(BipartiteGraph, "is_connected", counted)
+        for seed, outcome, swaps in ((44, StuckReport, 1), (783, Factor, 2)):
+            graph, factor = block_host(random.Random(seed).randint)
+            checked.clear()
+            trace: list = []
+            got = connect_factor(graph, factor, l=3, trace=trace)
+            assert type(got) is outcome
+            assert [move.kind for move, _ in trace].count("cycle") == swaps
+            assert sum(g is graph for g in checked) == 1
 
     def test_no_cycle_sought_below_k2_or_on_a_disconnected_host(self, monkeypatch):
         """Seeded 1-factors and the empty factor come back stuck, a factor

@@ -33,6 +33,7 @@ from bifactor.generators import (
     SplitMix64,
     _disjoint_permutations,
     _draws_below,
+    _permutation,
     _threshold,
 )
 from bifactor.graph import MAX_CLASS_SIZE
@@ -117,6 +118,8 @@ class TestBlockDraws:
     def test_matches_recurrence(self, seed, count):
         draws = reference_mix(seed, count)
         thresholds = [_threshold(p) for p in (0.0, 1e-6, 1 / 1000, 0.5, 1.0)]
+        # either side of the top-byte filter's cut-offs, and the extremes
+        thresholds += [1, 2**56 - 1, 2**56, 2**56 + 1, 2**57, 2**63, 2**64 - 1, 2**64]
         if draws:
             # a draw equal to the threshold is rejected, one below it accepted
             thresholds += [draws[-1], draws[-1] + 1, draws[count // 2]]
@@ -145,6 +148,20 @@ class TestBlockDraws:
     def test_threshold_extremes(self):
         assert _threshold(0.0) == 0
         assert _threshold(1.0) == 2**64
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 16, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 5]
+    )
+    def test_permutation_matches_shuffle(self, seed, n):
+        """The bulk shuffle draws n - 1 times, across block edges too, and
+        leaves the permutation and rng state that ``shuffle`` leaves."""
+        scalar = SplitMix64(seed)
+        want = list(range(n))
+        scalar.shuffle(want)
+        rng = SplitMix64(seed)
+        assert _permutation(rng, n) == want
+        assert rng.state == scalar.state
 
 
 BAD_SPECS = [

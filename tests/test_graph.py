@@ -318,6 +318,19 @@ class TestParse:
     def test_serialize_parse_round_trip(self, g):
         assert parse_graph(serialize_graph(g)) == g
 
+    def test_serialize_past_the_spelling_table(self):
+        """Indices past MAX_CLASS_SIZE, which the shared spelling table
+        never holds, are written as str() writes them: the header and the
+        lines, read back with int(), give the graph, and the table, grown
+        by the write, stops at MAX_CLASS_SIZE."""
+        n = MAX_CLASS_SIZE + 2
+        edges = [(0, n - 1), (MAX_CLASS_SIZE - 1, MAX_CLASS_SIZE), (MAX_CLASS_SIZE, 0), (n - 1, 7)]
+        g = BipartiteGraph(n, n, edges)
+        head, *lines = serialize_graph(g).splitlines()
+        assert head == f"bipartite {n} {n} 4"
+        assert BipartiteGraph(n, n, [tuple(map(int, line.split())) for line in lines]) == g
+        assert len(_INDEX) == MAX_CLASS_SIZE
+
 
 def _outcome(build, *args):
     """The graph's fields, or the class, text and line of what it raised."""

@@ -8,8 +8,11 @@ with ``python -m pytest -q -m scale``.  Together they take a few minutes.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifactor import GenSpec, enumerate_bipartite_block, generate
+from bifactor.generators import _BLOCK, SplitMix64, _draws_below, _permutation
 
 from conftest import (
     assert_constructor_as_reference,
@@ -72,3 +75,33 @@ def test_every_4x4_host_labelled_on_first_read():
         for k in (1, 2, 3)
     ]
     assert (len(got), sum(got)) == (108951, 82390) and set(got) == {0, 2}
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    count=st.integers(0, 3 * _BLOCK + 5),
+    threshold=st.builds(
+        lambda m, d: min(max(m * 2**56 + d, 0), 2**64), st.integers(0, 256), st.integers(-3, 3)
+    ),
+)
+def test_block_draws_near_top_byte_cut_offs(seed, count, threshold):
+    """Block draws against next_u64 one call at a time, thresholds within
+    3 of a multiple of 2^56, where the top-byte filter cuts."""
+    scalar = SplitMix64(seed)
+    want = [j for j in range(count) if scalar.next_u64() < threshold]
+    rng = SplitMix64(seed)
+    assert _draws_below(rng, count, threshold) == want
+    assert rng.state == scalar.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 5000))
+def test_bulk_shuffles_against_scalar(seed, n):
+    """Bulk shuffles of up to 5,000 against ``shuffle``, rng state too."""
+    scalar = SplitMix64(seed)
+    want = list(range(n))
+    scalar.shuffle(want)
+    rng = SplitMix64(seed)
+    assert _permutation(rng, n) == want
+    assert rng.state == scalar.state
